@@ -35,7 +35,6 @@ struct Result {
 
 Result measure(bool aggregate_credits) {
   core::ClusterOptions options;
-  core::apply_parallelism_env(options);
   options.machines = 3;
   options.mode = consensus::Mode::kP4ce;
   options.cal.reacceleration_period = 10'000'000;  // re-probe every 10 ms

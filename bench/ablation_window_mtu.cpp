@@ -21,7 +21,6 @@ namespace {
 
 workload::RunResult run_with(u32 window, u32 mtu, u32 value_size, u32 batch) {
   core::ClusterOptions options;
-  core::apply_parallelism_env(options);
   options.machines = 3;
   options.mode = consensus::Mode::kP4ce;
   options.cal.max_outstanding = window;

@@ -22,7 +22,6 @@ namespace {
 
 double measure(consensus::Mode mode, u32 machines, u32 value_size) {
   core::ClusterOptions options;
-  core::apply_parallelism_env(options);
   options.machines = machines;
   options.mode = mode;
   options.log_size = 256ull << 20;

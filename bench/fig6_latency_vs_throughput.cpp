@@ -18,7 +18,6 @@ namespace {
 
 std::unique_ptr<core::Cluster> make(consensus::Mode mode, u32 machines) {
   core::ClusterOptions options;
-  core::apply_parallelism_env(options);
   options.machines = machines;
   options.mode = mode;
   options.log_size = 256ull << 20;

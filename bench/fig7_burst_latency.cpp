@@ -17,7 +17,6 @@ namespace {
 
 workload::BurstResult measure(consensus::Mode mode, u32 machines, u32 burst) {
   core::ClusterOptions options;
-  core::apply_parallelism_env(options);
   options.machines = machines;
   options.mode = mode;
   auto cluster = core::Cluster::create(options);

@@ -1,20 +1,14 @@
-// Event-kernel micro bench: the parallel lane kernel's three hot shapes,
-// each run at 1/2/4/8 lanes so BENCH_micro_event.json carries a scaling
-// curve scripts/check.sh can gate on.
+// Event-kernel micro bench: the serial kernel's three hot shapes.
 //
-//   churn   — per-lane self-rescheduling empty callbacks: the pure
-//             schedule/pop/dispatch cost with zero cross-lane traffic,
-//             the number the tentpole target (>= 5 Mev/s on 8 cores,
-//             >= 3x one lane) is stated against.
+//   churn   — self-rescheduling empty callbacks: the pure
+//             schedule/pop/dispatch cost.
 //   cancel  — schedule a batch at pseudo-random times, cancel every 4th:
 //             slot recycling and generation checks under churn.
-//   ping    — rings of events hopping lane -> lane+1 at exactly the
-//             lookahead bound: the SPSC channel + horizon machinery.
+//   ping    — chains of events each hopping 100 ns (about one short link
+//             hop) into the future.
 //
-// Wall-clock rates depend on the machine (and on how many worker threads
-// the lane count can actually get — see "threads" in the meta block); the
-// simulated outcome does not: every shape executes a fixed event count
-// regardless of lanes or threads, which the bench asserts.
+// Wall-clock rates depend on the machine; the simulated outcome does not:
+// every shape executes a fixed event count, which the bench asserts.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -28,7 +22,7 @@ using namespace p4ce;
 
 namespace {
 
-constexpr Duration kLookahead = 100;  // ns between lanes, ~one short link hop
+constexpr Duration kHop = 100;  // ns per ping hop, ~one short link hop
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -37,94 +31,72 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct ShapeResult {
   double events_per_sec = 0;
   u64 executed = 0;
-  u32 threads = 0;
 };
 
-/// churn: `chains` independent chains per lane, each an empty callback that
-/// reschedules itself `steps` times one tick in the future on its own lane.
-ShapeResult run_churn(u32 lanes, u32 chains, u32 steps) {
+ShapeResult finish(const sim::Simulator& sim, std::chrono::steady_clock::time_point t0) {
+  ShapeResult r;
+  r.executed = sim.events_executed();
+  r.events_per_sec = static_cast<double>(r.executed) / seconds_since(t0);
+  return r;
+}
+
+/// churn: `chains` independent chains, each an empty callback that
+/// reschedules itself `steps` times one tick in the future.
+ShapeResult run_churn(u32 chains, u32 steps) {
   const auto t0 = std::chrono::steady_clock::now();
   sim::Simulator sim;
-  if (lanes > 1) sim.configure_lanes(lanes, kLookahead);
   std::vector<std::shared_ptr<std::function<void()>>> keep;
-  keep.reserve(static_cast<std::size_t>(lanes) * chains);
-  for (u32 l = 0; l < lanes; ++l) {
-    for (u32 c = 0; c < chains; ++c) {
-      auto self = std::make_shared<std::function<void()>>();
-      auto remaining = std::make_shared<u32>(steps - 1);
-      *self = [&sim, self, remaining] {
-        if ((*remaining)-- > 0) sim.schedule(1, [self] { (*self)(); });
-      };
-      // Stagger chains so queues stay mixed rather than draining in phase.
-      sim.schedule_on(l, 1 + c, [self] { (*self)(); });
-      keep.push_back(std::move(self));
-    }
-  }
-  sim.run();
-  for (auto& self : keep) *self = nullptr;  // break the keep-alive cycles
-  ShapeResult r;
-  r.executed = sim.events_executed();
-  r.events_per_sec = static_cast<double>(r.executed) / seconds_since(t0);
-  r.threads = sim.worker_threads();
-  return r;
-}
-
-/// cancel: seed `total` events per lane at pseudo-random times, cancel every
-/// 4th before running — micro_packet's event-core mix, per lane.
-ShapeResult run_cancel(u32 lanes, u32 total) {
-  const auto t0 = std::chrono::steady_clock::now();
-  sim::Simulator sim;
-  if (lanes > 1) sim.configure_lanes(lanes, kLookahead);
-  u64 fired = 0;  // written from every lane, but never concurrently per slot
-  std::vector<std::vector<sim::EventHandle>> to_cancel(lanes);
-  for (u32 l = 0; l < lanes; ++l) {
-    auto counter = std::make_shared<u64>(0);
-    to_cancel[l].reserve(total / 4 + 1);
-    for (u32 i = 0; i < total; ++i) {
-      sim::EventHandle h = sim.schedule_on(l, (i * 7919) % 100'000, [counter] { ++*counter; });
-      if ((i & 3) == 0) to_cancel[l].push_back(h);
-    }
-  }
-  for (auto& lane_handles : to_cancel) {
-    for (auto& h : lane_handles) h.cancel();
-  }
-  sim.run();
-  (void)fired;
-  ShapeResult r;
-  r.executed = sim.events_executed();
-  r.events_per_sec = static_cast<double>(r.executed) / seconds_since(t0);
-  r.threads = sim.worker_threads();
-  return r;
-}
-
-/// ping: `rings` chains hop lane l -> l+1 -> ... around the ring `hops`
-/// times, each hop exactly one lookahead in the future (the worst legal
-/// case for the conservative horizon).
-ShapeResult run_ping(u32 lanes, u32 rings, u32 hops) {
-  const auto t0 = std::chrono::steady_clock::now();
-  sim::Simulator sim;
-  if (lanes > 1) sim.configure_lanes(lanes, kLookahead);
-  std::vector<std::shared_ptr<std::function<void(u32, u32)>>> keep;
-  keep.reserve(rings);
-  for (u32 ring = 0; ring < rings; ++ring) {
-    auto self = std::make_shared<std::function<void(u32, u32)>>();
-    *self = [&sim, lanes, self](u32 lane, u32 remaining) {
-      if (remaining == 0) return;
-      const u32 next = (lane + 1) % lanes;
-      sim.post(next, sim.now() + kLookahead,
-               [self, next, remaining] { (*self)(next, remaining - 1); });
+  keep.reserve(chains);
+  for (u32 c = 0; c < chains; ++c) {
+    auto self = std::make_shared<std::function<void()>>();
+    auto remaining = std::make_shared<u32>(steps - 1);
+    *self = [&sim, self, remaining] {
+      if ((*remaining)-- > 0) sim.schedule(1, [self] { (*self)(); });
     };
-    const u32 start = ring % lanes;
-    sim.schedule_on(start, 1 + ring, [self, start, hops] { (*self)(start, hops); });
+    // Stagger chains so the queue stays mixed rather than draining in phase.
+    sim.schedule(1 + c, [self] { (*self)(); });
     keep.push_back(std::move(self));
   }
   sim.run();
   for (auto& self : keep) *self = nullptr;  // break the keep-alive cycles
-  ShapeResult r;
-  r.executed = sim.events_executed();
-  r.events_per_sec = static_cast<double>(r.executed) / seconds_since(t0);
-  r.threads = sim.worker_threads();
-  return r;
+  return finish(sim, t0);
+}
+
+/// cancel: seed `total` events at pseudo-random times, cancel every 4th
+/// before running — micro_packet's event-core mix.
+ShapeResult run_cancel(u32 total) {
+  const auto t0 = std::chrono::steady_clock::now();
+  sim::Simulator sim;
+  auto counter = std::make_shared<u64>(0);
+  std::vector<sim::EventHandle> to_cancel;
+  to_cancel.reserve(total / 4 + 1);
+  for (u32 i = 0; i < total; ++i) {
+    sim::EventHandle h = sim.schedule((i * 7919) % 100'000, [counter] { ++*counter; });
+    if ((i & 3) == 0) to_cancel.push_back(h);
+  }
+  for (auto& h : to_cancel) h.cancel();
+  sim.run();
+  return finish(sim, t0);
+}
+
+/// ping: `chains` chains each hop `hops` times, one kHop into the future.
+ShapeResult run_ping(u32 chains, u32 hops) {
+  const auto t0 = std::chrono::steady_clock::now();
+  sim::Simulator sim;
+  std::vector<std::shared_ptr<std::function<void(u32)>>> keep;
+  keep.reserve(chains);
+  for (u32 c = 0; c < chains; ++c) {
+    auto self = std::make_shared<std::function<void(u32)>>();
+    *self = [&sim, self](u32 remaining) {
+      if (remaining == 0) return;
+      sim.schedule(kHop, [self, remaining] { (*self)(remaining - 1); });
+    };
+    sim.schedule(1 + c, [self, hops] { (*self)(hops); });
+    keep.push_back(std::move(self));
+  }
+  sim.run();
+  for (auto& self : keep) *self = nullptr;  // break the keep-alive cycles
+  return finish(sim, t0);
 }
 
 }  // namespace
@@ -132,60 +104,43 @@ ShapeResult run_ping(u32 lanes, u32 rings, u32 hops) {
 int main() {
   workload::BenchSession session("micro_event");
   session.set_backend("none");  // event-kernel microbench, no consensus protocol
-  workload::print_header(
-      "micro_event: parallel event-kernel throughput vs lane count",
-      "lane-partitioned conservative kernel; lanes=1 is the legacy serial path");
+  workload::print_header("micro_event: serial event-kernel throughput",
+                         "one (when, seq) priority queue over a recycled event slab");
 
-  constexpr u32 kChains = 64, kSteps = 4000;    // churn: 256k events/lane
-  constexpr u32 kCancelTotal = 200'000;         // per lane, 25% cancelled
-  constexpr u32 kRings = 32, kHops = 10'000;    // ping: 320k hops total
+  constexpr u32 kChains = 64, kSteps = 4000;  // churn: 256k events
+  constexpr u32 kCancelTotal = 200'000;       // 25% cancelled
+  constexpr u32 kRings = 32, kHops = 10'000;  // ping: 320k hops
 
-  workload::Table table("event kernel throughput by lane count",
-                        {"shape", "lanes", "threads", "events", "Mev/s"});
-  u32 max_threads = 1;
-  double churn_1 = 0, churn_8 = 0;
-  for (u32 lanes : {1u, 2u, 4u, 8u}) {
-    const ShapeResult churn = run_churn(lanes, kChains, kSteps);
-    const ShapeResult cancel = run_cancel(lanes, kCancelTotal);
-    const ShapeResult ping = run_ping(lanes, kRings, kHops);
-    max_threads = std::max(max_threads, churn.threads);
-    if (lanes == 1) churn_1 = churn.events_per_sec;
-    if (lanes == 8) churn_8 = churn.events_per_sec;
+  const ShapeResult churn = run_churn(kChains, kSteps);
+  const ShapeResult cancel = run_cancel(kCancelTotal);
+  const ShapeResult ping = run_ping(kRings, kHops);
 
-    // The simulated outcome is lane-count independent: churn executes
-    // lanes * chains * steps events, cancel executes 3/4 of the seeded
-    // events, ping executes rings * hops + rings seeds.
-    const u64 want_churn = static_cast<u64>(lanes) * kChains * kSteps;
-    const u64 want_cancel =
-        static_cast<u64>(lanes) * (kCancelTotal - (kCancelTotal + 3) / 4);
-    const u64 want_ping = static_cast<u64>(kRings) * kHops + kRings;
-    if (churn.executed != want_churn || cancel.executed != want_cancel ||
-        ping.executed != want_ping) {
-      std::fprintf(stderr, "event-count mismatch at lanes=%u: churn %llu/%llu cancel %llu/%llu ping %llu/%llu\n",
-                   lanes, (unsigned long long)churn.executed, (unsigned long long)want_churn,
-                   (unsigned long long)cancel.executed, (unsigned long long)want_cancel,
-                   (unsigned long long)ping.executed, (unsigned long long)want_ping);
-      return 1;
-    }
-
-    const std::string suffix = "_lanes" + std::to_string(lanes);
-    session.add_value("events_per_sec" + suffix, churn.events_per_sec);
-    session.add_value("cancel_events_per_sec" + suffix, cancel.events_per_sec);
-    session.add_value("ping_events_per_sec" + suffix, ping.events_per_sec);
-    session.add_value("threads" + suffix, churn.threads);
-    for (const auto& [shape, r] :
-         {std::pair<const char*, const ShapeResult&>{"churn", churn},
-          {"cancel", cancel},
-          {"ping", ping}}) {
-      table.add_row({shape, std::to_string(lanes), std::to_string(r.threads),
-                     std::to_string(r.executed),
-                     workload::Table::fmt(r.events_per_sec / 1e6, 3)});
-    }
+  // Churn executes chains * steps events, cancel executes 3/4 of the seeded
+  // events, ping executes rings * hops + rings seeds.
+  const u64 want_churn = static_cast<u64>(kChains) * kSteps;
+  const u64 want_cancel = kCancelTotal - (kCancelTotal + 3) / 4;
+  const u64 want_ping = static_cast<u64>(kRings) * kHops + kRings;
+  if (churn.executed != want_churn || cancel.executed != want_cancel ||
+      ping.executed != want_ping) {
+    std::fprintf(stderr, "event-count mismatch: churn %llu/%llu cancel %llu/%llu ping %llu/%llu\n",
+                 (unsigned long long)churn.executed, (unsigned long long)want_churn,
+                 (unsigned long long)cancel.executed, (unsigned long long)want_cancel,
+                 (unsigned long long)ping.executed, (unsigned long long)want_ping);
+    return 1;
   }
-  // The scaling headline check.sh gates on (hardware permitting).
-  session.add_value("scaling_lanes8", churn_1 > 0 ? churn_8 / churn_1 : 0);
+
+  // Key names are the ones bench/baselines/micro_event.json gates on.
+  session.add_value("events_per_sec_lanes1", churn.events_per_sec);
+  session.add_value("cancel_events_per_sec_lanes1", cancel.events_per_sec);
+  session.add_value("ping_events_per_sec_lanes1", ping.events_per_sec);
+  workload::Table table("event kernel throughput", {"shape", "events", "Mev/s"});
+  for (const auto& [shape, r] : {std::pair<const char*, const ShapeResult&>{"churn", churn},
+                                 {"cancel", cancel},
+                                 {"ping", ping}}) {
+    table.add_row({shape, std::to_string(r.executed),
+                   workload::Table::fmt(r.events_per_sec / 1e6, 3)});
+  }
   table.print();
   session.add_table(table);
-  session.set_parallelism(8, max_threads);
   return 0;
 }

@@ -22,7 +22,6 @@ namespace {
 
 std::unique_ptr<core::Cluster> make(consensus::Mode mode) {
   core::ClusterOptions options;
-  core::apply_parallelism_env(options);
   options.machines = 3;
   options.mode = mode;
   options.cal = consensus::Calibration::failover();

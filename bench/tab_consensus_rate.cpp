@@ -14,7 +14,6 @@ namespace {
 
 double measure(consensus::Mode mode, u32 machines, u64 ops) {
   core::ClusterOptions options;
-  core::apply_parallelism_env(options);
   options.machines = machines;
   options.mode = mode;
   auto cluster = core::Cluster::create(options);

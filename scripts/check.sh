@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the regular build + full test suite, a perf smoke of
-# the simulation substrate (event core, scatter path, and the parallel lane
-# kernel must stay within 20% of the checked-in baselines; micro_event also
-# carries the core-count-aware scaling gate — see scripts/perf_smoke.py),
-# then the test suite again under AddressSanitizer + UBSan (separate build
-# tree).
+# the simulation substrate (the event core and the scatter path must stay
+# within 20% of the checked-in baselines — see scripts/perf_smoke.py), then
+# the test suite again under AddressSanitizer + UBSan (separate build tree).
 #
 # Usage: scripts/check.sh [--no-sanitize] [--no-perf]
 set -euo pipefail
@@ -43,10 +41,9 @@ if [[ "$sanitize" == 1 ]]; then
   cmake --build build-asan -j "$jobs" --target \
     common_test obs_test sim_test net_test payload_test rdma_memory_test rdma_qp_test \
     rdma_cm_test switch_test p4ce_dataplane_test p4ce_controlplane_test \
-    consensus_log_test consensus_node_test e2e_test determinism_test \
-    parallel_sim_test parallel_determinism_test
+    consensus_log_test consensus_node_test e2e_test determinism_test
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'common_test|obs_test|sim_test|net_test|payload_test|rdma_memory_test|rdma_qp_test|rdma_cm_test|switch_test|p4ce_dataplane_test|p4ce_controlplane_test|consensus_log_test|consensus_node_test|e2e_test|determinism_test|parallel_sim_test|parallel_determinism_test'
+    -R 'common_test|obs_test|sim_test|net_test|payload_test|rdma_memory_test|rdma_qp_test|rdma_cm_test|switch_test|p4ce_dataplane_test|p4ce_controlplane_test|consensus_log_test|consensus_node_test|e2e_test|determinism_test'
 fi
 
 echo "== check.sh: all green =="

@@ -8,11 +8,10 @@ are passed:
   * the file parses as JSON and contains no non-finite numbers (NaN/Inf
     anywhere in the tree poisons downstream plotting silently);
   * BENCH files carry the p4ce-bench-v1 envelope: "schema", "bench",
-    a "meta" block recording the parallel-kernel configuration (lanes,
-    threads, hw_cores — all positive integers, threads never exceeding
-    lanes and collapsing to 1 on single-lane runs) and the protocol
-    backend ("mu", "p4ce", "one_sided", "mixed" for comparison benches,
-    or "none" for protocol-free microbenches), a "values" object and a
+    a "meta" block recording the host's core count (hw_cores, a positive
+    integer) and the protocol backend ("mu", "p4ce", "one_sided", "mixed"
+    for comparison benches, or "none" for protocol-free microbenches), a
+    "values" object and a
     "tables" array of {title, columns, rows};
   * latency-named values are non-negative (table *cells* are exempt —
     tab4 legitimately prints "-1.00" for a timed-out scenario);
@@ -64,18 +63,11 @@ def check_bench(path, doc):
         ok = fail(path, "missing \"bench\" name")
     meta = doc.get("meta")
     if not isinstance(meta, dict):
-        ok = fail(path, "missing \"meta\" block (lanes/threads/hw_cores)")
+        ok = fail(path, "missing \"meta\" block (hw_cores/backend)")
     else:
-        for key in ("lanes", "threads", "hw_cores"):
-            v = meta.get(key)
-            if not isinstance(v, int) or v < 1:
-                ok = fail(path, f"meta.{key} = {v!r}, want a positive integer")
-        lanes, threads = meta.get("lanes"), meta.get("threads")
-        if isinstance(lanes, int) and isinstance(threads, int):
-            if threads > max(lanes, 1):
-                ok = fail(path, f"meta.threads = {threads} exceeds meta.lanes = {lanes}")
-            if lanes <= 1 and threads != 1:
-                ok = fail(path, f"meta: single-lane run claims {threads} threads")
+        hw_cores = meta.get("hw_cores")
+        if not isinstance(hw_cores, int) or hw_cores < 1:
+            ok = fail(path, f"meta.hw_cores = {hw_cores!r}, want a positive integer")
         backend = meta.get("backend")
         if backend not in ("mu", "p4ce", "one_sided", "mixed", "none"):
             ok = fail(path, f"meta.backend = {backend!r}, want one of "

@@ -15,8 +15,8 @@
 
 namespace p4ce {
 
-/// Tiny test-and-set spinlock for instruments shared across simulation
-/// lanes. Critical sections are a handful of arithmetic ops, so spinning
+/// Tiny test-and-set spinlock for the process-global instruments.
+/// Critical sections are a handful of arithmetic ops, so spinning
 /// beats a futex; uncontended cost is one exchange + one store.
 class SpinLock {
  public:
@@ -75,9 +75,8 @@ class StreamingStats {
 /// Log-bucketed latency histogram (HdrHistogram-style, ~2.4% bucket
 /// resolution) for values in nanoseconds. Fixed memory, O(1) record.
 /// Shared instruments (the metrics registry, NodeMetrics.commit_latency)
-/// are recorded into from several simulation lanes at once; the Welford
-/// update cannot be made lock-free cheaply, so a spinlock serializes both
-/// writers and the (cold, usually quiesced) readers.
+/// are process-global; the Welford update cannot be made lock-free
+/// cheaply, so a spinlock serializes both writers and the (cold) readers.
 class LatencyHistogram {
  public:
   void record(Duration ns) noexcept {

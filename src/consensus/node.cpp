@@ -530,7 +530,7 @@ void Node::become_leader() {
   // (almost) the same instant as the ones that formed the majority; waiting
   // a moment collects them so the switch group is built complete instead of
   // being reconfigured right after.
-  sim_.schedule(100'000, [this, term = term_.load(std::memory_order_relaxed)] {
+  sim_.schedule(100'000, [this, term = term_] {
     if (crashed_ || term != term_ || leader_active_ || communicator_ != nullptr) return;
     activate_leadership();
   });

@@ -5,7 +5,6 @@
 // scatter/gather). One Node == one machine in the paper's deployment.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -211,16 +210,13 @@ class Node {
   std::map<u64, std::function<void(Bytes)>> pending_reads_;
   u64 next_wr_id_ = 1;
 
-  // Election state. term_ and leader_active_ are written only on this
-  // node's own lane but read cross-lane (Cluster::leader() runs in workload
-  // callbacks on whichever lane the previous leader occupied), hence
-  // relaxed atomics; everything else stays lane-local.
-  std::atomic<u64> term_{0};
+  // Election state.
+  u64 term_ = 0;
   NodeId granted_to_ = kInvalidNode;
   bool campaigning_ = false;
   u64 campaign_term_ = 0;
   std::set<NodeId> grants_;
-  std::atomic<bool> leader_active_{false};
+  bool leader_active_ = false;
   bool mesh_ready_ = false;
   std::unique_ptr<sim::PeriodicTimer> reconcile_timer_;
   std::vector<bool> prev_alive_;

@@ -5,18 +5,6 @@
 
 namespace p4ce::core {
 
-ClusterOptions& apply_parallelism_env(ClusterOptions& options) {
-  if (const char* lanes = std::getenv("P4CE_LANES")) {
-    const long v = std::strtol(lanes, nullptr, 10);
-    if (v >= 1 && v <= 1024) options.lanes = static_cast<u32>(v);
-  }
-  if (const char* threads = std::getenv("P4CE_THREADS")) {
-    const long v = std::strtol(threads, nullptr, 10);
-    if (v >= 0 && v <= 1024) options.worker_threads = static_cast<u32>(v);
-  }
-  return options;
-}
-
 ClusterOptions& apply_backend_env(ClusterOptions& options) {
   if (const char* backend = std::getenv("P4CE_BACKEND")) {
     if (std::strcmp(backend, "mu") == 0) options.mode = consensus::Mode::kMu;
@@ -46,22 +34,7 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
   cluster->options_ = options;
   sim::Simulator& sim = cluster->sim_;
 
-  // Lane partition: lane 0 carries both switches, the control plane and
-  // telemetry; hosts round-robin over the remaining lanes. The link
-  // propagation delay is the lookahead bound — every packet crosses a link,
-  // so no event can affect another lane sooner than one hop. Lanes are
-  // all-pairs connected because generators and tests may bounce work
-  // between host lanes directly (at >= one hop in the future).
   const u32 total_hosts = options.machines * options.domains;
-  const u32 eff_lanes = std::min(std::max(options.lanes, 1u), total_hosts + 1);
-  if (eff_lanes > 1) {
-    sim.configure_lanes(eff_lanes, options.link_propagation);
-    sim.set_worker_threads(options.worker_threads);
-    cluster->lane_lookahead_ = options.link_propagation;
-  }
-  auto lane_of_host = [eff_lanes](u32 i) -> sim::LaneId {
-    return eff_lanes > 1 ? 1 + (i % (eff_lanes - 1)) : 0;
-  };
 
   // Switches. The backup runs the same program with no groups installed: a
   // plain forwarding device on an alternative route (§III-A).
@@ -82,18 +55,12 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
 
   // Hosts and links.
   for (u32 i = 0; i < total_hosts; ++i) {
-    const sim::LaneId lane = lane_of_host(i);
-    cluster->host_lanes_.push_back(lane);
-    // The NIC arms its pipeline during construction; the scope pins those
-    // (and all later host-side) events to the host's lane.
-    sim::LaneScope scope(sim, lane);
     auto host = std::make_unique<Host>(sim, "host" + std::to_string(i), host_ip(i), options.nic,
                                        /*seed=*/0x1234 + i);
 
     const u32 port = cluster->primary_->add_port();
     auto link = std::make_unique<net::Link>(sim, options.link_gbps, options.link_propagation);
     link->attach(&host->nic, &cluster->primary_->port(port));
-    if (eff_lanes > 1) link->set_lanes(lane, 0);  // NIC end / switch end
     host->nic.attach_link(link.get(), 0);
     cluster->primary_->port(port).attach_link(link.get(), 1);
     std::ignore = cluster->dataplane_->add_route(host_ip(i), port);
@@ -103,7 +70,6 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
       const u32 bport = cluster->backup_->add_port();
       auto blink = std::make_unique<net::Link>(sim, options.link_gbps, options.link_propagation);
       blink->attach(&host->nic, &cluster->backup_->port(bport));
-      if (eff_lanes > 1) blink->set_lanes(lane, 0);
       host->nic.attach_link(blink.get(), 0);
       cluster->backup_->port(bport).attach_link(blink.get(), 1);
       std::ignore = cluster->backup_dataplane_->add_route(host_ip(i), bport);
@@ -129,7 +95,6 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
     node_options.switch_ip = kPrimarySwitchIp;
     node_options.has_backup_path = options.backup_path;
     Host& host = *cluster->hosts_[i];
-    sim::LaneScope scope(sim, cluster->host_lanes_[i]);
     host.node = std::make_unique<consensus::Node>(sim, host.nic, host.memory, host.cpu,
                                                   node_options, std::move(peers));
   }
@@ -144,12 +109,7 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
 }
 
 bool Cluster::start(Duration max_wait) {
-  for (u32 i = 0; i < hosts_.size(); ++i) {
-    // Heartbeats, election timers and the connect mesh all arm here; the
-    // scope keeps them on the host's own lane.
-    sim::LaneScope scope(sim_, host_lanes_[i]);
-    hosts_[i]->node->start();
-  }
+  for (auto& host : hosts_) host->node->start();
   const SimTime deadline = sim_.now() + max_wait;
   auto all_domains_led = [this] {
     for (u32 d = 0; d < options_.domains; ++d) {

@@ -32,15 +32,6 @@ struct ClusterOptions {
   /// [d*machines, (d+1)*machines).
   u32 domains = 1;
   consensus::Mode mode = consensus::Mode::kP4ce;
-  /// Simulation lanes (see sim/simulator.hpp): 1 runs the legacy serial
-  /// kernel byte-identically; >1 partitions the topology — both switches,
-  /// the control plane and telemetry on lane 0, host i on lane
-  /// 1 + (i mod (lanes-1)) — and runs lanes in parallel with the link
-  /// propagation delay as the conservative lookahead. Clamped to hosts+1.
-  u32 lanes = 1;
-  /// Worker threads for the parallel kernel (0 = one per hardware core,
-  /// capped by the lane count). Ignored when lanes == 1.
-  u32 worker_threads = 0;
   double link_gbps = 100.0;          ///< 100 GbE, §V-A
   Duration link_propagation = 150;   ///< ns per hop (short datacenter cables)
   bool backup_path = true;           ///< second route for switch-failure recovery
@@ -92,23 +83,10 @@ class Cluster {
   void run_for(Duration span) { sim_.run_for(span); }
   SimTime now() const noexcept { return sim_.now(); }
 
-  // --- Lane partition -------------------------------------------------------
-
-  /// Lane host i's NIC, CPU and node execute on (0 when single-lane).
-  sim::LaneId host_lane(u32 i) const { return host_lanes_.at(i); }
-  /// Minimum delay a cross-lane post must respect (0 when single-lane).
-  /// Callers bouncing work onto another host's lane (e.g. a workload
-  /// generator chasing a migrated leader) schedule at now() + this.
-  Duration lane_lookahead() const noexcept { return lane_lookahead_; }
-
   // --- Failure injection ---------------------------------------------------
 
-  /// Crash host i. Call quiesced (between runs) or from an event already on
-  /// that host's lane (schedule_on(host_lane(i), ...) for in-sim chaos).
-  void crash_node(u32 i) {
-    sim::LaneScope scope(sim_, host_lanes_.at(i));
-    hosts_.at(i)->node->crash();
-  }
+  /// Crash host i, between runs or from inside an event.
+  void crash_node(u32 i) { hosts_.at(i)->node->crash(); }
   void crash_switch() { primary_->power_off(); }
 
   // --- Link statistics (Fig. 5's "who fills which link" evidence) -----------
@@ -129,19 +107,12 @@ class Cluster {
   std::unique_ptr<p4::P4ceDataplane> backup_dataplane_;
   std::unique_ptr<p4::ControlPlane> control_plane_;
   std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<sim::LaneId> host_lanes_;
-  Duration lane_lookahead_ = 0;
   std::vector<std::unique_ptr<net::Link>> primary_links_;
   std::vector<std::unique_ptr<net::Link>> backup_links_;
   // Declared after sim_ so its destructor (which cancels the pending tick)
   // runs before the simulator is torn down.
   std::unique_ptr<obs::SamplerDriver> sampler_driver_;
 };
-
-/// Overlay the P4CE_LANES / P4CE_THREADS environment variables (when set and
-/// parseable) onto `options`, so every bench can be switched to the parallel
-/// kernel without a rebuild. Returns the same options for chaining.
-ClusterOptions& apply_parallelism_env(ClusterOptions& options);
 
 /// Overlay the P4CE_BACKEND environment variable ("mu" | "p4ce" |
 /// "one_sided", unknown values ignored) onto `options.mode`, so every bench

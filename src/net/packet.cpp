@@ -96,20 +96,11 @@ SimTime Link::send(int from, Packet packet) {
   ++packets_[from];
 
   PacketSink* dst = ends_[1 - from];
-  const sim::LaneId dst_lane = lanes_[1 - from];
-  const u64 epoch = epoch_.load(std::memory_order_relaxed);
-  auto deliver = [this, dst, epoch, p = std::move(packet)]() mutable {
-    if (epoch_.load(std::memory_order_relaxed) != epoch || is_cut()) return;  // severed
-    dst->deliver(std::move(p));
-  };
-  // Delivery lands done + propagation_ >= now + propagation_ in the future,
-  // and the lane graph's lookahead for this pair is at most propagation_, so
-  // a cross-lane post is always legal.
-  if (dst_lane != sim::Simulator::kNoLane) {
-    sim_.post(dst_lane, done + propagation_, std::move(deliver));
-  } else {
-    sim_.schedule_at(done + propagation_, std::move(deliver));
-  }
+  sim_.schedule_at(done + propagation_,
+                   [this, dst, epoch = epoch_, p = std::move(packet)]() mutable {
+                     if (epoch_ != epoch || cut_) return;  // severed
+                     dst->deliver(std::move(p));
+                   });
   return done;
 }
 

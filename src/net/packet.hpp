@@ -3,7 +3,6 @@
 // queueing.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -98,54 +97,23 @@ class Link {
   Link(sim::Simulator& sim, double bandwidth_gbps, Duration propagation_delay)
       : sim_(sim), bandwidth_gbps_(bandwidth_gbps), propagation_(propagation_delay) {}
 
-  /// Movable so topologies can hold links in a vector; moves happen only
-  /// during quiesced construction (the atomics are copied relaxed).
-  Link(Link&& other) noexcept
-      : sim_(other.sim_),
-        bandwidth_gbps_(other.bandwidth_gbps_),
-        propagation_(other.propagation_),
-        epoch_(other.epoch_.load(std::memory_order_relaxed)),
-        cut_(other.cut_.load(std::memory_order_relaxed)) {
-    for (int i = 0; i < 2; ++i) {
-      ends_[i] = other.ends_[i];
-      lanes_[i] = other.lanes_[i];
-      busy_until_[i] = other.busy_until_[i];
-      wire_bytes_[i] = other.wire_bytes_[i];
-      packets_[i] = other.packets_[i];
-    }
-  }
-  Link& operator=(Link&&) = delete;
-
   /// Attach the two endpoints. Endpoint index 0/1.
   void attach(PacketSink* end0, PacketSink* end1) noexcept {
     ends_[0] = end0;
     ends_[1] = end1;
   }
 
-  /// Pin each endpoint to a simulation lane. Deliveries toward an endpoint
-  /// with a lane are posted cross-lane (the link's propagation delay is the
-  /// lookahead that makes that legal); kNoLane keeps legacy local
-  /// scheduling. Call during (quiesced) topology construction only.
-  void set_lanes(sim::LaneId end0, sim::LaneId end1) noexcept {
-    lanes_[0] = end0;
-    lanes_[1] = end1;
-  }
-  sim::LaneId lane(int end) const noexcept { return lanes_[end]; }
-
   /// Transmit `packet` from endpoint `from` (0 or 1) toward the other end.
   /// Returns the simulated time at which the last bit leaves the sender.
   SimTime send(int from, Packet packet);
 
   /// Sever the link (both directions). In-flight deliveries are suppressed.
-  /// Cut/restore may fire on a chaos lane while endpoints transmit on
-  /// theirs, hence the atomics; order relative to other state is carried by
-  /// the event timeline, so relaxed suffices.
   void cut() noexcept {
-    epoch_.fetch_add(1, std::memory_order_relaxed);
-    cut_.store(true, std::memory_order_relaxed);
+    ++epoch_;
+    cut_ = true;
   }
-  void restore() noexcept { cut_.store(false, std::memory_order_relaxed); }
-  bool is_cut() const noexcept { return cut_.load(std::memory_order_relaxed); }
+  void restore() noexcept { cut_ = false; }
+  bool is_cut() const noexcept { return cut_; }
 
   double bandwidth_gbps() const noexcept { return bandwidth_gbps_; }
   Duration propagation_delay() const noexcept { return propagation_; }
@@ -159,14 +127,11 @@ class Link {
   double bandwidth_gbps_;
   Duration propagation_;
   PacketSink* ends_[2] = {nullptr, nullptr};
-  sim::LaneId lanes_[2] = {sim::Simulator::kNoLane, sim::Simulator::kNoLane};
-  // Direction-indexed transmit state is only touched by that endpoint's own
-  // lane (send(from) runs on endpoint from), so it needs no synchronization.
   SimTime busy_until_[2] = {0, 0};
   u64 wire_bytes_[2] = {0, 0};
   u64 packets_[2] = {0, 0};
-  std::atomic<u64> epoch_{0};  ///< bumped on cut(); stale deliveries check it
-  std::atomic<bool> cut_{false};
+  u64 epoch_ = 0;  ///< bumped on cut(); stale deliveries check it
+  bool cut_ = false;
 };
 
 }  // namespace p4ce::net

@@ -23,8 +23,7 @@ void LatencyAttribution::reset() {
 
 void LatencyAttribution::record_round(const RoundTiming& t) {
   if (!g_enabled_) return;
-  // Rounds end on their leader's lane; concurrent domains feed this sink
-  // from different lanes at once.
+  // The sink is process-global: every domain of every cluster feeds it.
   SpinLockGuard g(mu_);
   ++rounds_;
   if (t.committed) ++committed_;

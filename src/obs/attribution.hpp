@@ -95,7 +95,7 @@ class LatencyAttribution {
 
  private:
   static inline bool g_enabled_ = false;
-  mutable SpinLock mu_;  ///< rounds end on whichever lane their leader runs
+  mutable SpinLock mu_;  ///< process-global sink, shared by every cluster
   u64 rounds_ = 0;
   u64 committed_ = 0;
   LatencyHistogram total_;

@@ -78,9 +78,10 @@ class FlightRecorder {
 
  private:
   static inline bool g_enabled_ = false;
-  // Trigger sites live on every lane (nodes, switches, links); the spinlock
-  // serializes the rate limiter and capture buffer. Lock order is recorder
-  // -> sampler/tracer (trigger snapshots both); nothing locks the other way.
+  // The recorder is process-global and trigger sites live in every layer
+  // (nodes, switches, links); the spinlock serializes the rate limiter and
+  // capture buffer. Lock order is recorder -> sampler/tracer (trigger
+  // snapshots both); nothing locks the other way.
   mutable SpinLock mu_;
   std::size_t max_captures_ = 16;
   std::size_t frame_window_ = 256;

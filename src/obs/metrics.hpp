@@ -6,12 +6,12 @@
 // rebuilds; reset() zeroes every instrument between bench phases without
 // invalidating those references.
 //
-// Lanes of the parallel simulation kernel share these instruments (a
-// per-domain gauge is written by every node in the domain, and NodeMetrics
-// counters by every node in the process), so increments are relaxed atomics:
-// wait-free on the hot path, and sane-if-racy for samplers reading from
-// another lane. The registry itself takes a mutex only on registration,
-// snapshot and reset.
+// The instruments are process-global: every cluster in the process shares
+// them (a per-domain gauge is written by every node in the domain, and
+// NodeMetrics counters by every node in the process), and nothing confines
+// them to one thread, so increments are relaxed atomics: wait-free on the
+// hot path, and sane-if-racy for a concurrent reader. The registry itself
+// takes a mutex only on registration, snapshot and reset.
 #pragma once
 
 #include <atomic>
@@ -43,8 +43,8 @@ class Counter {
 /// Point-in-time level plus its high-water mark since the last reset
 /// (e.g. switch.port.parser_backlog_ns). set() is atomic per field: the
 /// level is a plain store and the high-water a CAS raise, so concurrent
-/// writers from different lanes never lose the maximum (the *pair* is not
-/// snapshotted atomically; samplers tolerate that).
+/// writers to this process-global gauge never lose the maximum (the *pair*
+/// is not snapshotted atomically; samplers tolerate that).
 class Gauge {
  public:
   void set(double v) noexcept {

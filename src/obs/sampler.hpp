@@ -98,9 +98,9 @@ class Sampler {
   Duration period_ = 0;
   std::size_t capacity_ = 4096;
   u32 epoch_ = 0;
-  // The driver ticks on one lane while the flight recorder snapshots frames
-  // from whichever lane its trigger fired on; the spinlock covers the column
-  // table and the frame ring. enable()/export stay quiesced-setup calls.
+  // The sampler is process-global: the driver's ticks and the flight
+  // recorder's snapshots both reach it; the spinlock covers the column
+  // table and the frame ring. enable()/export are setup calls between runs.
   mutable SpinLock mu_;
   std::vector<std::string> names_;            ///< column order, append-only
   std::map<std::string, std::size_t> index_;  ///< series name -> column

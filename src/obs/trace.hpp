@@ -191,9 +191,9 @@ class Tracer {
   u32 sample_ = 1;
   std::size_t max_events_ = 1u << 20;
   bool overflowed_ = false;
-  // Hooks fire from every simulation lane (leader nodes and the switch data
-  // plane live on different lanes); the spinlock serializes the round and
-  // event bookkeeping. enable()/disable() still belong to quiesced setup.
+  // The tracer is process-global, so hooks from every cluster in the
+  // process land here; the spinlock serializes the round and event
+  // bookkeeping. enable()/disable() belong to setup between runs.
   mutable SpinLock mu_;
   std::vector<Event> events_;
   std::vector<Round> active_;  ///< rounds in flight; small (<= send window)

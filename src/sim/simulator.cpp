@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.hpp"
@@ -17,603 +16,78 @@ void note_event_heap_alloc() noexcept {
 
 }  // namespace detail
 
-namespace {
-
-/// Ambient execution context: which simulator/lane the calling thread is
-/// currently inside (worker executing events, or main thread under a
-/// LaneScope). `lane` is type-erased so the nested Lane type stays private.
-struct TlsCtx {
-  const Simulator* sim = nullptr;
-  void* lane = nullptr;
-};
-thread_local TlsCtx g_tls;
-
-}  // namespace
-
-Simulator::Simulator() { configure_lanes(1); }
-
-Simulator::~Simulator() {
-  {
-    std::lock_guard<std::mutex> lk(sync_.mu);
-    sync_.shutdown = true;
-  }
-  sync_.cv.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-// --- Lane topology -----------------------------------------------------------
-
-void Simulator::configure_lanes(u32 lanes, Duration all_pairs_lookahead) {
-  assert(quiesced() && "configure_lanes while running");
-  assert(!scheduled_any_ && main_now_ == 0 && "configure_lanes on a pristine simulator only");
-  if (lanes == 0) lanes = 1;
-  assert(lanes < (1u << 20) && "lane id must fit the ordering key");
-  lanes_.clear();
-  channels_.clear();
-  lanes_.reserve(lanes);
-  for (u32 i = 0; i < lanes; ++i) {
-    auto l = std::make_unique<Lane>();
-    l->id = i;
-    lanes_.push_back(std::move(l));
-  }
-  channels_.resize(static_cast<std::size_t>(lanes) * lanes);
-  for (auto& c : channels_) c = std::make_unique<Channel>();
-  if (all_pairs_lookahead > 0) {
-    for (u32 a = 0; a < lanes; ++a) {
-      for (u32 b = a + 1; b < lanes; ++b) connect_lanes(a, b, all_pairs_lookahead);
-    }
-  }
-}
-
-void Simulator::connect_lanes(LaneId a, LaneId b, Duration lookahead) {
-  assert(quiesced() && "connect_lanes while running");
-  assert(a < lane_count() && b < lane_count() && a != b);
-  assert(lookahead > 0 && "lookahead must be positive (it bounds parallel progress)");
-  const auto dir = [&](LaneId src, LaneId dst) {
-    Channel& ch = channel(src, dst);
-    ch.lookahead = std::min(ch.lookahead, lookahead);
-    auto& incoming = lane(dst).incoming;
-    for (auto& e : incoming) {
-      if (e.first == src) {
-        e.second = std::min(e.second, lookahead);
-        return;
-      }
-    }
-    incoming.emplace_back(src, lookahead);
-  };
-  dir(a, b);
-  dir(b, a);
-}
-
-u32 Simulator::worker_threads() const noexcept {
-  u32 t = worker_threads_;
-  if (t == 0) {
-    t = std::thread::hardware_concurrency();
-    if (t == 0) t = 1;
-  }
-  return std::min(std::max(t, 1u), std::max(lane_count(), 1u));
-}
-
-Simulator::Lane* Simulator::ambient_lane() const noexcept {
-  return g_tls.sim == this ? static_cast<Lane*>(g_tls.lane) : nullptr;
-}
-
-LaneId Simulator::current_lane() const noexcept {
-  const Lane* l = ambient_lane();
-  return l != nullptr ? l->id : kNoLane;
-}
-
-SimTime Simulator::now() const noexcept {
-  const Lane* l = ambient_lane();
-  return l != nullptr ? l->now : main_now_;
-}
-
 // --- Scheduling --------------------------------------------------------------
 
-u32 Simulator::arm_slot(Lane& l, detail::SmallFn fn, u64 token, u64* gen_out) {
+EventHandle Simulator::schedule_impl(SimTime when, detail::SmallFn fn) {
+  assert(when >= now_ && "cannot schedule into the past");
   u32 index;
-  if (!l.free_slots.empty()) {
-    index = l.free_slots.back();
-    l.free_slots.pop_back();
+  if (!free_slots_.empty()) {
+    index = free_slots_.back();
+    free_slots_.pop_back();
   } else {
-    if (l.slot_count == l.slab.size() * kSlabChunkSlots) {
-      l.slab.push_back(std::make_unique<EventSlot[]>(kSlabChunkSlots));
+    if (slot_count_ == slab_.size() * kSlabChunkSlots) {
+      slab_.push_back(std::make_unique<EventSlot[]>(kSlabChunkSlots));
     }
-    index = l.slot_count++;
+    index = slot_count_++;
   }
-  EventSlot& slot = l.slot_at(index);
+  EventSlot& slot = slot_at(index);
   slot.fn = std::move(fn);
   slot.armed = true;
-  slot.token = token;
-  *gen_out = ++slot.gen;
-  return index;
-}
-
-EventHandle Simulator::schedule_local(Lane& l, SimTime when, detail::SmallFn fn) {
-  assert(when >= l.now && "cannot schedule into the past");
-  scheduled_any_ = true;
-  u64 gen = 0;
-  const u32 index = arm_slot(l, std::move(fn), /*token=*/0, &gen);
-  l.queue.push(QueueEntry{when, make_key(l.id, l.next_seq++), index, gen});
-  return EventHandle(this, l.id, index, gen);
-}
-
-EventHandle Simulator::schedule_impl(SimTime when, detail::SmallFn fn) {
-  Lane* a = ambient_lane();
-  assert((a != nullptr || quiesced()) && "schedule from a foreign thread while running");
-  return schedule_local(a != nullptr ? *a : lane(0), when, std::move(fn));
-}
-
-EventHandle Simulator::schedule_on_impl(LaneId dst, SimTime when, detail::SmallFn fn) {
-  assert(dst < lane_count());
-  Lane& d = lane(dst);
-  Lane* a = ambient_lane();
-  if (a == &d || quiesced()) return schedule_local(d, when, std::move(fn));
-  assert(a != nullptr && "schedule_on from a foreign thread while running");
-  CrossMsg m;
-  m.kind = CrossMsg::Kind::kEvent;
-  m.when = when;
-  m.key = make_key(a->id, a->next_seq++);
-  m.token = (static_cast<u64>(a->id) << kSeqBits) | ++a->next_token;
-  m.fn = std::move(fn);
-  const u64 token = m.token;
-  send_cross(*a, dst, std::move(m));
-  return EventHandle::token_handle(this, dst, token);
-}
-
-void Simulator::post_impl(LaneId dst, SimTime when, detail::SmallFn fn, u64 token) {
-  assert(dst < lane_count());
-  Lane& d = lane(dst);
-  Lane* a = ambient_lane();
-  if (a == &d || quiesced()) {
-    schedule_local(d, when, std::move(fn));
-    return;
-  }
-  assert(a != nullptr && "post from a foreign thread while running");
-  CrossMsg m;
-  m.kind = CrossMsg::Kind::kEvent;
-  m.when = when;
-  m.key = make_key(a->id, a->next_seq++);
-  m.token = token;
-  m.fn = std::move(fn);
-  send_cross(*a, dst, std::move(m));
-}
-
-void Simulator::send_cross(Lane& src, LaneId dst, CrossMsg msg) {
-  Channel& ch = channel(src.id, dst);
-  if (msg.kind == CrossMsg::Kind::kEvent) {
-    assert(ch.lookahead != kTimeNever && "cross-lane event over unconnected lanes");
-    assert(msg.when >= src.now + ch.lookahead && "cross-lane event violates lookahead");
-  }
-  msgs_sent_.fetch_add(1, std::memory_order_seq_cst);
-  CrossMsg* ring = ch.ring.load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    ring = new CrossMsg[Channel::kRingSize];
-    ch.ring.store(ring, std::memory_order_release);
-  }
-  const u32 t = ch.tail.load(std::memory_order_relaxed);
-  const u32 h = ch.head.load(std::memory_order_acquire);
-  if (t - h < Channel::kRingSize) {
-    ring[t & Channel::kRingMask] = std::move(msg);
-    ch.tail.store(t + 1, std::memory_order_release);
-  } else {
-    // Never block the producer: several lanes may share one worker thread,
-    // and a producer spinning on a full ring whose consumer runs on the
-    // same thread would deadlock. Spill instead.
-    std::lock_guard<std::mutex> lk(ch.overflow_mu);
-    ch.overflow.push_back(std::move(msg));
-    ch.has_overflow.store(true, std::memory_order_release);
-  }
+  const u64 gen = ++slot.gen;
+  queue_.push(QueueEntry{when, next_seq_++, index, gen});
+  return EventHandle(this, index, gen);
 }
 
 // --- Cancellation ------------------------------------------------------------
 
-void Simulator::cancel_local(Lane& l, u32 slot_index, u64 gen) noexcept {
-  if (slot_index >= l.slot_count) return;
-  EventSlot& slot = l.slot_at(slot_index);
+void Simulator::cancel_event(u32 slot_index, u64 gen) noexcept {
+  if (slot_index >= slot_count_) return;
+  EventSlot& slot = slot_at(slot_index);
   if (slot.gen != gen || !slot.armed) return;
   // The stale queue entry stays behind; its generation no longer matches,
   // so step() skips it. Free the captures now (they may pin packets).
   slot.armed = false;
   slot.fn.reset();
-  if (slot.token != 0) {
-    l.token_map.erase(slot.token);
-    slot.token = 0;
-  }
-  l.free_slots.push_back(slot_index);
+  free_slots_.push_back(slot_index);
 }
 
-void Simulator::cancel_event(LaneId lane_id, u32 slot, u64 gen) noexcept {
-  if (lane_id >= lane_count()) return;
-  Lane& l = lane(lane_id);
-  Lane* a = ambient_lane();
-  if (a == &l || quiesced()) {
-    cancel_local(l, slot, gen);
-    return;
-  }
-  if (a == nullptr) return;  // foreign thread while running: inert
-  CrossMsg m;
-  m.kind = CrossMsg::Kind::kAntiSlot;
-  m.slot = slot;
-  m.gen = gen;
-  send_cross(*a, lane_id, std::move(m));
-}
-
-void Simulator::cancel_token(LaneId lane_id, u64 token) noexcept {
-  if (lane_id >= lane_count()) return;
-  Lane& l = lane(lane_id);
-  Lane* a = ambient_lane();
-  if (a == &l || quiesced()) {
-    auto it = l.token_map.find(token);
-    if (it != l.token_map.end()) {
-      cancel_local(l, it->second.first, it->second.second);
-    } else {
-      // The event message may still be in flight; remember the anti-message.
-      l.early_anti.insert(token);
-    }
-    return;
-  }
-  if (a == nullptr) return;
-  CrossMsg m;
-  m.kind = CrossMsg::Kind::kAntiToken;
-  m.token = token;
-  send_cross(*a, lane_id, std::move(m));
-}
-
-bool Simulator::event_pending(LaneId lane_id, u32 slot_index, u64 gen) const noexcept {
-  if (lane_id >= lane_count()) return false;
-  const Lane& l = lane(lane_id);
-  const Lane* a = ambient_lane();
-  if (a != &l && !quiesced()) return false;  // cross-lane probe while running: inert
-  if (slot_index >= l.slot_count) return false;
-  const EventSlot& slot = l.slot_at(slot_index);
+bool Simulator::event_pending(u32 slot_index, u64 gen) const noexcept {
+  if (slot_index >= slot_count_) return false;
+  const EventSlot& slot = slot_at(slot_index);
   return slot.gen == gen && slot.armed;
 }
 
 // --- Event execution ---------------------------------------------------------
 
-bool Simulator::step(Lane& l) {
-  if (l.queue.empty()) return false;
-  const QueueEntry entry = l.queue.top();
-  l.queue.pop();
-  l.now = entry.when;
-  EventSlot& slot = l.slot_at(entry.slot);
+bool Simulator::step() {
+  if (queue_.empty()) return false;
+  const QueueEntry entry = queue_.top();
+  queue_.pop();
+  now_ = entry.when;
+  EventSlot& slot = slot_at(entry.slot);
   if (slot.gen == entry.gen && slot.armed) {
     // Move the callable out and recycle the slot *before* invoking: the
     // event may schedule new work (possibly growing the slab) or cancel
     // other events.
     detail::SmallFn fn = std::move(slot.fn);
     slot.armed = false;
-    if (slot.token != 0) {
-      l.token_map.erase(slot.token);
-      slot.token = 0;
-    }
-    l.free_slots.push_back(entry.slot);
-    ++l.executed;
+    free_slots_.push_back(entry.slot);
+    ++executed_;
     fn();
   }
   return true;
 }
 
-// --- Cross-lane message intake ----------------------------------------------
-
-void Simulator::handle_msg(Lane& l, CrossMsg& msg) {
-  l.idle.store(false, std::memory_order_seq_cst);
-  l.msgs_received.fetch_add(1, std::memory_order_seq_cst);
-  switch (msg.kind) {
-    case CrossMsg::Kind::kEvent: {
-      assert(msg.when >= l.now && "conservative horizon violated");
-      if (msg.token != 0 && l.early_anti.erase(msg.token) > 0) {
-        // Its anti-message arrived first (spill-path reordering): drop it.
-        return;
-      }
-      u64 gen = 0;
-      const u32 index = arm_slot(l, std::move(msg.fn), msg.token, &gen);
-      l.queue.push(QueueEntry{msg.when, msg.key, index, gen});
-      if (msg.token != 0) l.token_map.emplace(msg.token, std::make_pair(index, gen));
-      return;
-    }
-    case CrossMsg::Kind::kAntiToken: {
-      auto it = l.token_map.find(msg.token);
-      if (it != l.token_map.end()) {
-        cancel_local(l, it->second.first, it->second.second);
-      } else {
-        l.early_anti.insert(msg.token);
-      }
-      return;
-    }
-    case CrossMsg::Kind::kAntiSlot:
-      cancel_local(l, msg.slot, msg.gen);
-      return;
-  }
-}
-
-bool Simulator::drain_channels(Lane& l) {
-  bool any = false;
-  const u32 n = lane_count();
-  for (u32 src = 0; src < n; ++src) {
-    if (src == l.id) continue;
-    Channel& ch = channel(src, l.id);
-    CrossMsg* ring = ch.ring.load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      u32 h = ch.head.load(std::memory_order_relaxed);
-      const u32 t = ch.tail.load(std::memory_order_acquire);
-      while (h != t) {
-        CrossMsg m = std::move(ring[h & Channel::kRingMask]);
-        ch.head.store(++h, std::memory_order_release);
-        handle_msg(l, m);
-        any = true;
-      }
-    }
-    if (ch.has_overflow.load(std::memory_order_acquire)) {
-      std::vector<CrossMsg> spilled;
-      {
-        std::lock_guard<std::mutex> lk(ch.overflow_mu);
-        spilled.swap(ch.overflow);
-        ch.has_overflow.store(false, std::memory_order_relaxed);
-      }
-      for (CrossMsg& m : spilled) {
-        handle_msg(l, m);
-        any = true;
-      }
-    }
-  }
-  return any;
-}
-
-// --- Conservative parallel run loop -----------------------------------------
-
-SimTime Simulator::horizon(const Lane& l) const noexcept {
-  SimTime h = kTimeNever;
-  for (const auto& [src, la] : l.incoming) {
-    const SimTime p = lane(src).published.load(std::memory_order_acquire);
-    h = std::min(h, sat_add(p, la));
-  }
-  return h;
-}
-
-bool Simulator::lane_round(Lane& l, SimTime deadline, bool bounded) {
-  // Read the horizon *before* draining: a message that slips in after the
-  // drain was either sent after the published clock we read (so its
-  // timestamp is >= pub + lookahead >= horizon and it is safe to miss this
-  // round), or it is made visible by the same release/acquire pairing that
-  // published the clock, in which case the drain sees it.
-  const SimTime h = horizon(l);
-  bool progressed = drain_channels(l);
-  g_tls = TlsCtx{this, &l};
-  while (!stopped_.load(std::memory_order_relaxed) && !l.queue.empty()) {
-    const SimTime when = l.queue.top().when;
-    // Strictly below the horizon: an event *at* the horizon could still be
-    // preceded by an in-flight message with the same timestamp.
-    if (when >= h || (bounded && when > deadline)) break;
-    step(l);
-    progressed = true;
-  }
-  const SimTime top = l.queue.empty() ? kTimeNever : l.queue.top().when;
-  const SimTime pub = std::min(top, h);
-  // Null-message advancement: publish the earliest time this lane could
-  // still execute (and hence send) from, even when it has nothing to do.
-  // Single writer, monotone by construction.
-  if (pub > l.published.load(std::memory_order_relaxed)) {
-    l.published.store(pub, std::memory_order_release);
-  }
-  if (bounded) {
-    // Done is final for this epoch: any future arrival is >= horizon >
-    // deadline, so nothing can re-open work at or before the deadline.
-    l.epoch_done = h > deadline && top > deadline;
-  } else {
-    l.idle.store(l.queue.empty(), std::memory_order_seq_cst);
-  }
-  return progressed;
-}
-
-bool Simulator::check_termination() noexcept {
-  // Double-collect: the sent counter must be stable across both passes and
-  // match the received sum while every lane reports idle. A lane flips
-  // idle to false before counting a received message, so a message that
-  // re-opens work cannot hide between the two passes.
-  const u64 s1 = msgs_sent_.load(std::memory_order_seq_cst);
-  u64 received = 0;
-  for (const auto& l : lanes_) received += l->msgs_received.load(std::memory_order_seq_cst);
-  if (received != s1) return false;
-  for (const auto& l : lanes_) {
-    if (!l->idle.load(std::memory_order_seq_cst)) return false;
-  }
-  if (msgs_sent_.load(std::memory_order_seq_cst) != s1) return false;
-  for (const auto& l : lanes_) {
-    if (!l->idle.load(std::memory_order_seq_cst)) return false;
-  }
-  return true;
-}
-
-void Simulator::run_lanes(u32 worker, u32 workers, SimTime deadline, bool bounded) {
-  const u32 n = lane_count();
-  for (;;) {
-    bool progressed = false;
-    bool all_done = true;
-    for (u32 id = worker; id < n; id += workers) {
-      Lane& l = lane(id);
-      if (bounded && l.epoch_done) continue;
-      progressed |= lane_round(l, deadline, bounded);
-      if (!bounded || !l.epoch_done) all_done = false;
-    }
-    if (stopped_.load(std::memory_order_relaxed)) break;
-    if (bounded) {
-      if (all_done) break;
-    } else {
-      if (worker == 0 && check_termination()) {
-        terminated_.store(true, std::memory_order_seq_cst);
-      }
-      if (terminated_.load(std::memory_order_seq_cst)) break;
-    }
-    // An unproductive round means we are waiting on other lanes' clocks;
-    // with more lanes than cores, get out of their way.
-    if (!progressed) std::this_thread::yield();
-  }
-}
-
-void Simulator::ensure_workers(u32 count) {
-  while (threads_.size() < count) {
-    const u32 id = static_cast<u32>(threads_.size()) + 1;  // main thread is worker 0
-    threads_.emplace_back([this, id] { worker_main(id); });
-  }
-}
-
-void Simulator::worker_main(u32 worker) {
-  u64 seen_epoch = 0;
-  for (;;) {
-    SimTime deadline = 0;
-    bool bounded = true;
-    u32 workers = 1;
-    {
-      std::unique_lock<std::mutex> lk(sync_.mu);
-      sync_.cv.wait(lk, [&] { return sync_.shutdown || sync_.epoch != seen_epoch; });
-      if (sync_.shutdown) return;
-      seen_epoch = sync_.epoch;
-      deadline = sync_.deadline;
-      bounded = sync_.bounded;
-      workers = sync_.workers;
-    }
-    if (worker < workers) run_lanes(worker, workers, deadline, bounded);
-    g_tls = TlsCtx{};
-    {
-      std::lock_guard<std::mutex> lk(sync_.mu);
-      if (--sync_.active == 0) sync_.done_cv.notify_all();
-    }
-  }
-}
-
-void Simulator::run_single(SimTime deadline, bool bounded) {
-  // The legacy single-threaded kernel, verbatim: lanes=1 must reproduce the
-  // original event order (and therefore fig5/fig6 outputs) byte for byte.
-  Lane& l = lane(0);
-  stopped_.store(false, std::memory_order_relaxed);
-  const TlsCtx saved = g_tls;
-  g_tls = TlsCtx{this, &l};
-  if (bounded) {
-    while (!stopped_.load(std::memory_order_relaxed) && !l.queue.empty() &&
-           l.queue.top().when <= deadline) {
-      step(l);
-    }
-    if (!stopped_.load(std::memory_order_relaxed) && l.now < deadline) l.now = deadline;
-  } else {
-    while (!stopped_.load(std::memory_order_relaxed) && step(l)) {
-    }
-  }
-  g_tls = saved;
-  main_now_ = l.now;
-}
-
-void Simulator::run_multi(SimTime deadline, bool bounded) {
-  const u32 workers = worker_threads();
-  stopped_.store(false, std::memory_order_relaxed);
-  terminated_.store(false, std::memory_order_relaxed);
-  for (auto& l : lanes_) {
-    l->epoch_done = false;
-    l->idle.store(false, std::memory_order_relaxed);
-    // Re-seed the published clock for this epoch: everything the lane can
-    // still do starts at its current time.
-    l->published.store(l->now, std::memory_order_relaxed);
-  }
-  running_.store(true, std::memory_order_seq_cst);
-  if (workers > 1) {
-    ensure_workers(workers - 1);
-    {
-      std::lock_guard<std::mutex> lk(sync_.mu);
-      sync_.deadline = deadline;
-      sync_.bounded = bounded;
-      sync_.workers = workers;
-      sync_.active = static_cast<u32>(threads_.size());
-      ++sync_.epoch;
-    }
-    sync_.cv.notify_all();
-  }
-  const TlsCtx saved = g_tls;
-  run_lanes(0, workers, deadline, bounded);
-  g_tls = saved;
-  if (workers > 1) {
-    std::unique_lock<std::mutex> lk(sync_.mu);
-    sync_.done_cv.wait(lk, [&] { return sync_.active == 0; });
-  }
-  running_.store(false, std::memory_order_seq_cst);
-  if (stopped_.load(std::memory_order_relaxed)) {
-    SimTime latest = main_now_;
-    for (const auto& l : lanes_) latest = std::max(latest, l->now);
-    main_now_ = latest;
-    return;
-  }
-  if (bounded) {
-    for (auto& l : lanes_) l->now = std::max(l->now, deadline);
-    main_now_ = deadline;
-  } else {
-    SimTime latest = main_now_;
-    for (const auto& l : lanes_) latest = std::max(latest, l->now);
-    for (auto& l : lanes_) l->now = latest;
-    main_now_ = latest;
-  }
-}
-
 void Simulator::run() {
-  if (lane_count() == 1) {
-    run_single(0, /*bounded=*/false);
-  } else {
-    run_multi(kTimeNever, /*bounded=*/false);
+  stopped_ = false;
+  while (!stopped_ && step()) {
   }
 }
 
 void Simulator::run_until(SimTime deadline) {
-  if (lane_count() == 1) {
-    run_single(deadline, /*bounded=*/true);
-  } else {
-    run_multi(deadline, /*bounded=*/true);
-  }
+  stopped_ = false;
+  while (!stopped_ && !queue_.empty() && queue_.top().when <= deadline) step();
+  if (!stopped_ && now_ < deadline) now_ = deadline;
 }
-
-// --- Introspection -----------------------------------------------------------
-
-u64 Simulator::events_executed() const noexcept {
-  u64 total = 0;
-  for (const auto& l : lanes_) total += l->executed;
-  return total;
-}
-
-bool Simulator::empty() const noexcept {
-  for (const auto& l : lanes_) {
-    if (!l->queue.empty()) return false;
-  }
-  for (const auto& c : channels_) {
-    if (c->ring.load(std::memory_order_acquire) != nullptr &&
-        c->head.load(std::memory_order_acquire) != c->tail.load(std::memory_order_acquire)) {
-      return false;
-    }
-    if (c->has_overflow.load(std::memory_order_acquire)) return false;
-  }
-  return true;
-}
-
-std::size_t Simulator::event_slab_size() const noexcept {
-  std::size_t total = 0;
-  for (const auto& l : lanes_) total += l->slot_count;
-  return total;
-}
-
-u64 Simulator::cross_lane_messages() const noexcept {
-  u64 total = 0;
-  for (const auto& l : lanes_) total += l->msgs_received.load(std::memory_order_relaxed);
-  return total;
-}
-
-// --- LaneScope ---------------------------------------------------------------
-
-LaneScope::LaneScope(Simulator& sim, LaneId lane_id)
-    : prev_sim_(g_tls.sim), prev_lane_(g_tls.lane) {
-  assert(lane_id < sim.lane_count());
-  Simulator::Lane* l = sim.lanes_[lane_id].get();
-  assert((sim.quiesced() || g_tls.lane == l) &&
-         "LaneScope requires a quiesced simulator or the already-executing lane");
-  g_tls = TlsCtx{&sim, l};
-}
-
-LaneScope::~LaneScope() { g_tls = TlsCtx{prev_sim_, prev_lane_}; }
 
 }  // namespace p4ce::sim

@@ -1,35 +1,11 @@
-// Discrete-event simulation kernel: lane-partitioned conservative parallel
-// DES with a single-lane fast path that is byte-identical to the original
-// single-threaded kernel.
+// Discrete-event simulation kernel: one serial event loop over a single
+// simulated clock.
 //
-// The topology is partitioned into *lanes* (one per host NIC plus one for
-// the switches; see core::Cluster). Each lane owns its own event queue,
-// clock, and slab, and is only ever executed by one thread at a time, so
-// everything inside a lane stays single-threaded and allocation-light.
-// Cross-lane scheduling goes through bounded SPSC channels keyed by the
-// link graph; the link propagation delay is the lookahead bound. A lane may
-// safely execute all events strictly earlier than the minimum incoming
-// channel horizon (published source clock + lookahead); idle lanes advance
-// their published clocks anyway (null-message advancement as monotone
-// atomic publishes), so the fixpoint creeps forward by at least the minimum
-// lookahead per round and never deadlocks.
-//
-// Determinism contract:
-//  * lanes=1 reproduces the legacy kernel byte-for-byte: the composite
-//    ordering key (lane << 40 | seq) degenerates to the old sequence
-//    number, and the run loop is the same code path.
-//  * a fixed lane count is deterministic across runs *and* across worker
-//    thread counts: per-lane order is (when, key) with keys assigned by the
-//    deterministic sender, and the conservative horizon only gates *when*
-//    events run, never their relative order.
-//  * across different lane counts only protocol-level equivalence holds:
-//    events at equal timestamps on different lanes may interleave
-//    differently than in the single-lane schedule.
-//
-// Cancellation of an event owned by another lane is routed as an
-// anti-message to the owning lane; it is best-effort (inert if the event
-// already fired), which is the only sound semantics without timestamped
-// cancellation.
+// Events run in (when, seq) order: earliest timestamp first, and events
+// scheduled for the same instant run in the order they were scheduled. That
+// tie-break is the whole determinism contract — identical programs execute
+// identical event sequences, so every bench table is reproducible byte for
+// byte.
 //
 // Allocation-light by design: callables are stored in a small-buffer-
 // optimized SmallFn (inline storage sized so even packet-carrying lambdas
@@ -39,19 +15,13 @@
 // The priority queue itself holds only 32-byte POD entries.
 #pragma once
 
-#include <atomic>
-#include <cassert>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <queue>
-#include <thread>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -63,10 +33,6 @@ namespace p4ce::sim {
 /// Convenience alias for stored callbacks held by components (timers etc.);
 /// the kernel itself type-erases into SmallFn below.
 using EventFn = std::function<void()>;
-
-/// Lane identifier. Lane 0 always exists and is the default target for the
-/// main thread outside any LaneScope.
-using LaneId = u32;
 
 namespace detail {
 
@@ -172,13 +138,9 @@ class SmallFn {
 class Simulator;
 
 /// Handle to a scheduled event; allows cancellation (e.g. retransmit timers).
-/// A handle is a (lane, slot, generation) ticket into the owning lane's
-/// event slab: cancel/pending compare generations, so handles to long-fired
-/// or recycled slots are always safely inert. A handle returned by a
-/// cross-lane schedule_on() made from inside the simulation instead carries
-/// a token; cancelling it routes an anti-message to the owning lane
-/// (best-effort: inert if the event already fired), and pending() reports
-/// false. Handles must not outlive the Simulator.
+/// A handle is a (slot, generation) ticket into the simulator's event slab:
+/// cancel/pending compare generations, so handles to long-fired or recycled
+/// slots are always safely inert. Handles must not outlive the Simulator.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -190,64 +152,26 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  static constexpr u32 kTokenFlag = 0x8000'0000u;
 
-  EventHandle(Simulator* sim, LaneId lane, u32 slot, u64 gen) noexcept
-      : sim_(sim), slot_(slot), lane_(lane), gen_(gen) {}
-  static EventHandle token_handle(Simulator* sim, LaneId lane, u64 token) noexcept {
-    EventHandle h(sim, lane | kTokenFlag, 0, token);
-    return h;
-  }
+  EventHandle(Simulator* sim, u32 slot, u64 gen) noexcept : sim_(sim), slot_(slot), gen_(gen) {}
 
   Simulator* sim_ = nullptr;
   u32 slot_ = 0;
-  u32 lane_ = 0;  ///< owning lane; kTokenFlag marks a cross-lane token handle
-  u64 gen_ = 0;   ///< generation, or the token for cross-lane handles
+  u64 gen_ = 0;
 };
 
 class Simulator {
  public:
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // --- Lane topology (configure before scheduling anything) -----------------
+  SimTime now() const noexcept { return now_; }
 
-  /// Partition the kernel into `lanes` lanes. Must be called while the
-  /// simulator is pristine (no events scheduled, clock at zero). When
-  /// `all_pairs_lookahead` > 0 every ordered lane pair is connected with
-  /// that lookahead; pass 0 and call connect_lanes() to mirror a sparse
-  /// link graph instead.
-  void configure_lanes(u32 lanes, Duration all_pairs_lookahead = 0);
-
-  /// Declare that events may cross between lanes `a` and `b` (both
-  /// directions) with at least `lookahead` ns between the sender's clock
-  /// and the scheduled time. Multiple calls take the minimum.
-  void connect_lanes(LaneId a, LaneId b, Duration lookahead);
-
-  /// Cap the number of worker threads (0 = min(lanes, hardware)). The main
-  /// thread is always worker 0; lane count and thread count are independent
-  /// (8 lanes run fine — and deterministically identically — on 1 thread).
-  void set_worker_threads(u32 threads) noexcept { worker_threads_ = threads; }
-
-  u32 lane_count() const noexcept { return static_cast<u32>(lanes_.size()); }
-  u32 worker_threads() const noexcept;
-
-  /// Lane the calling thread is currently executing in, or `kNoLane` when
-  /// called from outside the simulation (main thread between runs).
-  static constexpr LaneId kNoLane = ~0u;
-  LaneId current_lane() const noexcept;
-
-  // --- Scheduling ------------------------------------------------------------
-
-  SimTime now() const noexcept;
-
-  /// Schedule `fn` to run `delay` ns from now (>= 0) on the current lane
-  /// (lane 0 when called from the main thread outside a LaneScope).
+  /// Schedule `fn` to run `delay` ns from now (>= 0).
   template <class F>
   EventHandle schedule(Duration delay, F&& fn) {
-    return schedule_at(now() + delay, std::forward<F>(fn));
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at absolute simulated time `when` (>= now()).
@@ -256,24 +180,7 @@ class Simulator {
     return schedule_impl(when, detail::SmallFn(std::forward<F>(fn)));
   }
 
-  /// Schedule `fn` on a specific lane. From the main thread (quiesced) this
-  /// injects directly; from inside the simulation it crosses the SPSC
-  /// channel and `when` must respect the pair's lookahead.
-  template <class F>
-  EventHandle schedule_on(LaneId lane, SimTime when, F&& fn) {
-    return schedule_on_impl(lane, when, detail::SmallFn(std::forward<F>(fn)));
-  }
-
-  /// Fire-and-forget cross-lane scheduling (no cancellation handle); the
-  /// packet path uses this, so it never touches the token map.
-  template <class F>
-  void post(LaneId lane, SimTime when, F&& fn) {
-    post_impl(lane, when, detail::SmallFn(std::forward<F>(fn)), /*token=*/0);
-  }
-
-  // --- Running ---------------------------------------------------------------
-
-  /// Run until the event queues drain or `stop()` is called.
+  /// Run until the event queue drains or `stop()` is called.
   void run();
 
   /// Run events with timestamp <= `deadline`; afterwards now() == deadline
@@ -281,37 +188,20 @@ class Simulator {
   void run_until(SimTime deadline);
 
   /// Run for `span` more nanoseconds of simulated time.
-  void run_for(Duration span) { run_until(now() + span); }
+  void run_for(Duration span) { run_until(now_ + span); }
 
-  /// Stop the run loop. Each lane stops after its current event returns.
-  void stop() noexcept { stopped_.store(true, std::memory_order_relaxed); }
+  /// Stop the run loop after the current event returns.
+  void stop() noexcept { stopped_ = true; }
 
-  u64 events_executed() const noexcept;
-  bool empty() const noexcept;
+  u64 events_executed() const noexcept { return executed_; }
+  bool empty() const noexcept { return queue_.empty(); }
 
-  /// Capacity introspection: currently allocated event slots across all
-  /// lanes (high-water of concurrently outstanding events, recycled
-  /// forever after).
-  std::size_t event_slab_size() const noexcept;
-
-  /// Cross-lane messages delivered so far (0 in single-lane runs).
-  u64 cross_lane_messages() const noexcept;
+  /// Capacity introspection: currently allocated event slots (high-water of
+  /// concurrently outstanding events, recycled forever after).
+  std::size_t event_slab_size() const noexcept { return slot_count_; }
 
  private:
   friend class EventHandle;
-  friend class LaneScope;
-
-  // Composite ordering key: (lane << kSeqBits) | seq. With one lane the key
-  // is exactly the legacy sequence number, which is what makes lanes=1
-  // byte-identical to the old kernel.
-  static constexpr u32 kSeqBits = 40;
-  static constexpr u64 kSeqMask = (u64{1} << kSeqBits) - 1;
-  static u64 make_key(LaneId lane, u64 seq) noexcept {
-    return (static_cast<u64>(lane) << kSeqBits) | (seq & kSeqMask);
-  }
-  static SimTime sat_add(SimTime t, Duration d) noexcept {
-    return t >= kTimeNever - d ? kTimeNever : t + d;
-  }
 
   /// One recycled record in the event slab. `gen` is bumped every time the
   /// slot is (re)armed, so queue entries and handles from earlier uses of
@@ -319,90 +209,19 @@ class Simulator {
   struct EventSlot {
     detail::SmallFn fn;
     u64 gen = 0;
-    u64 token = 0;  ///< nonzero when a cross-lane token handle references it
     bool armed = false;
   };
   /// What the priority queue actually orders: plain PODs.
   struct QueueEntry {
     SimTime when;
-    u64 key;
+    u64 seq;
     u32 slot;
     u64 gen;
   };
   struct Later {
     bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
-      return a.key > b.key;
-    }
-  };
-
-  /// A cross-lane message: either a scheduled event (with its callable and
-  /// sender-assigned ordering key) or an anti-message cancelling one.
-  struct CrossMsg {
-    enum class Kind : u8 { kEvent, kAntiToken, kAntiSlot };
-    SimTime when = 0;
-    u64 key = 0;
-    u64 token = 0;  ///< event: handle token (0 = none); anti-token: target
-    u32 slot = 0;   ///< anti-slot: target slot
-    u64 gen = 0;    ///< anti-slot: target generation
-    Kind kind = Kind::kEvent;
-    detail::SmallFn fn;
-  };
-
-  /// Bounded SPSC channel for one ordered lane pair. The ring is lazily
-  /// allocated on first send; when it is full the producer spills into a
-  /// mutex-protected overflow vector instead of blocking (a blocked
-  /// producer could deadlock when several lanes share one worker thread).
-  /// Per-channel FIFO order is *not* guaranteed across the spill path —
-  /// receivers order everything by (when, key), so it does not need to be.
-  struct Channel {
-    static constexpr u32 kRingSize = 256;  // power of two
-    static constexpr u32 kRingMask = kRingSize - 1;
-
-    std::atomic<CrossMsg*> ring{nullptr};
-    alignas(64) std::atomic<u32> head{0};
-    alignas(64) std::atomic<u32> tail{0};
-    std::atomic<bool> has_overflow{false};
-    std::mutex overflow_mu;
-    std::vector<CrossMsg> overflow;
-    /// Minimum delay between the sender's clock and any event it sends here;
-    /// kTimeNever means "not connected" (excluded from horizons; only
-    /// anti-messages may use such a channel).
-    Duration lookahead = kTimeNever;
-
-    ~Channel() { delete[] ring.load(std::memory_order_relaxed); }
-  };
-
-  /// One lane: a complete single-threaded event kernel plus the shared-side
-  /// fields other lanes read (published clock, message counters).
-  struct alignas(64) Lane {
-    // Hot single-owner state.
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue;
-    std::vector<std::unique_ptr<EventSlot[]>> slab;
-    u32 slot_count = 0;
-    std::vector<u32> free_slots;
-    SimTime now = 0;
-    u64 next_seq = 0;
-    u64 next_token = 0;
-    u64 executed = 0;
-    LaneId id = 0;
-    bool epoch_done = false;
-    /// Cross-lane cancellation bookkeeping (token handles only).
-    std::unordered_map<u64, std::pair<u32, u64>> token_map;  // token -> (slot, gen)
-    std::unordered_set<u64> early_anti;  // anti-messages that beat their event
-    /// Incoming connected channels, (src lane, lookahead); built at connect.
-    std::vector<std::pair<LaneId, Duration>> incoming;
-
-    // Shared-side fields (read by other lanes / the coordinator).
-    alignas(64) std::atomic<SimTime> published{0};
-    std::atomic<u64> msgs_received{0};
-    std::atomic<bool> idle{false};
-
-    EventSlot& slot_at(u32 index) noexcept {
-      return slab[index >> kSlabChunkShift][index & (kSlabChunkSlots - 1)];
-    }
-    const EventSlot& slot_at(u32 index) const noexcept {
-      return slab[index >> kSlabChunkShift][index & (kSlabChunkSlots - 1)];
+      return a.seq > b.seq;
     }
   };
 
@@ -411,103 +230,38 @@ class Simulator {
   static constexpr u32 kSlabChunkShift = 8;
   static constexpr u32 kSlabChunkSlots = 1u << kSlabChunkShift;
 
-  Lane& lane(LaneId id) noexcept { return *lanes_[id]; }
-  const Lane& lane(LaneId id) const noexcept { return *lanes_[id]; }
-  Channel& channel(LaneId src, LaneId dst) noexcept {
-    return *channels_[static_cast<std::size_t>(src) * lanes_.size() + dst];
+  EventSlot& slot_at(u32 index) noexcept {
+    return slab_[index >> kSlabChunkShift][index & (kSlabChunkSlots - 1)];
+  }
+  const EventSlot& slot_at(u32 index) const noexcept {
+    return slab_[index >> kSlabChunkShift][index & (kSlabChunkSlots - 1)];
   }
 
-  /// Lane the calling thread currently executes / is scoped to, else null.
-  Lane* ambient_lane() const noexcept;
-  bool quiesced() const noexcept { return !running_.load(std::memory_order_relaxed); }
-
   EventHandle schedule_impl(SimTime when, detail::SmallFn fn);
-  EventHandle schedule_on_impl(LaneId lane, SimTime when, detail::SmallFn fn);
-  void post_impl(LaneId lane, SimTime when, detail::SmallFn fn, u64 token);
-  EventHandle schedule_local(Lane& l, SimTime when, detail::SmallFn fn);
-  u32 arm_slot(Lane& l, detail::SmallFn fn, u64 token, u64* gen_out);
-  void send_cross(Lane& src, LaneId dst, CrossMsg msg);
+  bool step();  // execute the earliest event; false if the queue is empty
+  void cancel_event(u32 slot, u64 gen) noexcept;
+  bool event_pending(u32 slot, u64 gen) const noexcept;
 
-  bool step(Lane& l);  // execute the earliest event; false if queue empty
-  void cancel_event(LaneId lane, u32 slot, u64 gen) noexcept;
-  void cancel_token(LaneId lane, u64 token) noexcept;
-  void cancel_local(Lane& l, u32 slot, u64 gen) noexcept;
-  bool event_pending(LaneId lane, u32 slot, u64 gen) const noexcept;
-
-  // Parallel run machinery.
-  void run_single(SimTime deadline, bool bounded);
-  void run_multi(SimTime deadline, bool bounded);
-  void run_lanes(u32 worker, u32 workers, SimTime deadline, bool bounded);
-  bool lane_round(Lane& l, SimTime deadline, bool bounded);
-  SimTime horizon(const Lane& l) const noexcept;
-  bool drain_channels(Lane& l);
-  void handle_msg(Lane& l, CrossMsg& msg);
-  bool check_termination() noexcept;
-  void ensure_workers(u32 count);
-  void worker_main(u32 worker);
-
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::unique_ptr<Channel>> channels_;  // lanes_² matrix, row = src
-  SimTime main_now_ = 0;  ///< quiesced clock seen outside the simulation
-  std::atomic<bool> stopped_{false};
-  std::atomic<bool> running_{false};
-  std::atomic<bool> terminated_{false};
-  std::atomic<u64> msgs_sent_{0};
-  u32 worker_threads_ = 0;  ///< 0 = auto
-  bool scheduled_any_ = false;
-
-  // Persistent parked worker pool (threads 1..T-1; main thread is worker 0).
-  struct WorkerSync {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::condition_variable done_cv;
-    u64 epoch = 0;
-    u32 active = 0;
-    u32 workers = 1;
-    SimTime deadline = 0;
-    bool bounded = true;
-    bool shutdown = false;
-  };
-  WorkerSync sync_;
-  std::vector<std::thread> threads_;
-};
-
-/// RAII ambient-lane context for the main thread between runs: scheduling
-/// calls made inside the scope (directly or deep inside component code,
-/// e.g. a NIC arming its pipeline during Cluster setup) land on `lane`
-/// instead of lane 0. Only valid while the simulator is quiesced, or from
-/// inside the simulation when `lane` is already the executing lane.
-class LaneScope {
- public:
-  LaneScope(Simulator& sim, LaneId lane);
-  ~LaneScope();
-
-  LaneScope(const LaneScope&) = delete;
-  LaneScope& operator=(const LaneScope&) = delete;
-
- private:
-  const Simulator* prev_sim_;
-  void* prev_lane_;
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue_;
+  std::vector<std::unique_ptr<EventSlot[]>> slab_;
+  u32 slot_count_ = 0;
+  std::vector<u32> free_slots_;
+  SimTime now_ = 0;
+  u64 next_seq_ = 0;
+  u64 executed_ = 0;
+  bool stopped_ = false;
 };
 
 inline void EventHandle::cancel() noexcept {
-  if (sim_ == nullptr) return;
-  if (lane_ & kTokenFlag) {
-    sim_->cancel_token(lane_ & ~kTokenFlag, gen_);
-  } else {
-    sim_->cancel_event(lane_, slot_, gen_);
-  }
+  if (sim_ != nullptr) sim_->cancel_event(slot_, gen_);
 }
 
 inline bool EventHandle::pending() const noexcept {
-  if (sim_ == nullptr || (lane_ & kTokenFlag)) return false;
-  return sim_->event_pending(lane_, slot_, gen_);
+  return sim_ != nullptr && sim_->event_pending(slot_, gen_);
 }
 
 /// A repeating timer built on the kernel; reschedules itself until stopped.
-/// Used for heartbeats, liveness checks and re-acceleration probes. The
-/// timer is lane-affine: it keeps firing on whatever lane start() armed it
-/// on, so drivers constructed under a LaneScope stay on their lane.
+/// Used for heartbeats, liveness checks and re-acceleration probes.
 class PeriodicTimer {
  public:
   PeriodicTimer(Simulator& sim, Duration period, EventFn fn)

@@ -33,7 +33,6 @@ struct WindowState {
 };
 
 void issue_next(std::shared_ptr<WindowState> state);
-void issue_next_on_leader(std::shared_ptr<WindowState> state, consensus::Node& leader);
 
 void on_complete(std::shared_ptr<WindowState> state, SimTime issued_at, Status st) {
   ++state->completed;
@@ -50,31 +49,11 @@ void on_complete(std::shared_ptr<WindowState> state, SimTime issued_at, Status s
   issue_next(state);
 }
 
-/// Issue one proposal, making sure its event chain runs on the leader's
-/// lane: directly when single-lane or already there, under a LaneScope when
-/// called quiesced from the drive loop, and via a one-hop cross-lane post
-/// when a commit callback fires on a lane the leadership has left.
+/// Issue one proposal through the current leader.
 void issue_next(std::shared_ptr<WindowState> state) {
   if (state->issued >= state->total) return;
-  core::Cluster& cluster = *state->cluster;
-  consensus::Node* leader = cluster.leader();
+  consensus::Node* leader = state->cluster->leader();
   if (leader == nullptr) return;  // the drive loop will retry
-  sim::Simulator& sim = cluster.sim();
-  const sim::LaneId lane = cluster.host_lane(leader->id());
-  if (sim.lane_count() > 1 && sim.current_lane() != lane) {
-    if (sim.current_lane() == sim::Simulator::kNoLane) {
-      sim::LaneScope scope(sim, lane);
-      issue_next_on_leader(state, *leader);
-    } else {
-      sim.post(lane, sim.now() + cluster.lane_lookahead(), [state] { issue_next(state); });
-    }
-    return;
-  }
-  issue_next_on_leader(state, *leader);
-}
-
-void issue_next_on_leader(std::shared_ptr<WindowState> state, consensus::Node& leader_ref) {
-  consensus::Node* leader = &leader_ref;
   const u64 n = state->issued++;
   const SimTime issued_at = state->cluster->now();
   Status st;
@@ -202,42 +181,23 @@ RunResult run_open_loop(core::Cluster& cluster, u32 value_size, double rate, Dur
       const u64 salt = state->arrivals;
       const SimTime at = sim.now();
       const bool measured = at >= state->measure_start;
-      // The arrival clock lives on whatever lane the process was started on;
-      // the proposal itself must execute on the leader's lane, so bounce it
-      // across when they differ (one link hop of extra arrival latency,
-      // identical on every lane count > 1).
-      auto do_propose = [state, salt, at, measured] {
-        consensus::Node* leader = state->cluster->leader();
-        if (leader == nullptr) {  // leadership moved mid-hop; drop the arrival
-          ++state->completed;
-          ++state->failed;
-          return;
-        }
-        std::ignore = leader->propose(
-            make_value(state->value_size, salt),
-            [state, at, measured](Status st, u64) {
-              ++state->completed;
-              if (!st.is_ok()) {
-                ++state->failed;
-                return;
-              }
-              if (measured) state->latency.record(state->cluster->now() - at);
-              // Achieved throughput is the steady-state commit rate inside the
-              // window (regardless of when the request arrived), so a saturated
-              // system reports its capacity, not its eventually-drained backlog.
-              const SimTime now = state->cluster->now();
-              if (now >= state->measure_start && now <= state->stop_at) {
-                ++state->measured;
-                state->meter.add(state->value_size);
-              }
-            });
-      };
-      const sim::LaneId lane = state->cluster->host_lane(leader->id());
-      if (sim.lane_count() > 1 && sim.current_lane() != lane) {
-        sim.post(lane, at + state->cluster->lane_lookahead(), std::move(do_propose));
-      } else {
-        do_propose();
-      }
+      std::ignore = leader->propose(
+          make_value(state->value_size, salt), [state, at, measured](Status st, u64) {
+            ++state->completed;
+            if (!st.is_ok()) {
+              ++state->failed;
+              return;
+            }
+            if (measured) state->latency.record(state->cluster->now() - at);
+            // Achieved throughput is the steady-state commit rate inside the
+            // window (regardless of when the request arrived), so a saturated
+            // system reports its capacity, not its eventually-drained backlog.
+            const SimTime now = state->cluster->now();
+            if (now >= state->measure_start && now <= state->stop_at) {
+              ++state->measured;
+              state->meter.add(state->value_size);
+            }
+          });
     }
     sim.schedule(static_cast<Duration>(state->rng.next_exponential(state->mean_gap_ns)) + 1,
                  [arrival] { (*arrival)(); });
@@ -274,16 +234,11 @@ BurstResult run_burst(core::Cluster& cluster, u32 value_size, u32 burst, u32 rep
     auto remaining = std::make_shared<u32>(burst);
     auto finished_at = std::make_shared<SimTime>(0);
     const SimTime start = cluster.now();
-    {
-      // Pin the burst's event chains (and completion callbacks) to the
-      // leader's lane; quiesced here, so the scope is always legal.
-      sim::LaneScope scope(cluster.sim(), cluster.host_lane(leader->id()));
-      for (u32 i = 0; i < burst; ++i) {
-        std::ignore = leader->propose(make_value(value_size, r * burst + i),
-                                      [remaining, finished_at, &cluster](Status, u64) {
-                                        if (--*remaining == 0) *finished_at = cluster.now();
-                                      });
-      }
+    for (u32 i = 0; i < burst; ++i) {
+      std::ignore = leader->propose(make_value(value_size, r * burst + i),
+                                    [remaining, finished_at, &cluster](Status, u64) {
+                                      if (--*remaining == 0) *finished_at = cluster.now();
+                                    });
     }
     const SimTime deadline = cluster.now() + seconds(1);
     while (*remaining > 0 && cluster.now() < deadline) cluster.run_for(microseconds(10));

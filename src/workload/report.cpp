@@ -130,17 +130,6 @@ BenchSession::BenchSession(std::string name) : name_(std::move(name)) {
   if (sample_us > 0) enable_sampler(static_cast<Duration>(sample_us) * 1'000);
   if (flight_env != nullptr && !flight_forced_off_) enable_flight_recorder();
 
-  // Seed the meta block from the same environment the cluster setup reads
-  // (core::apply_parallelism_env), so every BENCH_*.json records the
-  // parallelism it ran with even if the bench never calls set_parallelism.
-  if (const char* lanes = std::getenv("P4CE_LANES")) {
-    const long v = std::strtol(lanes, nullptr, 10);
-    if (v >= 1 && v <= 1024) meta_lanes_ = static_cast<u32>(v);
-  }
-  if (const char* threads = std::getenv("P4CE_THREADS")) {
-    const long v = std::strtol(threads, nullptr, 10);
-    if (v >= 0 && v <= 1024) meta_threads_ = static_cast<u32>(v);
-  }
   if (const char* backend = std::getenv("P4CE_BACKEND")) {
     const std::string b(backend);
     if (b == "mu" || b == "p4ce" || b == "one_sided") meta_backend_ = b;
@@ -185,21 +174,11 @@ void BenchSession::finish() {
   finished_ = true;
   if (!json_enabled_) return;
 
-  // Resolve the displayed thread count the way the kernel does: single-lane
-  // runs are serial regardless of the request, auto means one per core
-  // capped by the lane count.
   const u32 hw = std::max(1u, std::thread::hardware_concurrency());
-  const u32 threads =
-      meta_lanes_ <= 1 ? 1
-                       : std::min(meta_threads_ == 0 ? hw : meta_threads_, meta_lanes_);
 
   std::string out = "{\n  \"schema\": \"p4ce-bench-v1\",\n  \"bench\": ";
   obs::append_json_escaped(out, name_);
-  out += ",\n  \"meta\": {\"lanes\": ";
-  append_number_json(out, meta_lanes_);
-  out += ", \"threads\": ";
-  append_number_json(out, threads);
-  out += ", \"hw_cores\": ";
+  out += ",\n  \"meta\": {\"hw_cores\": ";
   append_number_json(out, hw);
   out += ", \"backend\": ";
   obs::append_json_escaped(out, meta_backend_);

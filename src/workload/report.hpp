@@ -68,14 +68,6 @@ class BenchSession {
   /// Record a scalar result, e.g. add_value("goodput_gbps", 3.2).
   void add_value(const std::string& key, double value);
 
-  /// Record the parallel-kernel configuration for the meta block. The
-  /// constructor seeds it from P4CE_LANES / P4CE_THREADS; a bench that
-  /// knows the effective (clamped) values should overwrite them so the
-  /// artefact states what actually ran.
-  void set_parallelism(u32 lanes, u32 threads) {
-    meta_lanes_ = lanes;
-    meta_threads_ = threads;
-  }
   /// Record the protocol backend for the meta block: "mu", "p4ce",
   /// "one_sided", or "mixed" for benches that compare several in one run.
   /// The constructor seeds it from P4CE_BACKEND when set.
@@ -103,8 +95,6 @@ class BenchSession {
   std::string name_;
   std::string dir_;
   std::string trace_path_;
-  u32 meta_lanes_ = 1;
-  u32 meta_threads_ = 0;  ///< 0 = auto (one per core, capped by lanes)
   std::string meta_backend_ = "none";
   bool json_enabled_ = true;
   bool tracing_ = false;

@@ -10,10 +10,16 @@
 // Every seed also runs with the telemetry sampler and the fault flight
 // recorder armed: each injected fault must leave at least one capture whose
 // telemetry window spans the fault — the flight recorder's acceptance test.
+//
+// A second set of seeds runs each crash schedule twice and requires the two
+// runs to agree bit for bit, with the survivor-safety check on both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
@@ -182,6 +188,92 @@ TEST_P(OneSidedChaosTest, CommittedValuesSurviveArbitraryCrashSchedules) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OneSidedChaosTest, ::testing::Values(101, 404));
+
+// --- Repeatability under chaos ------------------------------------------------
+
+struct ChaosOutcome {
+  u64 committed = 0;
+  u64 max_committed_seq = 0;
+  u64 proposals = 0;
+  SimTime end_time = 0;
+  std::vector<u64> delivered;  // per surviving node
+
+  bool operator==(const ChaosOutcome&) const = default;
+};
+
+ChaosOutcome run_repeatable_chaos(u64 seed) {
+  Rng rng(seed);
+  ClusterOptions options;
+  options.machines = 5;
+  options.mode = consensus::Mode::kP4ce;
+  options.cal = consensus::Calibration::failover();
+  auto cluster = Cluster::create(options);
+  EXPECT_TRUE(cluster->start());
+  sim::Simulator& sim = cluster->sim();
+
+  std::set<u64> committed_seqs;
+  u64 proposals = 0;
+
+  // Load pump: one proposal through the current leader every 25 us.
+  auto pump = std::make_shared<std::function<void()>>();
+  *pump = [&cluster, &committed_seqs, &proposals, pump] {
+    if (consensus::Node* leader = cluster->leader()) {
+      ++proposals;
+      std::ignore = leader->propose(Bytes(64, static_cast<u8>(proposals)),
+                                    [&committed_seqs](Status st, u64 seq) {
+                                      if (st.is_ok()) committed_seqs.insert(seq);
+                                    });
+    }
+    cluster->sim().schedule(microseconds(25), [pump] { (*pump)(); });
+  };
+  sim.schedule(microseconds(5), [pump] { (*pump)(); });
+
+  // One or two machine crashes, 2-12 ms after the leader came up.
+  const u32 machine_crashes = 1 + static_cast<u32>(rng.next_below(2));
+  std::set<u32> killed;
+  for (u32 k = 0; k < machine_crashes; ++k) {
+    u32 victim;
+    do {
+      victim = static_cast<u32>(rng.next_below(5));
+    } while (killed.contains(victim));
+    killed.insert(victim);
+    const Duration delay = 2'000'000 + static_cast<Duration>(rng.next_below(10'000'000));
+    sim.schedule(delay, [&cluster, victim] { cluster->crash_node(victim); });
+  }
+
+  cluster->run_for(milliseconds(15));
+  cluster->run_for(milliseconds(60));
+  cluster->run_for(milliseconds(5));  // drain deliveries
+  *pump = nullptr;  // break the self-referential keep-alive cycle (no runs after)
+
+  ChaosOutcome out;
+  out.committed = committed_seqs.size();
+  out.max_committed_seq = committed_seqs.empty() ? 0 : *committed_seqs.rbegin();
+  out.proposals = proposals;
+  out.end_time = cluster->now();
+  for (u32 i = 0; i < 5; ++i) {
+    if (killed.contains(i)) continue;
+    out.delivered.push_back(cluster->node(i).last_delivered_seq());
+  }
+
+  // No committed value may be lost by any survivor.
+  for (u64 d : out.delivered) {
+    EXPECT_GE(d, out.max_committed_seq) << "survivor lost committed entries (seed " << seed << ")";
+  }
+  EXPECT_GT(out.committed, 0u) << "nothing committed (seed " << seed << ")";
+  return out;
+}
+
+class RepeatableChaosTest : public ::testing::TestWithParam<u64> {};
+
+TEST_P(RepeatableChaosTest, FaultSchedulesAreBitForBitRepeatable) {
+  const ChaosOutcome first = run_repeatable_chaos(GetParam());
+  const ChaosOutcome second = run_repeatable_chaos(GetParam());
+  EXPECT_EQ(first, second) << "seed " << GetParam() << " not repeatable";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RepeatableChaosTest,
+                         ::testing::Values(11, 23, 37, 41, 53, 67, 79, 97));
 
 }  // namespace
 }  // namespace p4ce

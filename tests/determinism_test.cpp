@@ -65,7 +65,8 @@ TEST_P(DeterminismTest, IdenticalRunsAreBitForBitEqual) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, DeterminismTest,
-                         ::testing::Values(consensus::Mode::kP4ce, consensus::Mode::kMu));
+                         ::testing::Values(consensus::Mode::kP4ce, consensus::Mode::kMu,
+                                           consensus::Mode::kOneSided));
 
 // The single-bool guard discipline: with attribution, sampling, and the
 // flight recorder all disabled, a run is byte-identical to one where the
