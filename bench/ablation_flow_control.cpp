@@ -33,12 +33,13 @@ struct Result {
   double replica_missing_pct;
 };
 
-Result measure(bool aggregate_credits) {
+Result measure(workload::BenchSession& session, bool aggregate_credits) {
   core::ClusterOptions options;
   options.machines = 3;
   options.mode = consensus::Mode::kP4ce;
   options.cal.reacceleration_period = 10'000'000;  // re-probe every 10 ms
   auto cluster = core::Cluster::create(options);
+  session.attach(*cluster);
   if (!cluster->start()) return {};
   cluster->dataplane().set_credit_aggregation(aggregate_credits);
 
@@ -95,8 +96,8 @@ int main() {
       "64 B consensus, one replica NIC hiccuping to ~1 M pps for 200 us every 2 ms",
       {"credit handling", "consensus/s", "overflows", "NAK fallbacks", "reaccel",
        "ends accelerated", "replica missing"});
-  const Result with = measure(true);
-  const Result without = measure(false);
+  const Result with = measure(session, true);
+  const Result without = measure(session, false);
   add_row(table, "min across replicas", with);
   add_row(table, "f-th ACK only (ablated)", without);
   table.print();

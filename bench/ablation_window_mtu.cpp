@@ -19,7 +19,8 @@ using namespace p4ce;
 
 namespace {
 
-workload::RunResult run_with(u32 window, u32 mtu, u32 value_size, u32 batch) {
+workload::RunResult run_with(workload::BenchSession& session, u32 window, u32 mtu,
+                             u32 value_size, u32 batch) {
   core::ClusterOptions options;
   options.machines = 3;
   options.mode = consensus::Mode::kP4ce;
@@ -27,6 +28,7 @@ workload::RunResult run_with(u32 window, u32 mtu, u32 value_size, u32 batch) {
   options.cal.mtu = mtu;
   options.log_size = 256ull << 20;
   auto cluster = core::Cluster::create(options);
+  session.attach(*cluster);
   if (!cluster->start()) return {};
   if (batch <= 1) {
     return workload::run_closed_loop(*cluster, value_size, window, 40'000, 1'000);
@@ -52,7 +54,7 @@ int main() {
         "64 B consensus rate & latency vs in-flight window (2 replicas, MTU 1 KiB)",
         {"window (writes)", "consensus/s", "p50 latency (us)", "in-flight packets"});
     for (u32 window : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-      const auto result = run_with(window, 1024, 64, 1);
+      const auto result = run_with(session, window, 1024, 64, 1);
       table.add_row({std::to_string(window), si_format(result.ops_per_sec),
                      workload::Table::fmt(result.p50_latency_us, 1), std::to_string(window)});
     }
@@ -65,7 +67,7 @@ int main() {
         "Batched goodput (512 B values, ~8 KiB writes) vs RoCE MTU (2 replicas)",
         {"MTU (B)", "goodput (GB/s)", "packets per write", "header overhead"});
     for (u32 mtu : {256u, 512u, 1024u, 2048u, 4096u}) {
-      const auto result = run_with(16, mtu, 512, 16);
+      const auto result = run_with(session, 16, mtu, 512, 16);
       const u64 write_bytes = 16 * consensus::entry_footprint(512);
       const u64 packets = (write_bytes + mtu - 1) / mtu;
       const double overhead =

@@ -20,12 +20,14 @@ using namespace p4ce;
 
 namespace {
 
-double measure(consensus::Mode mode, u32 machines, u32 value_size) {
+double measure(workload::BenchSession& session, consensus::Mode mode, u32 machines,
+               u32 value_size) {
   core::ClusterOptions options;
   options.machines = machines;
   options.mode = mode;
   options.log_size = 256ull << 20;
   auto cluster = core::Cluster::create(options);
+  session.attach(*cluster);
   if (!cluster->start()) return 0.0;
 
   const u32 batch = std::clamp<u32>(8192 / value_size, 1, 64);
@@ -52,9 +54,9 @@ int main() {
             std::to_string(replicas) + " replicas  [GB/s of value bytes; link capacity 12.5 GB/s]",
         {"item size (B)", "Mu", "1-sided", "P4CE", "P4CE/Mu"});
     for (u32 size : {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u, 8192u}) {
-      const double mu = measure(consensus::Mode::kMu, replicas + 1, size);
-      const double os = measure(consensus::Mode::kOneSided, replicas + 1, size);
-      const double p4 = measure(consensus::Mode::kP4ce, replicas + 1, size);
+      const double mu = measure(session, consensus::Mode::kMu, replicas + 1, size);
+      const double os = measure(session, consensus::Mode::kOneSided, replicas + 1, size);
+      const double p4 = measure(session, consensus::Mode::kP4ce, replicas + 1, size);
       table.add_row({std::to_string(size), workload::Table::fmt(mu), workload::Table::fmt(os),
                      workload::Table::fmt(p4),
                      workload::Table::fmt(mu > 0 ? p4 / mu : 0, 1) + "x"});

@@ -16,12 +16,14 @@ using namespace p4ce;
 
 namespace {
 
-std::unique_ptr<core::Cluster> make(consensus::Mode mode, u32 machines) {
+std::unique_ptr<core::Cluster> make(workload::BenchSession& session, consensus::Mode mode,
+                                    u32 machines) {
   core::ClusterOptions options;
   options.machines = machines;
   options.mode = mode;
   options.log_size = 256ull << 20;
   auto cluster = core::Cluster::create(options);
+  session.attach(*cluster);
   cluster->start();
   return cluster;
 }
@@ -49,11 +51,11 @@ int main() {
                            "1-sided lat p50 (us)", "1-sided achieved (M/s)",
                            "P4CE lat p50 (us)", "P4CE achieved (M/s)"});
     for (double rate : {0.1e6, 0.2e6, 0.4e6, 0.6e6, 0.8e6, 1.0e6, 1.2e6, 1.6e6, 2.0e6, 2.2e6}) {
-      auto mu_cluster = make(consensus::Mode::kMu, replicas + 1);
+      auto mu_cluster = make(session, consensus::Mode::kMu, replicas + 1);
       const auto mu = workload::run_open_loop(*mu_cluster, 64, rate, window, warmup);
-      auto os_cluster = make(consensus::Mode::kOneSided, replicas + 1);
+      auto os_cluster = make(session, consensus::Mode::kOneSided, replicas + 1);
       const auto os = workload::run_open_loop(*os_cluster, 64, rate, window, warmup);
-      auto p4_cluster = make(consensus::Mode::kP4ce, replicas + 1);
+      auto p4_cluster = make(session, consensus::Mode::kP4ce, replicas + 1);
       const auto p4 = workload::run_open_loop(*p4_cluster, 64, rate, window, warmup);
       table.add_row({workload::Table::fmt(rate / 1e6, 1),
                      workload::Table::fmt(mu.p50_latency_us, 1),

@@ -15,11 +15,13 @@ using namespace p4ce;
 
 namespace {
 
-workload::BurstResult measure(consensus::Mode mode, u32 machines, u32 burst) {
+workload::BurstResult measure(workload::BenchSession& session, consensus::Mode mode,
+                              u32 machines, u32 burst) {
   core::ClusterOptions options;
   options.machines = machines;
   options.mode = mode;
   auto cluster = core::Cluster::create(options);
+  session.attach(*cluster);
   if (!cluster->start()) return {};
   // A couple of warmup bursts, then the measured ones.
   workload::run_burst(*cluster, 64, burst, 5);
@@ -41,9 +43,9 @@ int main() {
         "Fig. 7: burst-completion latency (us), " + std::to_string(replicas) + " replicas",
         {"burst size", "Mu (us)", "1-sided (us)", "P4CE (us)", "Mu/P4CE"});
     for (u32 burst : {1u, 2u, 5u, 10u, 20u, 50u, 100u}) {
-      const auto mu = measure(consensus::Mode::kMu, replicas + 1, burst);
-      const auto os = measure(consensus::Mode::kOneSided, replicas + 1, burst);
-      const auto p4 = measure(consensus::Mode::kP4ce, replicas + 1, burst);
+      const auto mu = measure(session, consensus::Mode::kMu, replicas + 1, burst);
+      const auto os = measure(session, consensus::Mode::kOneSided, replicas + 1, burst);
+      const auto p4 = measure(session, consensus::Mode::kP4ce, replicas + 1, burst);
       table.add_row({std::to_string(burst), workload::Table::fmt(mu.mean_burst_us, 1),
                      workload::Table::fmt(os.mean_burst_us, 1),
                      workload::Table::fmt(p4.mean_burst_us, 1),

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 #include "p4ce/dataplane.hpp"
 #include "sim/simulator.hpp"
 #include "switchsim/register.hpp"
@@ -167,10 +167,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-u64 counter_value(const char* name) {
-  return obs::MetricsRegistry::global().counter(name).value();
-}
-
 /// Terminal endpoint for scatter copies; counts deliveries.
 struct CountingSink : net::PacketSink {
   u64 delivered = 0;
@@ -197,8 +193,8 @@ void run_scatter_workload(workload::BenchSession& session, workload::Table& tabl
   constexpr u32 kPackets = 20'000;
   constexpr u32 kPayload = 1024;
 
-  const u64 copied_before = counter_value("net.payload_bytes_copied");
-  const u64 shared_before = counter_value("net.payload_bytes_shared");
+  const u64 copied_before = net::PayloadRef::copied_bytes();
+  const u64 shared_before = net::PayloadRef::shared_bytes();
 
   const auto t0 = std::chrono::steady_clock::now();
   sim::Simulator sim;
@@ -231,8 +227,8 @@ void run_scatter_workload(workload::BenchSession& session, workload::Table& tabl
   u64 delivered = 0;
   for (const auto& sink : sinks) delivered += sink.delivered;
   const double pkts_per_sec = static_cast<double>(delivered) / secs;
-  const u64 copied = counter_value("net.payload_bytes_copied") - copied_before;
-  const u64 shared = counter_value("net.payload_bytes_shared") - shared_before;
+  const u64 copied = net::PayloadRef::copied_bytes() - copied_before;
+  const u64 shared = net::PayloadRef::shared_bytes() - shared_before;
 
   session.add_value("scatter_packets_per_sec", pkts_per_sec);
   session.add_value("scatter_payload_bytes_copied", static_cast<double>(copied));
@@ -253,7 +249,6 @@ void run_scatter_workload(workload::BenchSession& session, workload::Table& tabl
 void run_event_core_workload(workload::BenchSession& session, workload::Table& table) {
   constexpr u32 kEvents = 300'000;
 
-  const u64 alloc_before = counter_value("sim.events_alloc");
   const auto t0 = std::chrono::steady_clock::now();
   sim::Simulator sim;
   u64 fired = 0;
@@ -268,7 +263,7 @@ void run_event_core_workload(workload::BenchSession& session, workload::Table& t
   const double secs = seconds_since(t0);
 
   const double events_per_sec = static_cast<double>(sim.events_executed()) / secs;
-  const u64 allocs = counter_value("sim.events_alloc") - alloc_before;
+  const u64 allocs = sim.obs().metrics.counter("sim.events_alloc").value();
   session.add_value("events_per_sec", events_per_sec);
   session.add_value("events_executed", static_cast<double>(sim.events_executed()));
   session.add_value("events_heap_allocs", static_cast<double>(allocs));

@@ -20,12 +20,13 @@ using namespace p4ce;
 
 namespace {
 
-std::unique_ptr<core::Cluster> make(consensus::Mode mode) {
+std::unique_ptr<core::Cluster> make(workload::BenchSession& session, consensus::Mode mode) {
   core::ClusterOptions options;
   options.machines = 3;
   options.mode = mode;
   options.cal = consensus::Calibration::failover();
   auto cluster = core::Cluster::create(options);
+  session.attach(*cluster);
   cluster->start(seconds(2));
   // Let the initial view settle before injecting failures.
   cluster->run_for(milliseconds(5));
@@ -34,8 +35,8 @@ std::unique_ptr<core::Cluster> make(consensus::Mode mode) {
 
 /// Time from killing a replica to the leader having fully excluded it
 /// (Mu: communicator exclusion; P4CE: + switch group reconfiguration).
-double replica_crash_ms(consensus::Mode mode) {
-  auto cluster = make(mode);
+double replica_crash_ms(workload::BenchSession& session, consensus::Mode mode) {
+  auto cluster = make(session, mode);
   consensus::Node* leader = cluster->leader();
   if (leader == nullptr) return -1;
 
@@ -54,8 +55,8 @@ double replica_crash_ms(consensus::Mode mode) {
 
 /// Time from killing the leader to the new leader being active (elected,
 /// permissions switched, and — for P4CE — the switch reconfigured).
-double leader_crash_ms(consensus::Mode mode) {
-  auto cluster = make(mode);
+double leader_crash_ms(workload::BenchSession& session, consensus::Mode mode) {
+  auto cluster = make(session, mode);
   if (cluster->leader() == nullptr || cluster->leader()->id() != 0) return -1;
 
   SimTime done_at = -1;
@@ -69,8 +70,8 @@ double leader_crash_ms(consensus::Mode mode) {
 
 /// Time from powering the switch off to the first commit over the backup
 /// route (both protocols go through the RDMA timeout + reconnection path).
-double switch_crash_ms(consensus::Mode mode) {
-  auto cluster = make(mode);
+double switch_crash_ms(workload::BenchSession& session, consensus::Mode mode) {
+  auto cluster = make(session, mode);
   consensus::Node* leader = cluster->leader();
   if (leader == nullptr) return -1;
 
@@ -115,17 +116,16 @@ int main() {
 
   workload::Table table("Fail-over times (ms), 3 machines",
                         {"scenario", "Mu", "paper Mu", "1-sided", "P4CE", "paper P4CE"});
-  table.add_row({"Crashed replica", workload::Table::fmt(replica_crash_ms(consensus::Mode::kMu), 2),
-                 "0.1", workload::Table::fmt(replica_crash_ms(consensus::Mode::kOneSided), 2),
-                 workload::Table::fmt(replica_crash_ms(consensus::Mode::kP4ce), 1),
-                 "40.1"});
-  table.add_row({"Crashed leader", workload::Table::fmt(leader_crash_ms(consensus::Mode::kMu), 2),
-                 "0.9", workload::Table::fmt(leader_crash_ms(consensus::Mode::kOneSided), 2),
-                 workload::Table::fmt(leader_crash_ms(consensus::Mode::kP4ce), 1),
-                 "40.9"});
-  table.add_row({"Crashed switch", workload::Table::fmt(switch_crash_ms(consensus::Mode::kMu), 1),
-                 "60", workload::Table::fmt(switch_crash_ms(consensus::Mode::kOneSided), 1),
-                 workload::Table::fmt(switch_crash_ms(consensus::Mode::kP4ce), 1), "60"});
+  using consensus::Mode;
+  table.add_row({"Crashed replica", workload::Table::fmt(replica_crash_ms(session, Mode::kMu), 2),
+                 "0.1", workload::Table::fmt(replica_crash_ms(session, Mode::kOneSided), 2),
+                 workload::Table::fmt(replica_crash_ms(session, Mode::kP4ce), 1), "40.1"});
+  table.add_row({"Crashed leader", workload::Table::fmt(leader_crash_ms(session, Mode::kMu), 2),
+                 "0.9", workload::Table::fmt(leader_crash_ms(session, Mode::kOneSided), 2),
+                 workload::Table::fmt(leader_crash_ms(session, Mode::kP4ce), 1), "40.9"});
+  table.add_row({"Crashed switch", workload::Table::fmt(switch_crash_ms(session, Mode::kMu), 1),
+                 "60", workload::Table::fmt(switch_crash_ms(session, Mode::kOneSided), 1),
+                 workload::Table::fmt(switch_crash_ms(session, Mode::kP4ce), 1), "60"});
   table.print();
   session.add_table(table);
 

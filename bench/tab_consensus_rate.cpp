@@ -12,11 +12,12 @@ using namespace p4ce;
 
 namespace {
 
-double measure(consensus::Mode mode, u32 machines, u64 ops) {
+double measure(workload::BenchSession& session, consensus::Mode mode, u32 machines, u64 ops) {
   core::ClusterOptions options;
   options.machines = machines;
   options.mode = mode;
   auto cluster = core::Cluster::create(options);
+  session.attach(*cluster);
   if (!cluster->start()) return 0.0;
   const auto result = workload::run_closed_loop(*cluster, /*value_size=*/64, /*window=*/16, ops,
                                                 /*warmup=*/2000);
@@ -38,9 +39,9 @@ int main() {
                          "paper speedup"});
 
   for (u32 replicas : {2u, 4u}) {
-    const double mu = measure(consensus::Mode::kMu, replicas + 1, ops);
-    const double os = measure(consensus::Mode::kOneSided, replicas + 1, ops);
-    const double p4 = measure(consensus::Mode::kP4ce, replicas + 1, ops);
+    const double mu = measure(session, consensus::Mode::kMu, replicas + 1, ops);
+    const double os = measure(session, consensus::Mode::kOneSided, replicas + 1, ops);
+    const double p4 = measure(session, consensus::Mode::kP4ce, replicas + 1, ops);
     table.add_row({std::to_string(replicas), workload::Table::fmt(mu / 1e6),
                    workload::Table::fmt(os / 1e6), workload::Table::fmt(p4 / 1e6),
                    workload::Table::fmt(p4 / mu, 1) + "x", replicas == 2 ? "1.9x" : "3.8x"});

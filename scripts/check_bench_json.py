@@ -15,8 +15,12 @@ are passed:
     "tables" array of {title, columns, rows};
   * latency-named values are non-negative (table *cells* are exempt —
     tab4 legitimately prints "-1.00" for a timed-out scenario);
-  * an "attribution" report, when present, has non-negative stage
-    histograms with monotone p50 <= p99 <= p999;
+  * a "runs" array with one entry per simulated cluster, each labelled with
+    its backend, machines and domains and carrying a "metrics" object of
+    counter/gauge/histogram series;
+  * a run's "attribution" report, when present, has exactly the eight stages
+    the code emits (STAGES below), each a non-negative histogram with
+    monotone p50 <= p99 <= p999;
   * SERIES files carry p4ce-series-v1 with column-aligned frames;
   * FLIGHT files carry p4ce-flight-v1 with per-capture frames.
 
@@ -26,6 +30,18 @@ import glob
 import json
 import math
 import sys
+
+
+# The commit-latency stages obs::LatencyAttribution::stage_name() emits, in
+# causal order.
+STAGES = ("leader.cpu", "leader.post", "link.to_switch", "switch.scatter",
+          "replica.ack", "gather.quorum", "link.to_leader", "commit.cpu")
+
+SERIES_FIELDS = {
+    "counter": ("value",),
+    "gauge": ("value", "high_water"),
+    "histogram": ("count", "mean", "p50", "p99", "min", "max"),
+}
 
 
 def fail(path, msg):
@@ -94,13 +110,50 @@ def check_bench(path, doc):
             if len(row) != len(columns):
                 ok = fail(path, f"tables[{i}].rows[{j}]: {len(row)} cells vs "
                                 f"{len(columns)} columns")
-    attribution = doc.get("attribution")
+    for block in ("attribution", "metrics"):
+        if block in doc:
+            ok = fail(path, f"top-level \"{block}\" block; it belongs in runs[]")
+    runs = doc.get("runs")
+    if not isinstance(runs, list):
+        return fail(path, "missing \"runs\" array")
+    for i, run in enumerate(runs):
+        ok &= check_run(path, run, f"runs[{i}]")
+    return ok
+
+
+def check_run(path, run, where):
+    if not isinstance(run, dict):
+        return fail(path, f"{where} is not an object")
+    ok = True
+    if run.get("backend") not in ("mu", "p4ce", "one_sided"):
+        ok = fail(path, f"{where}.backend = {run.get('backend')!r}, want mu/p4ce/one_sided")
+    for key in ("machines", "domains"):
+        value = run.get(key)
+        if not isinstance(value, int) or value < 1:
+            ok = fail(path, f"{where}.{key} = {value!r}, want a positive integer")
+    metrics = run.get("metrics")
+    if not isinstance(metrics, dict):
+        ok = fail(path, f"{where} has no \"metrics\" object")
+    else:
+        for name, series in metrics.items():
+            fields = SERIES_FIELDS.get(series.get("type")) if isinstance(series, dict) else None
+            if fields is None:
+                ok = fail(path, f"{where}.metrics.{name} has no counter/gauge/histogram type")
+            elif not all(isinstance(series.get(f), (int, float)) for f in fields):
+                ok = fail(path, f"{where}.metrics.{name} lacks numeric {'/'.join(fields)}")
+    attribution = run.get("attribution")
     if attribution is not None:
+        at = f"{where}.attribution"
         if not isinstance(attribution.get("rounds"), int):
-            ok = fail(path, "attribution report has no round count")
-        ok &= check_histogram(path, attribution.get("total", {}), "attribution.total")
-        for stage, hist in attribution.get("stages", {}).items():
-            ok &= check_histogram(path, hist, f"attribution.stages.{stage}")
+            ok = fail(path, f"{at} has no round count")
+        ok &= check_histogram(path, attribution.get("total", {}), f"{at}.total")
+        if attribution.get("dominant_stage") not in STAGES + ("none",):
+            ok = fail(path, f"{at}.dominant_stage = {attribution.get('dominant_stage')!r}")
+        stages = attribution.get("stages", {})
+        if tuple(stages) != STAGES:
+            ok = fail(path, f"{at}.stages are {list(stages)}, want {list(STAGES)}")
+        for stage, hist in stages.items():
+            ok &= check_histogram(path, hist, f"{at}.stages.{stage}")
     return ok
 
 

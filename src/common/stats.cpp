@@ -5,7 +5,6 @@
 namespace p4ce {
 
 double LatencyHistogram::quantile_ns(double q) const noexcept {
-  SpinLockGuard g(mu_);
   const u64 total = stats_.count();
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -24,7 +23,6 @@ double LatencyHistogram::quantile_ns(double q) const noexcept {
 }
 
 void LatencyHistogram::reset() noexcept {
-  SpinLockGuard g(mu_);
   buckets_.fill(0);
   stats_.reset();
 }

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -14,34 +13,6 @@
 #include "common/types.hpp"
 
 namespace p4ce {
-
-/// Tiny test-and-set spinlock for the process-global instruments.
-/// Critical sections are a handful of arithmetic ops, so spinning
-/// beats a futex; uncontended cost is one exchange + one store.
-class SpinLock {
- public:
-  void lock() noexcept {
-    while (flag_.exchange(true, std::memory_order_acquire)) {
-      while (flag_.load(std::memory_order_relaxed)) {
-      }
-    }
-  }
-  void unlock() noexcept { flag_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
-class SpinLockGuard {
- public:
-  explicit SpinLockGuard(SpinLock& lock) noexcept : lock_(lock) { lock_.lock(); }
-  ~SpinLockGuard() { lock_.unlock(); }
-  SpinLockGuard(const SpinLockGuard&) = delete;
-  SpinLockGuard& operator=(const SpinLockGuard&) = delete;
-
- private:
-  SpinLock& lock_;
-};
 
 /// Welford streaming mean/variance plus min/max. O(1) memory.
 class StreamingStats {
@@ -74,22 +45,18 @@ class StreamingStats {
 
 /// Log-bucketed latency histogram (HdrHistogram-style, ~2.4% bucket
 /// resolution) for values in nanoseconds. Fixed memory, O(1) record.
-/// Shared instruments (the metrics registry, NodeMetrics.commit_latency)
-/// are process-global; the Welford update cannot be made lock-free
-/// cheaply, so a spinlock serializes both writers and the (cold) readers.
 class LatencyHistogram {
  public:
   void record(Duration ns) noexcept {
     if (ns < 0) ns = 0;
-    SpinLockGuard g(mu_);
     ++buckets_[bucket_index(static_cast<u64>(ns))];
     stats_.add(static_cast<double>(ns));
   }
 
-  u64 count() const noexcept { SpinLockGuard g(mu_); return stats_.count(); }
-  double mean_ns() const noexcept { SpinLockGuard g(mu_); return stats_.mean(); }
-  double min_ns() const noexcept { SpinLockGuard g(mu_); return stats_.min(); }
-  double max_ns() const noexcept { SpinLockGuard g(mu_); return stats_.max(); }
+  u64 count() const noexcept { return stats_.count(); }
+  double mean_ns() const noexcept { return stats_.mean(); }
+  double min_ns() const noexcept { return stats_.min(); }
+  double max_ns() const noexcept { return stats_.max(); }
 
   /// Approximate quantile (q in [0,1]) in nanoseconds.
   double quantile_ns(double q) const noexcept;
@@ -121,7 +88,6 @@ class LatencyHistogram {
     return (static_cast<u64>(kSub + sub)) << (exp - 1);
   }
 
-  mutable SpinLock mu_;
   std::array<u64, kBuckets> buckets_{};
   StreamingStats stats_;
 };

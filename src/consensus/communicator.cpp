@@ -4,26 +4,9 @@
 #include <cassert>
 
 #include "common/logging.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::consensus {
-
-namespace {
-struct CommMetrics {
-  obs::Counter& fallbacks;
-  obs::Counter& reaccelerations;
-
-  static CommMetrics& get() {
-    static CommMetrics m{
-        obs::MetricsRegistry::global().counter("consensus.fallbacks"),
-        obs::MetricsRegistry::global().counter("consensus.reaccelerations"),
-    };
-    return m;
-  }
-};
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // CommitSequencer
@@ -112,13 +95,13 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
       if (i >= targets_.size()) return;
       ReplicaTarget& target = targets_[i];
       if (target.excluded || target.qp == nullptr) return;
-      if (obs::Tracer::is_enabled()) {
+      if (sim_.obs().tracer.is_enabled()) {
         // One CPU-serialized post per replica: this per-target span is the
         // leader-capacity division the P4CE scatter removes (§V-C). The last
         // post wins the attribution mark (mark_post_done keeps the max).
-        obs::Tracer::global().span(seq, "leader.post", t_replicate, sim_.now(), "replica",
+        sim_.obs().tracer.span(seq, "leader.post", t_replicate, sim_.now(), "replica",
                                    target.id);
-        obs::Tracer::global().mark_post_done(seq, sim_.now());
+        sim_.obs().tracer.mark_post_done(seq, sim_.now());
       }
       const Status st =
           target.qp->post_write(seq, entry, target.log_vaddr + offset, target.log_rkey);
@@ -140,8 +123,8 @@ void MuCommunicator::on_completion(std::size_t target_index, const rdma::Complet
     }
     return;
   }
-  if (obs::Tracer::is_enabled()) {
-    obs::Tracer::global().on_ack(c.wr_id, sim_.now(), target.id);
+  if (sim_.obs().tracer.is_enabled()) {
+    sim_.obs().tracer.on_ack(c.wr_id, sim_.now(), target.id);
   }
   // Aggregating the replicas' ACKs on the leader CPU: the work the P4CE
   // switch absorbs in-network.
@@ -150,7 +133,7 @@ void MuCommunicator::on_completion(std::size_t target_index, const rdma::Complet
     if (it == pending_.end()) return;
     if (++it->second.acks >= f_needed_ && !it->second.resolved) {
       it->second.resolved = true;
-      if (obs::Tracer::is_enabled()) obs::Tracer::global().on_quorum(seq, sim_.now());
+      if (sim_.obs().tracer.is_enabled()) sim_.obs().tracer.on_quorum(seq, sim_.now());
       sequencer_.mark_ready(seq, Status::ok());
     }
     if (it->second.acks >= live_target_count()) pending_.erase(it);
@@ -209,6 +192,8 @@ P4ceCommunicator::P4ceCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
       switch_ip_(switch_ip),
       self_(self),
       hooks_(std::move(hooks)),
+      m_fallbacks_(sim.obs().metrics.counter("consensus.fallbacks")),
+      m_reaccelerations_(sim.obs().metrics.counter("consensus.reaccelerations")),
       fallback_(sim, cpu, cal, f_needed, targets),
       targets_snapshot_(std::move(targets)),
       reaccel_timer_(sim, cal.reacceleration_period, [this] { probe_reacceleration(); }) {
@@ -306,8 +291,8 @@ void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) 
   // One post, one future completion: the whole point of the design.
   cpu_.execute(cal_.cpu_post_wr, [this, offset, entry = std::move(entry), seq, t_replicate] {
     if (state_ != State::kAccelerated || switch_qp_ == nullptr) return;  // replayed by fallback
-    if (obs::Tracer::is_enabled()) {
-      auto& tracer = obs::Tracer::global();
+    if (sim_.obs().tracer.is_enabled()) {
+      auto& tracer = sim_.obs().tracer;
       // Register the PSN range this write will occupy so the switch-side
       // hooks can attribute its scatter/gather packets to this instance.
       const u32 npkts =
@@ -330,17 +315,17 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
     return;
   }
   const SimTime t_ack = sim_.now();
-  if (obs::Tracer::is_enabled()) {
-    obs::Tracer::global().instant(c.wr_id, "leader.ack_rx", t_ack);
-    obs::Tracer::global().mark_ack_rx(c.wr_id, t_ack);
+  if (sim_.obs().tracer.is_enabled()) {
+    sim_.obs().tracer.instant(c.wr_id, "leader.ack_rx", t_ack);
+    sim_.obs().tracer.mark_ack_rx(c.wr_id, t_ack);
   }
   cpu_.execute(cal_.cpu_completion, [this, seq = c.wr_id, t_ack] {
     auto it = accel_pending_.find(seq);
     if (it == accel_pending_.end()) return;
     accel_pending_.erase(it);
     ++accel_ops_;
-    if (obs::Tracer::is_enabled()) {
-      obs::Tracer::global().span(seq, "commit.cpu", t_ack, sim_.now());
+    if (sim_.obs().tracer.is_enabled()) {
+      sim_.obs().tracer.span(seq, "commit.cpu", t_ack, sim_.now());
     }
     sequencer_.mark_ready(seq, Status::ok());
   });
@@ -351,10 +336,8 @@ void P4ceCommunicator::enter_fallback() {
   state_ = State::kFallback;
   if (fallbacks_ == 0) accel_ops_at_first_fallback_ = accel_ops_;
   ++fallbacks_;
-  CommMetrics::get().fallbacks.inc();
-  if (obs::FlightRecorder::is_enabled()) {
-    obs::FlightRecorder::global().trigger("fallback", sim_.now(), "node", self_);
-  }
+  m_fallbacks_.inc();
+  sim_.obs().recorder.trigger("fallback", sim_.now(), "node", self_);
   // Silence the accelerated QP: everything outstanding is replayed over the
   // direct connections below, and its go-back-N must not keep fighting.
   if (switch_qp_ != nullptr) switch_qp_->reset();
@@ -380,7 +363,7 @@ void P4ceCommunicator::enter_fallback() {
 void P4ceCommunicator::probe_reacceleration() {
   if (state_ != State::kFallback) return;
   ++reaccelerations_;
-  CommMetrics::get().reaccelerations.inc();
+  m_reaccelerations_.inc();
   activate(term_, nullptr);
 }
 

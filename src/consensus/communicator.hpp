@@ -198,6 +198,8 @@ class P4ceCommunicator : public Communicator {
   Ipv4Addr switch_ip_;
   NodeId self_;
   Hooks hooks_;
+  obs::Counter& m_fallbacks_;
+  obs::Counter& m_reaccelerations_;
   u64 term_ = 0;
 
   State state_ = State::kInactive;

@@ -2,24 +2,9 @@
 
 #include <cstring>
 
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::consensus {
-
-namespace {
-struct HbMetrics {
-  obs::Counter& misses;
-  obs::Counter& recoveries;
-
-  static HbMetrics& get() {
-    static HbMetrics m{
-        obs::MetricsRegistry::global().counter("consensus.heartbeat.misses"),
-        obs::MetricsRegistry::global().counter("consensus.heartbeat.recoveries"),
-    };
-    return m;
-  }
-};
-}  // namespace
 
 HeartbeatMonitor::HeartbeatMonitor(sim::Simulator& sim, rdma::MemoryRegion& own_counter,
                                    u32 peer_count, const Calibration& cal, ReadPeerFn read_peer,
@@ -29,6 +14,8 @@ HeartbeatMonitor::HeartbeatMonitor(sim::Simulator& sim, rdma::MemoryRegion& own_
       cal_(cal),
       read_peer_(std::move(read_peer)),
       view_changed_(std::move(view_changed)),
+      m_misses_(sim.obs().metrics.counter("consensus.heartbeat.misses")),
+      m_recoveries_(sim.obs().metrics.counter("consensus.heartbeat.recoveries")),
       peers_(peer_count),
       update_timer_(sim, cal.heartbeat_update_period, [this] { bump_own(); }),
       check_timer_(sim, cal.heartbeat_check_period, [this] { check_peers(); }) {
@@ -62,7 +49,7 @@ void HeartbeatMonitor::check_peers() {
     if (peer.alive && now - peer.last_progress > cal_.liveness_timeout) {
       peer.alive = false;
       changed = true;
-      HbMetrics::get().misses.inc();
+      m_misses_.inc();
     }
   }
   if (changed && view_changed_) view_changed_();
@@ -75,7 +62,7 @@ void HeartbeatMonitor::on_read(u32 peer_index, u64 value) {
     peer.last_progress = sim_.now();
     if (!peer.alive && !frozen_) {
       peer.alive = true;
-      HbMetrics::get().recoveries.inc();
+      m_recoveries_.inc();
       if (view_changed_) view_changed_();
     }
   }

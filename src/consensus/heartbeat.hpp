@@ -62,6 +62,8 @@ class HeartbeatMonitor {
   Calibration cal_;
   ReadPeerFn read_peer_;
   ViewChangedFn view_changed_;
+  obs::Counter& m_misses_;
+  obs::Counter& m_recoveries_;
   std::vector<PeerState> peers_;
   sim::PeriodicTimer update_timer_;
   sim::PeriodicTimer check_timer_;

@@ -6,9 +6,7 @@
 
 #include "common/logging.hpp"
 #include "consensus/one_sided.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "p4ce/tables.hpp"
 
 namespace p4ce::consensus {
@@ -21,39 +19,33 @@ Duration memcpy_cost(u64 bytes, double gbps) noexcept {
   return static_cast<Duration>(static_cast<double>(bytes) / gbps);
 }
 
-// Process-wide consensus metrics (all nodes fold into the same series; the
-// single leader dominates them in steady state).
-struct NodeMetrics {
-  obs::Counter& proposals;
-  obs::Counter& commits;
-  obs::Counter& commit_failures;
-  LatencyHistogram& commit_latency;
-  obs::Counter& elections;
-  obs::Counter& view_changes;
-  obs::Counter& exclusions;
-  obs::Counter& repairs;
-  obs::Counter& reroutes;
-
-  static NodeMetrics& get() {
-    static NodeMetrics m{
-        obs::MetricsRegistry::global().counter("consensus.proposals"),
-        obs::MetricsRegistry::global().counter("consensus.commits"),
-        obs::MetricsRegistry::global().counter("consensus.commit_failures"),
-        obs::MetricsRegistry::global().histogram("consensus.commit_latency_ns"),
-        obs::MetricsRegistry::global().counter("consensus.elections"),
-        obs::MetricsRegistry::global().counter("consensus.view_changes"),
-        obs::MetricsRegistry::global().counter("consensus.replica_exclusions"),
-        obs::MetricsRegistry::global().counter("consensus.log_repairs"),
-        obs::MetricsRegistry::global().counter("consensus.reroutes"),
-    };
-    return m;
-  }
-};
 }  // namespace
+
+Node::Metrics::Metrics(obs::MetricsRegistry& registry, u32 domain)
+    : proposals(registry.counter("consensus.proposals")),
+      commits(registry.counter("consensus.commits")),
+      commit_failures(registry.counter("consensus.commit_failures")),
+      commit_latency(registry.histogram("consensus.commit_latency_ns")),
+      elections(registry.counter("consensus.elections")),
+      view_changes(registry.counter("consensus.view_changes")),
+      exclusions(registry.counter("consensus.replica_exclusions")),
+      repairs(registry.counter("consensus.log_repairs")),
+      reroutes(registry.counter("consensus.reroutes")),
+      commit_index(registry.gauge(obs::MetricsRegistry::label(
+          "consensus.commit_index", {{"domain", std::to_string(domain)}}))),
+      term(registry.gauge(
+          obs::MetricsRegistry::label("consensus.term", {{"domain", std::to_string(domain)}}))),
+      leader_active(registry.gauge(obs::MetricsRegistry::label(
+          "consensus.leader_active", {{"domain", std::to_string(domain)}}))) {}
 
 Node::Node(sim::Simulator& sim, rdma::Nic& nic, rdma::MemoryManager& memory,
            sim::CpuExecutor& cpu, NodeOptions options, std::vector<PeerInfo> peers)
-    : sim_(sim), nic_(nic), memory_(memory), cpu_(cpu), options_(options) {
+    : sim_(sim),
+      m_(sim.obs().metrics, options.domain),
+      nic_(nic),
+      memory_(memory),
+      cpu_(cpu),
+      options_(options) {
   using rdma::Access;
   hb_mr_ = &memory_.register_region(8, rdma::kAccessRemoteRead);
   mail_mr_ = &memory_.register_region(kMaxNodes * kMailboxSlotBytes,
@@ -103,17 +95,6 @@ Node::Node(sim::Simulator& sim, rdma::Nic& nic, rdma::MemoryManager& memory,
 
   // Replicas consume their log as the DMA writes land.
   log_mr_->set_write_hook([this](u64, u64) { on_log_bytes_written(); });
-
-  // Per-domain gauges: plain value stores (no sim events), so they are safe
-  // to keep unconditionally hot like the counters above.
-  auto& registry = obs::MetricsRegistry::global();
-  const std::string domain = std::to_string(options_.domain);
-  commit_index_gauge_ =
-      &registry.gauge(obs::MetricsRegistry::label("consensus.commit_index", {{"domain", domain}}));
-  term_gauge_ =
-      &registry.gauge(obs::MetricsRegistry::label("consensus.term", {{"domain", domain}}));
-  leader_active_gauge_ = &registry.gauge(
-      obs::MetricsRegistry::label("consensus.leader_active", {{"domain", domain}}));
 }
 
 Node::~Node() = default;
@@ -389,10 +370,8 @@ void Node::reevaluate_view() {
 
 void Node::on_peer_died(u32 peer_index) {
   const NodeId dead = peers_[peer_index].id;
-  NodeMetrics::get().exclusions.inc();
-  if (obs::FlightRecorder::is_enabled()) {
-    obs::FlightRecorder::global().trigger("replica_excluded", sim_.now(), "node", dead);
-  }
+  m_.exclusions.inc();
+  sim_.obs().recorder.trigger("replica_excluded", sim_.now(), "node", dead);
   if (leader_active_ && communicator_ != nullptr) {
     // "the leader simply excludes the replica" (Mu) / asks the switch CP to
     // reprogram the group (P4CE, +40 ms).
@@ -402,12 +381,12 @@ void Node::on_peer_died(u32 peer_index) {
 }
 
 void Node::start_campaign() {
-  NodeMetrics::get().elections.inc();
+  m_.elections.inc();
   campaigning_ = true;
   campaign_term_ = term_ + 1;
   // Term 1 is the boot election; anything later means a view was lost.
-  if (obs::FlightRecorder::is_enabled() && campaign_term_ > 1) {
-    obs::FlightRecorder::global().trigger("term_change", sim_.now(), "term", campaign_term_);
+  if (campaign_term_ > 1) {
+    sim_.obs().recorder.trigger("term_change", sim_.now(), "term", campaign_term_);
   }
   grants_.clear();
   granted_to_ = options_.id;  // a candidate trivially grants itself
@@ -450,10 +429,10 @@ void Node::on_control_message(const ControlMessage& msg) {
         return;
       }
       term_ = msg.term;
-      term_gauge_->set(static_cast<double>(term_));
+      m_.term.set(static_cast<double>(term_));
       if (leader_active_) {
         leader_active_ = false;
-        leader_active_gauge_->set(0);
+        m_.leader_active.set(0);
         if (communicator_) communicator_->abort_all();
       }
       // "Once a replica has chosen another machine as the current leader, it
@@ -673,16 +652,14 @@ void Node::recover_and_activate() {
 }
 
 void Node::finish_recovery(u64 max_seq, u64 tail_offset) {
-  NodeMetrics::get().view_changes.inc();
+  m_.view_changes.inc();
   writer_->set_cursor(std::max(tail_offset, reader_->cursor()));
   next_seq_ = std::max(next_seq_, max_seq + 1);
   next_seq_ = std::max(next_seq_, reader_->last_seq() + 1);
   leader_active_ = true;
-  term_gauge_->set(static_cast<double>(term_));
-  leader_active_gauge_->set(1);
-  if (obs::FlightRecorder::is_enabled() && term_ > 1) {
-    obs::FlightRecorder::global().trigger("leader_failover", sim_.now(), "term", term_);
-  }
+  m_.term.set(static_cast<double>(term_));
+  m_.leader_active.set(1);
+  if (term_ > 1) sim_.obs().recorder.trigger("leader_failover", sim_.now(), "term", term_);
   // The adopted log may extend past what some (or all) replicas hold — e.g.
   // this leader's own un-acknowledged suffix from before a crash. Refill
   // them now, or their readers would wait at the hole forever.
@@ -736,7 +713,7 @@ Status Node::propose(Bytes value, CommitFn done) {
   if (!leader_active_) {
     return error(StatusCode::kFailedPrecondition, "not the active leader");
   }
-  NodeMetrics::get().proposals.inc();
+  m_.proposals.inc();
   const SimTime t_propose = sim_.now();
   const Duration cost = options_.cal.cpu_decision +
                         memcpy_cost(value.size(), options_.cal.memcpy_gbps);
@@ -757,8 +734,8 @@ Status Node::propose(Bytes value, CommitFn done) {
       communicator_->write_raw(append.value().wrap->first, append.value().wrap->second);
     }
     const u64 op = obs::trace_key(options_.domain, next_op_++);
-    if (obs::Tracer::is_enabled()) {
-      auto& tracer = obs::Tracer::global();
+    if (sim_.obs().tracer.is_enabled()) {
+      auto& tracer = sim_.obs().tracer;
       tracer.begin_round(op, t_propose);
       tracer.span(op, "propose", t_propose, sim_.now(), "seq", seq);
       tracer.mark_propose_done(op, sim_.now());
@@ -767,14 +744,14 @@ Status Node::propose(Bytes value, CommitFn done) {
                              [this, seq, op, t_propose, done = std::move(done)](Status st) {
                                if (st.is_ok()) {
                                  ++commits_;
-                                 NodeMetrics::get().commits.inc();
-                                 commit_index_gauge_->set(static_cast<double>(seq));
+                                 m_.commits.inc();
+                                 m_.commit_index.set(static_cast<double>(seq));
                                } else {
-                                 NodeMetrics::get().commit_failures.inc();
+                                 m_.commit_failures.inc();
                                }
-                               NodeMetrics::get().commit_latency.record(sim_.now() - t_propose);
-                               if (obs::Tracer::is_enabled()) {
-                                 obs::Tracer::global().end_round(op, sim_.now(), st.is_ok());
+                               m_.commit_latency.record(sim_.now() - t_propose);
+                               if (sim_.obs().tracer.is_enabled()) {
+                                 sim_.obs().tracer.end_round(op, sim_.now(), st.is_ok());
                                }
                                if (done) done(std::move(st), seq);
                              });
@@ -787,7 +764,7 @@ Status Node::propose_batch(std::vector<Bytes> values, CommitFn done) {
     return error(StatusCode::kFailedPrecondition, "not the active leader");
   }
   if (values.empty()) return error(StatusCode::kInvalidArgument, "empty batch");
-  NodeMetrics::get().proposals.inc();
+  m_.proposals.inc();
   const SimTime t_propose = sim_.now();
   u64 total = 0;
   for (const auto& v : values) total += v.size();
@@ -813,8 +790,8 @@ Status Node::propose_batch(std::vector<Bytes> values, CommitFn done) {
     }
     const u64 op = obs::trace_key(options_.domain, next_op_++);
     const u64 last_seq = next_seq_ - 1;
-    if (obs::Tracer::is_enabled()) {
-      auto& tracer = obs::Tracer::global();
+    if (sim_.obs().tracer.is_enabled()) {
+      auto& tracer = sim_.obs().tracer;
       tracer.begin_round(op, t_propose);
       tracer.span(op, "propose", t_propose, sim_.now(), "batch", values.size());
       tracer.mark_propose_done(op, sim_.now());
@@ -824,14 +801,14 @@ Status Node::propose_batch(std::vector<Bytes> values, CommitFn done) {
                               done = std::move(done)](Status st) {
                                if (st.is_ok()) {
                                  commits_ += n;
-                                 NodeMetrics::get().commits.inc(n);
-                                 commit_index_gauge_->set(static_cast<double>(last_seq));
+                                 m_.commits.inc(n);
+                                 m_.commit_index.set(static_cast<double>(last_seq));
                                } else {
-                                 NodeMetrics::get().commit_failures.inc();
+                                 m_.commit_failures.inc();
                                }
-                               NodeMetrics::get().commit_latency.record(sim_.now() - t_propose);
-                               if (obs::Tracer::is_enabled()) {
-                                 obs::Tracer::global().end_round(op, sim_.now(), st.is_ok());
+                               m_.commit_latency.record(sim_.now() - t_propose);
+                               if (sim_.obs().tracer.is_enabled()) {
+                                 sim_.obs().tracer.end_round(op, sim_.now(), st.is_ok());
                                }
                                if (done) done(std::move(st), last_seq);
                              });
@@ -846,7 +823,7 @@ void Node::repair_replicas() {
   // each lagging replica's log from our own over the direct connection
   // (the "more in depth diagnosis" of §III-A).
   if (!leader_active_ || crashed_ || rerouting_) return;
-  NodeMetrics::get().repairs.inc();
+  m_.repairs.inc();
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     Peer& peer = peers_[i];
     if (!peer.connected || peer.data_qp == nullptr || !grants_.contains(peer.id) ||
@@ -903,7 +880,7 @@ void Node::update_progress() {
 
 void Node::crash() {
   crashed_ = true;
-  if (leader_active_) leader_active_gauge_->set(0);
+  if (leader_active_) m_.leader_active.set(0);
   leader_active_ = false;
   campaigning_ = false;
   campaign_retry_.cancel();
@@ -940,10 +917,8 @@ void Node::on_qp_error(NodeId peer_id) {
 
 void Node::begin_reroute() {
   if (rerouting_ || crashed_) return;
-  NodeMetrics::get().reroutes.inc();
-  if (obs::FlightRecorder::is_enabled()) {
-    obs::FlightRecorder::global().trigger("reroute", sim_.now(), "node", options_.id);
-  }
+  m_.reroutes.inc();
+  sim_.obs().recorder.trigger("reroute", sim_.now(), "node", options_.id);
   rerouting_ = true;
   switch_dead_hint_ = true;
   // Silence on the dead path said nothing about the peers: treat everyone
@@ -951,7 +926,7 @@ void Node::begin_reroute() {
   heartbeat_->reset_all_alive();
   heartbeat_->set_frozen(true);
   heartbeat_->stop();
-  if (leader_active_) leader_active_gauge_->set(0);
+  if (leader_active_) m_.leader_active.set(0);
   leader_active_ = false;
   if (communicator_) {
     communicator_->abort_all();

@@ -184,7 +184,27 @@ class Node {
   std::vector<ReplicaTarget> build_targets();
   std::unique_ptr<Communicator> make_communicator();
 
+  /// This run's consensus series: counters summed over its nodes, gauges
+  /// per replication domain (the sampler turns those into time series,
+  /// e.g. the commit index over a failover).
+  struct Metrics {
+    Metrics(obs::MetricsRegistry& registry, u32 domain);
+    obs::Counter& proposals;
+    obs::Counter& commits;
+    obs::Counter& commit_failures;
+    LatencyHistogram& commit_latency;
+    obs::Counter& elections;
+    obs::Counter& view_changes;
+    obs::Counter& exclusions;
+    obs::Counter& repairs;
+    obs::Counter& reroutes;
+    obs::Gauge& commit_index;
+    obs::Gauge& term;
+    obs::Gauge& leader_active;
+  };
+
   sim::Simulator& sim_;
+  Metrics m_;
   rdma::Nic& nic_;
   rdma::MemoryManager& memory_;
   sim::CpuExecutor& cpu_;
@@ -235,12 +255,6 @@ class Node {
   bool switch_dead_hint_ = false;  ///< set after re-routing around the switch
   std::set<NodeId> recent_qp_errors_;
   sim::EventHandle qp_error_window_;
-
-  // Per-domain telemetry series (registered in the constructor; the sampler
-  // turns these into time series, e.g. the commit index over a failover).
-  obs::Gauge* commit_index_gauge_ = nullptr;
-  obs::Gauge* term_gauge_ = nullptr;
-  obs::Gauge* leader_active_gauge_ = nullptr;
 
   DeliverFn user_deliver_;
   std::function<void(u64)> on_leader_active_;

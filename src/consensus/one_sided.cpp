@@ -2,27 +2,11 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::consensus {
 
 namespace {
-struct OneSidedMetrics {
-  obs::Counter& fast_commits;
-  obs::Counter& slow_commits;
-  obs::Counter& slot_conflicts;
-
-  static OneSidedMetrics& get() {
-    static OneSidedMetrics m{
-        obs::MetricsRegistry::global().counter("consensus.one_sided.fast_commits"),
-        obs::MetricsRegistry::global().counter("consensus.one_sided.slow_commits"),
-        obs::MetricsRegistry::global().counter("consensus.one_sided.slot_conflicts"),
-    };
-    return m;
-  }
-};
-
 constexpr u32 kMaxSlowRetries = 8;
 }  // namespace
 
@@ -36,7 +20,10 @@ OneSidedCommunicator::OneSidedCommunicator(sim::Simulator& sim, sim::CpuExecutor
       fast_needed_remote_(one_sided_fast_quorum(cluster_size) - 1),
       classic_needed_remote_(one_sided_classic_quorum(cluster_size) - 1),
       self_(self),
-      targets_(std::move(targets)) {
+      targets_(std::move(targets)),
+      m_fast_commits_(sim.obs().metrics.counter("consensus.one_sided.fast_commits")),
+      m_slow_commits_(sim.obs().metrics.counter("consensus.one_sided.slow_commits")),
+      m_slot_conflicts_(sim.obs().metrics.counter("consensus.one_sided.slot_conflicts")) {
   wire_completions();
 }
 
@@ -285,10 +272,10 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn do
         return;
       }
       ReplicaTarget& target = targets_[i];
-      if (obs::Tracer::is_enabled()) {
-        obs::Tracer::global().span(seq, "leader.post", t_replicate, sim_.now(), "replica",
+      if (sim_.obs().tracer.is_enabled()) {
+        sim_.obs().tracer.span(seq, "leader.post", t_replicate, sim_.now(), "replica",
                                    target.id);
-        obs::Tracer::global().mark_post_done(seq, sim_.now());
+        sim_.obs().tracer.mark_post_done(seq, sim_.now());
       }
       // Unsignaled entry write, then the signaled slot atomic on the same
       // QP: RC ordering makes the atomic's response prove the write landed,
@@ -383,8 +370,8 @@ void OneSidedCommunicator::on_completion(std::size_t target_index, const rdma::C
   wr_ctx_.erase(ctx_it);
 
   const SimTime t_ack = sim_.now();
-  if (ctx.seq != 0 && obs::Tracer::is_enabled()) {
-    obs::Tracer::global().on_ack(ctx.seq, t_ack, target.id);
+  if (ctx.seq != 0 && sim_.obs().tracer.is_enabled()) {
+    sim_.obs().tracer.on_ack(ctx.seq, t_ack, target.id);
   }
   // Tracking the atomic's outcome is leader-CPU work, like Mu's per-ACK
   // aggregation (the work the P4CE switch absorbs in-network).
@@ -430,7 +417,7 @@ void OneSidedCommunicator::handle_fast(OpState& op, u64 seq, std::size_t target_
     // The slot already held a word (stale stamp from a dead regime, or a
     // competing ballot): this replica's fast vote is lost.
     ++op.fast_rejects;
-    OneSidedMetrics::get().slot_conflicts.inc();
+    m_slot_conflicts_.inc();
   }
 }
 
@@ -506,13 +493,13 @@ void OneSidedCommunicator::commit(OpState& op, u64 seq, bool fast) {
   op.resolved = true;
   if (fast) {
     ++fast_commits_;
-    OneSidedMetrics::get().fast_commits.inc();
+    m_fast_commits_.inc();
   } else {
     ++slow_commits_;
-    OneSidedMetrics::get().slow_commits.inc();
+    m_slow_commits_.inc();
   }
-  if (obs::Tracer::is_enabled()) {
-    auto& tracer = obs::Tracer::global();
+  if (sim_.obs().tracer.is_enabled()) {
+    auto& tracer = sim_.obs().tracer;
     tracer.on_quorum(seq, last_ack_);
     tracer.mark_ack_rx(seq, last_ack_);
     tracer.span(seq, "commit.cpu", last_ack_, sim_.now());

@@ -165,6 +165,9 @@ class OneSidedCommunicator : public Communicator {
   u32 classic_needed_remote_;  ///< remote classic-majority answers needed
   NodeId self_;
   std::vector<ReplicaTarget> targets_;
+  obs::Counter& m_fast_commits_;
+  obs::Counter& m_slow_commits_;
+  obs::Counter& m_slot_conflicts_;
 
   u64 ballot_ = 0;
   u64 frontier_base_ = 0;  ///< first slot index of the current reservation

@@ -99,12 +99,6 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
                                                   node_options, std::move(peers));
   }
 
-  // Telemetry: only when the sampler is armed does the cluster schedule its
-  // periodic snapshot events — a disabled run stays byte-identical.
-  if (obs::Sampler::is_enabled()) {
-    cluster->sampler_driver_ = std::make_unique<obs::SamplerDriver>(sim);
-  }
-
   return cluster;
 }
 

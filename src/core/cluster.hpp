@@ -72,6 +72,8 @@ class Cluster {
   sw::SwitchDevice& backup_switch() noexcept { return *backup_; }
   p4::P4ceDataplane& dataplane() noexcept { return *dataplane_; }
   p4::ControlPlane& control_plane() noexcept { return *control_plane_; }
+  /// Posts this cluster's telemetry ticks once started (see obs/sampler.hpp).
+  obs::SamplerDriver& sampler_driver() noexcept { return sampler_driver_; }
 
   /// Start every node and run the simulation until a leader is active (or
   /// `max_wait` of simulated time passes). Returns success.
@@ -111,7 +113,7 @@ class Cluster {
   std::vector<std::unique_ptr<net::Link>> backup_links_;
   // Declared after sim_ so its destructor (which cancels the pending tick)
   // runs before the simulator is torn down.
-  std::unique_ptr<obs::SamplerDriver> sampler_driver_;
+  obs::SamplerDriver sampler_driver_{sim_};
 };
 
 /// Overlay the P4CE_BACKEND environment variable ("mu" | "p4ce" |

@@ -96,11 +96,13 @@ SimTime Link::send(int from, Packet packet) {
   ++packets_[from];
 
   PacketSink* dst = ends_[1 - from];
-  sim_.schedule_at(done + propagation_,
-                   [this, dst, epoch = epoch_, p = std::move(packet)]() mutable {
-                     if (epoch_ != epoch || cut_) return;  // severed
-                     dst->deliver(std::move(p));
-                   });
+  auto hop = [this, dst, epoch = epoch_, p = std::move(packet)]() mutable {
+    if (epoch_ != epoch || cut_) return;  // severed
+    dst->deliver(std::move(p));
+  };
+  static_assert(sim::detail::SmallFn::fits_inline<decltype(hop)>(),
+                "a link hop must not heap-allocate its event");
+  sim_.schedule_at(done + propagation_, std::move(hop));
   return done;
 }
 

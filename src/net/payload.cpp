@@ -3,28 +3,15 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.hpp"
-
 namespace p4ce::net {
 
 namespace {
-
-// Cached once: instruments are never removed from the registry, so the
-// per-packet accounting is a plain integer add.
-struct PayloadCounters {
-  obs::Counter& copied;
-  obs::Counter& shared;
-
-  static PayloadCounters& get() {
-    static PayloadCounters c{
-        obs::MetricsRegistry::global().counter("net.payload_bytes_copied"),
-        obs::MetricsRegistry::global().counter("net.payload_bytes_shared"),
-    };
-    return c;
-  }
-};
-
+thread_local u64 t_copied_bytes = 0;
+thread_local u64 t_shared_bytes = 0;
 }  // namespace
+
+u64 PayloadRef::copied_bytes() noexcept { return t_copied_bytes; }
+u64 PayloadRef::shared_bytes() noexcept { return t_shared_bytes; }
 
 PayloadRef::PayloadRef(Bytes&& bytes) {
   if (bytes.empty()) return;
@@ -34,7 +21,7 @@ PayloadRef::PayloadRef(Bytes&& bytes) {
 
 PayloadRef::PayloadRef(const PayloadRef& other)
     : buf_(other.buf_), off_(other.off_), len_(other.len_) {
-  if (len_ != 0) PayloadCounters::get().shared.inc(len_);
+  if (len_ != 0) t_shared_bytes += len_;
 }
 
 PayloadRef& PayloadRef::operator=(const PayloadRef& other) {
@@ -42,7 +29,7 @@ PayloadRef& PayloadRef::operator=(const PayloadRef& other) {
     buf_ = other.buf_;
     off_ = other.off_;
     len_ = other.len_;
-    if (len_ != 0) PayloadCounters::get().shared.inc(len_);
+    if (len_ != 0) t_shared_bytes += len_;
   }
   return *this;
 }
@@ -54,19 +41,19 @@ PayloadRef& PayloadRef::operator=(Bytes&& bytes) {
 
 PayloadRef PayloadRef::copy_of(BytesView bytes) {
   if (bytes.empty()) return {};
-  PayloadCounters::get().copied.inc(bytes.size());
+  t_copied_bytes += bytes.size();
   return PayloadRef(Bytes(bytes.begin(), bytes.end()));
 }
 
 PayloadRef PayloadRef::slice(std::size_t offset, std::size_t length) const {
   if (offset >= len_ || length == 0) return {};
   const std::size_t n = std::min(length, len_ - offset);
-  PayloadCounters::get().shared.inc(n);
+  t_shared_bytes += n;
   return PayloadRef(buf_, off_ + offset, n);
 }
 
 Bytes PayloadRef::to_bytes() const {
-  if (len_ != 0) PayloadCounters::get().copied.inc(len_);
+  if (len_ != 0) t_copied_bytes += len_;
   const BytesView v = view();
   return Bytes(v.begin(), v.end());
 }
@@ -75,7 +62,7 @@ std::size_t PayloadRef::copy_to(std::span<u8> dst) const {
   const std::size_t n = std::min(dst.size(), len_);
   if (n == 0) return 0;
   std::memcpy(dst.data(), data(), n);
-  PayloadCounters::get().copied.inc(n);
+  t_copied_bytes += n;
   return n;
 }
 

@@ -12,10 +12,12 @@
 // immutable for the buffer's lifetime, so slices and carbon copies are safe
 // to hold across arbitrary simulated time.
 //
-// Observability: every byte shared without copying bumps the
-// `net.payload_bytes_shared` counter; every byte materialized through
-// copy_of/to_bytes/copy_to bumps `net.payload_bytes_copied`. The ratio is
-// the zero-copy win, tracked by bench/micro_packet.
+// Observability: every byte shared without copying bumps shared_bytes();
+// every byte materialized through copy_of/to_bytes/copy_to bumps
+// copied_bytes(). The ratio is the zero-copy win, tracked by
+// bench/micro_packet. A PayloadRef is a value with no owning run, so these
+// are plain per-thread totals (read them as before/after deltas), not
+// series in a run's metrics registry.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +63,10 @@ class PayloadRef {
   /// Copy up to dst.size() viewed bytes into `dst`; returns the count
   /// (counted as copied). This is the receive-side DMA primitive.
   std::size_t copy_to(std::span<u8> dst) const;
+
+  /// Payload bytes materialized / shared so far on this thread.
+  static u64 copied_bytes() noexcept;
+  static u64 shared_bytes() noexcept;
 
   /// How many PayloadRefs share this buffer (tests / introspection).
   long use_count() const noexcept { return buf_.use_count(); }

@@ -7,24 +7,8 @@
 
 namespace p4ce::obs {
 
-LatencyAttribution& LatencyAttribution::global() {
-  static LatencyAttribution attribution;
-  return attribution;
-}
-
-void LatencyAttribution::reset() {
-  SpinLockGuard g(mu_);
-  rounds_ = 0;
-  committed_ = 0;
-  total_.reset();
-  for (auto& h : stages_) h.reset();
-  dominant_.fill(0);
-}
-
 void LatencyAttribution::record_round(const RoundTiming& t) {
-  if (!g_enabled_) return;
-  // The sink is process-global: every domain of every cluster feeds it.
-  SpinLockGuard g(mu_);
+  if (!enabled_ || t.start < record_from_) return;
   ++rounds_;
   if (t.committed) ++committed_;
   total_.record(std::max<Duration>(t.end - t.start, 0));

@@ -8,8 +8,9 @@
 // BENCH_*.json so fig6/tab4 runs ship an explainable latency decomposition
 // (p50/p99/p999 per stage) next to the end-to-end numbers.
 //
-// Cost model mirrors the tracer: every feed is behind a single non-atomic
-// bool (`LatencyAttribution::is_enabled()`); disabled, nothing is touched.
+// One sink per simulation run (in its obs::Context), so a report describes
+// exactly one configuration. Every feed is behind the plain
+// `is_enabled()` flag; disabled, nothing is touched.
 // Stages missing from a round (e.g. Mu rounds never traverse the switch
 // program, fallback rounds lose their ACK timeline) fold their time into the
 // next stage that does have a timestamp, so the stage durations of any round
@@ -59,20 +60,16 @@ class LatencyAttribution {
     kStageCount,
   };
 
-  /// The process-wide sink the tracer feeds.
-  static LatencyAttribution& global();
-
   LatencyAttribution() = default;
   LatencyAttribution(const LatencyAttribution&) = delete;
   LatencyAttribution& operator=(const LatencyAttribution&) = delete;
 
-  /// The hot-path guard: one non-atomic bool load when disabled.
-  static bool is_enabled() noexcept { return g_enabled_; }
-
-  void enable() noexcept { g_enabled_ = true; }
-  void disable() noexcept { g_enabled_ = false; }
-  /// Drop all recorded rounds (keeps the enabled state).
-  void reset();
+  bool is_enabled() const noexcept { return enabled_; }
+  void enable() noexcept { enabled_ = true; }
+  void disable() noexcept { enabled_ = false; }
+  /// Ignore rounds that started before `t`. A workload generator passes the
+  /// end of its warmup, so the report covers the rounds it measures.
+  void record_from(SimTime t) noexcept { record_from_ = t; }
 
   /// Fold one finished round into the per-stage histograms.
   void record_round(const RoundTiming& timing);
@@ -94,8 +91,8 @@ class LatencyAttribution {
   void append_json(std::string& out) const;
 
  private:
-  static inline bool g_enabled_ = false;
-  mutable SpinLock mu_;  ///< process-global sink, shared by every cluster
+  bool enabled_ = false;
+  SimTime record_from_ = 0;
   u64 rounds_ = 0;
   u64 committed_ = 0;
   LatencyHistogram total_;

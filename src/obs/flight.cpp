@@ -3,37 +3,21 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace p4ce::obs {
-
-FlightRecorder& FlightRecorder::global() {
-  static FlightRecorder recorder;
-  return recorder;
-}
 
 void FlightRecorder::enable(std::size_t max_captures, std::size_t frame_window,
                             Duration min_gap) {
   max_captures_ = std::max<std::size_t>(max_captures, 1);
   frame_window_ = std::max<std::size_t>(frame_window, 1);
   min_gap_ = min_gap;
-  g_enabled_ = true;
-}
-
-void FlightRecorder::reset() {
-  SpinLockGuard g(mu_);
-  dropped_ = 0;
-  last_by_kind_.clear();
-  captures_.clear();
+  enabled_ = true;
 }
 
 bool FlightRecorder::trigger(const char* kind, SimTime at, const char* detail_name, u64 detail) {
-  if (!g_enabled_) return false;
-  SpinLockGuard g(mu_);
+  if (!enabled_) return false;
   const auto last = last_by_kind_.find(kind);
-  // `at < last` means a fresh cluster restarted the simulated clock; treat
-  // that as a new timeline rather than suppressing its first fault.
-  if (last != last_by_kind_.end() && at >= last->second && at - last->second < min_gap_) {
+  if (last != last_by_kind_.end() && at - last->second < min_gap_) {
     ++dropped_;
     return false;
   }
@@ -48,11 +32,9 @@ bool FlightRecorder::trigger(const char* kind, SimTime at, const char* detail_na
   capture.at = at;
   if (detail_name != nullptr) capture.detail_name = detail_name;
   capture.detail = detail;
-  capture.series = Sampler::global().series_snapshot();
-  capture.frames = Sampler::global().last_frames(frame_window_);
-  for (const auto& round : Tracer::global().active_rounds()) {
-    capture.rounds.push_back(RoundInFlight{round.key, round.start});
-  }
+  capture.series = sampler_.series_names();
+  capture.frames = sampler_.last_frames(frame_window_);
+  capture.rounds = tracer_.active_rounds();
   captures_.push_back(std::move(capture));
   return true;
 }
@@ -69,38 +51,49 @@ void append_num(std::string& out, double v) {
   out += buf;
 }
 
+void append_capture(std::string& out, const FlightRecorder::Capture& capture, u32 epoch) {
+  out += "{\n  \"kind\": ";
+  append_json_escaped(out, capture.kind);
+  out += ",\n  \"at_ns\": ";
+  append_num(out, static_cast<double>(capture.at));
+  if (!capture.detail_name.empty()) {
+    out += ",\n  ";
+    append_json_escaped(out, capture.detail_name);
+    out += ": ";
+    append_num(out, static_cast<double>(capture.detail));
+  }
+  out += ",\n  \"rounds_in_flight\": [";
+  for (std::size_t r = 0; r < capture.rounds.size(); ++r) {
+    if (r != 0) out += ", ";
+    out += "{\"domain\": ";
+    append_num(out, trace_domain(capture.rounds[r].key));
+    out += ", \"instance\": ";
+    append_num(out, static_cast<double>(trace_op(capture.rounds[r].key)));
+    out += ", \"start_ns\": ";
+    append_num(out, static_cast<double>(capture.rounds[r].start));
+    out += "}";
+  }
+  out += "],\n  ";
+  Sampler::append_frames_json(out, capture.series, capture.frames, epoch);
+  out += "\n}";
+}
+
 }  // namespace
 
-void FlightRecorder::append_json(std::string& out) const {
+void FlightRecorder::append_json(std::string& out,
+                                 const std::vector<const FlightRecorder*>& runs) {
+  u64 dropped = 0;
+  for (const FlightRecorder* run : runs) dropped += run->dropped_;
   out += "{\n\"schema\": \"p4ce-flight-v1\",\n\"dropped\": ";
-  append_num(out, static_cast<double>(dropped_));
+  append_num(out, static_cast<double>(dropped));
   out += ",\n\"captures\": [";
-  for (std::size_t c = 0; c < captures_.size(); ++c) {
-    const Capture& capture = captures_[c];
-    out += c == 0 ? "\n{\n  \"kind\": " : ",\n{\n  \"kind\": ";
-    append_json_escaped(out, capture.kind);
-    out += ",\n  \"at_ns\": ";
-    append_num(out, static_cast<double>(capture.at));
-    if (!capture.detail_name.empty()) {
-      out += ",\n  ";
-      append_json_escaped(out, capture.detail_name);
-      out += ": ";
-      append_num(out, static_cast<double>(capture.detail));
+  bool first = true;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (const Capture& capture : runs[r]->captures_) {
+      out += first ? "\n" : ",\n";
+      first = false;
+      append_capture(out, capture, static_cast<u32>(r));
     }
-    out += ",\n  \"rounds_in_flight\": [";
-    for (std::size_t r = 0; r < capture.rounds.size(); ++r) {
-      if (r != 0) out += ", ";
-      out += "{\"domain\": ";
-      append_num(out, trace_domain(capture.rounds[r].key));
-      out += ", \"instance\": ";
-      append_num(out, static_cast<double>(trace_op(capture.rounds[r].key)));
-      out += ", \"start_ns\": ";
-      append_num(out, static_cast<double>(capture.rounds[r].start));
-      out += "}";
-    }
-    out += "],\n  ";
-    Sampler::append_frames_json(out, capture.series, capture.frames);
-    out += "\n}";
   }
   out += "\n]\n}\n";
 }

@@ -9,8 +9,10 @@
 //
 // Triggers are rate-limited per kind (a retransmit storm should yield one
 // capture, not thousands) and the capture count is bounded; everything past
-// the limits is counted in dropped(). As with the tracer and sampler, the
-// single `is_enabled()` bool keeps disabled runs byte-identical.
+// the limits is counted in dropped(). One recorder per simulation run (in its
+// obs::Context), so the limits and the rate limiter see one simulated
+// clock. As with the tracer and sampler, the `is_enabled()` flag keeps
+// disabled runs byte-identical.
 #pragma once
 
 #include <cstddef>
@@ -18,19 +20,15 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "obs/sampler.hpp"
+#include "obs/trace.hpp"
 
 namespace p4ce::obs {
 
 class FlightRecorder {
  public:
-  struct RoundInFlight {
-    u64 key = 0;
-    SimTime start = 0;
-  };
   struct Capture {
     std::string kind;         ///< e.g. "leader_failover", "switch_failure"
     SimTime at = 0;
@@ -38,18 +36,18 @@ class FlightRecorder {
     u64 detail = 0;
     std::vector<std::string> series;    ///< sampler columns at capture time
     std::vector<Sampler::Frame> frames; ///< trailing telemetry window
-    std::vector<RoundInFlight> rounds;  ///< tracer rounds still in flight
+    std::vector<Tracer::InFlight> rounds;  ///< tracer rounds still in flight
   };
 
-  /// The process-wide recorder fault sites report to.
-  static FlightRecorder& global();
-
-  FlightRecorder() = default;
+  /// Captures freeze `sampler`'s trailing frames and `tracer`'s in-flight
+  /// rounds.
+  FlightRecorder(const Sampler& sampler, const Tracer& tracer) noexcept
+      : sampler_(sampler), tracer_(tracer) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// The hot-path guard every trigger site checks first.
-  static bool is_enabled() noexcept { return g_enabled_; }
+  bool is_enabled() const noexcept { return enabled_; }
 
   /// Arm the recorder: keep at most `max_captures`, each holding the last
   /// `frame_window` sampler frames, and ignore repeat triggers of one kind
@@ -58,9 +56,7 @@ class FlightRecorder {
   /// P4CE leader failover (~41 ms), so the capture includes pre-fault state.
   void enable(std::size_t max_captures = 16, std::size_t frame_window = 1024,
               Duration min_gap = 200'000);
-  void disable() noexcept { g_enabled_ = false; }
-  /// Drop captures and rate-limiter state (keeps configuration).
-  void reset();
+  void disable() noexcept { enabled_ = false; }
 
   /// Record an anomaly. `kind` must be a string literal (stored by value,
   /// but compared per trigger); returns true if a capture was taken.
@@ -73,16 +69,17 @@ class FlightRecorder {
   /// {"schema": "p4ce-flight-v1", "dropped": .., "captures": [
   ///   {"kind": .., "at_ns": .., "detail": {..}, "rounds": [..],
   ///    "series": [..], "frames": [[t_ns, epoch, ...], ...]}, ...]}
-  void append_json(std::string& out) const;
+  ///  with epoch 0.
+  void append_json(std::string& out) const { append_json(out, {this}); }
   bool write_json(const std::string& path) const;
+  /// The same document for several runs: their captures in run order, run
+  /// i's frames with epoch i, and "dropped" summed over the runs.
+  static void append_json(std::string& out, const std::vector<const FlightRecorder*>& runs);
 
  private:
-  static inline bool g_enabled_ = false;
-  // The recorder is process-global and trigger sites live in every layer
-  // (nodes, switches, links); the spinlock serializes the rate limiter and
-  // capture buffer. Lock order is recorder -> sampler/tracer (trigger
-  // snapshots both); nothing locks the other way.
-  mutable SpinLock mu_;
+  const Sampler& sampler_;
+  const Tracer& tracer_;
+  bool enabled_ = false;
   std::size_t max_captures_ = 16;
   std::size_t frame_window_ = 256;
   Duration min_gap_ = 200'000;

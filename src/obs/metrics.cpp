@@ -5,27 +5,19 @@
 
 namespace p4ce::obs {
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
 LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<LatencyHistogram>();
   return *slot;
@@ -60,7 +52,6 @@ const MetricsRegistry::Series* MetricsRegistry::Snapshot::find(
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.series.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
@@ -93,18 +84,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   std::sort(snap.series.begin(), snap.series.end(),
             [](const Series& a, const Series& b) { return a.name < b.name; });
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 void append_json_escaped(std::string& out, std::string_view s) {
@@ -179,22 +158,6 @@ void append_snapshot_json(std::string& out, const MetricsRegistry::Snapshot& sna
     out += '}';
   }
   out += "\n  }";
-}
-
-std::string MetricsRegistry::to_json() const {
-  std::string out;
-  append_snapshot_json(out, snapshot());
-  return out;
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  std::string out = "{\n  \"metrics\": ";
-  append_snapshot_json(out, snapshot());
-  out += "\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace p4ce::obs

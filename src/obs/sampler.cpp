@@ -1,30 +1,19 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 
 namespace p4ce::obs {
-
-Sampler& Sampler::global() {
-  static Sampler sampler;
-  return sampler;
-}
 
 void Sampler::enable(Duration period, std::size_t capacity) {
   period_ = std::max<Duration>(period, 1);
   capacity_ = std::max<std::size_t>(capacity, 1);
   ring_.clear();
-  g_enabled_ = true;
-}
-
-void Sampler::reset() {
-  SpinLockGuard g(mu_);
-  ring_.clear();
-  names_.clear();
-  index_.clear();
-  epoch_ = 0;
+  enabled_ = true;
 }
 
 std::size_t Sampler::column_for(const std::string& name) {
@@ -37,12 +26,10 @@ std::size_t Sampler::column_for(const std::string& name) {
 }
 
 void Sampler::tick(SimTime now) {
-  if (!g_enabled_) return;
-  const MetricsRegistry::Snapshot snapshot = MetricsRegistry::global().snapshot();
-  SpinLockGuard g(mu_);
+  if (!enabled_) return;
+  const MetricsRegistry::Snapshot snapshot = registry_.snapshot();
   Frame frame;
   frame.at = now;
-  frame.epoch = epoch_;
   // Columns are append-only across the run, so a frame is a prefix-aligned
   // row: any series that existed when it was taken lands at its column, and
   // columns born later are simply absent (padded with null on export).
@@ -65,18 +52,7 @@ void Sampler::tick(SimTime now) {
   ring_.push_back(std::move(frame));
 }
 
-std::vector<std::string> Sampler::series_snapshot() const {
-  SpinLockGuard g(mu_);
-  return names_;
-}
-
-std::vector<Sampler::Frame> Sampler::frames() const {
-  SpinLockGuard g(mu_);
-  return std::vector<Frame>(ring_.begin(), ring_.end());
-}
-
 std::vector<Sampler::Frame> Sampler::last_frames(std::size_t n) const {
-  SpinLockGuard g(mu_);
   const std::size_t take = std::min(n, ring_.size());
   return std::vector<Frame>(ring_.end() - static_cast<std::ptrdiff_t>(take), ring_.end());
 }
@@ -84,6 +60,10 @@ std::vector<Sampler::Frame> Sampler::last_frames(std::size_t n) const {
 namespace {
 
 void append_num(std::string& out, double v) {
+  if (std::isnan(v)) {  // a column this frame has no value for
+    out += "null";
+    return;
+  }
   char buf[64];
   if (v == static_cast<double>(static_cast<long long>(v)) && v < 1e15 && v > -1e15) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
@@ -93,66 +73,84 @@ void append_num(std::string& out, double v) {
   out += buf;
 }
 
-}  // namespace
-
-void Sampler::append_frames_json(std::string& out, const std::vector<std::string>& names,
-                                 const std::vector<Frame>& frames) {
+/// `"series": [..], "frames": [` — the rows follow.
+void append_columns(std::string& out, const std::vector<std::string>& names) {
   out += "\"series\": [";
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i != 0) out += ", ";
     append_json_escaped(out, names[i]);
   }
   out += "],\n  \"frames\": [";
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    out += f == 0 ? "\n    [" : ",\n    [";
-    append_num(out, static_cast<double>(frames[f].at));
+}
+
+/// One frame row, [t_ns, epoch, v0, v1, ...], padded with null to `columns`.
+void append_row(std::string& out, bool first, SimTime at, u32 epoch,
+                const std::vector<double>& values, std::size_t columns) {
+  out += first ? "\n    [" : ",\n    [";
+  append_num(out, static_cast<double>(at));
+  out += ", ";
+  append_num(out, epoch);
+  for (std::size_t c = 0; c < columns; ++c) {
     out += ", ";
-    append_num(out, frames[f].epoch);
-    for (std::size_t c = 0; c < names.size(); ++c) {
-      out += ", ";
-      if (c < frames[f].values.size()) {
-        append_num(out, frames[f].values[c]);
-      } else {
-        out += "null";
-      }
+    if (c < values.size()) {
+      append_num(out, values[c]);
+    } else {
+      out += "null";
     }
-    out += "]";
+  }
+  out += "]";
+}
+
+}  // namespace
+
+void Sampler::append_frames_json(std::string& out, const std::vector<std::string>& names,
+                                 const std::vector<Frame>& frames, u32 epoch) {
+  append_columns(out, names);
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    append_row(out, f == 0, frames[f].at, epoch, frames[f].values, names.size());
   }
   out += "\n  ]";
 }
 
-void Sampler::append_json(std::string& out) const {
+void Sampler::append_json(std::string& out, const std::vector<const Sampler*>& runs) {
+  std::vector<std::string> names;
+  std::map<std::string, std::size_t> column;
+  for (const Sampler* run : runs) {
+    for (const auto& name : run->names_) {
+      if (column.emplace(name, names.size()).second) names.push_back(name);
+    }
+  }
   out += "{\n  \"schema\": \"p4ce-series-v1\",\n  \"period_ns\": ";
-  append_num(out, static_cast<double>(period_));
+  append_num(out, static_cast<double>(runs.empty() ? 0 : runs.front()->period_));
   out += ",\n  ";
-  append_frames_json(out, series_snapshot(), frames());
-  out += "\n}\n";
-}
-
-bool Sampler::write_json(const std::string& path) const {
-  std::string out;
-  append_json(out);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
+  append_columns(out, names);
+  bool first = true;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (const Frame& frame : runs[r]->ring_) {
+      std::vector<double> row(names.size(), std::nan(""));
+      for (std::size_t c = 0; c < frame.values.size(); ++c) {
+        row[column.at(runs[r]->names_[c])] = frame.values[c];
+      }
+      append_row(out, first, frame.at, static_cast<u32>(r), row, names.size());
+      first = false;
+    }
+  }
+  out += "\n  ]\n}\n";
 }
 
 // ---------------------------------------------------------------------------
 // SamplerDriver
 // ---------------------------------------------------------------------------
 
-SamplerDriver::SamplerDriver(sim::Simulator& sim) : sim_(sim) {
-  Sampler::global().begin_epoch();
-  arm();
+void SamplerDriver::start() {
+  if (sim_.obs().sampler.is_enabled() && !handle_.pending()) arm();
 }
 
-SamplerDriver::~SamplerDriver() { handle_.cancel(); }
-
 void SamplerDriver::arm() {
-  handle_ = sim_.schedule(Sampler::global().period(), [this] {
-    if (!Sampler::is_enabled()) return;  // disabled mid-run: stop rearming
-    Sampler::global().tick(sim_.now());
+  Sampler& sampler = sim_.obs().sampler;
+  handle_ = sim_.schedule(sampler.period(), [this, &sampler] {
+    if (!sampler.is_enabled()) return;  // disabled mid-run: stop rearming
+    sampler.tick(sim_.now());
     arm();
   });
 }

@@ -8,17 +8,12 @@
 
 namespace p4ce::obs {
 
-Tracer& Tracer::global() {
-  static Tracer tracer;
-  return tracer;
-}
-
 void Tracer::enable(u32 sample_every, std::size_t max_events) {
   sample_ = sample_every == 0 ? 1 : sample_every;
   max_events_ = max_events;
   overflowed_ = false;
   events_on_ = true;
-  g_enabled_ = true;
+  enabled_ = true;
 }
 
 void Tracer::enable_attribution(u32 sample_every) {
@@ -28,20 +23,13 @@ void Tracer::enable_attribution(u32 sample_every) {
     sample_ = 1;
   }
   attr_on_ = true;
-  g_enabled_ = true;
+  enabled_ = true;
 }
 
 void Tracer::disable() noexcept {
-  g_enabled_ = false;
+  enabled_ = false;
   events_on_ = false;
   attr_on_ = false;
-}
-
-void Tracer::clear() {
-  SpinLockGuard g(mu_);
-  events_.clear();
-  active_.clear();
-  overflowed_ = false;
 }
 
 Tracer::Round* Tracer::find_round(u64 instance) noexcept {
@@ -61,7 +49,6 @@ void Tracer::push(Event event) {
 }
 
 void Tracer::begin_round(u64 instance, SimTime start) {
-  SpinLockGuard g(mu_);
   if (!sampled(instance) || find_round(instance) != nullptr) return;
   Round round;
   round.instance = instance;
@@ -71,19 +58,16 @@ void Tracer::begin_round(u64 instance, SimTime start) {
 
 void Tracer::span(u64 instance, const char* name, SimTime start, SimTime end,
                   const char* arg_name, u64 arg) {
-  SpinLockGuard g(mu_);
   if (find_round(instance) == nullptr) return;
   push(Event{instance, name, start, std::max<Duration>(end - start, 0), arg_name, arg});
 }
 
 void Tracer::instant(u64 instance, const char* name, SimTime at, const char* arg_name, u64 arg) {
-  SpinLockGuard g(mu_);
   if (find_round(instance) == nullptr) return;
   push(Event{instance, name, at, -1, arg_name, arg});
 }
 
 void Tracer::map_wire(u64 instance, Psn first_psn, u32 npkts, Qpn qpn) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->has_wire = true;
@@ -93,7 +77,6 @@ void Tracer::map_wire(u64 instance, Psn first_psn, u32 npkts, Qpn qpn) {
 }
 
 u64 Tracer::instance_for_psn(Psn psn, Qpn qpn) const noexcept {
-  SpinLockGuard g(mu_);
   for (const auto& round : active_) {
     if (!round.has_wire) continue;
     if (qpn != 0 && round.wire_qpn != 0 && round.wire_qpn != qpn) continue;
@@ -104,28 +87,24 @@ u64 Tracer::instance_for_psn(Psn psn, Qpn qpn) const noexcept {
 }
 
 void Tracer::mark_propose_done(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->propose_end = std::max(round->propose_end, at);
 }
 
 void Tracer::mark_post_done(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->post_end = std::max(round->post_end, at);
 }
 
 void Tracer::mark_ack_rx(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   if (round->ack_rx < 0) round->ack_rx = at;
 }
 
 void Tracer::on_scatter(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   if (round->scatter_first < 0) round->scatter_first = at;
@@ -133,7 +112,6 @@ void Tracer::on_scatter(u64 instance, SimTime at) {
 }
 
 void Tracer::on_scatter_copy(u64 instance, SimTime at, u32 replica) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->scatter_last = std::max(round->scatter_last, at);
@@ -141,7 +119,6 @@ void Tracer::on_scatter_copy(u64 instance, SimTime at, u32 replica) {
 }
 
 void Tracer::on_ack(u64 instance, SimTime at, u32 replica) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   if (round->gather_first < 0) round->gather_first = at;
@@ -150,7 +127,6 @@ void Tracer::on_ack(u64 instance, SimTime at, u32 replica) {
 }
 
 void Tracer::on_quorum(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->gather_last = std::max(round->gather_last, at);
@@ -159,7 +135,6 @@ void Tracer::on_quorum(u64 instance, SimTime at) {
 }
 
 void Tracer::end_round(u64 instance, SimTime end, bool committed) {
-  SpinLockGuard g(mu_);
   auto it = std::find_if(active_.begin(), active_.end(),
                          [&](const Round& r) { return r.instance == instance; });
   if (it == active_.end()) return;
@@ -190,12 +165,11 @@ void Tracer::end_round(u64 instance, SimTime end, bool committed) {
     timing.ack_rx = round.ack_rx;
     timing.end = end;
     timing.committed = committed;
-    LatencyAttribution::global().record_round(timing);
+    sink_.record_round(timing);
   }
 }
 
 std::vector<Tracer::InFlight> Tracer::active_rounds() const {
-  SpinLockGuard g(mu_);
   std::vector<InFlight> out;
   out.reserve(active_.size());
   for (const auto& round : active_) out.push_back(InFlight{round.instance, round.start});
@@ -208,8 +182,8 @@ std::vector<Tracer::InFlight> Tracer::active_rounds() const {
 
 namespace {
 
-void append_event_json(std::string& out, const Tracer* /*tracer*/, u64 tid, const char* name,
-                       SimTime start, Duration dur, u64 instance, const char* arg_name, u64 arg) {
+void append_event_json(std::string& out, u32 pid, u64 tid, const char* name, SimTime start,
+                       Duration dur, u64 instance, const char* arg_name, u64 arg) {
   char buf[96];
   out += "  {\"name\": ";
   append_json_escaped(out, name);
@@ -221,8 +195,9 @@ void append_event_json(std::string& out, const Tracer* /*tracer*/, u64 tid, cons
                   static_cast<double>(start) / 1000.0);
   }
   out += buf;
-  std::snprintf(buf, sizeof(buf), ", \"pid\": 1, \"tid\": %llu, \"args\": {\"instance\": %llu",
-                static_cast<unsigned long long>(tid), static_cast<unsigned long long>(instance));
+  std::snprintf(buf, sizeof(buf), ", \"pid\": %u, \"tid\": %llu, \"args\": {\"instance\": %llu",
+                pid, static_cast<unsigned long long>(tid),
+                static_cast<unsigned long long>(instance));
   out += buf;
   if (arg_name != nullptr) {
     out += ", ";
@@ -235,7 +210,7 @@ void append_event_json(std::string& out, const Tracer* /*tracer*/, u64 tid, cons
 
 }  // namespace
 
-std::string Tracer::to_chrome_json() const {
+void Tracer::append_chrome_events(std::string& out, u32 pid) const {
   // One track (tid) per traced instance, in order of first appearance, so a
   // round's spans nest by time containment on their own track.
   std::vector<u64> instances;
@@ -260,44 +235,46 @@ std::string Tracer::to_chrome_json() const {
     return a->dur > b->dur;
   });
 
-  std::string out = "{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [\n";
   char buf[160];
-  out += "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-         "\"args\": {\"name\": \"p4ce consensus\"}}";
+  std::snprintf(buf, sizeof(buf),
+                "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %u, "
+                "\"args\": {\"name\": \"p4ce consensus run %u\"}}",
+                pid, pid - 1);
+  out += buf;
   for (u64 instance : instances) {
     // Domain 0 keeps the historical "instance N" track names; other domains
     // are called out explicitly so multigroup traces stay readable.
     const u32 domain = trace_domain(instance);
     if (domain == 0) {
       std::snprintf(buf, sizeof(buf),
-                    ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %llu, "
+                    ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %u, \"tid\": %llu, "
                     "\"args\": {\"name\": \"instance %llu\"}}",
-                    static_cast<unsigned long long>(tid_of(instance)),
+                    pid, static_cast<unsigned long long>(tid_of(instance)),
                     static_cast<unsigned long long>(trace_op(instance)));
     } else {
       std::snprintf(buf, sizeof(buf),
-                    ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %llu, "
+                    ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %u, \"tid\": %llu, "
                     "\"args\": {\"name\": \"domain %u instance %llu\"}}",
-                    static_cast<unsigned long long>(tid_of(instance)), domain,
+                    pid, static_cast<unsigned long long>(tid_of(instance)), domain,
                     static_cast<unsigned long long>(trace_op(instance)));
     }
     out += buf;
   }
   for (const Event* e : ordered) {
     out += ",\n";
-    append_event_json(out, this, tid_of(e->instance), e->name, e->start, e->dur, e->instance,
+    append_event_json(out, pid, tid_of(e->instance), e->name, e->start, e->dur, e->instance,
                       e->arg_name, e->arg);
+  }
+}
+
+std::string Tracer::to_chrome_json(const std::vector<const Tracer*>& runs) {
+  std::string out = "{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [\n";
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (i != 0) out += ",\n";
+    runs[i]->append_chrome_events(out, static_cast<u32>(i) + 1);
   }
   out += "\n]\n}\n";
   return out;
-}
-
-bool Tracer::write_chrome_trace(const std::string& path) const {
-  const std::string out = to_chrome_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace p4ce::obs

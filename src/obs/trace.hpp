@@ -20,18 +20,18 @@
 // The tracer has two independently-enabled consumers sharing the round
 // bookkeeping: the Chrome event buffer (enable()) and the commit-latency
 // attribution sink (enable_attribution(), see obs/attribution.hpp). Either
-// flips the single `is_enabled()` bool that guards every hook.
+// sets the `is_enabled()` flag that guards every hook.
 //
-// Cost model: every hook is guarded by `Tracer::is_enabled()`, a single
-// non-atomic bool load, so the disabled configuration adds one predictable
-// branch per call site and nothing else. Enabled, rounds are sampled
-// (`sample_every`) and the event buffer is bounded (`max_events`).
+// One tracer per simulation run (in its obs::Context). Cost model: every
+// hook is guarded by `is_enabled()`, a plain member load, so the disabled
+// configuration adds one predictable branch per call site and nothing else.
+// Enabled, rounds are sampled (`sample_every`) and the event buffer is
+// bounded (`max_events`).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -53,23 +53,24 @@ constexpr u64 trace_op(u64 key) noexcept {
   return key & ((u64{1} << kTraceOpBits) - 1);
 }
 
+class LatencyAttribution;
+
 class Tracer {
  public:
-  /// One in-flight round, as exposed to the flight recorder.
+  /// One in-flight round, as frozen by the flight recorder.
   struct InFlight {
     u64 key = 0;
     SimTime start = 0;
   };
 
-  /// The process-wide tracer the stack's hooks report to.
-  static Tracer& global();
-
-  Tracer() = default;
+  /// `sink` receives one RoundTiming per finished round while attribution
+  /// is enabled.
+  explicit Tracer(LatencyAttribution& sink) noexcept : sink_(sink) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   /// The hot-path guard: false until enable() or enable_attribution().
-  static bool is_enabled() noexcept { return g_enabled_; }
+  bool is_enabled() const noexcept { return enabled_; }
 
   /// Start recording Chrome trace events. Rounds whose operation id is
   /// divisible by `sample_every` are traced; recording stops (new events
@@ -81,8 +82,6 @@ class Tracer {
   void enable_attribution(u32 sample_every = 0);
   /// Stop both consumers.
   void disable() noexcept;
-  /// Drop all buffered events and in-flight rounds (keeps enabled state).
-  void clear();
 
   bool events_enabled() const noexcept { return events_on_; }
   bool attribution_enabled() const noexcept { return attr_on_; }
@@ -94,7 +93,7 @@ class Tracer {
   /// sampling applies to the operation id, not the namespaced key, so a
   /// rate of e.g. 10 picks every 10th round in *every* domain.
   bool sampled(u64 instance) const noexcept {
-    return g_enabled_ && trace_op(instance) != 0 && trace_op(instance) % sample_ == 0;
+    return enabled_ && trace_op(instance) != 0 && trace_op(instance) % sample_ == 0;
   }
 
   // --- Round lifecycle (leader side) ------------------------------------
@@ -156,9 +155,10 @@ class Tracer {
 
   /// Serialize everything recorded so far as Chrome trace-event JSON
   /// (one track per traced instance; spans nest by time containment).
-  std::string to_chrome_json() const;
-  /// Write to_chrome_json() to `path`; returns false on I/O failure.
-  bool write_chrome_trace(const std::string& path) const;
+  std::string to_chrome_json() const { return to_chrome_json({this}); }
+  /// One Chrome trace for several runs: run i is process i+1, so rounds of
+  /// different runs never share a track.
+  static std::string to_chrome_json(const std::vector<const Tracer*>& runs);
 
  private:
   struct Event {
@@ -184,17 +184,15 @@ class Tracer {
 
   Round* find_round(u64 instance) noexcept;
   void push(Event event);
+  void append_chrome_events(std::string& out, u32 pid) const;
 
-  static inline bool g_enabled_ = false;
+  LatencyAttribution& sink_;
+  bool enabled_ = false;
   bool events_on_ = false;
   bool attr_on_ = false;
   u32 sample_ = 1;
   std::size_t max_events_ = 1u << 20;
   bool overflowed_ = false;
-  // The tracer is process-global, so hooks from every cluster in the
-  // process land here; the spinlock serializes the round and event
-  // bookkeeping. enable()/disable() belong to setup between runs.
-  mutable SpinLock mu_;
   std::vector<Event> events_;
   std::vector<Round> active_;  ///< rounds in flight; small (<= send window)
 };

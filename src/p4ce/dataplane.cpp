@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include <tuple>
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "rdma/headers.hpp"
 #include "sim/simulator.hpp"
 
@@ -15,36 +14,25 @@ constexpr u64 src_key(u16 group_idx, Ipv4Addr ip) noexcept {
   return (static_cast<u64>(group_idx) << 32) | ip;
 }
 
-// Process-wide data-plane metrics (all groups on all switches fold into the
-// same series; per-group numbers remain available via GroupStats).
-struct DpMetrics {
-  obs::Counter& requests_scattered;
-  obs::Counter& scatter_copies;
-  obs::Counter& header_rewrites;
-  obs::Counter& acks_gathered;
-  obs::Counter& acks_forwarded;
-  obs::Counter& naks_forwarded;
-  obs::Counter& bad_rkey_drops;
-  obs::Gauge& gather_occupancy;
-
-  static DpMetrics& get() {
-    static DpMetrics m{
-        obs::MetricsRegistry::global().counter("switch.p4ce.requests_scattered"),
-        obs::MetricsRegistry::global().counter("switch.p4ce.scatter_copies"),
-        obs::MetricsRegistry::global().counter("switch.p4ce.header_rewrites"),
-        obs::MetricsRegistry::global().counter("switch.p4ce.acks_gathered"),
-        obs::MetricsRegistry::global().counter("switch.p4ce.acks_forwarded"),
-        obs::MetricsRegistry::global().counter("switch.p4ce.naks_forwarded"),
-        obs::MetricsRegistry::global().counter("switch.p4ce.bad_rkey_drops"),
-        obs::MetricsRegistry::global().gauge("switch.p4ce.gather_occupancy"),
-    };
-    return m;
-  }
-};
 }  // namespace
+
+P4ceDataplane::Metrics::Metrics(obs::MetricsRegistry& registry)
+    : requests_scattered(registry.counter("switch.p4ce.requests_scattered")),
+      scatter_copies(registry.counter("switch.p4ce.scatter_copies")),
+      header_rewrites(registry.counter("switch.p4ce.header_rewrites")),
+      acks_gathered(registry.counter("switch.p4ce.acks_gathered")),
+      acks_forwarded(registry.counter("switch.p4ce.acks_forwarded")),
+      naks_forwarded(registry.counter("switch.p4ce.naks_forwarded")),
+      bad_rkey_drops(registry.counter("switch.p4ce.bad_rkey_drops")),
+      gather_occupancy(registry.gauge("switch.p4ce.gather_occupancy")) {}
 
 P4ceDataplane::P4ceDataplane(Ipv4Addr switch_ip, AckDropStage drop_stage)
     : switch_ip_(switch_ip), drop_stage_(drop_stage) {}
+
+void P4ceDataplane::set_clock(const sim::Simulator* sim) {
+  clock_ = sim;
+  if (sim != nullptr) m_.emplace(sim->obs().metrics);
+}
 
 Status P4ceDataplane::add_route(Ipv4Addr dst, u32 port) {
   l3_.set(dst, port);
@@ -140,7 +128,7 @@ void P4ceDataplane::ingress(sw::PacketContext& ctx) {
     // Validate the virtual authentication key on packets that carry it.
     if (p.reth && p.reth->rkey != group.spec.virtual_rkey) {
       ++group.stats.bad_rkey_drops;
-      DpMetrics::get().bad_rkey_drops.inc();
+      if (m_) m_->bad_rkey_drops.inc();
       ctx.drop = true;
       return;
     }
@@ -149,15 +137,15 @@ void P4ceDataplane::ingress(sw::PacketContext& ctx) {
     // PSN of the packet it is multicasting", §IV-B).
     group.num_recv.write(p.bth.psn % kNumRecvSlots, 0);
     ++group.stats.requests_scattered;
-    DpMetrics::get().requests_scattered.inc();
-    if (rdma::is_last_or_only(p.bth.opcode)) {
+    if (m_) {
+      m_->requests_scattered.inc();
       // One gather-table slot is now awaiting ACKs for this PSN.
-      DpMetrics::get().gather_occupancy.add(1);
+      if (rdma::is_last_or_only(p.bth.opcode)) m_->gather_occupancy.add(1);
     }
-    if (obs::Tracer::is_enabled() && clock_ != nullptr) {
+    if (clock_ != nullptr && clock_->obs().tracer.is_enabled()) {
       // Scope the PSN lookup to this group's BCast QP: concurrent domains
       // run overlapping PSN windows on the same switch.
-      auto& tracer = obs::Tracer::global();
+      auto& tracer = clock_->obs().tracer;
       if (const u64 inst = tracer.instance_for_psn(p.bth.psn, p.bth.dest_qp)) {
         tracer.on_scatter(inst, clock_->now());
       }
@@ -207,7 +195,7 @@ void P4ceDataplane::ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 ri
   // learns that a replica is misbehaving and can fall back (§III).
   if (p.is_nak()) {
     ++group.stats.naks_forwarded;
-    DpMetrics::get().naks_forwarded.inc();
+    if (m_) m_->naks_forwarded.inc();
     send_to_leader(ctx, group);
     return;
   }
@@ -237,16 +225,18 @@ void P4ceDataplane::ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 ri
   // Count this answer; forward the f-th, drop the others.
   const u32 count = group.num_recv.increment_read(leader_psn % kNumRecvSlots);
   ++group.stats.acks_gathered;
-  DpMetrics::get().acks_gathered.inc();
-  const bool tracing = obs::Tracer::is_enabled() && clock_ != nullptr;
+  if (m_) m_->acks_gathered.inc();
+  const bool tracing = clock_ != nullptr && clock_->obs().tracer.is_enabled();
   const u64 inst =
-      tracing ? obs::Tracer::global().instance_for_psn(leader_psn, group.spec.bcast_qpn) : 0;
-  if (inst != 0) obs::Tracer::global().on_ack(inst, clock_->now(), rid);
+      tracing ? clock_->obs().tracer.instance_for_psn(leader_psn, group.spec.bcast_qpn) : 0;
+  if (inst != 0) clock_->obs().tracer.on_ack(inst, clock_->now(), rid);
   if (count == group.spec.f_needed) {
     ++group.stats.acks_forwarded;
-    DpMetrics::get().acks_forwarded.inc();
-    DpMetrics::get().gather_occupancy.add(-1);
-    if (inst != 0) obs::Tracer::global().on_quorum(inst, clock_->now());
+    if (m_) {
+      m_->acks_forwarded.inc();
+      m_->gather_occupancy.add(-1);
+    }
+    if (inst != 0) clock_->obs().tracer.on_quorum(inst, clock_->now());
     send_to_leader(ctx, group);
     return;
   }
@@ -292,7 +282,7 @@ void P4ceDataplane::egress(sw::PacketContext& ctx) {
     // acknowledgment coming from the switch: destination queue pair, packet
     // sequence number, IP addresses, and the recomputed congestion fields
     // (§III "Gather").
-    DpMetrics::get().header_rewrites.inc();
+    if (m_) m_->header_rewrites.inc();
     p.eth.src_mac = 0xAA'0000'0000ull | switch_ip_;
     p.eth.dst_mac = group.spec.leader.mac;
     p.ip.src = switch_ip_;
@@ -315,12 +305,14 @@ void P4ceDataplane::egress(sw::PacketContext& ctx) {
     // queue pair, the authentication key, the virtual address of the buffer
     // accessed by the request, the packet sequence number and the IP address
     // of the destination" (§III "Broadcast").
-    DpMetrics::get().scatter_copies.inc();
-    DpMetrics::get().header_rewrites.inc();
-    if (obs::Tracer::is_enabled() && clock_ != nullptr) {
+    if (m_) {
+      m_->scatter_copies.inc();
+      m_->header_rewrites.inc();
+    }
+    if (clock_ != nullptr && clock_->obs().tracer.is_enabled()) {
       // The PSN is still leader-numbered here (and dest_qp is still the
       // group's BCast QP); resolve before the rewrite.
-      auto& tracer = obs::Tracer::global();
+      auto& tracer = clock_->obs().tracer;
       if (const u64 inst = tracer.instance_for_psn(p.bth.psn, p.bth.dest_qp)) {
         tracer.on_scatter_copy(inst, clock_->now(), ctx.replication_id);
       }

@@ -7,8 +7,10 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "common/types.hpp"
+#include "obs/metrics.hpp"
 #include "p4ce/tables.hpp"
 #include "switchsim/pipeline.hpp"
 #include "switchsim/register.hpp"
@@ -51,10 +53,11 @@ class P4ceDataplane : public sw::PipelineProgram {
   /// (§IV-C).
   void set_credit_aggregation(bool enabled) noexcept { credit_aggregation_ = enabled; }
 
-  /// Give the data plane a read-only clock so tracing hooks can timestamp
-  /// scatter/gather events in simulated time. Optional: standalone/ablation
-  /// uses without a clock simply record no trace events.
-  void set_clock(const sim::Simulator* sim) noexcept { clock_ = sim; }
+  /// Give the data plane a read-only clock: its run's registry receives the
+  /// switch.p4ce.* series, and tracing hooks timestamp scatter/gather events
+  /// in simulated time. Optional: standalone/ablation uses without a clock
+  /// record no metrics and no trace events (GroupStats still count).
+  void set_clock(const sim::Simulator* sim);
 
   bool group_active(u16 group_idx) const noexcept {
     return group_idx < kMaxGroups && groups_[group_idx].active;
@@ -103,9 +106,24 @@ class P4ceDataplane : public sw::PipelineProgram {
   void ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 rid);
   void send_to_leader(sw::PacketContext& ctx, const GroupState& group);
 
+  /// Summed over all groups on this switch; per-group numbers are in
+  /// GroupStats.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& registry);
+    obs::Counter& requests_scattered;
+    obs::Counter& scatter_copies;
+    obs::Counter& header_rewrites;
+    obs::Counter& acks_gathered;
+    obs::Counter& acks_forwarded;
+    obs::Counter& naks_forwarded;
+    obs::Counter& bad_rkey_drops;
+    obs::Gauge& gather_occupancy;
+  };
+
   Ipv4Addr switch_ip_;
   AckDropStage drop_stage_;
   const sim::Simulator* clock_ = nullptr;
+  std::optional<Metrics> m_;  ///< bound by set_clock()
   bool credit_aggregation_ = true;
   sw::ExactMatchTable<Ipv4Addr, u32> l3_{"l3_forward"};
   sw::ExactMatchTable<Qpn, u16> bcast_table_{"bcast_qp", 1024};

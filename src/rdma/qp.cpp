@@ -3,45 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 #include "rdma/nic.hpp"
 
 namespace p4ce::rdma {
-
-namespace {
-
-// Aggregate transport-health metrics across all QPs in the process. The
-// references are cached once (instruments are never removed from the
-// registry) so the hot path is a plain integer add.
-struct QpMetrics {
-  obs::Counter& msgs_sent;
-  obs::Counter& msgs_received;
-  obs::Counter& retransmits;
-  obs::Counter& timeouts;
-  obs::Counter& naks_rx;
-  obs::Counter& gap_naks_tx;
-  obs::Counter& duplicates_rx;
-  obs::Gauge& ack_credits;
-  obs::Gauge& inflight;
-
-  static QpMetrics& get() {
-    static QpMetrics m{
-        obs::MetricsRegistry::global().counter("rdma.qp.msgs_sent"),
-        obs::MetricsRegistry::global().counter("rdma.qp.msgs_received"),
-        obs::MetricsRegistry::global().counter("rdma.qp.retransmits"),
-        obs::MetricsRegistry::global().counter("rdma.qp.retransmit_timeouts"),
-        obs::MetricsRegistry::global().counter("rdma.qp.naks_rx"),
-        obs::MetricsRegistry::global().counter("rdma.qp.gap_naks_tx"),
-        obs::MetricsRegistry::global().counter("rdma.qp.duplicates_rx"),
-        obs::MetricsRegistry::global().gauge("rdma.qp.ack_credits"),
-        obs::MetricsRegistry::global().gauge("rdma.qp.inflight"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
 
 std::string_view to_string(QpState s) noexcept {
   switch (s) {
@@ -54,14 +19,25 @@ std::string_view to_string(QpState s) noexcept {
   return "UNKNOWN";
 }
 
+QueuePair::Metrics::Metrics(obs::MetricsRegistry& registry)
+    : msgs_sent(registry.counter("rdma.qp.msgs_sent")),
+      msgs_received(registry.counter("rdma.qp.msgs_received")),
+      retransmits(registry.counter("rdma.qp.retransmits")),
+      timeouts(registry.counter("rdma.qp.retransmit_timeouts")),
+      naks_rx(registry.counter("rdma.qp.naks_rx")),
+      gap_naks_tx(registry.counter("rdma.qp.gap_naks_tx")),
+      duplicates_rx(registry.counter("rdma.qp.duplicates_rx")),
+      ack_credits(registry.gauge("rdma.qp.ack_credits")),
+      inflight(registry.gauge("rdma.qp.inflight")) {}
+
 QueuePair::QueuePair(sim::Simulator& sim, Nic& nic, Qpn qpn, CompletionQueue& cq, QpConfig config)
-    : sim_(sim), nic_(nic), qpn_(qpn), cq_(cq), config_(config) {}
+    : sim_(sim), m_(sim.obs().metrics), nic_(nic), qpn_(qpn), cq_(cq), config_(config) {}
 
 QueuePair::~QueuePair() {
   // A QP destroyed while healthy may still have a retransmit timeout
   // scheduled; the event captures `this`, so it must not outlive the QP.
   retransmit_timer_.cancel();
-  QpMetrics::get().inflight.add(-static_cast<double>(inflight_.size()));
+  m_.inflight.add(-static_cast<double>(inflight_.size()));
 }
 
 void QueuePair::connect(Ipv4Addr remote_ip, Qpn remote_qpn, Psn our_start_psn, Psn expected_psn) {
@@ -78,7 +54,7 @@ void QueuePair::set_error(WcStatus flush_status) {
   if (state_ == QpState::kError) return;
   state_ = QpState::kError;
   retransmit_timer_.cancel();
-  QpMetrics::get().inflight.add(-static_cast<double>(inflight_.size()));
+  m_.inflight.add(-static_cast<double>(inflight_.size()));
   // Flush everything outstanding, oldest first, as a real QP would.
   for (auto& wqe : inflight_) complete(wqe, flush_status);
   inflight_.clear();
@@ -89,7 +65,7 @@ void QueuePair::set_error(WcStatus flush_status) {
 
 void QueuePair::reset() {
   retransmit_timer_.cancel();
-  QpMetrics::get().inflight.add(-static_cast<double>(inflight_.size()));
+  m_.inflight.add(-static_cast<double>(inflight_.size()));
   inflight_.clear();
   send_queue_.clear();
   inbound_write_.reset();
@@ -208,8 +184,8 @@ void QueuePair::pump_send_queue() {
     transmit_wqe(wqe);
     inflight_.push_back(std::move(wqe));
     ++messages_sent_;
-    QpMetrics::get().msgs_sent.inc();
-    QpMetrics::get().inflight.add(1);
+    m_.msgs_sent.inc();
+    m_.inflight.add(1);
   }
   if (!inflight_.empty() && !retransmit_timer_.pending()) arm_timer();
 }
@@ -306,7 +282,7 @@ void QueuePair::handle_ack(const net::Packet& packet) {
   const Aeth& aeth = *packet.aeth;
 
   if (aeth.is_nak) {
-    QpMetrics::get().naks_rx.inc();
+    m_.naks_rx.inc();
     if (nak_cb_) nak_cb_(aeth.nak_code, packet.bth.psn);
     if (state_ == QpState::kError || state_ == QpState::kReset) {
       return;  // the NAK callback may have reset or errored the QP
@@ -315,7 +291,7 @@ void QueuePair::handle_ack(const net::Packet& packet) {
       // Go-back-N: the responder expected packet.bth.psn; resend everything
       // outstanding from the oldest unacknowledged message.
       ++retransmissions_;
-      QpMetrics::get().retransmits.inc();
+      m_.retransmits.inc();
       for (const auto& wqe : inflight_) transmit_wqe(wqe);
       arm_timer();
     } else {
@@ -331,7 +307,7 @@ void QueuePair::handle_ack(const net::Packet& packet) {
       if (!inflight_.empty()) {
         complete(inflight_.front(), status);
         inflight_.pop_front();
-        QpMetrics::get().inflight.add(-1);
+        m_.inflight.add(-1);
       }
       set_error(WcStatus::kFlushed);
     }
@@ -341,7 +317,7 @@ void QueuePair::handle_ack(const net::Packet& packet) {
   // Positive ACK with PSN p acknowledges every packet up to and including p
   // (RDMA ACKs are cumulative / coalescable).
   credits_seen_ = aeth.credits;
-  QpMetrics::get().ack_credits.set(aeth.credits);
+  m_.ack_credits.set(aeth.credits);
   bool progressed = false;
   while (!inflight_.empty()) {
     Wqe& head = inflight_.front();
@@ -351,7 +327,7 @@ void QueuePair::handle_ack(const net::Packet& packet) {
     if (psn_distance(head.last_psn, packet.bth.psn) < 0) break;  // not yet covered
     complete(head, WcStatus::kSuccess);
     inflight_.pop_front();
-    QpMetrics::get().inflight.add(-1);
+    m_.inflight.add(-1);
     progressed = true;
   }
   if (progressed) retry_count_ = 0;
@@ -385,7 +361,7 @@ void QueuePair::handle_read_response(const net::Packet& packet) {
     // fabric never does; complete in queue order.
     complete(wqe, WcStatus::kSuccess, std::move(wqe.assembly));
     inflight_.erase(it);
-    QpMetrics::get().inflight.add(-1);
+    m_.inflight.add(-1);
     retry_count_ = 0;
     retransmit_timer_.cancel();
     if (!inflight_.empty()) arm_timer();
@@ -397,7 +373,7 @@ void QueuePair::handle_atomic_response(const net::Packet& packet) {
   if (!packet.atomic_ack_eth) return;
   if (packet.aeth) {
     credits_seen_ = packet.aeth->credits;
-    QpMetrics::get().ack_credits.set(packet.aeth->credits);
+    m_.ack_credits.set(packet.aeth->credits);
   }
 
   // Like any ACK, the atomic response is cumulative: it acknowledges every
@@ -412,7 +388,7 @@ void QueuePair::handle_atomic_response(const net::Packet& packet) {
     if (psn_distance(head.last_psn, packet.bth.psn) <= 0) break;  // not strictly before
     complete(head, WcStatus::kSuccess);
     inflight_.pop_front();
-    QpMetrics::get().inflight.add(-1);
+    m_.inflight.add(-1);
     progressed = true;
   }
 
@@ -422,7 +398,7 @@ void QueuePair::handle_atomic_response(const net::Packet& packet) {
     wqe.atomic_original = packet.atomic_ack_eth->original;
     complete(wqe, WcStatus::kSuccess);
     inflight_.pop_front();
-    QpMetrics::get().inflight.add(-1);
+    m_.inflight.add(-1);
     progressed = true;
   }
   // Else: a duplicate/stale response (the original already completed); the
@@ -461,13 +437,11 @@ void QueuePair::on_timeout() {
     return;
   }
   ++retransmissions_;
-  QpMetrics::get().timeouts.inc();
-  QpMetrics::get().retransmits.inc();
-  if (obs::FlightRecorder::is_enabled()) {
-    // A whole-window resend means the path went quiet; per-kind rate
-    // limiting in the recorder turns a storm into one capture.
-    obs::FlightRecorder::global().trigger("retransmit_timeout", sim_.now(), "qpn", qpn_);
-  }
+  m_.timeouts.inc();
+  m_.retransmits.inc();
+  // A whole-window resend means the path went quiet; per-kind rate
+  // limiting in the recorder turns a storm into one capture.
+  sim_.obs().recorder.trigger("retransmit_timeout", sim_.now(), "qpn", qpn_);
   for (const auto& wqe : inflight_) transmit_wqe(wqe);
   arm_timer();
 }
@@ -522,7 +496,7 @@ void QueuePair::handle_request(const net::Packet& packet) {
     // addresses; just refresh the ACK so the requester can make progress.
     // Atomics are NOT idempotent: replay the saved response instead of
     // re-executing (real RNICs keep the same duplicate-response cache).
-    QpMetrics::get().duplicates_rx.inc();
+    m_.duplicates_rx.inc();
     if (is_atomic(packet.bth.opcode)) {
       for (const auto& [psn, original] : atomic_replay_) {
         if (psn == packet.bth.psn) {
@@ -541,7 +515,7 @@ void QueuePair::handle_request(const net::Packet& packet) {
   }
   if (gap > 0) {
     // Missing packets: NAK with the PSN we expected (go-back-N point).
-    QpMetrics::get().gap_naks_tx.inc();
+    m_.gap_naks_tx.inc();
     send_nak(expected_psn_, NakCode::kPsnSequenceError);
     return;
   }
@@ -612,7 +586,7 @@ void QueuePair::handle_request(const net::Packet& packet) {
                                              config_.mtu);
       ++msn_;
       ++messages_received_;
-      QpMetrics::get().msgs_received.inc();
+      m_.msgs_received.inc();
       for (u32 i = 0; i < npkts; ++i) {
         Opcode op;
         if (npkts == 1) {
@@ -673,7 +647,7 @@ void QueuePair::handle_request(const net::Packet& packet) {
       expected_psn_ = psn_add(expected_psn_, 1);
       ++msn_;
       ++messages_received_;
-      QpMetrics::get().msgs_received.inc();
+      m_.msgs_received.inc();
       atomic_replay_.emplace_back(packet.bth.psn, original.value());
       if (atomic_replay_.size() > kAtomicReplayDepth) atomic_replay_.pop_front();
       send_atomic_ack(packet.bth.psn, original.value());
@@ -688,7 +662,7 @@ void QueuePair::handle_request(const net::Packet& packet) {
   if (is_last_or_only(packet.bth.opcode)) {
     ++msn_;
     ++messages_received_;
-    QpMetrics::get().msgs_received.inc();
+    m_.msgs_received.inc();
     if (packet.bth.ack_request) send_ack(packet.bth.psn);
   }
 }

@@ -186,7 +186,22 @@ class QueuePair {
   void send_atomic_ack(Psn psn, u64 original);
   net::Packet make_response_shell(Opcode op, Psn psn) const;
 
+  /// Transport-health series in this run's registry, summed over its QPs.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& registry);
+    obs::Counter& msgs_sent;
+    obs::Counter& msgs_received;
+    obs::Counter& retransmits;
+    obs::Counter& timeouts;
+    obs::Counter& naks_rx;
+    obs::Counter& gap_naks_tx;
+    obs::Counter& duplicates_rx;
+    obs::Gauge& ack_credits;
+    obs::Gauge& inflight;
+  };
+
   sim::Simulator& sim_;
+  Metrics m_;
   Nic& nic_;
   Qpn qpn_;
   CompletionQueue& cq_;

@@ -2,19 +2,16 @@
 
 #include <cassert>
 
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::sim {
 
-namespace detail {
+Simulator::Simulator()
+    : obs_(std::make_shared<obs::Context>()),
+      events_alloc_(obs_->metrics.counter("sim.events_alloc")) {}
 
-void note_event_heap_alloc() noexcept {
-  // Cached once; instruments are never removed from the registry.
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("sim.events_alloc");
-  c.inc();
-}
-
-}  // namespace detail
+// Out of line: obs::Context is incomplete in the header.
+Simulator::~Simulator() = default;
 
 // --- Scheduling --------------------------------------------------------------
 

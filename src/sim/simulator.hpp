@@ -9,10 +9,14 @@
 //
 // Allocation-light by design: callables are stored in a small-buffer-
 // optimized SmallFn (inline storage sized so even packet-carrying lambdas
-// fit; larger captures fall back to the heap and bump the
+// fit; larger captures fall back to the heap and bump this simulator's
 // `sim.events_alloc` counter), and cancellation uses generation counters in
 // a recycled slab of event slots instead of one shared_ptr<bool> per event.
 // The priority queue itself holds only 32-byte POD entries.
+//
+// Each simulator owns the observability context of its run (obs()): the
+// metrics, tracer, attribution, sampler and flight recorder every component
+// on this clock reports to.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +31,11 @@
 
 #include "common/time.hpp"
 #include "common/types.hpp"
+#include "obs/metrics.hpp"
+
+namespace p4ce::obs {
+struct Context;
+}  // namespace p4ce::obs
 
 namespace p4ce::sim {
 
@@ -36,31 +45,34 @@ using EventFn = std::function<void()>;
 
 namespace detail {
 
-/// Bumps the `sim.events_alloc` metric (defined in simulator.cpp so this
-/// header does not depend on obs/).
-void note_event_heap_alloc() noexcept;
-
 /// Move-only type-erased callable with inline storage. Sized so the common
 /// simulation closures — timer callbacks, and lambdas carrying a whole
-/// net::Packet by value — stay allocation-free; anything bigger lives on
-/// the heap (counted).
+/// net::Packet or sw::PacketContext by value — stay allocation-free;
+/// anything bigger lives on the heap (counted by Simulator::schedule_at).
 class SmallFn {
  public:
-  static constexpr std::size_t kInlineBytes = 240;
+  /// The largest capture in the stack: the switch egress hop, `this` plus a
+  /// 320 B sw::PacketContext (static_asserts at the packet-carrying call
+  /// sites keep this honest).
+  static constexpr std::size_t kInlineBytes = 328;
+
+  template <class D>
+  static constexpr bool fits_inline() noexcept {
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
 
   SmallFn() noexcept = default;
 
   template <class F, class D = std::decay_t<F>,
             class = std::enable_if_t<!std::is_same_v<D, SmallFn>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = inline_ops<D>();
     } else {
       ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
       ops_ = heap_ops<D>();
-      note_event_heap_alloc();
     }
   }
 
@@ -162,11 +174,19 @@ class EventHandle {
 
 class Simulator {
  public:
-  Simulator() = default;
+  Simulator();
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const noexcept { return now_; }
+
+  /// This run's observability context (metrics, tracer, attribution,
+  /// sampler, flight recorder).
+  obs::Context& obs() const noexcept { return *obs_; }
+  /// Shared ownership of the context, for exporting it after the simulator
+  /// is gone.
+  const std::shared_ptr<obs::Context>& obs_handle() const noexcept { return obs_; }
 
   /// Schedule `fn` to run `delay` ns from now (>= 0).
   template <class F>
@@ -177,6 +197,7 @@ class Simulator {
   /// Schedule `fn` at absolute simulated time `when` (>= now()).
   template <class F>
   EventHandle schedule_at(SimTime when, F&& fn) {
+    if constexpr (!detail::SmallFn::fits_inline<std::decay_t<F>>()) events_alloc_.inc();
     return schedule_impl(when, detail::SmallFn(std::forward<F>(fn)));
   }
 
@@ -227,7 +248,9 @@ class Simulator {
 
   // The slab grows in fixed-size chunks so slots never move (growth is one
   // chunk allocation, not a realloc that relocates every live callable).
-  static constexpr u32 kSlabChunkShift = 8;
+  // 128 slots of ~350 B keep a chunk (~45 KB) below the 256 x 264 B chunk
+  // of the 240 B inline buffer; a busy cluster peaks near 100 slots.
+  static constexpr u32 kSlabChunkShift = 7;
   static constexpr u32 kSlabChunkSlots = 1u << kSlabChunkShift;
 
   EventSlot& slot_at(u32 index) noexcept {
@@ -242,6 +265,8 @@ class Simulator {
   void cancel_event(u32 slot, u64 gen) noexcept;
   bool event_pending(u32 slot, u64 gen) const noexcept;
 
+  std::shared_ptr<obs::Context> obs_;
+  obs::Counter& events_alloc_;  ///< `sim.events_alloc`: heap-stored callables
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue_;
   std::vector<std::unique_ptr<EventSlot[]>> slab_;
   u32 slot_count_ = 0;

@@ -3,24 +3,21 @@
 #include <cassert>
 
 #include "common/logging.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::sw {
 
 SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip,
                            SwitchConfig config)
     : sim_(sim), name_(std::move(name)), ip_(ip), config_(config) {
-  auto& reg = obs::MetricsRegistry::global();
+  auto& reg = sim_.obs().metrics;
   m_ingress_drops_ = &reg.counter(obs::MetricsRegistry::label("switch.ingress_drops", {{"sw", name_}}));
   m_egress_drops_ = &reg.counter(obs::MetricsRegistry::label("switch.egress_drops", {{"sw", name_}}));
   m_punts_ = &reg.counter(obs::MetricsRegistry::label("switch.punts", {{"sw", name_}}));
 }
 
 void SwitchDevice::power_off() {
-  if (powered_ && obs::FlightRecorder::is_enabled()) {
-    obs::FlightRecorder::global().trigger("switch_failure", sim_.now(), "switch_ip", ip_);
-  }
+  if (powered_) sim_.obs().recorder.trigger("switch_failure", sim_.now(), "switch_ip", ip_);
   powered_ = false;
 }
 
@@ -113,7 +110,7 @@ void SwitchDevice::run_egress(PacketContext ctx) {
   }
   const SimTime parsed = ports_[ctx.egress_port]->egress_parser().admit(sim_.now());
   ports_[ctx.egress_port]->note_egress_backlog(sim_.now());
-  sim_.schedule_at(parsed + config_.egress_latency, [this, c = std::move(ctx)]() mutable {
+  auto egress = [this, c = std::move(ctx)]() mutable {
     if (!powered_) return;
     program_->egress(c);
     if (c.drop) {
@@ -122,7 +119,11 @@ void SwitchDevice::run_egress(PacketContext ctx) {
       return;
     }
     ports_[c.egress_port]->transmit(std::move(c.packet));
-  });
+  };
+  // The largest capture in the stack; it sizes SmallFn::kInlineBytes.
+  static_assert(sim::detail::SmallFn::fits_inline<decltype(egress)>(),
+                "a switch egress hop must not heap-allocate its event");
+  sim_.schedule_at(parsed + config_.egress_latency, std::move(egress));
 }
 
 // ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ void SwitchDevice::run_egress(PacketContext ctx) {
 
 Port::Port(SwitchDevice& device, u32 index, double parser_pps)
     : device_(device), index_(index), ingress_parser_(parser_pps), egress_parser_(parser_pps) {
-  auto& reg = obs::MetricsRegistry::global();
+  auto& reg = device.simulator().obs().metrics;
   const auto port_label = [&](std::string_view series) {
     return obs::MetricsRegistry::label(series,
                                        {{"sw", device.name()}, {"port", std::to_string(index)}});

@@ -17,10 +17,6 @@
 #include "switchsim/pipeline.hpp"
 #include "switchsim/port.hpp"
 
-namespace p4ce::obs {
-class Counter;
-}  // namespace p4ce::obs
-
 namespace p4ce::sw {
 
 struct SwitchConfig {

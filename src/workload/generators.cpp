@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 
+#include "obs/context.hpp"
+
 namespace p4ce::workload {
 
 namespace {
@@ -166,6 +168,9 @@ RunResult run_open_loop(core::Cluster& cluster, u32 value_size, double rate, Dur
   state->measure_start = cluster.now() + warmup_time;
   state->stop_at = state->measure_start + duration;
   state->meter.start(state->measure_start);
+  // Attribute the same rounds the latency below measures: arrivals after
+  // the warmup.
+  cluster.sim().obs().attribution.record_from(state->measure_start);
 
   sim::Simulator& sim = cluster.sim();
   // Self-rescheduling arrival process.

@@ -8,11 +8,8 @@
 #include <tuple>
 
 #include "common/logging.hpp"
-#include "obs/attribution.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
-#include "obs/trace.hpp"
+#include "core/cluster.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::workload {
 
@@ -97,13 +94,10 @@ BenchSession::BenchSession(std::string name) : name_(std::move(name)) {
       trace != nullptr && trace[0] != '\0' && std::strcmp(trace, "0") != 0) {
     tracing_ = true;
     if (std::strcmp(trace, "1") != 0 && std::strcmp(trace, "true") != 0) trace_path_ = trace;
-    u32 sample = 1;
     if (const char* s = std::getenv("P4CE_TRACE_SAMPLE"); s != nullptr) {
       const long parsed = std::strtol(s, nullptr, 10);
-      if (parsed > 0) sample = static_cast<u32>(parsed);
+      if (parsed > 0) trace_sample_ = static_cast<u32>(parsed);
     }
-    obs::Tracer::global().enable(sample);
-    obs::Tracer::global().clear();
   }
 
   // Observability pillar tri-states: unset = bench default (enable_*()),
@@ -118,13 +112,6 @@ BenchSession::BenchSession(std::string name) : name_(std::move(name)) {
   sampler_forced_off_ = sample_us == 0;
   const char* flight_env = std::getenv("P4CE_FLIGHT");
   flight_forced_off_ = flight_env != nullptr && std::strcmp(flight_env, "0") == 0;
-
-  // The dump should describe exactly this run, not whatever static
-  // initialization or a previous session in the same process left behind.
-  obs::MetricsRegistry::global().reset();
-  obs::LatencyAttribution::global().reset();
-  obs::Sampler::global().reset();
-  obs::FlightRecorder::global().reset();
 
   if (attr_env != nullptr && !attr_forced_off_) enable_attribution();
   if (sample_us > 0) enable_sampler(static_cast<Duration>(sample_us) * 1'000);
@@ -145,24 +132,35 @@ void BenchSession::add_value(const std::string& key, double value) {
 void BenchSession::add_table(const Table& table) { tables_.push_back(table); }
 
 void BenchSession::enable_attribution() {
-  if (attr_forced_off_ || attribution_) return;
-  attribution_ = true;
-  // Order matters: enable_attribution() keeps the tracer's sample rate when
-  // the P4CE_TRACE block above already configured one.
-  obs::Tracer::global().enable_attribution();
-  obs::LatencyAttribution::global().enable();
+  if (!attr_forced_off_) attribution_ = true;
 }
 
 void BenchSession::enable_sampler(Duration period) {
   if (sampler_forced_off_ || sampling_) return;
   sampling_ = true;
-  obs::Sampler::global().enable(period);
+  sample_period_ = period;
 }
 
 void BenchSession::enable_flight_recorder() {
-  if (flight_forced_off_ || flight_) return;
-  flight_ = true;
-  obs::FlightRecorder::global().enable();
+  if (!flight_forced_off_) flight_ = true;
+}
+
+void BenchSession::attach(core::Cluster& cluster) {
+  obs::Context& obs = cluster.sim().obs();
+  if (tracing_) obs.tracer.enable(trace_sample_);
+  if (attribution_) {
+    // After enable(): enable_attribution() keeps the P4CE_TRACE sample rate.
+    obs.tracer.enable_attribution();
+    obs.attribution.enable();
+  }
+  if (sampling_) {
+    obs.sampler.enable(sample_period_);
+    cluster.sampler_driver().start();
+  }
+  if (flight_) obs.recorder.enable();
+  runs_.push_back(Run{std::string(core::backend_name(cluster.options().mode)),
+                      cluster.options().machines, cluster.domains(),
+                      cluster.sim().obs_handle()});
 }
 
 std::string BenchSession::path_for(const std::string& prefix) const {
@@ -212,43 +210,85 @@ void BenchSession::finish() {
     }
     out += "\n    ]}";
   }
-  out += "\n  ],\n";
-  if (attribution_) {
-    out += "  \"attribution\": ";
-    obs::LatencyAttribution::global().append_json(out);
-    out += ",\n";
+  out += "\n  ],\n  \"runs\": [";
+  for (std::size_t r = 0; r < runs_.size(); ++r) {
+    const Run& run = runs_[r];
+    out += r == 0 ? "\n    {\"backend\": " : ",\n    {\"backend\": ";
+    obs::append_json_escaped(out, run.backend);
+    out += ", \"machines\": ";
+    append_number_json(out, run.machines);
+    out += ", \"domains\": ";
+    append_number_json(out, run.domains);
+    if (attribution_) {
+      out += ",\n    \"attribution\": ";
+      run.obs->attribution.append_json(out);
+    }
+    out += ",\n    \"metrics\": ";
+    obs::append_snapshot_json(out, run.obs->metrics.snapshot());
+    out += "}";
   }
-  out += "  \"metrics\": ";
-  obs::append_snapshot_json(out, obs::MetricsRegistry::global().snapshot());
-  out += "\n}\n";
+  out += "\n  ]\n}\n";
 
   if (!write_file(path_for("BENCH"), out)) {
     std::fprintf(stderr, "warning: could not write %s\n", path_for("BENCH").c_str());
   }
 
-  if (sampling_ && obs::Sampler::global().frame_count() > 0) {
-    if (!obs::Sampler::global().write_json(path_for("SERIES"))) {
-      std::fprintf(stderr, "warning: could not write %s\n", path_for("SERIES").c_str());
+  // The runs' instruments of one kind, in attach order (= epoch / pid order).
+  const auto each_run = [this]<class T>(T obs::Context::*member) {
+    std::vector<const T*> out;
+    for (const Run& run : runs_) out.push_back(&(*run.obs.*member));
+    return out;
+  };
+
+  if (sampling_) {
+    const auto samplers = each_run(&obs::Context::sampler);
+    if (std::any_of(samplers.begin(), samplers.end(),
+                    [](const obs::Sampler* s) { return s->frame_count() > 0; })) {
+      std::string series;
+      obs::Sampler::append_json(series, samplers);
+      if (!write_file(path_for("SERIES"), series)) {
+        std::fprintf(stderr, "warning: could not write %s\n", path_for("SERIES").c_str());
+      }
     }
   }
-  if (flight_ && obs::FlightRecorder::global().capture_count() > 0) {
-    if (!obs::FlightRecorder::global().write_json(path_for("FLIGHT"))) {
-      std::fprintf(stderr, "warning: could not write %s\n", path_for("FLIGHT").c_str());
-    } else {
-      std::printf("\nflight recorder: %s (%zu captures)\n", path_for("FLIGHT").c_str(),
-                  obs::FlightRecorder::global().capture_count());
+  if (flight_) {
+    const auto recorders = each_run(&obs::Context::recorder);
+    std::size_t captures = 0;
+    for (const obs::FlightRecorder* r : recorders) captures += r->capture_count();
+    if (captures > 0) {
+      std::string flight;
+      obs::FlightRecorder::append_json(flight, recorders);
+      if (!write_file(path_for("FLIGHT"), flight)) {
+        std::fprintf(stderr, "warning: could not write %s\n", path_for("FLIGHT").c_str());
+      } else {
+        std::printf("\nflight recorder: %s (%zu captures)\n", path_for("FLIGHT").c_str(),
+                    captures);
+      }
     }
   }
 
   if (tracing_) {
-    std::ignore = obs::MetricsRegistry::global().write_json(path_for("METRICS"));
+    std::string metrics = "{\n  \"runs\": [";
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      metrics += r == 0 ? "\n  " : ",\n  ";
+      obs::append_snapshot_json(metrics, runs_[r].obs->metrics.snapshot());
+    }
+    metrics += "\n  ]\n}\n";
+    std::ignore = write_file(path_for("METRICS"), metrics);
+
+    const auto tracers = each_run(&obs::Context::tracer);
+    std::size_t events = 0;
+    bool overflowed = false;
+    for (const obs::Tracer* t : tracers) {
+      events += t->event_count();
+      overflowed |= t->overflowed();
+    }
     const std::string trace_out = trace_path_.empty() ? path_for("TRACE") : trace_path_;
-    if (!obs::Tracer::global().write_chrome_trace(trace_out)) {
+    if (!write_file(trace_out, obs::Tracer::to_chrome_json(tracers))) {
       std::fprintf(stderr, "warning: could not write %s\n", trace_out.c_str());
     } else {
-      std::printf("\ntrace: %s (%zu events%s)\n", trace_out.c_str(),
-                  obs::Tracer::global().event_count(),
-                  obs::Tracer::global().overflowed() ? ", buffer overflowed" : "");
+      std::printf("\ntrace: %s (%zu events%s)\n", trace_out.c_str(), events,
+                  overflowed ? ", buffer overflowed" : "");
     }
   }
 }

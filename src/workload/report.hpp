@@ -1,15 +1,24 @@
 // Plain-text table printing for the benchmark harness — every bench prints
 // the rows/series the paper's corresponding table or figure reports — plus
-// the BenchSession wrapper that exports the same results (and the process
-// metrics registry / trace buffer) as machine-readable JSON.
+// the BenchSession wrapper that exports the same results (and each cluster
+// run's metrics, attribution and traces) as machine-readable JSON.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/time.hpp"
 #include "common/types.hpp"
+
+namespace p4ce::core {
+class Cluster;
+}  // namespace p4ce::core
+
+namespace p4ce::obs {
+struct Context;
+}  // namespace p4ce::obs
 
 namespace p4ce::workload {
 
@@ -37,7 +46,7 @@ class Table {
 /// Print a section heading for a bench binary.
 void print_header(const std::string& experiment, const std::string& paper_claim);
 
-/// One bench run's observability scope. Construction applies the
+/// One bench binary's observability scope. Construction reads the
 /// environment:
 ///   P4CE_LOG=<level>        log threshold for the run
 ///   P4CE_TRACE=1|<path>     enable consensus-instance tracing (a value other
@@ -48,15 +57,18 @@ void print_header(const std::string& experiment, const std::string& paper_claim)
 ///   P4CE_FLIGHT=1|0         force the fault flight recorder on/off
 ///   P4CE_BENCH_DIR=<dir>    output directory (default ".")
 ///   P4CE_BENCH_JSON=0       disable all JSON export
-/// and resets the metrics registry (and trace buffer) so the dump covers
-/// exactly this run. A bench can also opt a pillar in by default with the
-/// enable_*() methods — an explicit "off" in the environment always wins.
-/// finish() — or the destructor — writes BENCH_<name>.json (schema
-/// p4ce-bench-v1: recorded values, tables, an attribution report when
-/// enabled, and a metrics snapshot) plus, when tracing,
+/// A bench can also opt a pillar in by default with the enable_*() methods —
+/// an explicit "off" in the environment always wins. Each cluster the bench
+/// builds is attach()ed right after Cluster::create: the session applies the
+/// pillar settings to that cluster's own obs::Context and keeps the context,
+/// so every run is observed in isolation. finish() — or the destructor —
+/// writes BENCH_<name>.json (schema p4ce-bench-v1: recorded values, tables,
+/// and one "runs" entry per attached cluster with its attribution report
+/// when enabled and its metrics snapshot) plus, when tracing,
 /// METRICS_<name>.json and the Chrome trace TRACE_<name>.json, when
-/// sampling, SERIES_<name>.json, and when the flight recorder captured
-/// anything, FLIGHT_<name>.json.
+/// sampling, SERIES_<name>.json, and when a flight recorder captured
+/// anything, FLIGHT_<name>.json. In SERIES and FLIGHT frames the epoch
+/// column is the run's index in attach order.
 class BenchSession {
  public:
   explicit BenchSession(std::string name);
@@ -76,10 +88,14 @@ class BenchSession {
   void add_table(const Table& table);
 
   /// Bench defaults for the observability pillars (no-ops when the
-  /// environment forced the pillar off).
+  /// environment forced the pillar off). They apply to clusters attached
+  /// afterwards.
   void enable_attribution();
   void enable_sampler(Duration period = 100'000);
   void enable_flight_recorder();
+
+  /// Observe `cluster` as the next run: call right after Cluster::create.
+  void attach(core::Cluster& cluster);
 
   bool tracing() const noexcept { return tracing_; }
   bool attribution() const noexcept { return attribution_; }
@@ -90,6 +106,13 @@ class BenchSession {
   void finish();
 
  private:
+  struct Run {
+    std::string backend;
+    u32 machines = 0;
+    u32 domains = 0;
+    std::shared_ptr<obs::Context> obs;
+  };
+
   std::string path_for(const std::string& prefix) const;
 
   std::string name_;
@@ -101,12 +124,15 @@ class BenchSession {
   bool attribution_ = false;
   bool sampling_ = false;
   bool flight_ = false;
+  u32 trace_sample_ = 1;
+  Duration sample_period_ = 0;
   bool attr_forced_off_ = false;
   bool sampler_forced_off_ = false;
   bool flight_forced_off_ = false;
   bool finished_ = false;
   std::vector<std::pair<std::string, double>> values_;
   std::vector<Table> tables_;
+  std::vector<Run> runs_;
 };
 
 }  // namespace p4ce::workload

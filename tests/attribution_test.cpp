@@ -11,6 +11,7 @@
 #include "common/stats.hpp"
 #include "core/cluster.hpp"
 #include "obs/attribution.hpp"
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -70,11 +71,7 @@ TEST(LatencyHistogram, QuantilesAreMonotone) {
 
 class AttributionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    attr_.enable();
-    attr_.reset();
-  }
-  void TearDown() override { attr_.disable(); }
+  void SetUp() override { attr_.enable(); }
 
   static double stage_sum(const LatencyAttribution& a) {
     double sum = 0;
@@ -84,7 +81,7 @@ class AttributionTest : public ::testing::Test {
     return sum;
   }
 
-  LatencyAttribution& attr_ = LatencyAttribution::global();
+  LatencyAttribution attr_;
 };
 
 TEST_F(AttributionTest, FullTimelineSplitsIntoAllStages) {
@@ -158,6 +155,20 @@ TEST_F(AttributionTest, BareRoundAttributesEverythingToCommitCpu) {
   EXPECT_DOUBLE_EQ(stage_sum(attr_), 800.0);
 }
 
+TEST_F(AttributionTest, RoundsStartedBeforeTheRecordWindowAreIgnored) {
+  attr_.record_from(1'000);  // e.g. a workload's warmup ends at 1 µs
+  RoundTiming warmup;
+  warmup.start = 999;
+  warmup.end = 5'000;
+  attr_.record_round(warmup);
+  RoundTiming measured;
+  measured.start = 1'000;
+  measured.end = 1'500;
+  attr_.record_round(measured);
+  EXPECT_EQ(attr_.rounds(), 1u);
+  EXPECT_DOUBLE_EQ(attr_.total().mean_ns(), 500.0);
+}
+
 TEST_F(AttributionTest, EmptyReportHasNoDominantStage) {
   EXPECT_EQ(attr_.dominant_stage(), LatencyAttribution::kStageCount);
   std::string json;
@@ -199,20 +210,14 @@ TEST(TraceKey, NamespacesByDomainAndRoundTrips) {
 
 class TracerAttributionTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    tracer_.disable();
-    tracer_.clear();
-    LatencyAttribution::global().disable();
-    LatencyAttribution::global().reset();
-  }
-  Tracer tracer_;
+  LatencyAttribution attr_;
+  Tracer tracer_{attr_};
 };
 
 TEST_F(TracerAttributionTest, AttributionOnlyModeBuffersNoChromeEvents) {
   tracer_.enable_attribution();
-  LatencyAttribution::global().enable();
-  LatencyAttribution::global().reset();
-  EXPECT_TRUE(Tracer::is_enabled());
+  attr_.enable();
+  EXPECT_TRUE(tracer_.is_enabled());
   EXPECT_FALSE(tracer_.events_enabled());
   EXPECT_TRUE(tracer_.attribution_enabled());
 
@@ -228,11 +233,10 @@ TEST_F(TracerAttributionTest, AttributionOnlyModeBuffersNoChromeEvents) {
   tracer_.end_round(1, 800, true);
 
   EXPECT_EQ(tracer_.event_count(), 0u);  // no Chrome events buffered
-  auto& attr = LatencyAttribution::global();
-  ASSERT_EQ(attr.rounds(), 1u);
-  EXPECT_EQ(attr.committed(), 1u);
-  EXPECT_DOUBLE_EQ(attr.total().mean_ns(), 800.0);
-  EXPECT_DOUBLE_EQ(attr.stage(LatencyAttribution::kLeaderCpu).mean_ns(), 100.0);
+  ASSERT_EQ(attr_.rounds(), 1u);
+  EXPECT_EQ(attr_.committed(), 1u);
+  EXPECT_DOUBLE_EQ(attr_.total().mean_ns(), 800.0);
+  EXPECT_DOUBLE_EQ(attr_.stage(LatencyAttribution::kLeaderCpu).mean_ns(), 100.0);
 }
 
 TEST_F(TracerAttributionTest, SampledOutInstancesLeaveNoTraceButCountersTick) {
@@ -304,24 +308,15 @@ TEST_F(TracerAttributionTest, ActiveRoundsExposeInFlightKeys) {
 // End to end: a real cluster produces an ordered per-stage report
 // ---------------------------------------------------------------------------
 
-class ClusterAttributionTest : public ::testing::TestWithParam<consensus::Mode> {
- protected:
-  void TearDown() override {
-    Tracer::global().disable();
-    Tracer::global().clear();
-    LatencyAttribution::global().disable();
-    LatencyAttribution::global().reset();
-  }
-};
+class ClusterAttributionTest : public ::testing::TestWithParam<consensus::Mode> {};
 
 TEST_P(ClusterAttributionTest, CommittedRoundsProduceStageBreakdown) {
-  Tracer::global().enable_attribution();
-  LatencyAttribution::global().enable();
-
   core::ClusterOptions options;
   options.machines = 3;
   options.mode = GetParam();
   auto cluster = core::Cluster::create(options);
+  cluster->sim().obs().tracer.enable_attribution();
+  cluster->sim().obs().attribution.enable();
   ASSERT_TRUE(cluster->start());
 
   int ok = 0;
@@ -332,7 +327,7 @@ TEST_P(ClusterAttributionTest, CommittedRoundsProduceStageBreakdown) {
   cluster->run_for(milliseconds(3));
   ASSERT_EQ(ok, 50);
 
-  auto& attr = LatencyAttribution::global();
+  const auto& attr = cluster->sim().obs().attribution;
   EXPECT_GE(attr.rounds(), 50u);
   EXPECT_GE(attr.committed(), 50u);
   EXPECT_GT(attr.total().mean_ns(), 0.0);

@@ -23,9 +23,7 @@
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce {
 namespace {
@@ -36,21 +34,18 @@ using core::ClusterOptions;
 void run_chaos_seed(u64 seed, consensus::Mode mode) {
   Rng rng(seed);
 
-  // Arm the flight recorder for this seed; fresh state per run.
-  obs::MetricsRegistry::global().reset();
-  obs::Sampler::global().enable(/*period=*/microseconds(100));
-  // Generous capture budget, but a wide per-kind gap: a post-crash
-  // retransmit storm must not exhaust the budget before the (later) switch
-  // crash gets its capture.
-  obs::FlightRecorder::global().enable(/*max_captures=*/64, /*frame_window=*/256,
-                                       /*min_gap=*/milliseconds(2));
-  obs::FlightRecorder::global().reset();
-
   ClusterOptions options;
   options.machines = 5;
   options.mode = mode;
   options.cal = consensus::Calibration::failover();
   auto cluster = Cluster::create(options);
+  // Arm this cluster's sampler and flight recorder. Generous capture budget,
+  // but a wide per-kind gap: a post-crash retransmit storm must not exhaust
+  // the budget before the (later) switch crash gets its capture.
+  cluster->sim().obs().sampler.enable(/*period=*/microseconds(100));
+  cluster->sampler_driver().start();
+  cluster->sim().obs().recorder.enable(/*max_captures=*/64, /*frame_window=*/256,
+                                       /*min_gap=*/milliseconds(2));
   ASSERT_TRUE(cluster->start());
 
   sim::Simulator& sim = cluster->sim();
@@ -143,7 +138,7 @@ void run_chaos_seed(u64 seed, consensus::Mode mode) {
 
   // Flight recorder: every seed injects at least one machine crash, so at
   // least one capture must exist, with a telemetry window leading up to it.
-  auto& recorder = obs::FlightRecorder::global();
+  const auto& recorder = cluster->sim().obs().recorder;
   ASSERT_GE(recorder.capture_count(), 1u)
       << "faults were injected but the flight recorder captured nothing";
   for (const auto& cap : recorder.captures()) {
@@ -162,11 +157,6 @@ void run_chaos_seed(u64 seed, consensus::Mode mode) {
   }
   // The artefact the issue asks a chaos run to produce.
   std::ignore = recorder.write_json("FLIGHT_chaos_seed" + std::to_string(seed) + ".json");
-
-  obs::Sampler::global().disable();
-  obs::Sampler::global().reset();
-  recorder.disable();
-  recorder.reset();
 }
 
 class ChaosTest : public ::testing::TestWithParam<u64> {};

@@ -9,11 +9,7 @@
 #include <memory>
 
 #include "core/cluster.hpp"
-#include "obs/attribution.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "workload/generators.hpp"
 
 namespace p4ce {
@@ -26,13 +22,25 @@ struct Outcome {
   u64 events = 0;
   SimTime end_time = 0;
   u64 leader_tx_bytes = 0;
+  u64 attributed_rounds = 0;
+  std::size_t frames = 0;
 };
 
-Outcome run_fig5_style(consensus::Mode mode) {
+/// `observe` arms attribution, the sampler and the flight recorder on the
+/// cluster's own context.
+Outcome run_fig5_style(consensus::Mode mode, bool observe = false) {
   core::ClusterOptions options;
   options.machines = 3;
   options.mode = mode;
   auto cluster = core::Cluster::create(options);
+  obs::Context& obs = cluster->sim().obs();
+  if (observe) {
+    obs.tracer.enable_attribution();
+    obs.attribution.enable();
+    obs.sampler.enable(/*period=*/microseconds(100));
+    cluster->sampler_driver().start();
+    obs.recorder.enable();
+  }
   EXPECT_TRUE(cluster->start());
   const u32 value_size = 512;
   const u32 batch = 16;
@@ -47,6 +55,8 @@ Outcome run_fig5_style(consensus::Mode mode) {
   out.events = cluster->sim().events_executed();
   out.end_time = cluster->now();
   out.leader_tx_bytes = cluster->host_tx_wire_bytes(0);
+  out.attributed_rounds = obs.attribution.rounds();
+  out.frames = obs.sampler.frame_count();
   return out;
 }
 
@@ -68,34 +78,17 @@ INSTANTIATE_TEST_SUITE_P(Modes, DeterminismTest,
                          ::testing::Values(consensus::Mode::kP4ce, consensus::Mode::kMu,
                                            consensus::Mode::kOneSided));
 
-// The single-bool guard discipline: with attribution, sampling, and the
-// flight recorder all disabled, a run is byte-identical to one where the
-// observability code was never built in — same event count included. With
-// them enabled, the sampler adds its own tick events (so the executed-event
-// count legitimately grows) but observation never mutates protocol state, so
-// every protocol-visible outcome stays bit-for-bit equal.
+// The guard discipline: with attribution, sampling, and the flight recorder
+// all disabled, a run is byte-identical to one where the observability code
+// was never built in — same event count included. With them enabled on the
+// cluster's context, the sampler adds its own tick events (so the
+// executed-event count legitimately grows) but observation never mutates
+// protocol state, so every protocol-visible outcome stays bit-for-bit equal.
 TEST_P(DeterminismTest, ObservabilityHooksDoNotPerturbTheProtocol) {
   const Outcome baseline = run_fig5_style(GetParam());
-
-  obs::Tracer::global().enable_attribution();
-  obs::LatencyAttribution::global().enable();
-  obs::LatencyAttribution::global().reset();
-  obs::Sampler::global().enable(/*period=*/microseconds(100));
-  obs::FlightRecorder::global().enable();
-  obs::FlightRecorder::global().reset();
-  const Outcome observed = run_fig5_style(GetParam());
-
-  EXPECT_GT(obs::LatencyAttribution::global().rounds(), 0u);
-  EXPECT_GT(obs::Sampler::global().frame_count(), 0u);
-
-  obs::Tracer::global().disable();
-  obs::Tracer::global().clear();
-  obs::LatencyAttribution::global().disable();
-  obs::LatencyAttribution::global().reset();
-  obs::Sampler::global().disable();
-  obs::Sampler::global().reset();
-  obs::FlightRecorder::global().disable();
-  obs::FlightRecorder::global().reset();
+  const Outcome observed = run_fig5_style(GetParam(), /*observe=*/true);
+  EXPECT_GT(observed.attributed_rounds, 0u);
+  EXPECT_GT(observed.frames, 0u);
   const Outcome disabled = run_fig5_style(GetParam());
 
   // Observed run: protocol outcome untouched (events excluded — the sampler

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce {
 namespace {
@@ -120,11 +120,12 @@ TEST(MultiGroup, TracedRoundsAreNamespacedByDomain) {
   // Regression: both leaders' operation counters start at 1, so un-namespaced
   // trace keys collided across domains and merged unrelated rounds into one
   // Chrome track (and one wire mapping).
-  auto& tracer = obs::Tracer::global();
+  ClusterOptions options;
+  options.domains = 2;
+  auto cluster = Cluster::create(options);
+  auto& tracer = cluster->sim().obs().tracer;
   tracer.enable();
-  tracer.clear();
-
-  auto cluster = make(2);
+  ASSERT_TRUE(cluster->start());
   int ok = 0;
   std::ignore = cluster->leader(0)->propose(Bytes(64, 0xA0),
                                             [&](Status st, u64) { ok += st.is_ok(); });
@@ -137,9 +138,6 @@ TEST(MultiGroup, TracedRoundsAreNamespacedByDomain) {
   // Domain 0 keeps the legacy track name; domain 1 gets its own namespace.
   EXPECT_NE(json.find("\"instance 1\""), std::string::npos);
   EXPECT_NE(json.find("\"domain 1 instance 1\""), std::string::npos);
-
-  tracer.disable();
-  tracer.clear();
 }
 
 TEST(MultiGroup, MuDomainsShareTheSwitchAsPlainFabric) {
@@ -152,6 +150,85 @@ TEST(MultiGroup, MuDomainsShareTheSwitchAsPlainFabric) {
                                             [&](Status st, u64) { ok += st.is_ok(); });
   cluster->run_for(milliseconds(2));
   EXPECT_EQ(ok, 2);
+}
+
+TEST(MultiCluster, TwoClustersInOneProcessKeepIndependentInstruments) {
+  // A P4CE and a Mu cluster, each with every pillar armed on its own
+  // context, stepped in interleaved slices.
+  const auto armed = [](consensus::Mode mode) {
+    ClusterOptions options;
+    options.mode = mode;
+    options.cal = consensus::Calibration::failover();
+    auto cluster = Cluster::create(options);
+    obs::Context& obs = cluster->sim().obs();
+    obs.tracer.enable_attribution();
+    obs.attribution.enable();
+    obs.sampler.enable(/*period=*/microseconds(100));
+    cluster->sampler_driver().start();
+    obs.recorder.enable();
+    EXPECT_TRUE(cluster->start(seconds(2)));
+    return cluster;
+  };
+  auto p4 = armed(consensus::Mode::kP4ce);
+  auto mu = armed(consensus::Mode::kMu);
+  const obs::Context& p4_obs = p4->sim().obs();
+  const obs::Context& mu_obs = mu->sim().obs();
+  ASSERT_NE(&p4_obs, &mu_obs);
+  auto commits = [](const obs::Context& obs) {
+    return obs.metrics.snapshot().find("consensus.commits")->count;
+  };
+
+  int p4_ok = 0;
+  int mu_ok = 0;
+  for (int slice = 0; slice < 4; ++slice) {
+    for (int k = 0; k < 10; ++k) {
+      std::ignore = p4->leader()->propose(Bytes(64, 0x11),
+                                          [&](Status st, u64) { p4_ok += st.is_ok(); });
+    }
+    for (int k = 0; k < 5; ++k) {
+      std::ignore = mu->leader()->propose(Bytes(64, 0x22),
+                                          [&](Status st, u64) { mu_ok += st.is_ok(); });
+    }
+    p4->run_for(milliseconds(1));
+    mu->run_for(milliseconds(1));
+  }
+  ASSERT_EQ(p4_ok, 40);
+  ASSERT_EQ(mu_ok, 20);
+  // Each cluster counts only its own commits and attribution rounds.
+  EXPECT_EQ(commits(p4_obs), 40u);
+  EXPECT_EQ(commits(mu_obs), 20u);
+  EXPECT_EQ(p4_obs.attribution.rounds(), 40u);
+  EXPECT_EQ(mu_obs.attribution.rounds(), 20u);
+  EXPECT_GT(p4_obs.attribution.stage(obs::LatencyAttribution::kSwitchScatter).count(), 0u);
+  EXPECT_EQ(mu_obs.attribution.stage(obs::LatencyAttribution::kSwitchScatter).count(), 0u);
+
+  // A fault in one cluster is captured by that cluster's recorder only.
+  const std::size_t p4_captures = p4_obs.recorder.capture_count();
+  mu->crash_node(2);  // a replica: the Mu leader excludes it
+  mu->run_for(milliseconds(5));
+  EXPECT_GT(mu_obs.recorder.capture_count(), 0u);
+  EXPECT_EQ(p4_obs.recorder.capture_count(), p4_captures);
+  for (const auto& cap : mu_obs.recorder.captures()) EXPECT_FALSE(cap.frames.empty());
+
+  // The context outlives its cluster; once the cluster is gone nothing
+  // records into it, while the other cluster keeps counting.
+  const std::shared_ptr<obs::Context> kept = mu->sim().obs_handle();
+  const u64 mu_commits = commits(*kept);
+  const std::size_t mu_frames = kept->sampler.frame_count();
+  const std::size_t mu_captures = kept->recorder.capture_count();
+  mu.reset();
+  for (int k = 0; k < 10; ++k) {
+    std::ignore = p4->leader()->propose(Bytes(64, 0x33), [&](Status st, u64) {
+      p4_ok += st.is_ok();
+    });
+  }
+  p4->run_for(milliseconds(2));
+  EXPECT_EQ(p4_ok, 50);
+  EXPECT_EQ(commits(p4_obs), 50u);
+  EXPECT_EQ(commits(*kept), mu_commits);
+  EXPECT_EQ(kept->sampler.frame_count(), mu_frames);
+  EXPECT_EQ(kept->recorder.capture_count(), mu_captures);
+  EXPECT_EQ(kept->attribution.rounds(), 20u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the observability layer: the metrics registry (counters,
-// gauges, histograms, labels, snapshot/reset) and the consensus-instance
+// gauges, histograms, labels, snapshot) and the consensus-instance
 // tracer (round lifecycle, sampling, PSN wire map, Chrome JSON export).
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "common/time.hpp"
 #include "common/types.hpp"
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -70,33 +71,13 @@ TEST(MetricsRegistry, SnapshotIsSortedAndFindsByPrefix) {
   EXPECT_EQ(snap.find("nope."), nullptr);
 }
 
-TEST(MetricsRegistry, ResetZeroesValuesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("x.count");
-  Gauge& g = reg.gauge("x.level");
-  LatencyHistogram& h = reg.histogram("x.lat");
-  c.inc(7);
-  g.set(9.0);
-  h.record(100);
-
-  reg.reset();
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_DOUBLE_EQ(g.high_water(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-
-  // Cached references stay live across the reset.
-  c.inc();
-  EXPECT_EQ(reg.snapshot().find("x.count")->count, 1u);
-}
-
 TEST(MetricsRegistry, JsonContainsEverySeries) {
   MetricsRegistry reg;
   reg.counter("a.count").inc(3);
   reg.gauge("b.level").set(1.5);
   reg.histogram("c.lat").record(42);
-  const std::string json = reg.to_json();
+  std::string json;
+  append_snapshot_json(json, reg.snapshot());
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
   EXPECT_NE(json.find("\"b.level\""), std::string::npos);
   EXPECT_NE(json.find("\"c.lat\""), std::string::npos);
@@ -117,12 +98,12 @@ TEST(MetricsRegistry, JsonEscapesControlAndQuoteCharacters) {
 
 class TracerTest : public ::testing::Test {
  protected:
-  void TearDown() override { tracer_.disable(); }
-  Tracer tracer_;
+  LatencyAttribution sink_;
+  Tracer tracer_{sink_};
 };
 
 TEST_F(TracerTest, DisabledByDefaultAndHooksAreNoOps) {
-  EXPECT_FALSE(Tracer::is_enabled());
+  EXPECT_FALSE(tracer_.is_enabled());
   tracer_.begin_round(1, 0);
   tracer_.span(1, "propose", 0, 10);
   tracer_.end_round(1, 20, true);
@@ -206,17 +187,6 @@ TEST_F(TracerTest, EventBufferIsBounded) {
   EXPECT_TRUE(tracer_.overflowed());
 }
 
-TEST_F(TracerTest, ClearDropsEventsButStaysEnabled) {
-  tracer_.enable();
-  tracer_.begin_round(1, 0);
-  tracer_.span(1, "propose", 0, 5);
-  tracer_.end_round(1, 10, true);
-  ASSERT_GT(tracer_.event_count(), 0u);
-  tracer_.clear();
-  EXPECT_EQ(tracer_.event_count(), 0u);
-  EXPECT_TRUE(Tracer::is_enabled());
-}
-
 TEST_F(TracerTest, ChromeJsonTimesAreMicroseconds) {
   tracer_.enable();
   tracer_.begin_round(1, 1000);          // 1000 ns -> ts 1.000 us
@@ -226,6 +196,23 @@ TEST_F(TracerTest, ChromeJsonTimesAreMicroseconds) {
   EXPECT_NE(json.find("\"ts\": 1.000"), std::string::npos);
   EXPECT_NE(json.find("\"dur\": 2.500"), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
+}
+
+TEST_F(TracerTest, ChromeJsonGivesEachRunItsOwnProcess) {
+  // Two runs with colliding instance ids (every run's counter starts at 1).
+  LatencyAttribution other_sink;
+  Tracer other(other_sink);
+  for (Tracer* t : {&tracer_, &other}) {
+    t->enable();
+    t->begin_round(1, 0);
+    t->end_round(1, 10, true);
+  }
+  const std::string json = Tracer::to_chrome_json({&tracer_, &other});
+  EXPECT_NE(json.find("\"pid\": 1, \"args\": {\"name\": \"p4ce consensus run 0\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\": 2, \"args\": {\"name\": \"p4ce consensus run 1\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\": 2, \"tid\": 1"), std::string::npos);
 }
 
 }  // namespace

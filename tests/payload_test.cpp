@@ -7,19 +7,14 @@
 
 #include "net/packet.hpp"
 #include "net/payload.hpp"
-#include "obs/metrics.hpp"
 #include "rdma/nic.hpp"
 #include "sim/simulator.hpp"
 
 namespace p4ce::net {
 namespace {
 
-u64 copied_bytes() {
-  return obs::MetricsRegistry::global().counter("net.payload_bytes_copied").value();
-}
-u64 shared_bytes() {
-  return obs::MetricsRegistry::global().counter("net.payload_bytes_shared").value();
-}
+u64 copied_bytes() { return PayloadRef::copied_bytes(); }
+u64 shared_bytes() { return PayloadRef::shared_bytes(); }
 
 Bytes pattern(std::size_t n, u8 seed = 0) {
   Bytes out(n);

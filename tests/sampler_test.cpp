@@ -1,17 +1,14 @@
 // Time-series telemetry and the fault flight recorder: sampler frames and
-// column alignment, ring bounding, epoch stamping, JSON export with null
-// padding, the SamplerDriver's periodic simulation events, trigger rate
-// limiting, and the capture content a fault freezes.
+// column alignment, ring bounding, multi-run JSON export (epoch = run index,
+// null padding), the SamplerDriver's periodic simulation events, trigger
+// rate limiting, and the capture content a fault freezes.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "common/time.hpp"
 #include "core/cluster.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "sim/simulator.hpp"
 
 namespace p4ce {
@@ -23,20 +20,13 @@ using obs::Sampler;
 
 class SamplerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    MetricsRegistry::global().reset();
-    sampler_.enable(/*period=*/1'000, /*capacity=*/8);
-  }
-  void TearDown() override {
-    sampler_.disable();
-    sampler_.reset();
-    MetricsRegistry::global().reset();
-  }
-  Sampler& sampler_ = Sampler::global();
+  void SetUp() override { sampler_.enable(/*period=*/1'000, /*capacity=*/8); }
+  MetricsRegistry reg_;
+  Sampler sampler_{reg_};
 };
 
 TEST_F(SamplerTest, TickSnapshotsCountersGaugesAndHistogramCounts) {
-  auto& reg = MetricsRegistry::global();
+  auto& reg = reg_;
   reg.counter("t.count").inc(3);
   reg.gauge("t.level").set(2.5);
   reg.histogram("t.lat").record(100);
@@ -60,7 +50,7 @@ TEST_F(SamplerTest, TickSnapshotsCountersGaugesAndHistogramCounts) {
 }
 
 TEST_F(SamplerTest, RingIsBoundedAndKeepsTheNewestFrames) {
-  MetricsRegistry::global().counter("t.count");
+  reg_.counter("t.count");
   for (SimTime t = 0; t < 20; ++t) sampler_.tick(t * 100);
   EXPECT_EQ(sampler_.frame_count(), 8u);  // capacity from SetUp
   const auto frames = sampler_.frames();
@@ -69,21 +59,17 @@ TEST_F(SamplerTest, RingIsBoundedAndKeepsTheNewestFrames) {
 }
 
 TEST_F(SamplerTest, LateRegisteredSeriesExtendColumnsWithoutShiftingOldOnes) {
-  // The global registry keeps registrations from earlier tests across
-  // resets, so all assertions are relative to the column count at tick 1.
-  auto& reg = MetricsRegistry::global();
-  reg.counter("a.count").inc();
+  reg_.counter("b.count").inc();
   sampler_.tick(100);
-  const std::size_t before = sampler_.series_names().size();
-  reg.counter("b.count").inc(7);  // registered between ticks
+  reg_.counter("a.count").inc(7);  // registered between ticks
   sampler_.tick(200);
 
   const auto& names = sampler_.series_names();
-  ASSERT_EQ(names.size(), before + 1);
-  EXPECT_EQ(names.back(), "b.count");  // appended, never reshuffled
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names.back(), "a.count");  // appended, never reshuffled
   const auto frames = sampler_.frames();
-  ASSERT_EQ(frames[0].values.size(), before);  // pre-registration frame is short
-  ASSERT_EQ(frames[1].values.size(), before + 1);
+  ASSERT_EQ(frames[0].values.size(), 1u);  // pre-registration frame is short
+  ASSERT_EQ(frames[1].values.size(), 2u);
   EXPECT_DOUBLE_EQ(frames[1].values.back(), 7.0);
 
   // Export pads the short frame with null, keeping rows column-aligned.
@@ -96,7 +82,7 @@ TEST_F(SamplerTest, LateRegisteredSeriesExtendColumnsWithoutShiftingOldOnes) {
 }
 
 TEST_F(SamplerTest, LastFramesReturnsTheTrailingWindowOldestFirst) {
-  MetricsRegistry::global().counter("t.count");
+  reg_.counter("t.count");
   for (SimTime t = 1; t <= 5; ++t) sampler_.tick(t * 10);
   const auto last = sampler_.last_frames(2);
   ASSERT_EQ(last.size(), 2u);
@@ -105,29 +91,45 @@ TEST_F(SamplerTest, LastFramesReturnsTheTrailingWindowOldestFirst) {
   EXPECT_EQ(sampler_.last_frames(99).size(), 5u);
 }
 
-TEST_F(SamplerTest, EpochsDistinguishBackToBackClusters) {
-  MetricsRegistry::global().counter("t.count");
-  const u32 before = sampler_.epoch();
-  sampler_.begin_epoch();
+TEST_F(SamplerTest, MultiRunExportUnionsColumnsAndStampsTheRunIndex) {
+  // Two runs whose clocks both start at 0 and whose series only overlap.
+  reg_.counter("shared.count").inc(1);
+  reg_.counter("first.only").inc(2);
   sampler_.tick(100);
-  sampler_.begin_epoch();
-  sampler_.tick(100);  // same sim time, different cluster
-  const auto frames = sampler_.frames();
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].epoch, before + 1);
-  EXPECT_EQ(frames[1].epoch, before + 2);
+  MetricsRegistry other_reg;
+  Sampler other(other_reg);
+  other.enable(/*period=*/1'000);
+  other_reg.counter("shared.count").inc(3);
+  other_reg.counter("second.only").inc(4);
+  other.tick(100);
+
+  std::string json;
+  Sampler::append_json(json, {&sampler_, &other});
+  // Union of the columns, in order of first appearance.
+  EXPECT_NE(json.find("\"series\": [\"first.only\", \"shared.count\", \"second.only\"]"),
+            std::string::npos)
+      << json;
+  // [t_ns, epoch=run index, first.only, shared.count, second.only]
+  EXPECT_NE(json.find("[100, 0, 2, 1, null]"), std::string::npos) << json;
+  EXPECT_NE(json.find("[100, 1, null, 3, 4]"), std::string::npos) << json;
 }
 
-TEST_F(SamplerTest, DriverTicksPeriodicallyUntilDisabled) {
+TEST(SamplerDriver, TicksPeriodicallyOnceStartedUntilDisabled) {
   sim::Simulator sim;
+  Sampler& sampler = sim.obs().sampler;
   {
     obs::SamplerDriver driver(sim);
-    sim.run_for(5'500);  // period 1000 from SetUp -> ticks at 1000..5000
-    EXPECT_EQ(sampler_.frame_count(), 5u);
-    sampler_.disable();
+    sampler.enable(/*period=*/1'000, /*capacity=*/8);
+    sim.run_for(2'500);  // not started yet: nothing scheduled
+    EXPECT_EQ(sampler.frame_count(), 0u);
+    driver.start();
+    driver.start();  // idempotent
+    sim.run_for(5'000);  // ticks at 3500..7500
+    EXPECT_EQ(sampler.frame_count(), 5u);
+    sampler.disable();
     sim.run_for(5'000);  // a disabled sampler stops rearming
-    EXPECT_EQ(sampler_.frame_count(), 5u);
-  }  // driver destruction cancels any pending tick before sim_ dies
+    EXPECT_EQ(sampler.frame_count(), 5u);
+  }  // driver destruction cancels any pending tick before sim dies
 }
 
 // ---------------------------------------------------------------------------
@@ -137,28 +139,19 @@ TEST_F(SamplerTest, DriverTicksPeriodicallyUntilDisabled) {
 class FlightTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    MetricsRegistry::global().reset();
     recorder_.enable(/*max_captures=*/4, /*frame_window=*/2, /*min_gap=*/1'000);
-    recorder_.reset();
   }
-  void TearDown() override {
-    recorder_.disable();
-    recorder_.reset();
-    obs::Sampler::global().disable();
-    obs::Sampler::global().reset();
-    obs::Tracer::global().disable();
-    obs::Tracer::global().clear();
-  }
-  FlightRecorder& recorder_ = FlightRecorder::global();
+  obs::Context obs_;
+  FlightRecorder& recorder_ = obs_.recorder;
 };
 
 TEST_F(FlightTest, TriggerFreezesTelemetryAndInFlightRounds) {
-  auto& sampler = obs::Sampler::global();
+  auto& sampler = obs_.sampler;
   sampler.enable(/*period=*/100, /*capacity=*/16);
-  MetricsRegistry::global().counter("t.count").inc();
+  obs_.metrics.counter("t.count").inc();
   for (SimTime t = 1; t <= 5; ++t) sampler.tick(t * 100);
 
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = obs_.tracer;
   tracer.enable();
   tracer.begin_round(obs::trace_key(1, 9), 400);
 
@@ -196,13 +189,6 @@ TEST_F(FlightTest, RepeatTriggersOfOneKindAreRateLimited) {
   EXPECT_EQ(recorder_.dropped(), 1u);
 }
 
-TEST_F(FlightTest, ClockRestartIsANewTimelineNotARateLimitHit) {
-  EXPECT_TRUE(recorder_.trigger("term_change", 500'000));
-  // A fresh cluster's clock starts over at a smaller time.
-  EXPECT_TRUE(recorder_.trigger("term_change", 100));
-  EXPECT_EQ(recorder_.capture_count(), 2u);
-}
-
 TEST_F(FlightTest, CaptureCountIsBounded) {
   for (int i = 0; i < 10; ++i) {
     recorder_.trigger("reroute", i * 10'000);
@@ -213,7 +199,7 @@ TEST_F(FlightTest, CaptureCountIsBounded) {
 
 TEST_F(FlightTest, DisabledRecorderIgnoresTriggers) {
   recorder_.disable();
-  EXPECT_FALSE(FlightRecorder::is_enabled());
+  EXPECT_FALSE(recorder_.is_enabled());
   EXPECT_FALSE(recorder_.trigger("leader_failover", 100));
   EXPECT_EQ(recorder_.capture_count(), 0u);
 }
@@ -223,19 +209,16 @@ TEST_F(FlightTest, DisabledRecorderIgnoresTriggers) {
 // ---------------------------------------------------------------------------
 
 TEST(FlightE2E, LeaderCrashProducesACaptureWithTelemetryAroundTheFault) {
-  MetricsRegistry::global().reset();
-  auto& sampler = obs::Sampler::global();
-  auto& recorder = FlightRecorder::global();
-  sampler.enable(/*period=*/microseconds(100), /*capacity=*/4096);
-  recorder.enable();
-  recorder.reset();
-
   {
     core::ClusterOptions options;
     options.machines = 3;
     options.mode = consensus::Mode::kP4ce;
     options.cal = consensus::Calibration::failover();
     auto cluster = core::Cluster::create(options);
+    auto& recorder = cluster->sim().obs().recorder;
+    cluster->sim().obs().sampler.enable(/*period=*/microseconds(100), /*capacity=*/4096);
+    cluster->sampler_driver().start();
+    recorder.enable();
     ASSERT_TRUE(cluster->start(seconds(2)));
     cluster->run_for(milliseconds(5));
 
@@ -262,12 +245,6 @@ TEST(FlightE2E, LeaderCrashProducesACaptureWithTelemetryAroundTheFault) {
     }
     EXPECT_TRUE(saw_failover);
   }
-
-  sampler.disable();
-  sampler.reset();
-  recorder.disable();
-  recorder.reset();
-  MetricsRegistry::global().reset();
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <memory>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "net/packet.hpp"
+#include "obs/context.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
+#include "switchsim/pipeline.hpp"
 
 namespace p4ce::sim {
 namespace {
@@ -235,8 +237,8 @@ TEST(Simulator, CancelledSlotIsReused) {
 }
 
 TEST(Simulator, SmallCapturesDoNotHeapAllocate) {
-  auto& alloc_counter = obs::MetricsRegistry::global().counter("sim.events_alloc");
   Simulator sim;
+  const obs::Counter& alloc_counter = sim.obs().metrics.counter("sim.events_alloc");
   const u64 before = alloc_counter.value();
   int x = 0;
   for (int i = 0; i < 100; ++i) {
@@ -244,6 +246,23 @@ TEST(Simulator, SmallCapturesDoNotHeapAllocate) {
   }
   sim.run();
   EXPECT_EQ(alloc_counter.value(), before);
+
+  // A whole packet rides inline: the link hop's capture (this, the far
+  // end, the link epoch and the packet by value) and the switch egress
+  // hop's (this and a PacketContext) are the largest in the stack.
+  net::Packet packet;
+  packet.payload = Bytes(64, 0xab);
+  u64 delivered = 0;
+  const u64 fire_at = static_cast<u64>(sim.now()) + 1;
+  sim.schedule(1, [&sim, &delivered, epoch = u64{7}, p = packet]() mutable {
+    delivered += p.payload.size() + epoch + static_cast<u64>(sim.now());
+  });
+  sim.schedule(1, [&delivered, c = sw::PacketContext{}]() mutable {
+    delivered += c.packet.payload.size();
+  });
+  EXPECT_EQ(alloc_counter.value(), before);
+  sim.run();
+  EXPECT_EQ(delivered, 64u + 7u + fire_at);
 
   // An oversized capture falls back to the heap — and is counted.
   struct Big {

@@ -3,6 +3,12 @@
 // open-loop rate fidelity, burst timing, and the in-flight-PSN guard.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/cluster.hpp"
 #include "workload/generators.hpp"
 #include "workload/report.hpp"
@@ -88,6 +94,51 @@ TEST(Report, TableFormatsRows) {
   table.print();  // visual only; must not crash
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt(2.0, 0), "2");
+}
+
+TEST(BenchSession, WritesOneRunEntryPerAttachedClusterInAttachOrder) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "p4ce_workload_test_bench";
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(setenv("P4CE_BENCH_DIR", dir.c_str(), 1), 0);
+  {
+    BenchSession session("two_runs");
+    session.enable_attribution();
+    for (auto [mode, machines] : {std::pair{consensus::Mode::kMu, 3u},
+                                  std::pair{consensus::Mode::kP4ce, 5u}}) {
+      core::ClusterOptions options;
+      options.machines = machines;
+      options.mode = mode;
+      auto cluster = core::Cluster::create(options);
+      session.attach(*cluster);
+      ASSERT_TRUE(cluster->start());
+      run_closed_loop(*cluster, 64, 4, 100, 10);
+    }  // each cluster is gone before finish(); its context is not
+    session.finish();
+  }
+  unsetenv("P4CE_BENCH_DIR");
+
+  std::ifstream in(dir / "BENCH_two_runs.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  std::filesystem::remove_all(dir);
+
+  const auto runs = json.find("\"runs\": [");
+  ASSERT_NE(runs, std::string::npos) << json;
+  const auto mu = json.find("{\"backend\": \"mu\", \"machines\": 3, \"domains\": 1", runs);
+  const auto p4 = json.find("{\"backend\": \"p4ce\", \"machines\": 5, \"domains\": 1", runs);
+  ASSERT_NE(mu, std::string::npos) << json;
+  ASSERT_NE(p4, std::string::npos) << json;
+  EXPECT_LT(mu, p4);  // attach order
+  // Each run carries its own attribution report and metrics snapshot, and
+  // neither block appears outside runs[].
+  EXPECT_NE(json.find("\"attribution\"", mu), std::string::npos);
+  EXPECT_NE(json.find("\"attribution\"", p4), std::string::npos);
+  EXPECT_NE(json.find("\"consensus.commits\"", p4), std::string::npos);
+  EXPECT_EQ(json.find("\"metrics\""), json.find("\"metrics\"", runs));
+  EXPECT_EQ(json.find("\"attribution\""), json.find("\"attribution\"", runs));
 }
 
 }  // namespace
