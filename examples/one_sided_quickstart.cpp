@@ -5,8 +5,8 @@
 //
 //   $ ./examples/one_sided_quickstart
 //
-// Equivalent selection without recompiling: P4CE_BACKEND=one_sided plus
-// core::apply_backend_env(options) before Cluster/ReplicationGroup creation.
+// The backend is chosen in code: ClusterOptions::mode, set before the
+// Cluster/ReplicationGroup is created.
 #include <cstdio>
 
 #include "consensus/one_sided.hpp"
@@ -18,7 +18,6 @@ int main() {
   core::ClusterOptions options;
   options.machines = 3;                        // 1 leader + 2 replicas
   options.mode = consensus::Mode::kOneSided;   // verbs-atomics Paxos registers
-  core::apply_backend_env(options);            // P4CE_BACKEND can still override
 
   core::ReplicationGroup group(options);
   if (!group.start()) {

@@ -286,7 +286,7 @@ void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) 
     return;
   }
 
-  accel_pending_.emplace(seq, AccelOp{offset, entry, nullptr});
+  accel_pending_.emplace(seq, AccelOp{offset, entry});
   const SimTime t_replicate = sim_.now();
   // One post, one future completion: the whole point of the design.
   cpu_.execute(cal_.cpu_post_wr, [this, offset, entry = std::move(entry), seq, t_replicate] {

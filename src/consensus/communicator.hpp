@@ -223,7 +223,6 @@ class P4ceCommunicator : public Communicator {
   struct AccelOp {
     u64 offset;
     Bytes entry;
-    DoneFn done;
   };
   std::map<u64, AccelOp> accel_pending_;
   CommitSequencer sequencer_;

@@ -63,7 +63,12 @@ StatusOr<LogWriter::Append> LogWriter::append(u64 seq, u64 term, BytesView paylo
 StatusOr<LogWriter::Append> LogWriter::append_batch(u64 first_seq, u64 term,
                                                     const std::vector<Bytes>& payloads) {
   u64 total = 0;
-  for (const auto& p : payloads) total += entry_footprint(p.size());
+  for (const auto& p : payloads) {
+    if (p.size() > kMaxEntryPayload) {
+      return error(StatusCode::kInvalidArgument, "payload too large");
+    }
+    total += entry_footprint(p.size());
+  }
   auto wrap = make_room(total, first_seq);
   if (!wrap.is_ok()) return wrap.status();
   const u64 offset = cursor_;

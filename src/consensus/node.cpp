@@ -723,12 +723,15 @@ Status Node::propose(Bytes value, CommitFn done) {
       if (done) done(error(StatusCode::kAborted, "leadership lost"), 0);
       return;
     }
-    const u64 seq = next_seq_++;
+    // The seq is consumed only once it is in the log: a gap would stall
+    // every reader, the leader's own included.
+    const u64 seq = next_seq_;
     auto append = writer_->append(seq, term_, value);
     if (!append.is_ok()) {
-      if (done) done(append.status(), seq);
+      if (done) done(append.status(), 0);
       return;
     }
+    ++next_seq_;
     deliver_ready_entries();  // the leader consumes its own log immediately
     if (append.value().wrap) {
       communicator_->write_raw(append.value().wrap->first, append.value().wrap->second);
@@ -778,12 +781,12 @@ Status Node::propose_batch(std::vector<Bytes> values, CommitFn done) {
       return;
     }
     const u64 first_seq = next_seq_;
-    next_seq_ += values.size();
     auto append = writer_->append_batch(first_seq, term_, values);
     if (!append.is_ok()) {
-      if (done) done(append.status(), first_seq);
+      if (done) done(append.status(), 0);
       return;
     }
+    next_seq_ += values.size();
     deliver_ready_entries();
     if (append.value().wrap) {
       communicator_->write_raw(append.value().wrap->first, append.value().wrap->second);

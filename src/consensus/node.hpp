@@ -47,7 +47,7 @@ struct PeerInfo {
 class Node {
  public:
   /// (status, seq): fires when the proposed value is committed (f replica
-  /// ACKs) or known lost.
+  /// ACKs) or known lost. seq is 0 when the value never reached the log.
   using CommitFn = std::function<void(Status, u64 seq)>;
   using DeliverFn = std::function<void(const LogEntry&)>;
 

@@ -52,19 +52,16 @@ u32 OneSidedCommunicator::live_target_count() const noexcept {
 
 void OneSidedCommunicator::takeover(u64 term, std::function<void(Status)> on_ready) {
   ballot_ = one_sided_ballot(term, self_);
-  takeovers_.clear();
-  Takeover tk;
+  Takeover& tk = takeover_.emplace();
   tk.on_ready = std::move(on_ready);
-  auto [it, inserted] = takeovers_.emplace(ballot_, std::move(tk));
-  std::ignore = inserted;
 
   if (classic_needed_remote_ == 0) {
     // Single-machine cluster: nothing to fence.
     reserved_ = kOneSidedFrontierBatch;
     ops_issued_ = 0;
-    if (it->second.on_ready) {
-      auto ready = std::move(it->second.on_ready);
-      it->second.on_ready = nullptr;
+    if (tk.on_ready) {
+      auto ready = std::move(tk.on_ready);
+      tk.on_ready = nullptr;
       ready(Status::ok());
     }
     return;
@@ -93,19 +90,18 @@ void OneSidedCommunicator::takeover(u64 term, std::function<void(Status)> on_rea
       }
     });
   }
-  it->second.posted = posted;
-  if (posted < classic_needed_remote_ && it->second.on_ready) {
-    auto ready = std::move(it->second.on_ready);
-    it->second.on_ready = nullptr;
+  tk.posted = posted;
+  if (posted < classic_needed_remote_ && tk.on_ready) {
+    auto ready = std::move(tk.on_ready);
+    tk.on_ready = nullptr;
     ready(error(StatusCode::kUnavailable, "quorum of replicas unreachable"));
   }
 }
 
 void OneSidedCommunicator::takeover_chain_failed() {
-  auto it = takeovers_.find(ballot_);
-  if (it == takeovers_.end()) return;
-  ++it->second.failed;
-  takeover_check(it->second);
+  if (!takeover_) return;
+  ++takeover_->failed;
+  takeover_check(*takeover_);
 }
 
 void OneSidedCommunicator::takeover_check(Takeover& tk) {
@@ -161,9 +157,8 @@ void OneSidedCommunicator::takeover_frontier_check(Takeover& tk) {
 
 void OneSidedCommunicator::handle_takeover(const WrCtx& ctx, std::size_t target_index,
                                            u64 original) {
-  auto it = takeovers_.find(ballot_);
-  if (it == takeovers_.end()) return;
-  Takeover& tk = it->second;
+  if (!takeover_) return;
+  Takeover& tk = *takeover_;
   ReplicaTarget& target = targets_[target_index];
 
   if (ctx.phase == Phase::kTkFrontier) {
@@ -355,10 +350,9 @@ void OneSidedCommunicator::on_completion(std::size_t target_index, const rdma::C
     } else if (ctx.phase == Phase::kTkRead || ctx.phase == Phase::kTkRaise) {
       takeover_chain_failed();
     } else if (ctx.phase == Phase::kTkFrontier) {
-      auto tk_it = takeovers_.find(ballot_);
-      if (tk_it != takeovers_.end()) {
-        ++tk_it->second.frontier_failed;
-        takeover_frontier_check(tk_it->second);
+      if (takeover_) {
+        ++takeover_->frontier_failed;
+        takeover_frontier_check(*takeover_);
       }
     }
     return;
@@ -557,7 +551,7 @@ void OneSidedCommunicator::exclude_replica(NodeId id) {
 void OneSidedCommunicator::abort_all() {
   ops_.clear();
   wr_ctx_.clear();
-  takeovers_.clear();
+  takeover_.reset();
   sequencer_.flush_all(error(StatusCode::kAborted, "replication aborted"));
 }
 

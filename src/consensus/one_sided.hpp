@@ -30,6 +30,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 
 #include "consensus/communicator.hpp"
 
@@ -177,7 +178,7 @@ class OneSidedCommunicator : public Communicator {
   std::map<u64, OpState> ops_;  // by seq
   std::map<u64, WrCtx> wr_ctx_;
   u64 next_wr_ = 1;
-  std::map<u64, Takeover> takeovers_;  // keyed by ballot (only one live)
+  std::optional<Takeover> takeover_;  ///< the current ballot's takeover
   CommitSequencer sequencer_;
   SimTime last_ack_ = 0;  ///< arrival time of the completion being processed
   u64 fast_commits_ = 0;

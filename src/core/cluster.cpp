@@ -1,18 +1,6 @@
 #include "core/cluster.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace p4ce::core {
-
-ClusterOptions& apply_backend_env(ClusterOptions& options) {
-  if (const char* backend = std::getenv("P4CE_BACKEND")) {
-    if (std::strcmp(backend, "mu") == 0) options.mode = consensus::Mode::kMu;
-    else if (std::strcmp(backend, "p4ce") == 0) options.mode = consensus::Mode::kP4ce;
-    else if (std::strcmp(backend, "one_sided") == 0) options.mode = consensus::Mode::kOneSided;
-  }
-  return options;
-}
 
 std::string_view backend_name(consensus::Mode mode) noexcept {
   switch (mode) {

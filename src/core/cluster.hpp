@@ -13,7 +13,6 @@
 #include "consensus/calibration.hpp"
 #include "consensus/node.hpp"
 #include "net/packet.hpp"
-#include "obs/sampler.hpp"
 #include "p4ce/control_plane.hpp"
 #include "p4ce/dataplane.hpp"
 #include "rdma/nic.hpp"
@@ -72,8 +71,6 @@ class Cluster {
   sw::SwitchDevice& backup_switch() noexcept { return *backup_; }
   p4::P4ceDataplane& dataplane() noexcept { return *dataplane_; }
   p4::ControlPlane& control_plane() noexcept { return *control_plane_; }
-  /// Posts this cluster's telemetry ticks once started (see obs/sampler.hpp).
-  obs::SamplerDriver& sampler_driver() noexcept { return sampler_driver_; }
 
   /// Start every node and run the simulation until a leader is active (or
   /// `max_wait` of simulated time passes). Returns success.
@@ -111,16 +108,7 @@ class Cluster {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<net::Link>> primary_links_;
   std::vector<std::unique_ptr<net::Link>> backup_links_;
-  // Declared after sim_ so its destructor (which cancels the pending tick)
-  // runs before the simulator is torn down.
-  obs::SamplerDriver sampler_driver_{sim_};
 };
-
-/// Overlay the P4CE_BACKEND environment variable ("mu" | "p4ce" |
-/// "one_sided", unknown values ignored) onto `options.mode`, so every bench
-/// and test can be switched between the three protocol backends without a
-/// rebuild. Returns the same options for chaining.
-ClusterOptions& apply_backend_env(ClusterOptions& options);
 
 /// Canonical backend name for reports and logs ("mu", "p4ce", "one_sided").
 std::string_view backend_name(consensus::Mode mode) noexcept;

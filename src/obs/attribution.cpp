@@ -8,7 +8,7 @@
 namespace p4ce::obs {
 
 void LatencyAttribution::record_round(const RoundTiming& t) {
-  if (!enabled_ || t.start < record_from_) return;
+  if (t.start < record_from_) return;
   ++rounds_;
   if (t.committed) ++committed_;
   total_.record(std::max<Duration>(t.end - t.start, 0));

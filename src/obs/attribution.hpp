@@ -9,8 +9,8 @@
 // (p50/p99/p999 per stage) next to the end-to-end numbers.
 //
 // One sink per simulation run (in its obs::Context), so a report describes
-// exactly one configuration. Every feed is behind the plain
-// `is_enabled()` flag; disabled, nothing is touched.
+// exactly one configuration. It records every round it is handed; the
+// tracer only hands rounds over once Tracer::enable_attribution() is called.
 // Stages missing from a round (e.g. Mu rounds never traverse the switch
 // program, fallback rounds lose their ACK timeline) fold their time into the
 // next stage that does have a timestamp, so the stage durations of any round
@@ -64,9 +64,6 @@ class LatencyAttribution {
   LatencyAttribution(const LatencyAttribution&) = delete;
   LatencyAttribution& operator=(const LatencyAttribution&) = delete;
 
-  bool is_enabled() const noexcept { return enabled_; }
-  void enable() noexcept { enabled_ = true; }
-  void disable() noexcept { enabled_ = false; }
   /// Ignore rounds that started before `t`. A workload generator passes the
   /// end of its warmup, so the report covers the rounds it measures.
   void record_from(SimTime t) noexcept { record_from_ = t; }
@@ -91,7 +88,6 @@ class LatencyAttribution {
   void append_json(std::string& out) const;
 
  private:
-  bool enabled_ = false;
   SimTime record_from_ = 0;
   u64 rounds_ = 0;
   u64 committed_ = 0;

@@ -11,8 +11,8 @@
 // capture, not thousands) and the capture count is bounded; everything past
 // the limits is counted in dropped(). One recorder per simulation run (in its
 // obs::Context), so the limits and the rate limiter see one simulated
-// clock. As with the tracer and sampler, the `is_enabled()` flag keeps
-// disabled runs byte-identical.
+// clock. As with the tracer, the `is_enabled()` flag keeps disabled runs
+// byte-identical.
 #pragma once
 
 #include <cstddef>

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/context.hpp"
 #include "obs/metrics.hpp"
+#include "sim/simulator.hpp"
 
 namespace p4ce::obs {
 
@@ -14,6 +14,15 @@ void Sampler::enable(Duration period, std::size_t capacity) {
   capacity_ = std::max<std::size_t>(capacity, 1);
   ring_.clear();
   enabled_ = true;
+  if (clock_ != nullptr) arm(*clock_, ++chain_);
+}
+
+void Sampler::arm(sim::Simulator& sim, u64 chain) {
+  sim.schedule(period_, [this, &sim, chain] {
+    if (!enabled_ || chain != chain_) return;  // disabled or re-enabled: stop
+    tick(sim.now());
+    arm(sim, chain);
+  });
 }
 
 std::size_t Sampler::column_for(const std::string& name) {
@@ -136,23 +145,6 @@ void Sampler::append_json(std::string& out, const std::vector<const Sampler*>& r
     }
   }
   out += "\n  ]\n}\n";
-}
-
-// ---------------------------------------------------------------------------
-// SamplerDriver
-// ---------------------------------------------------------------------------
-
-void SamplerDriver::start() {
-  if (sim_.obs().sampler.is_enabled() && !handle_.pending()) arm();
-}
-
-void SamplerDriver::arm() {
-  Sampler& sampler = sim_.obs().sampler;
-  handle_ = sim_.schedule(sampler.period(), [this, &sampler] {
-    if (!sampler.is_enabled()) return;  // disabled mid-run: stop rearming
-    sampler.tick(sim_.now());
-    arm();
-  });
 }
 
 }  // namespace p4ce::obs

@@ -7,13 +7,13 @@
 // against simulated time, and the flight recorder replays the most recent
 // frames when a fault trigger fires.
 //
-// The sampler itself is passive; a SamplerDriver owned by the Cluster posts
-// the periodic tick events into that cluster's simulator once started. Ticks
-// are ordinary simulation events, so an enabled sampler changes the
-// executed-event count but — because observation never mutates protocol
-// state — not the protocol outcome (pinned by the determinism suite). A
-// driver that is never started schedules nothing, preserving byte-identical
-// runs.
+// A simulator binds itself as its sampler's clock, so enable() alone starts
+// the periodic tick events on that simulator. Ticks are ordinary simulation
+// events, so an enabled sampler changes the executed-event count but —
+// because observation never mutates protocol state — not the protocol
+// outcome (pinned by the determinism suite). A sampler that is never enabled
+// schedules nothing, preserving byte-identical runs; one without a clock (a
+// standalone obs::Context) never schedules and is ticked by hand.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,10 @@
 
 #include "common/time.hpp"
 #include "common/types.hpp"
-#include "sim/simulator.hpp"
+
+namespace p4ce::sim {
+class Simulator;
+}  // namespace p4ce::sim
 
 namespace p4ce::obs {
 
@@ -45,15 +48,16 @@ class Sampler {
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  bool is_enabled() const noexcept { return enabled_; }
+  /// The simulator enable() schedules ticks on (nullptr: none). Set by the
+  /// simulator that owns this sampler's context, and cleared when it dies.
+  void set_clock(sim::Simulator* clock) noexcept { clock_ = clock; }
 
   /// Start sampling every `period` of simulated time, keeping the most
-  /// recent `capacity` frames. Drops previously recorded frames.
+  /// recent `capacity` frames. Drops previously recorded frames. With a
+  /// clock, the first tick is scheduled now, `period` ahead.
   void enable(Duration period, std::size_t capacity = 4096);
+  /// Stop sampling; a pending tick fires once more and does not re-arm.
   void disable() noexcept { enabled_ = false; }
-
-  Duration period() const noexcept { return period_; }
-  std::size_t capacity() const noexcept { return capacity_; }
 
   /// Record one frame from the current registry state.
   void tick(SimTime now);
@@ -81,35 +85,20 @@ class Sampler {
 
  private:
   std::size_t column_for(const std::string& name);
+  /// Schedule the next tick of chain `chain` on `sim`. The event holds
+  /// everything it needs, so the sampler never touches the simulator outside
+  /// its own events and has nothing to cancel when destroyed.
+  void arm(sim::Simulator& sim, u64 chain);
 
   const MetricsRegistry& registry_;
+  sim::Simulator* clock_ = nullptr;
+  u64 chain_ = 0;  ///< bumped by enable(); ticks of an older chain stop
   bool enabled_ = false;
   Duration period_ = 0;
   std::size_t capacity_ = 4096;
   std::vector<std::string> names_;            ///< column order, append-only
   std::map<std::string, std::size_t> index_;  ///< series name -> column
   std::deque<Frame> ring_;
-};
-
-/// Posts the periodic Sampler::tick events into one simulator, for that
-/// simulator's own sampler. Nothing is scheduled until start(); destruction
-/// cancels the pending tick so the handle never outlives the simulator.
-class SamplerDriver {
- public:
-  explicit SamplerDriver(sim::Simulator& sim) noexcept : sim_(sim) {}
-  ~SamplerDriver() { handle_.cancel(); }
-
-  SamplerDriver(const SamplerDriver&) = delete;
-  SamplerDriver& operator=(const SamplerDriver&) = delete;
-
-  /// Begin ticking, if the simulator's sampler is enabled (idempotent).
-  void start();
-
- private:
-  void arm();
-
-  sim::Simulator& sim_;
-  sim::EventHandle handle_;
 };
 
 }  // namespace p4ce::obs

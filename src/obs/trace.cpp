@@ -16,22 +16,6 @@ void Tracer::enable(u32 sample_every, std::size_t max_events) {
   enabled_ = true;
 }
 
-void Tracer::enable_attribution(u32 sample_every) {
-  if (sample_every > 0) {
-    sample_ = sample_every;
-  } else if (!events_on_) {
-    sample_ = 1;
-  }
-  attr_on_ = true;
-  enabled_ = true;
-}
-
-void Tracer::disable() noexcept {
-  enabled_ = false;
-  events_on_ = false;
-  attr_on_ = false;
-}
-
 Tracer::Round* Tracer::find_round(u64 instance) noexcept {
   for (auto& round : active_) {
     if (round.instance == instance) return &round;

@@ -76,12 +76,13 @@ class Tracer {
   /// divisible by `sample_every` are traced; recording stops (new events
   /// are dropped) once `max_events` have been buffered.
   void enable(u32 sample_every = 1, std::size_t max_events = 1u << 20);
-  /// Start feeding per-stage round timings to LatencyAttribution without
-  /// buffering Chrome events. `sample_every` of 0 keeps the current rate
-  /// (or 1 when event tracing is off, so attribution sees every round).
-  void enable_attribution(u32 sample_every = 0);
-  /// Stop both consumers.
-  void disable() noexcept;
+  /// Start feeding per-stage round timings to LatencyAttribution, without
+  /// buffering Chrome events unless enable() was called too. Attribution
+  /// sees every round unless enable() set a sampling rate.
+  void enable_attribution() noexcept {
+    attr_on_ = true;
+    enabled_ = true;
+  }
 
   bool events_enabled() const noexcept { return events_on_; }
   bool attribution_enabled() const noexcept { return attr_on_; }

@@ -8,10 +8,13 @@ namespace p4ce::sim {
 
 Simulator::Simulator()
     : obs_(std::make_shared<obs::Context>()),
-      events_alloc_(obs_->metrics.counter("sim.events_alloc")) {}
+      events_alloc_(obs_->metrics.counter("sim.events_alloc")) {
+  obs_->sampler.set_clock(this);
+}
 
-// Out of line: obs::Context is incomplete in the header.
-Simulator::~Simulator() = default;
+// The context may outlive this simulator (a bench exports it afterwards):
+// from here on its sampler is a standalone one.
+Simulator::~Simulator() { obs_->sampler.set_clock(nullptr); }
 
 // --- Scheduling --------------------------------------------------------------
 

@@ -16,7 +16,8 @@
 //
 // Each simulator owns the observability context of its run (obs()): the
 // metrics, tracer, attribution, sampler and flight recorder every component
-// on this clock reports to.
+// on this clock reports to. It is also the clock that context's sampler
+// schedules its ticks on.
 #pragma once
 
 #include <cstddef>

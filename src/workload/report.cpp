@@ -68,6 +68,12 @@ void append_number_json(std::string& out, double v) {
   out += buf;
 }
 
+/// The value of a switch-on variable, or nullptr when it is unset, empty or "0".
+const char* env_on(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && value[0] != '\0' && std::strcmp(value, "0") != 0 ? value : nullptr;
+}
+
 bool write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -90,8 +96,7 @@ BenchSession::BenchSession(std::string name) : name_(std::move(name)) {
     json_enabled_ = false;
   }
 
-  if (const char* trace = std::getenv("P4CE_TRACE");
-      trace != nullptr && trace[0] != '\0' && std::strcmp(trace, "0") != 0) {
+  if (const char* trace = env_on("P4CE_TRACE")) {
     tracing_ = true;
     if (std::strcmp(trace, "1") != 0 && std::strcmp(trace, "true") != 0) trace_path_ = trace;
     if (const char* s = std::getenv("P4CE_TRACE_SAMPLE"); s != nullptr) {
@@ -100,27 +105,14 @@ BenchSession::BenchSession(std::string name) : name_(std::move(name)) {
     }
   }
 
-  // Observability pillar tri-states: unset = bench default (enable_*()),
-  // "0" = force off (even against a bench default), anything else = force on.
-  const char* attr_env = std::getenv("P4CE_ATTR");
-  attr_forced_off_ = attr_env != nullptr && std::strcmp(attr_env, "0") == 0;
-  const char* sample_env = std::getenv("P4CE_SAMPLE_US");
-  long sample_us = -1;
-  if (sample_env != nullptr && sample_env[0] != '\0') {
-    sample_us = std::strtol(sample_env, nullptr, 10);
+  // The pillar variables only switch on; the bench's enable_*() defaults
+  // apply either way.
+  if (env_on("P4CE_ATTR")) enable_attribution();
+  if (const char* sample_us = env_on("P4CE_SAMPLE_US")) {
+    const long parsed = std::strtol(sample_us, nullptr, 10);
+    if (parsed > 0) enable_sampler(static_cast<Duration>(parsed) * 1'000);
   }
-  sampler_forced_off_ = sample_us == 0;
-  const char* flight_env = std::getenv("P4CE_FLIGHT");
-  flight_forced_off_ = flight_env != nullptr && std::strcmp(flight_env, "0") == 0;
-
-  if (attr_env != nullptr && !attr_forced_off_) enable_attribution();
-  if (sample_us > 0) enable_sampler(static_cast<Duration>(sample_us) * 1'000);
-  if (flight_env != nullptr && !flight_forced_off_) enable_flight_recorder();
-
-  if (const char* backend = std::getenv("P4CE_BACKEND")) {
-    const std::string b(backend);
-    if (b == "mu" || b == "p4ce" || b == "one_sided") meta_backend_ = b;
-  }
+  if (env_on("P4CE_FLIGHT")) enable_flight_recorder();
 }
 
 BenchSession::~BenchSession() { finish(); }
@@ -131,32 +123,21 @@ void BenchSession::add_value(const std::string& key, double value) {
 
 void BenchSession::add_table(const Table& table) { tables_.push_back(table); }
 
-void BenchSession::enable_attribution() {
-  if (!attr_forced_off_) attribution_ = true;
-}
+void BenchSession::enable_attribution() { attribution_ = true; }
 
 void BenchSession::enable_sampler(Duration period) {
-  if (sampler_forced_off_ || sampling_) return;
+  if (sampling_) return;
   sampling_ = true;
   sample_period_ = period;
 }
 
-void BenchSession::enable_flight_recorder() {
-  if (!flight_forced_off_) flight_ = true;
-}
+void BenchSession::enable_flight_recorder() { flight_ = true; }
 
 void BenchSession::attach(core::Cluster& cluster) {
   obs::Context& obs = cluster.sim().obs();
   if (tracing_) obs.tracer.enable(trace_sample_);
-  if (attribution_) {
-    // After enable(): enable_attribution() keeps the P4CE_TRACE sample rate.
-    obs.tracer.enable_attribution();
-    obs.attribution.enable();
-  }
-  if (sampling_) {
-    obs.sampler.enable(sample_period_);
-    cluster.sampler_driver().start();
-  }
+  if (attribution_) obs.tracer.enable_attribution();
+  if (sampling_) obs.sampler.enable(sample_period_);
   if (flight_) obs.recorder.enable();
   runs_.push_back(Run{std::string(core::backend_name(cluster.options().mode)),
                       cluster.options().machines, cluster.domains(),

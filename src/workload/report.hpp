@@ -52,16 +52,17 @@ void print_header(const std::string& experiment, const std::string& paper_claim)
 ///   P4CE_TRACE=1|<path>     enable consensus-instance tracing (a value other
 ///                           than 0/1 is used as the trace output path)
 ///   P4CE_TRACE_SAMPLE=<n>   trace every n-th instance (default 1)
-///   P4CE_ATTR=1|0           force commit-latency attribution on/off
-///   P4CE_SAMPLE_US=<n>      telemetry sampler period in µs (0 forces off)
-///   P4CE_FLIGHT=1|0         force the fault flight recorder on/off
+///   P4CE_ATTR=1             enable commit-latency attribution
+///   P4CE_SAMPLE_US=<n>      enable the telemetry sampler, period n µs
+///   P4CE_FLIGHT=1           enable the fault flight recorder
 ///   P4CE_BENCH_DIR=<dir>    output directory (default ".")
 ///   P4CE_BENCH_JSON=0       disable all JSON export
-/// A bench can also opt a pillar in by default with the enable_*() methods —
-/// an explicit "off" in the environment always wins. Each cluster the bench
-/// builds is attach()ed right after Cluster::create: the session applies the
-/// pillar settings to that cluster's own obs::Context and keeps the context,
-/// so every run is observed in isolation. finish() — or the destructor —
+/// The observability variables only switch a pillar on: unset, empty or 0
+/// leaves it at the bench's default. A bench opts a pillar in by default with
+/// the enable_*() methods. Each cluster the bench builds is attach()ed right
+/// after Cluster::create: the session switches the enabled pillars on in
+/// that cluster's own obs::Context (one call each) and keeps the context, so
+/// every run is observed in isolation. finish() — or the destructor —
 /// writes BENCH_<name>.json (schema p4ce-bench-v1: recorded values, tables,
 /// and one "runs" entry per attached cluster with its attribution report
 /// when enabled and its metrics snapshot) plus, when tracing,
@@ -82,25 +83,19 @@ class BenchSession {
 
   /// Record the protocol backend for the meta block: "mu", "p4ce",
   /// "one_sided", or "mixed" for benches that compare several in one run.
-  /// The constructor seeds it from P4CE_BACKEND when set.
   void set_backend(std::string backend) { meta_backend_ = std::move(backend); }
   /// Record a result table (call right before or after table.print()).
   void add_table(const Table& table);
 
-  /// Bench defaults for the observability pillars (no-ops when the
-  /// environment forced the pillar off). They apply to clusters attached
-  /// afterwards.
+  /// Bench defaults for the observability pillars. They apply to clusters
+  /// attached afterwards; the first sampler period set (the environment's,
+  /// if any) wins.
   void enable_attribution();
   void enable_sampler(Duration period = 100'000);
   void enable_flight_recorder();
 
   /// Observe `cluster` as the next run: call right after Cluster::create.
   void attach(core::Cluster& cluster);
-
-  bool tracing() const noexcept { return tracing_; }
-  bool attribution() const noexcept { return attribution_; }
-  bool sampling() const noexcept { return sampling_; }
-  bool flight() const noexcept { return flight_; }
 
   /// Write the JSON artefacts (idempotent; also run by the destructor).
   void finish();
@@ -126,9 +121,6 @@ class BenchSession {
   bool flight_ = false;
   u32 trace_sample_ = 1;
   Duration sample_period_ = 0;
-  bool attr_forced_off_ = false;
-  bool sampler_forced_off_ = false;
-  bool flight_forced_off_ = false;
   bool finished_ = false;
   std::vector<std::pair<std::string, double>> values_;
   std::vector<Table> tables_;

@@ -71,8 +71,6 @@ TEST(LatencyHistogram, QuantilesAreMonotone) {
 
 class AttributionTest : public ::testing::Test {
  protected:
-  void SetUp() override { attr_.enable(); }
-
   static double stage_sum(const LatencyAttribution& a) {
     double sum = 0;
     for (u32 s = 0; s < LatencyAttribution::kStageCount; ++s) {
@@ -208,6 +206,20 @@ TEST(TraceKey, NamespacesByDomainAndRoundTrips) {
   EXPECT_EQ(obs::trace_op(key), 42u);
 }
 
+TEST(TracerAttribution, EnableAttributionAloneYieldsANonEmptyReport) {
+  obs::Context obs;
+  obs.tracer.enable_attribution();  // the only attribution switch
+  obs.tracer.begin_round(1, 0);
+  obs.tracer.mark_propose_done(1, 100);
+  obs.tracer.end_round(1, 400, true);
+
+  EXPECT_EQ(obs.attribution.rounds(), 1u);
+  std::string json;
+  obs.attribution.append_json(json);
+  EXPECT_NE(json.find("\"rounds\": 1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dominant_stage\": \"commit.cpu\""), std::string::npos) << json;
+}
+
 class TracerAttributionTest : public ::testing::Test {
  protected:
   LatencyAttribution attr_;
@@ -216,7 +228,6 @@ class TracerAttributionTest : public ::testing::Test {
 
 TEST_F(TracerAttributionTest, AttributionOnlyModeBuffersNoChromeEvents) {
   tracer_.enable_attribution();
-  attr_.enable();
   EXPECT_TRUE(tracer_.is_enabled());
   EXPECT_FALSE(tracer_.events_enabled());
   EXPECT_TRUE(tracer_.attribution_enabled());
@@ -316,7 +327,6 @@ TEST_P(ClusterAttributionTest, CommittedRoundsProduceStageBreakdown) {
   options.mode = GetParam();
   auto cluster = core::Cluster::create(options);
   cluster->sim().obs().tracer.enable_attribution();
-  cluster->sim().obs().attribution.enable();
   ASSERT_TRUE(cluster->start());
 
   int ok = 0;

@@ -43,7 +43,6 @@ void run_chaos_seed(u64 seed, consensus::Mode mode) {
   // but a wide per-kind gap: a post-crash retransmit storm must not exhaust
   // the budget before the (later) switch crash gets its capture.
   cluster->sim().obs().sampler.enable(/*period=*/microseconds(100));
-  cluster->sampler_driver().start();
   cluster->sim().obs().recorder.enable(/*max_captures=*/64, /*frame_window=*/256,
                                        /*min_gap=*/milliseconds(2));
   ASSERT_TRUE(cluster->start());

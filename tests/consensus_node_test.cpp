@@ -3,6 +3,9 @@
 // replica crash, view changes with log recovery, and heartbeat liveness.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "consensus/log.hpp"
 #include "core/cluster.hpp"
 
 namespace p4ce::consensus {
@@ -55,6 +58,40 @@ TEST_P(ModeTest, ProposalCommitsAndDeliversEverywhere) {
     for (u64 k = 0; k < 50; ++k) EXPECT_EQ(delivered[i][k], k + 1);
   }
   EXPECT_EQ(cluster->node(0).commits(), 50u);
+}
+
+TEST_P(ModeTest, RejectedAppendConsumesNoSeq) {
+  // A value over kMaxEntryPayload never reaches the log, alone or in a
+  // batch; it must not use up a seq, or every reader would wait at the gap.
+  auto cluster = make(GetParam(), 3);
+  std::vector<std::vector<u64>> delivered(3);
+  for (u32 i = 0; i < 3; ++i) {
+    cluster->node(i).set_deliver(
+        [&delivered, i](const LogEntry& e) { delivered[i].push_back(e.seq); });
+  }
+  std::vector<StatusCode> rejected;
+  const auto record = [&](Status st, u64 seq) {
+    rejected.push_back(st.code());
+    EXPECT_EQ(seq, 0u);
+  };
+  const Bytes oversized(kMaxEntryPayload + 1, 0x42);
+  ASSERT_TRUE(cluster->node(0).propose(oversized, record).is_ok());
+  ASSERT_TRUE(cluster->node(0).propose_batch({to_bytes("ok"), oversized}, record).is_ok());
+  u64 committed_seq = 0;
+  ASSERT_TRUE(cluster->node(0)
+                  .propose(to_bytes("after"), [&](Status st, u64 seq) {
+                    EXPECT_TRUE(st.is_ok());
+                    committed_seq = seq;
+                  })
+                  .is_ok());
+  cluster->run_for(milliseconds(2));
+
+  EXPECT_EQ(rejected, (std::vector<StatusCode>{StatusCode::kInvalidArgument,
+                                               StatusCode::kInvalidArgument}));
+  EXPECT_EQ(committed_seq, 1u);
+  for (u32 i = 0; i < 3; ++i) {
+    EXPECT_EQ(delivered[i], std::vector<u64>{1}) << "node " << i;
+  }
 }
 
 TEST_P(ModeTest, NonLeaderProposeRejected) {

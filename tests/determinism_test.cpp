@@ -36,9 +36,7 @@ Outcome run_fig5_style(consensus::Mode mode, bool observe = false) {
   obs::Context& obs = cluster->sim().obs();
   if (observe) {
     obs.tracer.enable_attribution();
-    obs.attribution.enable();
     obs.sampler.enable(/*period=*/microseconds(100));
-    cluster->sampler_driver().start();
     obs.recorder.enable();
   }
   EXPECT_TRUE(cluster->start());

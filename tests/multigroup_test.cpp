@@ -162,9 +162,7 @@ TEST(MultiCluster, TwoClustersInOneProcessKeepIndependentInstruments) {
     auto cluster = Cluster::create(options);
     obs::Context& obs = cluster->sim().obs();
     obs.tracer.enable_attribution();
-    obs.attribution.enable();
     obs.sampler.enable(/*period=*/microseconds(100));
-    cluster->sampler_driver().start();
     obs.recorder.enable();
     EXPECT_TRUE(cluster->start(seconds(2)));
     return cluster;

@@ -1,9 +1,10 @@
 // Time-series telemetry and the fault flight recorder: sampler frames and
 // column alignment, ring bounding, multi-run JSON export (epoch = run index,
-// null padding), the SamplerDriver's periodic simulation events, trigger
-// rate limiting, and the capture content a fault freezes.
+// null padding), the ticks an enabled sampler schedules on its simulator,
+// trigger rate limiting, and the capture content a fault freezes.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "common/time.hpp"
@@ -114,22 +115,55 @@ TEST_F(SamplerTest, MultiRunExportUnionsColumnsAndStampsTheRunIndex) {
   EXPECT_NE(json.find("[100, 1, null, 3, 4]"), std::string::npos) << json;
 }
 
-TEST(SamplerDriver, TicksPeriodicallyOnceStartedUntilDisabled) {
+TEST(SamplerClock, EnableAloneTicksOnTheSimulatorUntilDisabled) {
   sim::Simulator sim;
   Sampler& sampler = sim.obs().sampler;
+  sim.run_for(2'500);
+  sampler.enable(/*period=*/1'000, /*capacity=*/8);  // first tick at 3500
+  sim.run_for(5'000);  // ticks at 3500..7500
+  ASSERT_EQ(sampler.frame_count(), 5u);
+  EXPECT_EQ(sampler.frames().front().at, 3'500);
+  EXPECT_EQ(sampler.frames().back().at, 7'500);
+  sampler.disable();
+  sim.run_for(5'000);  // the pending tick fires once more and stops re-arming
+  EXPECT_EQ(sampler.frame_count(), 5u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SamplerClock, ReEnablingRestartsOneTickChain) {
+  sim::Simulator sim;
+  Sampler& sampler = sim.obs().sampler;
+  sampler.enable(/*period=*/1'000);
+  sim.run_for(500);
+  sampler.enable(/*period=*/1'000);  // drops frames; the old chain stops
+  sim.run_for(3'000);  // ticks at 1500, 2500, 3500 only
+  EXPECT_EQ(sampler.frame_count(), 3u);
+  EXPECT_EQ(sampler.frames().front().at, 1'500);
+}
+
+TEST(SamplerClock, StandaloneContextNeverSchedules) {
+  obs::Context obs;
+  obs.sampler.enable(/*period=*/1'000);
+  EXPECT_EQ(obs.sampler.frame_count(), 0u);
+  obs.sampler.tick(42);  // ticked by hand
+  ASSERT_EQ(obs.sampler.frame_count(), 1u);
+  EXPECT_EQ(obs.sampler.frames()[0].at, 42);
+}
+
+TEST(SamplerClock, ContextOutlivesItsSimulatorWithATickPending) {
+  std::shared_ptr<obs::Context> kept;
   {
-    obs::SamplerDriver driver(sim);
-    sampler.enable(/*period=*/1'000, /*capacity=*/8);
-    sim.run_for(2'500);  // not started yet: nothing scheduled
-    EXPECT_EQ(sampler.frame_count(), 0u);
-    driver.start();
-    driver.start();  // idempotent
-    sim.run_for(5'000);  // ticks at 3500..7500
-    EXPECT_EQ(sampler.frame_count(), 5u);
-    sampler.disable();
-    sim.run_for(5'000);  // a disabled sampler stops rearming
-    EXPECT_EQ(sampler.frame_count(), 5u);
-  }  // driver destruction cancels any pending tick before sim dies
+    sim::Simulator sim;
+    kept = sim.obs_handle();
+    kept->sampler.enable(/*period=*/1'000);
+    sim.run_for(2'500);
+    EXPECT_FALSE(sim.empty());  // the tick at 3000 dies with the simulator
+  }
+  EXPECT_EQ(kept->sampler.frame_count(), 2u);
+  kept->sampler.enable(/*period=*/1'000);  // must not schedule on the dead simulator
+  kept->sampler.tick(7);
+  EXPECT_EQ(kept->sampler.frame_count(), 1u);
+  kept.reset();  // nothing to cancel on destruction
 }
 
 // ---------------------------------------------------------------------------
@@ -217,7 +251,6 @@ TEST(FlightE2E, LeaderCrashProducesACaptureWithTelemetryAroundTheFault) {
     auto cluster = core::Cluster::create(options);
     auto& recorder = cluster->sim().obs().recorder;
     cluster->sim().obs().sampler.enable(/*period=*/microseconds(100), /*capacity=*/4096);
-    cluster->sampler_driver().start();
     recorder.enable();
     ASSERT_TRUE(cluster->start(seconds(2)));
     cluster->run_for(milliseconds(5));
