@@ -41,10 +41,10 @@ if [[ "$sanitize" == 1 ]]; then
   cmake --build build-asan -j "$jobs" --target \
     common_test obs_test sim_test net_test payload_test rdma_memory_test rdma_qp_test \
     rdma_cm_test switch_test p4ce_dataplane_test p4ce_controlplane_test \
-    consensus_log_test consensus_node_test e2e_test determinism_test \
-    attribution_test sampler_test multigroup_test workload_test
+    consensus_log_test consensus_node_test communicator_test one_sided_paxos_test e2e_test \
+    determinism_test attribution_test sampler_test multigroup_test workload_test
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'common_test|obs_test|sim_test|net_test|payload_test|rdma_memory_test|rdma_qp_test|rdma_cm_test|switch_test|p4ce_dataplane_test|p4ce_controlplane_test|consensus_log_test|consensus_node_test|e2e_test|determinism_test|attribution_test|sampler_test|multigroup_test|workload_test'
+    -R 'common_test|obs_test|sim_test|net_test|payload_test|rdma_memory_test|rdma_qp_test|rdma_cm_test|switch_test|p4ce_dataplane_test|p4ce_controlplane_test|consensus_log_test|consensus_node_test|communicator_test|one_sided_paxos_test|e2e_test|determinism_test|attribution_test|sampler_test|multigroup_test|workload_test'
 fi
 
 echo "== check.sh: all green =="

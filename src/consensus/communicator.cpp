@@ -9,40 +9,52 @@
 namespace p4ce::consensus {
 
 // ---------------------------------------------------------------------------
-// CommitSequencer
+// DirectCommunicator
 // ---------------------------------------------------------------------------
 
-void CommitSequencer::expect(u64 seq, DoneFn done) {
-  ops_.emplace(seq, Op{std::move(done), false, Status::ok()});
+DirectCommunicator::DirectCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
+                                       const Calibration& cal,
+                                       std::vector<ReplicaTarget> targets, VerdictFn verdict)
+    : Communicator(sim, cpu, cal, std::move(verdict)), targets_(std::move(targets)) {
+  wire_completions();
 }
 
-void CommitSequencer::mark_ready(u64 seq, Status status) {
-  auto it = ops_.find(seq);
-  if (it == ops_.end()) return;
-  it->second.ready = true;
-  it->second.status = std::move(status);
-  drain();
-}
-
-void CommitSequencer::drain() {
-  while (!ops_.empty()) {
-    auto it = ops_.begin();
-    if (it->first != next_ || !it->second.ready) break;
-    Op op = std::move(it->second);
-    ops_.erase(it);
-    ++next_;
-    op.done(std::move(op.status));
+void DirectCommunicator::wire_completions() {
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    if (targets_[i].cq == nullptr) continue;
+    targets_[i].cq->set_callback(
+        [this, i](const rdma::Completion& c) { on_completion(i, c); });
   }
 }
 
-void CommitSequencer::flush_all(Status status) {
-  // Deliver failures in order; callbacks may re-enter, so detach first.
-  auto ops = std::move(ops_);
-  ops_.clear();
-  for (auto& [seq, op] : ops) {
-    next_ = std::max(next_, seq + 1);
-    op.done(status);
+void DirectCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
+  targets_ = std::move(targets);
+  wire_completions();
+}
+
+u32 DirectCommunicator::live_target_count() const noexcept {
+  u32 n = 0;
+  for (const auto& t : targets_) n += t.excluded ? 0 : 1;
+  return n;
+}
+
+void DirectCommunicator::write_raw(u64 offset, Bytes bytes) {
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    if (!postable(i)) continue;
+    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, bytes] {
+      if (!postable(i)) return;
+      ReplicaTarget& target = targets_[i];
+      std::ignore = target.qp->post_write(0, bytes, target.log_vaddr + offset,
+                                          target.log_rkey, /*signaled=*/false);
+    });
   }
+}
+
+void DirectCommunicator::exclude_replica(NodeId id) {
+  for (auto& target : targets_) {
+    if (target.id == id) target.excluded = true;
+  }
+  fail_if_quorum_lost();
 }
 
 // ---------------------------------------------------------------------------
@@ -51,38 +63,16 @@ void CommitSequencer::flush_all(Status status) {
 
 MuCommunicator::MuCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
                                const Calibration& cal, u32 f_needed,
-                               std::vector<ReplicaTarget> targets)
-    : sim_(sim), cpu_(cpu), cal_(cal), f_needed_(f_needed), targets_(std::move(targets)) {
-  wire_completions();
-}
+                               std::vector<ReplicaTarget> targets, VerdictFn verdict)
+    : DirectCommunicator(sim, cpu, cal, std::move(targets), std::move(verdict)),
+      f_needed_(f_needed) {}
 
-void MuCommunicator::wire_completions() {
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].cq == nullptr) continue;
-    targets_[i].cq->set_callback(
-        [this, i](const rdma::Completion& c) { on_completion(i, c); });
-  }
-}
-
-void MuCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
-  targets_ = std::move(targets);
-  wire_completions();
-}
-
-u64 MuCommunicator::live_target_count() const noexcept {
-  u64 n = 0;
-  for (const auto& t : targets_) n += t.excluded ? 0 : 1;
-  return n;
-}
-
-void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
-  sequencer_.expect(seq, std::move(done));
-  pending_.emplace(seq, Pending{});
+void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   if (live_target_count() < f_needed_) {
-    pending_.erase(seq);
-    sequencer_.mark_ready(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
+    verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     return;
   }
+  pending_.emplace(seq, Pending{});
   // The leader posts one write per replica; each post costs CPU time — this
   // serialization is exactly why "the leader divides its own network
   // capacity by the number of replicas" also costs it CPU (§I, §V-C).
@@ -90,11 +80,10 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
   // while these posts sit in the CPU queue.
   const SimTime t_replicate = sim_.now();
   for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
+    if (!postable(i)) continue;
     cpu_.execute(cal_.cpu_post_wr, [this, i, offset, entry, seq, t_replicate] {
-      if (i >= targets_.size()) return;
+      if (!postable(i)) return;
       ReplicaTarget& target = targets_[i];
-      if (target.excluded || target.qp == nullptr) return;
       if (sim_.obs().tracer.is_enabled()) {
         // One CPU-serialized post per replica: this per-target span is the
         // leader-capacity division the P4CE scatter removes (§V-C). The last
@@ -134,7 +123,7 @@ void MuCommunicator::on_completion(std::size_t target_index, const rdma::Complet
     if (++it->second.acks >= f_needed_ && !it->second.resolved) {
       it->second.resolved = true;
       if (sim_.obs().tracer.is_enabled()) sim_.obs().tracer.on_quorum(seq, sim_.now());
-      sequencer_.mark_ready(seq, Status::ok());
+      verdict_(seq, Status::ok());
     }
     if (it->second.acks >= live_target_count()) pending_.erase(it);
   });
@@ -145,36 +134,13 @@ void MuCommunicator::fail_if_quorum_lost() {
   for (auto& [seq, op] : pending_) {
     if (!op.resolved) {
       op.resolved = true;
-      sequencer_.mark_ready(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
+      verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     }
   }
   pending_.clear();
 }
 
-void MuCommunicator::write_raw(u64 offset, Bytes bytes) {
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, bytes] {
-      if (i >= targets_.size()) return;
-      ReplicaTarget& target = targets_[i];
-      if (target.excluded || target.qp == nullptr) return;
-      std::ignore = target.qp->post_write(0, bytes, target.log_vaddr + offset,
-                                          target.log_rkey, /*signaled=*/false);
-    });
-  }
-}
-
-void MuCommunicator::exclude_replica(NodeId id) {
-  for (auto& target : targets_) {
-    if (target.id == id) target.excluded = true;
-  }
-  fail_if_quorum_lost();
-}
-
-void MuCommunicator::abort_all() {
-  pending_.clear();
-  sequencer_.flush_all(error(StatusCode::kAborted, "replication aborted"));
-}
+void MuCommunicator::abort_all() { pending_.clear(); }
 
 // ---------------------------------------------------------------------------
 // P4ceCommunicator
@@ -182,19 +148,17 @@ void MuCommunicator::abort_all() {
 
 P4ceCommunicator::P4ceCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
                                    const Calibration& cal, u32 f_needed,
-                                   std::vector<ReplicaTarget> targets, rdma::Nic& nic,
-                                   Ipv4Addr switch_ip, NodeId self, Hooks hooks)
-    : sim_(sim),
-      cpu_(cpu),
-      cal_(cal),
-      f_needed_(f_needed),
+                                   std::vector<ReplicaTarget> targets, VerdictFn verdict,
+                                   rdma::Nic& nic, Ipv4Addr switch_ip, NodeId self,
+                                   Hooks hooks)
+    : Communicator(sim, cpu, cal, verdict),
       nic_(nic),
       switch_ip_(switch_ip),
       self_(self),
       hooks_(std::move(hooks)),
       m_fallbacks_(sim.obs().metrics.counter("consensus.fallbacks")),
       m_reaccelerations_(sim.obs().metrics.counter("consensus.reaccelerations")),
-      fallback_(sim, cpu, cal, f_needed, targets),
+      fallback_(sim, cpu, cal, f_needed, targets, std::move(verdict)),
       targets_snapshot_(std::move(targets)),
       reaccel_timer_(sim, cal.reacceleration_period, [this] { probe_reacceleration(); }) {
   switch_cq_.set_callback([this](const rdma::Completion& c) { on_switch_completion(c); });
@@ -228,9 +192,7 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
   p4::GroupRequestData request;
   request.leader_node_id = self_;
   request.term = term;
-  for (const auto& target : targets_snapshot_) {
-    if (!target.excluded) request.replica_ips.push_back(target.ip);
-  }
+  request.replica_ips = live_member_ips();
   group_member_ips_ = request.replica_ips;
 
   // The reply only comes after the control plane reprogrammed the data
@@ -276,13 +238,10 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
       kGroupSetupTimeout);
 }
 
-void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
-  sequencer_.expect(seq, std::move(done));
-
+void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   if (state_ != State::kAccelerated) {
     // Un-accelerated path: identical to Mu.
-    fallback_.replicate(offset, entry, seq,
-                        [this, seq](Status st) { sequencer_.mark_ready(seq, std::move(st)); });
+    fallback_.replicate(offset, std::move(entry), seq);
     return;
   }
 
@@ -327,7 +286,7 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
     if (sim_.obs().tracer.is_enabled()) {
       sim_.obs().tracer.span(seq, "commit.cpu", t_ack, sim_.now());
     }
-    sequencer_.mark_ready(seq, Status::ok());
+    verdict_(seq, Status::ok());
   });
 }
 
@@ -347,11 +306,7 @@ void P4ceCommunicator::enter_fallback() {
   // the direct connections (idempotent: same bytes at the same offsets).
   auto pending = std::move(accel_pending_);
   accel_pending_.clear();
-  if (!pending.empty()) fallback_.set_start_seq(pending.begin()->first);
-  for (auto& [seq, op] : pending) {
-    fallback_.replicate(op.offset, std::move(op.entry), seq,
-                        [this, seq = seq](Status st) { sequencer_.mark_ready(seq, std::move(st)); });
-  }
+  for (auto& [seq, op] : pending) fallback_.replicate(op.offset, std::move(op.entry), seq);
   // Entries committed with f *other* ACKs may be missing at the replica
   // that NAK'd; the node refills them from its log over the direct path.
   if (hooks_.on_repair_needed) hooks_.on_repair_needed();
@@ -396,9 +351,7 @@ void P4ceCommunicator::exclude_replica(NodeId id) {
   p4::GroupRequestData request;
   request.leader_node_id = self_;
   request.term = term_;
-  for (const auto& target : targets_snapshot_) {
-    if (!target.excluded) request.replica_ips.push_back(target.ip);
-  }
+  request.replica_ips = live_member_ips();
   nic_.cm().connect_virtual(
       switch_ip_, p4::kServiceP4ceUpdate, bcast_qpn_, 0, request.encode(),
       [this, alive = std::weak_ptr<char>(alive_)](StatusOr<rdma::CmAgent::ConnectResult> result) {
@@ -413,12 +366,17 @@ void P4ceCommunicator::exclude_replica(NodeId id) {
       /*timeout=*/100'000'000);
 }
 
-std::size_t P4ceCommunicator::outstanding() const noexcept { return sequencer_.outstanding(); }
-
 void P4ceCommunicator::abort_all() {
   accel_pending_.clear();
   fallback_.abort_all();
-  sequencer_.flush_all(error(StatusCode::kAborted, "replication aborted"));
+}
+
+std::vector<Ipv4Addr> P4ceCommunicator::live_member_ips() const {
+  std::vector<Ipv4Addr> ips;
+  for (const auto& target : targets_snapshot_) {
+    if (!target.excluded) ips.push_back(target.ip);
+  }
+  return ips;
 }
 
 bool P4ceCommunicator::member_set_grew() const {
@@ -445,11 +403,6 @@ void P4ceCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
     enter_fallback();
     activate(term_, nullptr);
   }
-}
-
-void P4ceCommunicator::set_start_seq(u64 seq) {
-  sequencer_.set_next(seq);
-  fallback_.set_start_seq(seq);
 }
 
 }  // namespace p4ce::consensus

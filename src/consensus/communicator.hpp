@@ -1,6 +1,7 @@
 // The *communication* half of the protocol, cleanly decoupled from the
 // *decision* half exactly as the paper prescribes (§III): one decision
-// protocol, two interchangeable communicators.
+// protocol (consensus::Node, which also owns the commit sequencer), three
+// interchangeable communicators that only report each op's verdict.
 //
 //  - MuCommunicator: the leader writes each replica's log individually over
 //    n direct RDMA connections and aggregates the n ACKs itself (Mu).
@@ -8,6 +9,8 @@
 //    scatters it and returns a single aggregated ACK; on NAK or timeout it
 //    transparently falls back to the Mu path and periodically probes the
 //    switch to regain acceleration (§III-A).
+//  - OneSidedCommunicator (one_sided.hpp): Velos-style Paxos over verbs
+//    atomics on the same direct connections as Mu.
 #pragma once
 
 #include <functional>
@@ -36,54 +39,32 @@ struct ReplicaTarget {
   rdma::CompletionQueue* cq = nullptr;      ///< its completion queue
   u64 log_vaddr = 0;
   RKey log_rkey = 0;
-  u64 log_len = 0;
   // The replica's atomics region (frontier + ballot + consensus slots), used
   // only by the one-sided backend (see one_sided.hpp for the layout).
   u64 atomic_vaddr = 0;
   RKey atomic_rkey = 0;
-  u64 atomic_len = 0;
   bool excluded = false;
-};
-
-/// Releases per-entry commit callbacks strictly in sequence order, no matter
-/// which order the (possibly mode-switching) acknowledgments arrive in.
-class CommitSequencer {
- public:
-  using DoneFn = std::function<void(Status)>;
-
-  void expect(u64 seq, DoneFn done);
-  void mark_ready(u64 seq, Status status);
-  void set_next(u64 seq) noexcept { next_ = seq; }
-  u64 next() const noexcept { return next_; }
-  std::size_t outstanding() const noexcept { return ops_.size(); }
-  /// Fail everything still outstanding (leader stepping down).
-  void flush_all(Status status);
-
- private:
-  void drain();
-  struct Op {
-    DoneFn done;
-    bool ready = false;
-    Status status;
-  };
-  std::map<u64, Op> ops_;
-  u64 next_ = 1;
 };
 
 class Communicator {
  public:
-  using DoneFn = std::function<void(Status)>;
+  /// An op's verdict: ok once f replicas acknowledged it (commit), an error
+  /// once it is known lost.
+  using VerdictFn = std::function<void(u64 op, Status)>;
 
   virtual ~Communicator() = default;
+  Communicator(const Communicator&) = delete;
+  Communicator& operator=(const Communicator&) = delete;
 
   /// Replicate `entry` (already in the leader's log at `offset`) to the
-  /// replicas' logs at the same offset; `done` fires — in seq order — once
-  /// f replicas acknowledged (commit) or the entry is known lost.
-  virtual void replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) = 0;
+  /// replicas' logs at the same offset. The verdict callback fires exactly
+  /// once for `op`, in any order relative to other ops (the node's
+  /// CommitSequencer restores op order) — unless abort_all() drops it first.
+  virtual void replicate(u64 offset, Bytes entry, u64 op) = 0;
 
-  /// Fire-and-forget ordered write to every replica's log (the ring-wrap
-  /// record). Ordered before any subsequent replicate() on the same
-  /// connections; acknowledgment is piggybacked on later entries.
+  /// Fire-and-forget unsignaled write to every live replica's log (the
+  /// ring-wrap record). No verdict: it is ordered before any later
+  /// replicate() on the same connections, whose acknowledgment covers it.
   virtual void write_raw(u64 offset, Bytes bytes) = 0;
 
   virtual bool accelerated() const noexcept = 0;
@@ -95,46 +76,73 @@ class Communicator {
   /// every QP). Indices must follow the node's stable peer order.
   virtual void reset_targets(std::vector<ReplicaTarget> targets) = 0;
 
-  virtual std::size_t outstanding() const noexcept = 0;
-
-  /// Abort everything in flight (leader stepping down / rerouting).
+  /// Drop everything in flight without a verdict (leader stepping down /
+  /// rerouting); the node fails those ops through its sequencer.
   virtual void abort_all() = 0;
-};
 
-// ---------------------------------------------------------------------------
-
-class MuCommunicator : public Communicator {
- public:
-  MuCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
-                 u32 f_needed, std::vector<ReplicaTarget> targets);
-
-  void replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) override;
-  void write_raw(u64 offset, Bytes bytes) override;
-  bool accelerated() const noexcept override { return false; }
-  void exclude_replica(NodeId id) override;
-  std::size_t outstanding() const noexcept override { return sequencer_.outstanding(); }
-  void abort_all() override;
-  void reset_targets(std::vector<ReplicaTarget> targets) override;
-
-  void set_start_seq(u64 seq) { sequencer_.set_next(seq); }
-  u64 live_target_count() const noexcept;
-
- private:
-  void wire_completions();
-  void on_completion(std::size_t target_index, const rdma::Completion& c);
-  void fail_if_quorum_lost();
+ protected:
+  Communicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
+               VerdictFn verdict)
+      : sim_(sim), cpu_(cpu), cal_(cal), verdict_(std::move(verdict)) {}
 
   sim::Simulator& sim_;
   sim::CpuExecutor& cpu_;
   Calibration cal_;
-  u32 f_needed_;
+  VerdictFn verdict_;
+};
+
+/// The replica set both direct-connection communicators (Mu, one-sided)
+/// share: one data QP per replica, its completions routed back by index.
+class DirectCommunicator : public Communicator {
+ public:
+  void write_raw(u64 offset, Bytes bytes) override;
+  bool accelerated() const noexcept override { return false; }
+  void exclude_replica(NodeId id) override;
+  void reset_targets(std::vector<ReplicaTarget> targets) override;
+
+ protected:
+  DirectCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
+                     std::vector<ReplicaTarget> targets, VerdictFn verdict);
+
+  virtual void on_completion(std::size_t target_index, const rdma::Completion& c) = 0;
+  /// Fail every unresolved op once the live replicas can no longer form a
+  /// quorum.
+  virtual void fail_if_quorum_lost() = 0;
+
+  u32 live_target_count() const noexcept;
+  /// Whether target `i` takes posts: still in the set (reset_targets() may
+  /// replace the vector while a post sits in the CPU queue), not excluded,
+  /// connected.
+  bool postable(std::size_t i) const noexcept {
+    return i < targets_.size() && !targets_[i].excluded && targets_[i].qp != nullptr;
+  }
+
   std::vector<ReplicaTarget> targets_;
+
+ private:
+  void wire_completions();
+};
+
+// ---------------------------------------------------------------------------
+
+class MuCommunicator : public DirectCommunicator {
+ public:
+  MuCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
+                 u32 f_needed, std::vector<ReplicaTarget> targets, VerdictFn verdict);
+
+  void replicate(u64 offset, Bytes entry, u64 op) override;
+  void abort_all() override;
+
+ private:
+  void on_completion(std::size_t target_index, const rdma::Completion& c) override;
+  void fail_if_quorum_lost() override;
+
+  u32 f_needed_;
   struct Pending {
     u32 acks = 0;
     bool resolved = false;
   };
-  std::map<u64, Pending> pending_;  // by seq (wr_id)
-  CommitSequencer sequencer_;
+  std::map<u64, Pending> pending_;  // by op (wr_id)
 };
 
 // ---------------------------------------------------------------------------
@@ -152,8 +160,8 @@ class P4ceCommunicator : public Communicator {
   };
 
   P4ceCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
-                   u32 f_needed, std::vector<ReplicaTarget> targets, rdma::Nic& nic,
-                   Ipv4Addr switch_ip, NodeId self, Hooks hooks);
+                   u32 f_needed, std::vector<ReplicaTarget> targets, VerdictFn verdict,
+                   rdma::Nic& nic, Ipv4Addr switch_ip, NodeId self, Hooks hooks);
   ~P4ceCommunicator() override;
 
   /// Connect to the switch and set the communication group up (§IV-A).
@@ -165,15 +173,13 @@ class P4ceCommunicator : public Communicator {
   /// §III-A "Faulty switch") and probe for re-acceleration periodically.
   void start_fallback(u64 term);
 
-  void replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) override;
+  void replicate(u64 offset, Bytes entry, u64 op) override;
   void write_raw(u64 offset, Bytes bytes) override;
   bool accelerated() const noexcept override { return state_ == State::kAccelerated; }
   void exclude_replica(NodeId id) override;
-  std::size_t outstanding() const noexcept override;
   void abort_all() override;
   void reset_targets(std::vector<ReplicaTarget> targets) override;
 
-  void set_start_seq(u64 seq);
   u64 fallback_count() const noexcept { return fallbacks_; }
   u64 reaccelerations() const noexcept { return reaccelerations_; }
   /// Consensus instances served on the accelerated path before the first
@@ -189,11 +195,9 @@ class P4ceCommunicator : public Communicator {
   void enter_fallback();
   void probe_reacceleration();
   bool member_set_grew() const;
+  /// The replica IPs a group request names: every member not excluded.
+  std::vector<Ipv4Addr> live_member_ips() const;
 
-  sim::Simulator& sim_;
-  sim::CpuExecutor& cpu_;
-  Calibration cal_;
-  u32 f_needed_;
   rdma::Nic& nic_;
   Ipv4Addr switch_ip_;
   NodeId self_;
@@ -213,19 +217,22 @@ class P4ceCommunicator : public Communicator {
   RKey virtual_rkey_ = 0;
   Qpn bcast_qpn_ = 0;
 
+  /// The un-accelerated path; it owns the direct CQ callbacks and reports
+  /// its verdicts straight to the node.
   MuCommunicator fallback_;
-  /// Membership view (ids/ips/exclusion only; QPs live in fallback_).
+  /// Membership view (ids/ips/exclusion only; QPs live in fallback_). Kept
+  /// apart from fallback_'s set: Mu excludes a replica on a broken QP, and
+  /// the switch group must not follow that.
   std::vector<ReplicaTarget> targets_snapshot_;
   /// The replica IPs the current/most recent group request named.
   std::vector<Ipv4Addr> group_member_ips_;
-  /// Ops in flight on the accelerated path: seq -> (offset, entry) so they
+  /// Ops in flight on the accelerated path: op -> (offset, entry) so they
   /// can be replayed through the fallback path after a NAK/timeout.
   struct AccelOp {
     u64 offset;
     Bytes entry;
   };
   std::map<u64, AccelOp> accel_pending_;
-  CommitSequencer sequencer_;
   sim::PeriodicTimer reaccel_timer_;
   u64 fallbacks_ = 0;
   u64 reaccelerations_ = 0;

@@ -17,15 +17,21 @@ u64 load_u64(const u8* p) noexcept {
 }
 void store_u32(u8* p, u32 v) noexcept { std::memcpy(p, &v, 4); }
 void store_u64(u8* p, u64 v) noexcept { std::memcpy(p, &v, 8); }
+
+/// Write one entry's on-log bytes at `out` (entry_footprint() bytes, padding
+/// already zeroed).
+void write_entry(u8* out, u64 seq, u64 term, BytesView payload) noexcept {
+  store_u32(out, static_cast<u32>(payload.size()));
+  store_u64(out + 4, seq);
+  store_u64(out + 12, term);
+  if (!payload.empty()) std::memcpy(out + kEntryHeaderBytes, payload.data(), payload.size());
+  out[kEntryHeaderBytes + payload.size()] = kEntryMarker;
+}
 }  // namespace
 
 Bytes encode_entry(u64 seq, u64 term, BytesView payload) {
   Bytes out(entry_footprint(payload.size()), 0);
-  store_u32(out.data(), static_cast<u32>(payload.size()));
-  store_u64(out.data() + 4, seq);
-  store_u64(out.data() + 12, term);
-  if (!payload.empty()) std::memcpy(out.data() + kEntryHeaderBytes, payload.data(), payload.size());
-  out[kEntryHeaderBytes + payload.size()] = kEntryMarker;
+  write_entry(out.data(), seq, term, payload);
   return out;
 }
 
@@ -47,21 +53,8 @@ StatusOr<std::optional<std::pair<u64, Bytes>>> LogWriter::make_room(u64 need, u6
   return wrap;
 }
 
-StatusOr<LogWriter::Append> LogWriter::append(u64 seq, u64 term, BytesView payload) {
-  if (payload.size() > kMaxEntryPayload) {
-    return error(StatusCode::kInvalidArgument, "payload too large");
-  }
-  Bytes bytes = encode_entry(seq, term, payload);
-  auto wrap = make_room(bytes.size(), seq);
-  if (!wrap.is_ok()) return wrap.status();
-  const u64 offset = cursor_;
-  std::memcpy(region_.bytes() + offset, bytes.data(), bytes.size());
-  cursor_ += bytes.size();
-  return Append{offset, std::move(bytes), std::move(wrap.value())};
-}
-
-StatusOr<LogWriter::Append> LogWriter::append_batch(u64 first_seq, u64 term,
-                                                    const std::vector<Bytes>& payloads) {
+StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
+                                              std::span<const Bytes> payloads) {
   u64 total = 0;
   for (const auto& p : payloads) {
     if (p.size() > kMaxEntryPayload) {
@@ -72,12 +65,12 @@ StatusOr<LogWriter::Append> LogWriter::append_batch(u64 first_seq, u64 term,
   auto wrap = make_room(total, first_seq);
   if (!wrap.is_ok()) return wrap.status();
   const u64 offset = cursor_;
-  Bytes bytes;
-  bytes.reserve(total);
+  Bytes bytes(total, 0);
+  u64 at = 0;
   u64 seq = first_seq;
   for (const auto& p : payloads) {
-    Bytes e = encode_entry(seq++, term, p);
-    bytes.insert(bytes.end(), e.begin(), e.end());
+    write_entry(bytes.data() + at, seq++, term, p);
+    at += entry_footprint(p.size());
   }
   std::memcpy(region_.bytes() + offset, bytes.data(), bytes.size());
   cursor_ += bytes.size();

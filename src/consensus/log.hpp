@@ -17,8 +17,8 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
@@ -49,7 +49,7 @@ constexpr u64 entry_footprint(u64 payload_size) noexcept {
 Bytes encode_entry(u64 seq, u64 term, BytesView payload);
 
 /// Leader-side appender over the local log region. append() writes the
-/// entry bytes into local memory and returns the (offset, encoded bytes)
+/// entries' bytes into local memory and returns the (offset, encoded bytes)
 /// pair the communicator replicates to the same offset on every replica.
 class LogWriter {
  public:
@@ -64,13 +64,11 @@ class LogWriter {
     std::optional<std::pair<u64, Bytes>> wrap;
   };
 
-  StatusOr<Append> append(u64 seq, u64 term, BytesView payload);
-
-  /// Append several values as one contiguous byte range replicated with a
-  /// single RDMA write (the doorbell-batched path used by the goodput
-  /// experiment). Entries get consecutive seqs starting at `first_seq`.
-  StatusOr<Append> append_batch(u64 first_seq, u64 term,
-                                const std::vector<Bytes>& payloads);
+  /// Append one or more values as one contiguous byte range replicated with
+  /// a single RDMA write (several values: the doorbell-batched path used by
+  /// the goodput experiment). Entries get consecutive seqs starting at
+  /// `first_seq`.
+  StatusOr<Append> append(u64 first_seq, u64 term, std::span<const Bytes> payloads);
 
   u64 cursor() const noexcept { return cursor_; }
   /// Reposition (new leader adopting a recovered log tail).

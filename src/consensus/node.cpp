@@ -21,6 +21,47 @@ Duration memcpy_cost(u64 bytes, double gbps) noexcept {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// CommitSequencer
+// ---------------------------------------------------------------------------
+
+void CommitSequencer::expect(u64 seq, DoneFn done) {
+  ops_.emplace(seq, Op{std::move(done), false, Status::ok()});
+}
+
+void CommitSequencer::mark_ready(u64 seq, Status status) {
+  auto it = ops_.find(seq);
+  if (it == ops_.end()) return;
+  it->second.ready = true;
+  it->second.status = std::move(status);
+  drain();
+}
+
+void CommitSequencer::drain() {
+  while (!ops_.empty()) {
+    auto it = ops_.begin();
+    if (it->first != next_ || !it->second.ready) break;
+    Op op = std::move(it->second);
+    ops_.erase(it);
+    ++next_;
+    op.done(std::move(op.status));
+  }
+}
+
+void CommitSequencer::flush_all(Status status) {
+  // Deliver failures in order; callbacks may re-enter, so detach first.
+  auto ops = std::move(ops_);
+  ops_.clear();
+  for (auto& [seq, op] : ops) {
+    next_ = std::max(next_, seq + 1);
+    op.done(status);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Node
+// ---------------------------------------------------------------------------
+
 Node::Metrics::Metrics(obs::MetricsRegistry& registry, u32 domain)
     : proposals(registry.counter("consensus.proposals")),
       commits(registry.counter("consensus.commits")),
@@ -45,7 +86,8 @@ Node::Node(sim::Simulator& sim, rdma::Nic& nic, rdma::MemoryManager& memory,
       nic_(nic),
       memory_(memory),
       cpu_(cpu),
-      options_(options) {
+      options_(options),
+      sequencer_(obs::trace_key(options.domain, next_op_)) {
   using rdma::Access;
   hb_mr_ = &memory_.register_region(8, rdma::kAccessRemoteRead);
   mail_mr_ = &memory_.register_region(kMaxNodes * kMailboxSlotBytes,
@@ -433,7 +475,7 @@ void Node::on_control_message(const ControlMessage& msg) {
       if (leader_active_) {
         leader_active_ = false;
         m_.leader_active.set(0);
-        if (communicator_) communicator_->abort_all();
+        abort_replication();
       }
       // "Once a replica has chosen another machine as the current leader, it
       // reconfigures its RDMA permissions to exclusively allow the
@@ -555,10 +597,8 @@ std::vector<ReplicaTarget> Node::build_targets() {
     target.cq = peer.data_cq.get();
     target.log_vaddr = peer.log.vaddr;
     target.log_rkey = peer.log.rkey;
-    target.log_len = peer.log.length;
     target.atomic_vaddr = peer.atomics.vaddr;
     target.atomic_rkey = peer.atomics.rkey;
-    target.atomic_len = peer.atomics.length;
     // Writing to a replica that has not granted us this term would only
     // draw a permission NAK; it joins once its (possibly late) grant lands.
     target.excluded = !heartbeat_->peer_alive(static_cast<u32>(i)) || !peer.connected ||
@@ -571,6 +611,7 @@ std::vector<ReplicaTarget> Node::build_targets() {
 std::unique_ptr<Communicator> Node::make_communicator() {
   const u32 cluster = static_cast<u32>(peers_.size()) + 1;
   const u32 f_needed = cluster / 2;  // majority minus the leader itself
+  auto verdict = [this](u64 op, Status st) { sequencer_.mark_ready(op, std::move(st)); };
   if (options_.mode == Mode::kP4ce) {
     P4ceCommunicator::Hooks hooks;
     hooks.on_membership_updated = [this] {
@@ -580,24 +621,21 @@ std::unique_ptr<Communicator> Node::make_communicator() {
       // Run after the fallback replay has been issued (same CPU queue).
       sim_.schedule(10'000, [this] { repair_replicas(); });
     };
-    auto comm = std::make_unique<P4ceCommunicator>(sim_, cpu_, options_.cal, f_needed,
-                                                   build_targets(), nic_, options_.switch_ip,
-                                                   options_.id, std::move(hooks));
-    // Op ids are domain-namespaced trace keys; the sequencer must expect the
-    // same namespace or domain > 0 commits would never drain.
-    comm->set_start_seq(obs::trace_key(options_.domain, next_op_));
-    return comm;
+    return std::make_unique<P4ceCommunicator>(sim_, cpu_, options_.cal, f_needed,
+                                              build_targets(), verdict, nic_,
+                                              options_.switch_ip, options_.id, std::move(hooks));
   }
   if (options_.mode == Mode::kOneSided) {
-    auto comm = std::make_unique<OneSidedCommunicator>(sim_, cpu_, options_.cal, cluster,
-                                                       options_.id, build_targets());
-    comm->set_start_seq(obs::trace_key(options_.domain, next_op_));
-    return comm;
+    return std::make_unique<OneSidedCommunicator>(sim_, cpu_, options_.cal, cluster,
+                                                  options_.id, build_targets(), verdict);
   }
-  auto comm = std::make_unique<MuCommunicator>(sim_, cpu_, options_.cal, f_needed,
-                                               build_targets());
-  comm->set_start_seq(obs::trace_key(options_.domain, next_op_));
-  return comm;
+  return std::make_unique<MuCommunicator>(sim_, cpu_, options_.cal, f_needed, build_targets(),
+                                          verdict);
+}
+
+void Node::abort_replication() {
+  if (communicator_) communicator_->abort_all();
+  sequencer_.flush_all(error(StatusCode::kAborted, "replication aborted"));
 }
 
 void Node::recover_and_activate() {
@@ -719,45 +757,7 @@ Status Node::propose(Bytes value, CommitFn done) {
                         memcpy_cost(value.size(), options_.cal.memcpy_gbps);
   cpu_.execute(cost, [this, t_propose, value = std::move(value),
                       done = std::move(done)]() mutable {
-    if (!leader_active_) {
-      if (done) done(error(StatusCode::kAborted, "leadership lost"), 0);
-      return;
-    }
-    // The seq is consumed only once it is in the log: a gap would stall
-    // every reader, the leader's own included.
-    const u64 seq = next_seq_;
-    auto append = writer_->append(seq, term_, value);
-    if (!append.is_ok()) {
-      if (done) done(append.status(), 0);
-      return;
-    }
-    ++next_seq_;
-    deliver_ready_entries();  // the leader consumes its own log immediately
-    if (append.value().wrap) {
-      communicator_->write_raw(append.value().wrap->first, append.value().wrap->second);
-    }
-    const u64 op = obs::trace_key(options_.domain, next_op_++);
-    if (sim_.obs().tracer.is_enabled()) {
-      auto& tracer = sim_.obs().tracer;
-      tracer.begin_round(op, t_propose);
-      tracer.span(op, "propose", t_propose, sim_.now(), "seq", seq);
-      tracer.mark_propose_done(op, sim_.now());
-    }
-    communicator_->replicate(append.value().offset, std::move(append.value().bytes), op,
-                             [this, seq, op, t_propose, done = std::move(done)](Status st) {
-                               if (st.is_ok()) {
-                                 ++commits_;
-                                 m_.commits.inc();
-                                 m_.commit_index.set(static_cast<double>(seq));
-                               } else {
-                                 m_.commit_failures.inc();
-                               }
-                               m_.commit_latency.record(sim_.now() - t_propose);
-                               if (sim_.obs().tracer.is_enabled()) {
-                                 sim_.obs().tracer.end_round(op, sim_.now(), st.is_ok());
-                               }
-                               if (done) done(std::move(st), seq);
-                             });
+    append_and_replicate({&value, 1}, /*batch=*/false, t_propose, std::move(done));
   });
   return Status::ok();
 }
@@ -776,47 +776,53 @@ Status Node::propose_batch(std::vector<Bytes> values, CommitFn done) {
                         memcpy_cost(total, options_.cal.memcpy_gbps);
   cpu_.execute(cost, [this, t_propose, values = std::move(values),
                       done = std::move(done)]() mutable {
-    if (!leader_active_) {
-      if (done) done(error(StatusCode::kAborted, "leadership lost"), 0);
-      return;
-    }
-    const u64 first_seq = next_seq_;
-    auto append = writer_->append_batch(first_seq, term_, values);
-    if (!append.is_ok()) {
-      if (done) done(append.status(), 0);
-      return;
-    }
-    next_seq_ += values.size();
-    deliver_ready_entries();
-    if (append.value().wrap) {
-      communicator_->write_raw(append.value().wrap->first, append.value().wrap->second);
-    }
-    const u64 op = obs::trace_key(options_.domain, next_op_++);
-    const u64 last_seq = next_seq_ - 1;
-    if (sim_.obs().tracer.is_enabled()) {
-      auto& tracer = sim_.obs().tracer;
-      tracer.begin_round(op, t_propose);
-      tracer.span(op, "propose", t_propose, sim_.now(), "batch", values.size());
-      tracer.mark_propose_done(op, sim_.now());
-    }
-    communicator_->replicate(append.value().offset, std::move(append.value().bytes), op,
-                             [this, last_seq, op, t_propose, n = values.size(),
-                              done = std::move(done)](Status st) {
-                               if (st.is_ok()) {
-                                 commits_ += n;
-                                 m_.commits.inc(n);
-                                 m_.commit_index.set(static_cast<double>(last_seq));
-                               } else {
-                                 m_.commit_failures.inc();
-                               }
-                               m_.commit_latency.record(sim_.now() - t_propose);
-                               if (sim_.obs().tracer.is_enabled()) {
-                                 sim_.obs().tracer.end_round(op, sim_.now(), st.is_ok());
-                               }
-                               if (done) done(std::move(st), last_seq);
-                             });
+    append_and_replicate(values, /*batch=*/true, t_propose, std::move(done));
   });
   return Status::ok();
+}
+
+void Node::append_and_replicate(std::span<const Bytes> values, bool batch, SimTime t_propose,
+                                CommitFn done) {
+  if (!leader_active_) {
+    if (done) done(error(StatusCode::kAborted, "leadership lost"), 0);
+    return;
+  }
+  // Seqs are consumed only once they are in the log: a gap would stall
+  // every reader, the leader's own included.
+  const u64 first_seq = next_seq_;
+  auto append = writer_->append(first_seq, term_, values);
+  if (!append.is_ok()) {
+    if (done) done(append.status(), 0);
+    return;
+  }
+  const u64 n = values.size();
+  next_seq_ += n;
+  deliver_ready_entries();  // the leader consumes its own log immediately
+  if (append.value().wrap) {
+    communicator_->write_raw(append.value().wrap->first, append.value().wrap->second);
+  }
+  const u64 op = obs::trace_key(options_.domain, next_op_++);
+  const u64 last_seq = next_seq_ - 1;
+  if (sim_.obs().tracer.is_enabled()) {
+    auto& tracer = sim_.obs().tracer;
+    tracer.begin_round(op, t_propose);
+    tracer.span(op, "propose", t_propose, sim_.now(), batch ? "batch" : "seq",
+                batch ? n : first_seq);
+    tracer.mark_propose_done(op, sim_.now());
+  }
+  sequencer_.expect(op, [this, last_seq, n, op, t_propose, done = std::move(done)](Status st) {
+    if (st.is_ok()) {
+      commits_ += n;
+      m_.commits.inc(n);
+      m_.commit_index.set(static_cast<double>(last_seq));
+    } else {
+      m_.commit_failures.inc();
+    }
+    m_.commit_latency.record(sim_.now() - t_propose);
+    if (sim_.obs().tracer.is_enabled()) sim_.obs().tracer.end_round(op, sim_.now(), st.is_ok());
+    if (done) done(std::move(st), last_seq);
+  });
+  communicator_->replicate(append.value().offset, std::move(append.value().bytes), op);
 }
 
 void Node::repair_replicas() {
@@ -931,10 +937,11 @@ void Node::begin_reroute() {
   heartbeat_->stop();
   if (leader_active_) m_.leader_active.set(0);
   leader_active_ = false;
-  if (communicator_) {
-    communicator_->abort_all();
-    communicator_.reset();  // its QPs are about to be destroyed
-  }
+  abort_replication();
+  communicator_.reset();  // its QPs are about to be destroyed
+  // The old data QPs live until connect_peer() replaces them, and their
+  // completions must not reach the communicator just freed.
+  for (auto& peer : peers_) peer.data_cq->set_callback(nullptr);
   // Fail over to the backup route, then re-establish every connection; the
   // paper measures this reconnection at ~60 ms (§V-E "Crashed switch").
   nic_.set_active_path(1);

@@ -1,14 +1,18 @@
 // A consensus node: the Mu decision protocol (leader election by lowest live
 // id, heartbeat liveness, RDMA-permission-based single-writer enforcement,
 // log replication with f-ACK commit, view change with log recovery) on top
-// of a pluggable communicator (direct Mu replication or P4CE in-network
-// scatter/gather). One Node == one machine in the paper's deployment.
+// of a pluggable communicator (direct Mu replication, P4CE in-network
+// scatter/gather, or one-sided Paxos over verbs atomics). The node owns the
+// commit order: communicators report per-op verdicts in any order and the
+// node's CommitSequencer releases them in op order. One Node == one machine
+// in the paper's deployment.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
@@ -28,6 +32,33 @@ namespace p4ce::consensus {
 enum class Mode { kMu, kP4ce, kOneSided };
 
 inline constexpr u32 kMaxNodes = 16;
+
+/// Releases per-op commit callbacks strictly in op order, no matter which
+/// order the (possibly mode-switching) verdicts arrive in. Ops are dense,
+/// starting at `first`.
+class CommitSequencer {
+ public:
+  using DoneFn = std::function<void(Status)>;
+
+  explicit CommitSequencer(u64 first = 1) noexcept : next_(first) {}
+
+  void expect(u64 seq, DoneFn done);
+  void mark_ready(u64 seq, Status status);
+  u64 next() const noexcept { return next_; }
+  std::size_t outstanding() const noexcept { return ops_.size(); }
+  /// Fail everything still outstanding (leader stepping down).
+  void flush_all(Status status);
+
+ private:
+  void drain();
+  struct Op {
+    DoneFn done;
+    bool ready = false;
+    Status status;
+  };
+  std::map<u64, Op> ops_;
+  u64 next_;
+};
 
 struct NodeOptions {
   NodeId id = 0;
@@ -88,9 +119,6 @@ class Node {
   u64 commits() const noexcept { return commits_; }
   u64 delivered() const noexcept { return delivered_; }
   u64 last_delivered_seq() const noexcept { return reader_ ? reader_->last_seq() : 0; }
-  std::size_t outstanding() const noexcept {
-    return communicator_ ? communicator_->outstanding() : 0;
-  }
   bool crashed() const noexcept { return crashed_; }
 
   // --- Failure injection & instrumentation hooks -------------------------------
@@ -170,6 +198,12 @@ class Node {
   void finish_recovery(u64 max_seq, u64 tail_offset);
   void on_peer_died(u32 peer_index);
 
+  // Proposals: the append -> trace -> replicate -> commit chain both
+  // propose() and propose_batch() share, run on the leader CPU. `batch`
+  // picks the propose span's argument ("batch" count vs "seq").
+  void append_and_replicate(std::span<const Bytes> values, bool batch, SimTime t_propose,
+                            CommitFn done);
+
   // Log delivery.
   void reconcile_replicas();
   void repair_replicas();
@@ -183,6 +217,8 @@ class Node {
   void finish_reroute();
   std::vector<ReplicaTarget> build_targets();
   std::unique_ptr<Communicator> make_communicator();
+  /// Drop the communicator's in-flight ops and fail their commit callbacks.
+  void abort_replication();
 
   /// This run's consensus series: counters summed over its nodes, gauges
   /// per replication domain (the sampler turns those into time series,
@@ -245,6 +281,9 @@ class Node {
   // Proposer state.
   u64 next_seq_ = 1;    ///< next log entry sequence number
   u64 next_op_ = 1;     ///< next communicator operation id
+  /// Releases commit callbacks in op order. Ops are dense per node and every
+  /// one is expected here, so the sequencer never needs re-basing.
+  CommitSequencer sequencer_;
   u64 commits_ = 0;
   u64 delivered_ = 0;
   bool deliver_scheduled_ = false;

@@ -12,39 +12,15 @@ constexpr u32 kMaxSlowRetries = 8;
 
 OneSidedCommunicator::OneSidedCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
                                            const Calibration& cal, u32 cluster_size,
-                                           NodeId self, std::vector<ReplicaTarget> targets)
-    : sim_(sim),
-      cpu_(cpu),
-      cal_(cal),
-      cluster_size_(cluster_size),
+                                           NodeId self, std::vector<ReplicaTarget> targets,
+                                           VerdictFn verdict)
+    : DirectCommunicator(sim, cpu, cal, std::move(targets), std::move(verdict)),
       fast_needed_remote_(one_sided_fast_quorum(cluster_size) - 1),
       classic_needed_remote_(one_sided_classic_quorum(cluster_size) - 1),
       self_(self),
-      targets_(std::move(targets)),
       m_fast_commits_(sim.obs().metrics.counter("consensus.one_sided.fast_commits")),
       m_slow_commits_(sim.obs().metrics.counter("consensus.one_sided.slow_commits")),
-      m_slot_conflicts_(sim.obs().metrics.counter("consensus.one_sided.slot_conflicts")) {
-  wire_completions();
-}
-
-void OneSidedCommunicator::wire_completions() {
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].cq == nullptr) continue;
-    targets_[i].cq->set_callback(
-        [this, i](const rdma::Completion& c) { on_completion(i, c); });
-  }
-}
-
-void OneSidedCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
-  targets_ = std::move(targets);
-  wire_completions();
-}
-
-u32 OneSidedCommunicator::live_target_count() const noexcept {
-  u32 n = 0;
-  for (const auto& t : targets_) n += t.excluded ? 0 : 1;
-  return n;
-}
+      m_slot_conflicts_(sim.obs().metrics.counter("consensus.one_sided.slot_conflicts")) {}
 
 // ---------------------------------------------------------------------------
 // Takeover (ballot fence + frontier adoption)
@@ -69,11 +45,11 @@ void OneSidedCommunicator::takeover(u64 term, std::function<void(Status)> on_rea
 
   u32 posted = 0;
   for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
+    if (!postable(i)) continue;
     ++posted;
     cpu_.execute(cal_.cpu_post_wr, [this, i, ballot = ballot_] {
       if (ballot != ballot_) return;  // a newer takeover replaced this one
-      if (i >= targets_.size() || targets_[i].excluded || targets_[i].qp == nullptr) {
+      if (!postable(i)) {
         takeover_chain_failed();
         return;
       }
@@ -111,8 +87,8 @@ void OneSidedCommunicator::takeover_check(Takeover& tk) {
     // reserve the first slot batch.
     tk.reserving = true;
     for (std::size_t i = 0; i < targets_.size(); ++i) {
+      if (!postable(i)) continue;
       ReplicaTarget& t = targets_[i];
-      if (t.excluded || t.qp == nullptr) continue;
       const u64 wr = next_wr_++;
       wr_ctx_.emplace(wr, WrCtx{0, Phase::kTkFrontier, i, 0});
       const Status st = t.qp->post_faa(wr, t.atomic_vaddr + kOneSidedFrontierOffset,
@@ -178,7 +154,7 @@ void OneSidedCommunicator::handle_takeover(const WrCtx& ctx, std::size_t target_
     ++tk.fenced;  // already ours (a retried or repeated takeover)
   } else if (original > ballot_) {
     ++tk.superseded;  // a higher ballot beat us to this replica
-  } else if (!target.excluded && target.qp != nullptr) {
+  } else if (postable(target_index)) {
     if (ctx.phase == Phase::kTkRead) {
       // Raise the register from the value we just read.
       const u64 wr = next_wr_++;
@@ -214,11 +190,10 @@ void OneSidedCommunicator::reserve_frontier_batch() {
   // competing regime racing the same slots surfaces as CAS conflicts, which
   // the slow path absorbs.
   for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
+    if (!postable(i)) continue;
     cpu_.execute(cal_.cpu_post_wr, [this, i] {
-      if (i >= targets_.size()) return;
+      if (!postable(i)) return;
       ReplicaTarget& target = targets_[i];
-      if (target.excluded || target.qp == nullptr) return;
       const u64 wr = next_wr_++;
       wr_ctx_.emplace(wr, WrCtx{0, Phase::kFrontier, i, 0});
       const Status st = target.qp->post_faa(wr, target.atomic_vaddr + kOneSidedFrontierOffset,
@@ -229,10 +204,9 @@ void OneSidedCommunicator::reserve_frontier_batch() {
   reserved_ += kOneSidedFrontierBatch;
 }
 
-void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
-  sequencer_.expect(seq, std::move(done));
+void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   if (live_target_count() < classic_needed_remote_) {
-    sequencer_.mark_ready(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
+    verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     return;
   }
 
@@ -251,7 +225,7 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn do
 
   const SimTime t_replicate = sim_.now();
   for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
+    if (!postable(i)) continue;
     ++op_it->second.inflight;
     // Two work requests per replica — the entry write and the slot atomic —
     // is the CPU price of one-sidedness: double Mu's posting cost, where
@@ -260,7 +234,7 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn do
       auto it = ops_.find(seq);
       if (it == ops_.end()) return;
       OpState& op = it->second;
-      if (i >= targets_.size() || targets_[i].excluded || targets_[i].qp == nullptr) {
+      if (!postable(i)) {
         --op.inflight;
         check_op_verdict(op, seq);
         maybe_erase(seq);
@@ -309,19 +283,6 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn do
     // No remote posts at all (single-machine cluster).
     check_op_verdict(op_it->second, seq);
     maybe_erase(seq);
-  }
-}
-
-void OneSidedCommunicator::write_raw(u64 offset, Bytes bytes) {
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, bytes] {
-      if (i >= targets_.size()) return;
-      ReplicaTarget& target = targets_[i];
-      if (target.excluded || target.qp == nullptr) return;
-      std::ignore = target.qp->post_write(0, bytes, target.log_vaddr + offset,
-                                          target.log_rkey, /*signaled=*/false);
-    });
   }
 }
 
@@ -382,7 +343,7 @@ void OneSidedCommunicator::on_completion(std::size_t target_index, const rdma::C
     --op.inflight;
     switch (ctx.phase) {
       case Phase::kFastCas:
-        handle_fast(op, ctx.seq, target_index, original);
+        handle_fast(op, original);
         break;
       case Phase::kPrepare:
         handle_prepare(op, ctx.seq, target_index, original);
@@ -401,10 +362,7 @@ void OneSidedCommunicator::on_completion(std::size_t target_index, const rdma::C
   });
 }
 
-void OneSidedCommunicator::handle_fast(OpState& op, u64 seq, std::size_t target_index,
-                                       u64 original) {
-  std::ignore = seq;
-  std::ignore = target_index;
+void OneSidedCommunicator::handle_fast(OpState& op, u64 original) {
   if (original == 0 || original == op.word) {
     ++op.fast_acks;
   } else {
@@ -418,14 +376,13 @@ void OneSidedCommunicator::handle_fast(OpState& op, u64 seq, std::size_t target_
 void OneSidedCommunicator::enter_slow_path(OpState& op, u64 seq) {
   op.slow = true;
   for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
-    post_prepare(op, seq, i);
+    if (postable(i)) post_prepare(op, seq, i);
   }
 }
 
 void OneSidedCommunicator::post_prepare(OpState& op, u64 seq, std::size_t target_index) {
+  if (!postable(target_index)) return;
   ReplicaTarget& target = targets_[target_index];
-  if (target.excluded || target.qp == nullptr) return;
   ++op.inflight;
   const u64 wr = next_wr_++;
   wr_ctx_.emplace(wr, WrCtx{seq, Phase::kPrepare, target_index, 0});
@@ -450,8 +407,8 @@ void OneSidedCommunicator::handle_prepare(OpState& op, u64 seq, std::size_t targ
     ++op.aborts;
     return;
   }
+  if (!postable(target_index)) return;
   ReplicaTarget& target = targets_[target_index];
-  if (target.excluded || target.qp == nullptr) return;
   // Accept: install our stamp, expecting exactly what prepare left behind
   // (our ballot over the preserved stamp).
   ++op.inflight;
@@ -498,7 +455,7 @@ void OneSidedCommunicator::commit(OpState& op, u64 seq, bool fast) {
     tracer.mark_ack_rx(seq, last_ack_);
     tracer.span(seq, "commit.cpu", last_ack_, sim_.now());
   }
-  sequencer_.mark_ready(seq, Status::ok());
+  verdict_(seq, Status::ok());
 }
 
 void OneSidedCommunicator::check_op_verdict(OpState& op, u64 seq) {
@@ -519,7 +476,7 @@ void OneSidedCommunicator::check_op_verdict(OpState& op, u64 seq) {
   }
   if (op.accepts + op.inflight < classic_needed_remote_) {
     op.resolved = true;
-    sequencer_.mark_ready(
+    verdict_(
         seq, op.aborts > 0
                  ? error(StatusCode::kAborted, "slot fenced by a higher ballot")
                  : error(StatusCode::kUnavailable, "quorum of replicas lost"));
@@ -536,23 +493,15 @@ void OneSidedCommunicator::fail_if_quorum_lost() {
   for (auto& [seq, op] : ops_) {
     if (!op.resolved) {
       op.resolved = true;
-      sequencer_.mark_ready(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
+      verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     }
   }
-}
-
-void OneSidedCommunicator::exclude_replica(NodeId id) {
-  for (auto& target : targets_) {
-    if (target.id == id) target.excluded = true;
-  }
-  fail_if_quorum_lost();
 }
 
 void OneSidedCommunicator::abort_all() {
   ops_.clear();
   wr_ctx_.clear();
   takeover_.reset();
-  sequencer_.flush_all(error(StatusCode::kAborted, "replication aborted"));
 }
 
 }  // namespace p4ce::consensus

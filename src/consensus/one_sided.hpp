@@ -69,10 +69,11 @@ constexpr u64 one_sided_slot_word(u64 ballot, u64 stamp) noexcept {
   return (ballot << 48) | (stamp & kOneSidedStampMask);
 }
 
-class OneSidedCommunicator : public Communicator {
+class OneSidedCommunicator : public DirectCommunicator {
  public:
   OneSidedCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
-                       u32 cluster_size, NodeId self, std::vector<ReplicaTarget> targets);
+                       u32 cluster_size, NodeId self, std::vector<ReplicaTarget> targets,
+                       VerdictFn verdict);
 
   /// Ballot takeover: fence the previous leader by raising every reachable
   /// replica's ballot register to ours, then adopt the highest frontier and
@@ -82,15 +83,8 @@ class OneSidedCommunicator : public Communicator {
   /// kUnavailable until enough replicas return).
   void takeover(u64 term, std::function<void(Status)> on_ready);
 
-  void replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) override;
-  void write_raw(u64 offset, Bytes bytes) override;
-  bool accelerated() const noexcept override { return false; }
-  void exclude_replica(NodeId id) override;
-  std::size_t outstanding() const noexcept override { return sequencer_.outstanding(); }
+  void replicate(u64 offset, Bytes entry, u64 op) override;
   void abort_all() override;
-  void reset_targets(std::vector<ReplicaTarget> targets) override;
-
-  void set_start_seq(u64 seq) { sequencer_.set_next(seq); }
 
   u64 ballot() const noexcept { return ballot_; }
   u64 fast_path_commits() const noexcept { return fast_commits_; }
@@ -139,9 +133,8 @@ class OneSidedCommunicator : public Communicator {
     bool reserving = false;
   };
 
-  void wire_completions();
-  void on_completion(std::size_t target_index, const rdma::Completion& c);
-  void handle_fast(OpState& op, u64 seq, std::size_t target_index, u64 original);
+  void on_completion(std::size_t target_index, const rdma::Completion& c) override;
+  void handle_fast(OpState& op, u64 original);
   void handle_prepare(OpState& op, u64 seq, std::size_t target_index, u64 original);
   void handle_accept(OpState& op, u64 seq, std::size_t target_index, const WrCtx& ctx,
                      u64 original);
@@ -154,18 +147,12 @@ class OneSidedCommunicator : public Communicator {
   void commit(OpState& op, u64 seq, bool fast);
   void check_op_verdict(OpState& op, u64 seq);
   void maybe_erase(u64 seq);
-  void fail_if_quorum_lost();
+  void fail_if_quorum_lost() override;
   void reserve_frontier_batch();
-  u32 live_target_count() const noexcept;
 
-  sim::Simulator& sim_;
-  sim::CpuExecutor& cpu_;
-  Calibration cal_;
-  u32 cluster_size_;
   u32 fast_needed_remote_;     ///< remote fast-quorum CAS wins needed
   u32 classic_needed_remote_;  ///< remote classic-majority answers needed
   NodeId self_;
-  std::vector<ReplicaTarget> targets_;
   obs::Counter& m_fast_commits_;
   obs::Counter& m_slow_commits_;
   obs::Counter& m_slot_conflicts_;
@@ -179,7 +166,6 @@ class OneSidedCommunicator : public Communicator {
   std::map<u64, WrCtx> wr_ctx_;
   u64 next_wr_ = 1;
   std::optional<Takeover> takeover_;  ///< the current ballot's takeover
-  CommitSequencer sequencer_;
   SimTime last_ack_ = 0;  ///< arrival time of the completion being processed
   u64 fast_commits_ = 0;
   u64 slow_commits_ = 0;

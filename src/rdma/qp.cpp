@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "obs/context.hpp"
 #include "rdma/nic.hpp"
@@ -55,11 +56,12 @@ void QueuePair::set_error(WcStatus flush_status) {
   state_ = QpState::kError;
   retransmit_timer_.cancel();
   m_.inflight.add(-static_cast<double>(inflight_.size()));
-  // Flush everything outstanding, oldest first, as a real QP would.
-  for (auto& wqe : inflight_) complete(wqe, flush_status);
-  inflight_.clear();
-  for (auto& wqe : send_queue_) complete(wqe, WcStatus::kFlushed);
-  send_queue_.clear();
+  // Flush everything outstanding, oldest first, as a real QP would. Detach
+  // the queues first: a completion callback may reset() this QP.
+  auto inflight = std::exchange(inflight_, {});
+  auto queued = std::exchange(send_queue_, {});
+  for (auto& wqe : inflight) complete(wqe, flush_status);
+  for (auto& wqe : queued) complete(wqe, WcStatus::kFlushed);
   if (error_cb_) error_cb_(flush_status);
 }
 

@@ -1,11 +1,15 @@
-// Communicator unit tests: the commit sequencer's ordering guarantees, Mu's
-// f-ACK aggregation and exclusion behaviour, and the P4CE communicator's
-// fallback/re-acceleration state machine — exercised over a real cluster
-// where interaction with the transport matters.
+// Communicator unit tests: the node's commit sequencer's ordering
+// guarantees, Mu's f-ACK aggregation and exclusion behaviour, and the P4CE
+// communicator's fallback/re-acceleration state machine — exercised over a
+// real cluster where interaction with the transport matters.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "consensus/communicator.hpp"
+#include "consensus/node.hpp"
 #include "core/cluster.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::consensus {
 namespace {
@@ -52,13 +56,17 @@ TEST(CommitSequencer, MarkReadyForUnknownSeqIsIgnored) {
   EXPECT_EQ(sequencer.outstanding(), 0u);
 }
 
-TEST(CommitSequencer, SetNextSkipsOldSeqs) {
-  CommitSequencer sequencer;
-  sequencer.set_next(100);
+TEST(CommitSequencer, StartsAtTheOpGivenAtConstruction) {
+  // A node in replication domain d numbers its ops from trace_key(d, 1).
+  CommitSequencer sequencer(100);
   std::vector<u64> order;
+  sequencer.expect(101, [&](Status) { order.push_back(101); });
   sequencer.expect(100, [&](Status) { order.push_back(100); });
+  sequencer.mark_ready(101, Status::ok());
+  EXPECT_TRUE(order.empty());  // 100 comes first
   sequencer.mark_ready(100, Status::ok());
-  EXPECT_EQ(order.size(), 1u);
+  EXPECT_EQ(order, (std::vector<u64>{100, 101}));
+  EXPECT_EQ(sequencer.next(), 102u);
 }
 
 // ---------------------------------------------------------------------------
@@ -148,6 +156,71 @@ TEST(P4ceFallback, CommitOrderPreservedAcrossModeSwitch) {
   for (u64 i = 0; i < commit_order.size(); ++i) EXPECT_EQ(commit_order[i], i + 1);
   // Deliveries on replicas are equally gapless.
   EXPECT_EQ(cluster->node(1).last_delivered_seq(), 16u);
+}
+
+TEST(P4ceFallback, FallbackWithNothingInFlightStillCommits) {
+  // Fall back while no op is on the accelerated path: here the wrap-record
+  // write is the only traffic when the group disappears. The commits that
+  // follow run over the direct path and must still be released.
+  core::ClusterOptions options;
+  options.machines = 3;
+  options.mode = Mode::kP4ce;
+  options.cal.reacceleration_period = 1'000'000'000;  // no probe in this test
+  auto cluster = core::Cluster::create(options);
+  ASSERT_TRUE(cluster->start());
+  ASSERT_TRUE(cluster->node(0).accelerated());
+
+  int ok = 0;
+  for (int k = 0; k < 5; ++k) {
+    std::ignore = cluster->node(0).propose(Bytes(64, 3),
+                                           [&](Status st, u64) { ok += st.is_ok(); });
+  }
+  cluster->run_for(milliseconds(1));
+  ASSERT_EQ(ok, 5);
+
+  // The unsignaled write on the accelerated QP is dropped with the group;
+  // its retry timeout is what sends the leader to the fallback path.
+  std::ignore = cluster->dataplane().remove_group(0);
+  cluster->node(0).communicator()->write_raw(1 << 20, Bytes(16, 0));
+  cluster->run_for(milliseconds(5));
+  ASSERT_FALSE(cluster->node(0).accelerated());
+  ASSERT_EQ(ok, 5) << "nothing may be left outstanding before the fallback commits";
+
+  for (int k = 0; k < 5; ++k) {
+    std::ignore = cluster->node(0).propose(Bytes(64, 4),
+                                           [&](Status st, u64) { ok += st.is_ok(); });
+  }
+  cluster->run_for(milliseconds(10));
+  EXPECT_EQ(ok, 10) << "commits after an idle fallback must not stall";
+  EXPECT_EQ(cluster->node(1).last_delivered_seq(), 10u);
+}
+
+TEST(P4ceFallback, RerouteKeepsLateCompletionsFromTheFreedCommunicator) {
+  // 34-packet writes at a 256 B MTU: after a fallback the direct QPs (no
+  // retries) error toward both replicas, so the leader reroutes while
+  // ACKs are still due on its old QPs. Those completions must not reach the
+  // communicator the reroute freed (AddressSanitizer catches the read).
+  core::ClusterOptions options;
+  options.machines = 3;
+  options.mode = Mode::kP4ce;
+  options.cal.max_outstanding = 16;
+  options.cal.mtu = 256;
+  auto cluster = core::Cluster::create(options);
+  ASSERT_TRUE(cluster->start());
+
+  // A closed loop of 7 batches (16 x 512 B values each) until the reroute.
+  const auto& reroutes = cluster->sim().obs().metrics.counter("consensus.reroutes");
+  std::function<void()> propose_next = [&] {
+    std::ignore = cluster->node(0).propose_batch(std::vector<Bytes>(16, Bytes(512, 5)),
+                                                 [&](Status, u64) {
+                                                   if (reroutes.value() == 0) propose_next();
+                                                 });
+  };
+  for (int k = 0; k < 7; ++k) propose_next();
+  const SimTime deadline = cluster->now() + milliseconds(20);
+  while (reroutes.value() == 0 && cluster->now() < deadline) cluster->run_for(microseconds(100));
+  ASSERT_EQ(reroutes.value(), 1u);
+  cluster->run_for(milliseconds(1));  // the old QPs' last ACKs land here
 }
 
 TEST(MuExclusion, ExcludedReplicaNoLongerWritten) {

@@ -12,6 +12,11 @@
 namespace p4ce::consensus {
 namespace {
 
+/// Append a single value at `seq` in term 1.
+StatusOr<LogWriter::Append> append_one(LogWriter& writer, u64 seq, const Bytes& value) {
+  return writer.append(seq, 1, {&value, 1});
+}
+
 struct LogFixture : ::testing::Test {
   rdma::MemoryManager mm{1};
   rdma::MemoryRegion* region = nullptr;
@@ -46,7 +51,7 @@ TEST(EntryCodec, EncodePlacesMarkerLast) {
 
 TEST_F(LogFixture, WriteThenReadDeliversInOrder) {
   for (u64 seq = 1; seq <= 5; ++seq) {
-    ASSERT_TRUE(writer->append(seq, 1, to_bytes("v" + std::to_string(seq))).is_ok());
+    ASSERT_TRUE(append_one(*writer, seq, to_bytes("v" + std::to_string(seq))).is_ok());
   }
   EXPECT_EQ(reader->poll(), 5u);
   ASSERT_EQ(delivered.size(), 5u);
@@ -60,10 +65,10 @@ TEST_F(LogFixture, WriteThenReadDeliversInOrder) {
 }
 
 TEST_F(LogFixture, PollIsIncrementalAndIdempotent) {
-  std::ignore = writer->append(1, 1, to_bytes("a"));
+  std::ignore = append_one(*writer, 1, to_bytes("a"));
   EXPECT_EQ(reader->poll(), 1u);
   EXPECT_EQ(reader->poll(), 0u);  // nothing new
-  std::ignore = writer->append(2, 1, to_bytes("b"));
+  std::ignore = append_one(*writer, 2, to_bytes("b"));
   EXPECT_EQ(reader->poll(), 1u);
   EXPECT_EQ(delivered.size(), 2u);
 }
@@ -81,7 +86,7 @@ TEST_F(LogFixture, TornEntryInvisibleUntilMarkerLands) {
 
 TEST_F(LogFixture, BatchAppendIsContiguousAndSequential) {
   std::vector<Bytes> values = {to_bytes("one"), to_bytes("two"), to_bytes("three")};
-  auto append = writer->append_batch(1, 4, values);
+  auto append = writer->append(1, 4, values);
   ASSERT_TRUE(append.is_ok());
   EXPECT_EQ(append.value().offset, 0u);
   u64 expected = 0;
@@ -96,7 +101,7 @@ TEST_F(LogFixture, WrapMarkerSendsReaderBackToZero) {
   reset(1024);  // tiny log to force wrapping
   u64 seq = 0;
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(writer->append(++seq, 1, Bytes(100, static_cast<u8>(i))).is_ok());
+    ASSERT_TRUE(append_one(*writer, ++seq, Bytes(100, static_cast<u8>(i))).is_ok());
     reader->poll();
   }
   EXPECT_EQ(delivered.size(), 30u);
@@ -105,13 +110,13 @@ TEST_F(LogFixture, WrapMarkerSendsReaderBackToZero) {
 
 TEST_F(LogFixture, EntryLargerThanLogRejected) {
   reset(256);
-  const auto result = writer->append(1, 1, Bytes(500, 1));
+  const auto result = append_one(*writer, 1, Bytes(500, 1));
   EXPECT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(LogFixture, OversizePayloadRejected) {
-  const auto result = writer->append(1, 1, Bytes(kMaxEntryPayload + 1, 1));
+  const auto result = append_one(*writer, 1, Bytes(kMaxEntryPayload + 1, 1));
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -132,7 +137,7 @@ TEST_F(LogFixture, StaleBytesFromPreviousLapNotRedelivered) {
   // Fill one lap.
   u64 seq = 0;
   for (int i = 0; i < 10; ++i) {
-    std::ignore = writer->append(++seq, 1, Bytes(150, 1));
+    std::ignore = append_one(*writer, ++seq, Bytes(150, 1));
     reader->poll();
   }
   // After wrapping, the reader must not resurrect stale entries whose seq
@@ -185,7 +190,7 @@ TEST_P(RandomLogPropertyTest, EveryAppendDeliveredExactlyOnceInOrder) {
     for (int i = 0; i < burst; ++i) {
       Bytes payload(rng.next_below(900), static_cast<u8>(seq));
       unpolled_bytes += entry_footprint(payload.size());
-      ASSERT_TRUE(writer.append(++seq, 1, payload).is_ok());
+      ASSERT_TRUE(append_one(writer, ++seq, payload).is_ok());
     }
     if (rng.next_bool(0.7) || unpolled_bytes > (1 << 14)) {
       reader.poll();
