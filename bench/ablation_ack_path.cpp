@@ -31,8 +31,7 @@ struct NullSink : net::PacketSink {
 double aggregate_mpps(p4::AckDropStage stage, u32 replicas) {
   sim::Simulator sim;
   const Ipv4Addr switch_ip = net::make_ip(1, 1);
-  sw::SwitchConfig config;
-  sw::SwitchDevice device(sim, "tofino0", switch_ip, config);
+  sw::SwitchDevice device(sim, "tofino0", switch_ip);
   p4::P4ceDataplane dataplane(switch_ip, stage);
   device.load_program(&dataplane);
 

@@ -39,7 +39,6 @@ class ByteWriter {
     u32be(static_cast<u32>(v));
   }
   void raw(BytesView data) { out_.insert(out_.end(), data.begin(), data.end()); }
-  void zeros(std::size_t n) { out_.insert(out_.end(), n, 0); }
 
   std::size_t size() const noexcept { return out_.size(); }
 
@@ -89,7 +88,6 @@ class ByteReader {
 
   bool ok() const noexcept { return ok_; }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
-  std::size_t position() const noexcept { return pos_; }
 
  private:
   bool take(std::size_t n) noexcept {

@@ -224,7 +224,6 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
         });
         state_ = State::kAccelerated;
         reaccel_timer_.stop();
-        if (hooks_.on_mode_change) hooks_.on_mode_change(true);
         if (on_ready) on_ready(Status::ok());
         // Members may have joined while the control plane was configuring
         // this group (a straggler's late grant): rebuild with the full set.
@@ -282,7 +281,6 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
     auto it = accel_pending_.find(seq);
     if (it == accel_pending_.end()) return;
     accel_pending_.erase(it);
-    ++accel_ops_;
     if (sim_.obs().tracer.is_enabled()) {
       sim_.obs().tracer.span(seq, "commit.cpu", t_ack, sim_.now());
     }
@@ -293,14 +291,12 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
 void P4ceCommunicator::enter_fallback() {
   if (state_ == State::kFallback) return;
   state_ = State::kFallback;
-  if (fallbacks_ == 0) accel_ops_at_first_fallback_ = accel_ops_;
   ++fallbacks_;
   m_fallbacks_.inc();
   sim_.obs().recorder.trigger("fallback", sim_.now(), "node", self_);
   // Silence the accelerated QP: everything outstanding is replayed over the
   // direct connections below, and its go-back-N must not keep fighting.
   if (switch_qp_ != nullptr) switch_qp_->reset();
-  if (hooks_.on_mode_change) hooks_.on_mode_change(false);
 
   // Replay everything that was in flight on the accelerated path through
   // the direct connections (idempotent: same bytes at the same offsets).

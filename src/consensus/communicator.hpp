@@ -151,7 +151,6 @@ class P4ceCommunicator : public Communicator {
  public:
   /// Callbacks the owning node uses for instrumentation and state changes.
   struct Hooks {
-    std::function<void(bool accelerated)> on_mode_change;
     std::function<void()> on_membership_updated;  ///< switch reconfig done
     /// Replicas may have holes after a NAK-triggered fallback (entries the
     /// switch committed with f other ACKs); the node refills them from its
@@ -182,11 +181,6 @@ class P4ceCommunicator : public Communicator {
 
   u64 fallback_count() const noexcept { return fallbacks_; }
   u64 reaccelerations() const noexcept { return reaccelerations_; }
-  /// Consensus instances served on the accelerated path before the first
-  /// NAK-triggered fallback (how long good flow control kept the fast path).
-  u64 ops_before_first_fallback() const noexcept {
-    return fallbacks_ == 0 ? accel_ops_ : accel_ops_at_first_fallback_;
-  }
 
  private:
   enum class State { kInactive, kConnecting, kAccelerated, kFallback };
@@ -236,8 +230,6 @@ class P4ceCommunicator : public Communicator {
   sim::PeriodicTimer reaccel_timer_;
   u64 fallbacks_ = 0;
   u64 reaccelerations_ = 0;
-  u64 accel_ops_ = 0;
-  u64 accel_ops_at_first_fallback_ = 0;
   bool update_in_flight_ = false;
 };
 

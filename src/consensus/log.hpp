@@ -101,10 +101,6 @@ class LogReader {
   u64 cursor() const noexcept { return cursor_; }
   u64 last_seq() const noexcept { return last_seq_; }
   u64 last_term() const noexcept { return last_term_; }
-  void set_position(u64 offset, u64 seq) noexcept {
-    cursor_ = offset;
-    last_seq_ = seq;
-  }
 
  private:
   rdma::MemoryRegion& region_;

@@ -15,6 +15,16 @@ namespace {
 /// Direct-mesh data-plane service (the ctrl service id is p4::kServiceDirect).
 constexpr u16 kServiceDirectData = 0x14;
 
+/// Every QP a node creates, requester or responder. No retransmissions:
+/// "once a timeout is detected" the node fails over instead (§III-A).
+rdma::QpConfig node_qp_config(const Calibration& cal) noexcept {
+  rdma::QpConfig config;
+  config.max_retries = 0;
+  config.max_send_wr = cal.max_outstanding;
+  config.mtu = cal.mtu;
+  return config;
+}
+
 Duration memcpy_cost(u64 bytes, double gbps) noexcept {
   return static_cast<Duration>(static_cast<double>(bytes) / gbps);
 }
@@ -87,6 +97,7 @@ Node::Node(sim::Simulator& sim, rdma::Nic& nic, rdma::MemoryManager& memory,
       memory_(memory),
       cpu_(cpu),
       options_(options),
+      qp_config_(node_qp_config(options.cal)),
       sequencer_(obs::trace_key(options.domain, next_op_)) {
   using rdma::Access;
   hb_mr_ = &memory_.register_region(8, rdma::kAccessRemoteRead);
@@ -170,49 +181,30 @@ void Node::parse_peer_advertisement(Peer& peer, BytesView data) {
 void Node::register_listeners() {
   auto& cm = nic_.cm();
 
-  // Direct mesh, control connections (heartbeats, mailboxes, recovery reads).
-  cm.listen(p4::kServiceDirect, [this](const rdma::CmMessage& msg, Ipv4Addr) {
-    rdma::CmAgent::AcceptDecision decision;
-    ByteReader r(msg.private_data);
-    const NodeId from = r.u32be();
-    auto peer = std::find_if(peers_.begin(), peers_.end(),
-                             [&](const Peer& p) { return p.id == from; });
-    if (peer == peers_.end() || crashed_) return decision;  // reject
-    if (peer->in_ctrl != nullptr) {
-      nic_.destroy_qp(peer->in_ctrl->qpn());  // stale QP from before a re-route
-    }
-    rdma::QpConfig config;
-    config.max_retries = 0;  // "once a timeout is detected" -> fail over
-    config.mtu = options_.cal.mtu;
-    peer->in_ctrl = &nic_.create_qp(inbound_cq(), config);
-    decision.accept = true;
-    decision.qp = peer->in_ctrl;
-    decision.private_data = local_advertisement();
-    return decision;
-  });
-
-  // Direct mesh, data connections (log writes). Writes are only honoured
-  // from the machine we currently consider the leader.
-  cm.listen(kServiceDirectData, [this](const rdma::CmMessage& msg, Ipv4Addr) {
-    rdma::CmAgent::AcceptDecision decision;
-    ByteReader r(msg.private_data);
-    const NodeId from = r.u32be();
-    auto peer = std::find_if(peers_.begin(), peers_.end(),
-                             [&](const Peer& p) { return p.id == from; });
-    if (peer == peers_.end() || crashed_) return decision;
-    if (peer->in_data != nullptr) {
-      nic_.destroy_qp(peer->in_data->qpn());
-    }
-    rdma::QpConfig config;
-    config.max_retries = 0;
-    config.mtu = options_.cal.mtu;
-    peer->in_data = &nic_.create_qp(inbound_cq(), config);
-    peer->in_data->set_allow_remote_write(from == granted_to_);
-    decision.accept = true;
-    decision.qp = peer->in_data;
-    decision.private_data = local_advertisement();
-    return decision;
-  });
+  // Direct mesh: per peer, a control connection (heartbeats, mailboxes,
+  // recovery reads) and a data connection (log writes). Writes on the data
+  // connection are only honoured from the machine we currently consider the
+  // leader.
+  const auto accept_direct = [this](rdma::QueuePair* Peer::*slot) {
+    return [this, slot](const rdma::CmMessage& msg, Ipv4Addr) {
+      rdma::CmAgent::AcceptDecision decision;
+      ByteReader r(msg.private_data);
+      const NodeId from = r.u32be();
+      auto peer = std::find_if(peers_.begin(), peers_.end(),
+                               [&](const Peer& p) { return p.id == from; });
+      if (peer == peers_.end() || crashed_) return decision;  // reject
+      rdma::QueuePair*& qp = *peer.*slot;
+      if (qp != nullptr) nic_.destroy_qp(qp->qpn());  // stale QP from before a re-route
+      qp = &nic_.create_qp(inbound_cq(), qp_config_);
+      if (slot == &Peer::in_data) qp->set_allow_remote_write(from == granted_to_);
+      decision.accept = true;
+      decision.qp = qp;
+      decision.private_data = local_advertisement();
+      return decision;
+    };
+  };
+  cm.listen(p4::kServiceDirect, accept_direct(&Peer::in_ctrl));
+  cm.listen(kServiceDirectData, accept_direct(&Peer::in_data));
 
   // Group connections from a P4CE switch control plane (§IV-A): accept only
   // if the group's leader is the machine we granted write permission to.
@@ -224,10 +216,7 @@ void Node::register_listeners() {
       decision.reject_reason = 9;
       return decision;
     }
-    rdma::QpConfig config;
-    config.max_retries = 0;
-    config.mtu = options_.cal.mtu;
-    auto& qp = nic_.create_qp(inbound_cq(), config);
+    auto& qp = nic_.create_qp(inbound_cq(), qp_config_);
     qp.set_allow_remote_write(true);
     group_connections_.push_back(GroupConnection{join->leader_node_id, join->term, &qp});
     decision.accept = true;
@@ -300,12 +289,7 @@ void Node::connect_peer(Peer& peer, std::function<void(bool)> done) {
   peer.ctrl_cq = std::make_unique<rdma::CompletionQueue>();
   peer.data_cq = std::make_unique<rdma::CompletionQueue>();
 
-  rdma::QpConfig config;
-  config.max_retries = 0;
-  config.max_send_wr = options_.cal.max_outstanding;
-  config.mtu = options_.cal.mtu;
-
-  peer.ctrl_qp = &nic_.create_qp(*peer.ctrl_cq, config);
+  peer.ctrl_qp = &nic_.create_qp(*peer.ctrl_cq, qp_config_);
   peer.ctrl_qp->set_error_callback([this, id = peer.id](rdma::WcStatus) { on_qp_error(id); });
   peer.ctrl_cq->set_callback(
       [this, &peer](const rdma::Completion& c) { on_ctrl_completion(peer, c); });
@@ -323,11 +307,7 @@ void Node::connect_peer(Peer& peer, std::function<void(bool)> done) {
         }
         parse_peer_advertisement(peer, result.value().private_data);
 
-        rdma::QpConfig data_config;
-        data_config.max_retries = 0;
-        data_config.max_send_wr = options_.cal.max_outstanding;
-        data_config.mtu = options_.cal.mtu;
-        peer.data_qp = &nic_.create_qp(*peer.data_cq, data_config);
+        peer.data_qp = &nic_.create_qp(*peer.data_cq, qp_config_);
         peer.data_qp->set_error_callback(
             [this, id = peer.id](rdma::WcStatus) { on_qp_error(id); });
 
@@ -899,7 +879,7 @@ void Node::crash() {
 }
 
 void Node::on_qp_error(NodeId peer_id) {
-  if (crashed_ || rerouting_ || !options_.has_backup_path) return;
+  if (crashed_ || rerouting_) return;
   recent_qp_errors_.insert(peer_id);
   if (qp_error_window_.pending()) return;
   // Distinguish "one peer died" (its QPs alone error; heartbeats handle it)

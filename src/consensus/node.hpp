@@ -67,7 +67,6 @@ struct NodeOptions {
   u64 log_size = 64ull << 20;
   Calibration cal;
   Ipv4Addr switch_ip = 0;  ///< control-plane address (P4CE mode)
-  bool has_backup_path = true;
 };
 
 struct PeerInfo {
@@ -245,6 +244,7 @@ class Node {
   rdma::MemoryManager& memory_;
   sim::CpuExecutor& cpu_;
   NodeOptions options_;
+  const rdma::QpConfig qp_config_;  ///< shared by every QP this node creates
   std::vector<Peer> peers_;
 
   // Exposed memory regions.

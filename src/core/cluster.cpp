@@ -26,17 +26,14 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
 
   // Switches. The backup runs the same program with no groups installed: a
   // plain forwarding device on an alternative route (§III-A).
-  cluster->primary_ =
-      std::make_unique<sw::SwitchDevice>(sim, "tofino0", kPrimarySwitchIp, options.switch_config);
-  cluster->dataplane_ =
-      std::make_unique<p4::P4ceDataplane>(kPrimarySwitchIp, options.ack_drop_stage);
+  cluster->primary_ = std::make_unique<sw::SwitchDevice>(sim, "tofino0", kPrimarySwitchIp);
+  cluster->dataplane_ = std::make_unique<p4::P4ceDataplane>(kPrimarySwitchIp);
   cluster->dataplane_->set_clock(&sim);
   cluster->primary_->load_program(cluster->dataplane_.get());
   cluster->control_plane_ = std::make_unique<p4::ControlPlane>(
       sim, *cluster->primary_, *cluster->dataplane_);
 
-  cluster->backup_ =
-      std::make_unique<sw::SwitchDevice>(sim, "backup0", kBackupSwitchIp, options.switch_config);
+  cluster->backup_ = std::make_unique<sw::SwitchDevice>(sim, "backup0", kBackupSwitchIp);
   cluster->backup_dataplane_ = std::make_unique<p4::P4ceDataplane>(kBackupSwitchIp);
   cluster->backup_dataplane_->set_clock(&sim);
   cluster->backup_->load_program(cluster->backup_dataplane_.get());
@@ -54,15 +51,13 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
     std::ignore = cluster->dataplane_->add_route(host_ip(i), port);
     cluster->primary_links_.push_back(std::move(link));
 
-    if (options.backup_path) {
-      const u32 bport = cluster->backup_->add_port();
-      auto blink = std::make_unique<net::Link>(sim, options.link_gbps, options.link_propagation);
-      blink->attach(&host->nic, &cluster->backup_->port(bport));
-      host->nic.attach_link(blink.get(), 0);
-      cluster->backup_->port(bport).attach_link(blink.get(), 1);
-      std::ignore = cluster->backup_dataplane_->add_route(host_ip(i), bport);
-      cluster->backup_links_.push_back(std::move(blink));
-    }
+    const u32 bport = cluster->backup_->add_port();
+    auto blink = std::make_unique<net::Link>(sim, options.link_gbps, options.link_propagation);
+    blink->attach(&host->nic, &cluster->backup_->port(bport));
+    host->nic.attach_link(blink.get(), 0);
+    cluster->backup_->port(bport).attach_link(blink.get(), 1);
+    std::ignore = cluster->backup_dataplane_->add_route(host_ip(i), bport);
+    cluster->backup_links_.push_back(std::move(blink));
 
     cluster->hosts_.push_back(std::move(host));
   }
@@ -81,7 +76,6 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
     node_options.log_size = options.log_size;
     node_options.cal = options.cal;
     node_options.switch_ip = kPrimarySwitchIp;
-    node_options.has_backup_path = options.backup_path;
     Host& host = *cluster->hosts_[i];
     host.node = std::make_unique<consensus::Node>(sim, host.nic, host.memory, host.cpu,
                                                   node_options, std::move(peers));

@@ -31,14 +31,12 @@ struct ClusterOptions {
   /// [d*machines, (d+1)*machines).
   u32 domains = 1;
   consensus::Mode mode = consensus::Mode::kP4ce;
-  double link_gbps = 100.0;          ///< 100 GbE, §V-A
-  Duration link_propagation = 150;   ///< ns per hop (short datacenter cables)
-  bool backup_path = true;           ///< second route for switch-failure recovery
   u64 log_size = 64ull << 20;
   consensus::Calibration cal = consensus::Calibration::throughput();
   rdma::NicConfig nic;
-  sw::SwitchConfig switch_config;
-  p4::AckDropStage ack_drop_stage = p4::AckDropStage::kIngress;
+
+  static constexpr double link_gbps = 100.0;         ///< 100 GbE, §V-A
+  static constexpr Duration link_propagation = 150;  ///< ns per hop (short datacenter cables)
 };
 
 /// One machine: memory, RNIC, a serial CPU core for the protocol, and the

@@ -7,12 +7,20 @@
 
 namespace p4ce::p4 {
 
+namespace {
+/// "Sending a ConnectRequest and waiting for the switch to reconfigure its
+/// dataplane takes 40 ms on average" (§V-E). Applied to every group install
+/// and membership update.
+constexpr Duration kReconfigDelay = 40'000'000;  // ns
+/// How long the CP waits for each replica's ConnectReply.
+constexpr Duration kReplicaConnectTimeout = 10'000'000;  // ns
+}  // namespace
+
 ControlPlane::ControlPlane(sim::Simulator& sim, sw::SwitchDevice& device,
-                           P4ceDataplane& dataplane, ControlPlaneConfig config)
+                           P4ceDataplane& dataplane)
     : sim_(sim),
       device_(device),
       dataplane_(dataplane),
-      config_(config),
       rng_(device.ip() * 0x9e3779b9ull + 1),
       cm_(std::make_unique<rdma::CmAgent>(*this)) {
   device_.set_cpu_handler([this](net::Packet p, u32 port) { on_punt(std::move(p), port); });
@@ -22,11 +30,6 @@ ControlPlane::~ControlPlane() = default;
 
 void ControlPlane::send_packet(net::Packet packet) {
   device_.inject_from_cpu(std::move(packet));
-}
-
-const GroupSpec* ControlPlane::find_group(Qpn bcast_qpn) const noexcept {
-  auto it = groups_.find(bcast_qpn);
-  return it == groups_.end() ? nullptr : &it->second.spec;
 }
 
 void ControlPlane::on_punt(net::Packet packet, u32 /*ingress_port*/) {
@@ -142,7 +145,7 @@ void ControlPlane::handle_group_request(const rdma::CmMessage& msg, Ipv4Addr fro
         [this, setup, rid](StatusOr<rdma::CmAgent::ConnectResult> result) {
           on_replica_connected(setup, rid, std::move(result));
         },
-        config_.replica_connect_timeout);
+        kReplicaConnectTimeout);
   }
 }
 
@@ -183,7 +186,7 @@ void ControlPlane::on_replica_connected(std::shared_ptr<PendingSetup> setup, std
 void ControlPlane::finalize_setup(std::shared_ptr<PendingSetup> setup) {
   // Reprogramming the data plane is the slow part: tables, registers and
   // the replication engine all change. Modeled as the measured 40 ms.
-  sim_.schedule(config_.reconfig_delay, [this, setup] {
+  sim_.schedule(kReconfigDelay, [this, setup] {
     ++reconfigurations_;
 
     GroupSpec spec;
@@ -258,7 +261,7 @@ void ControlPlane::handle_update_request(const rdma::CmMessage& msg, Ipv4Addr fr
   }
 
   const u32 tid = msg.transaction_id;
-  sim_.schedule(config_.reconfig_delay, [this, tid, from, bcast = msg.sender_qpn,
+  sim_.schedule(kReconfigDelay, [this, tid, from, bcast = msg.sender_qpn,
                                          replicas = std::move(new_replicas)]() mutable {
     auto record_it = groups_.find(bcast);
     if (record_it == groups_.end()) {

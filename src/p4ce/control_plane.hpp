@@ -2,7 +2,7 @@
 // Python + Scapy + BfRt). It captures punted CM packets, establishes the
 // per-replica connections on behalf of the leader, programs the data-plane
 // tables and the multicast engine, and handles membership updates. Each
-// reconfiguration costs `reconfig_delay` (40 ms measured in §V-E).
+// reconfiguration costs the 40 ms measured in §V-E.
 #pragma once
 
 #include <functional>
@@ -22,19 +22,9 @@
 
 namespace p4ce::p4 {
 
-struct ControlPlaneConfig {
-  /// "Sending a ConnectRequest and waiting for the switch to reconfigure its
-  /// dataplane takes 40 ms on average" (§V-E). Applied to every group
-  /// install and membership update.
-  Duration reconfig_delay = 40'000'000;  // ns
-  /// How long the CP waits for each replica's ConnectReply.
-  Duration replica_connect_timeout = 10'000'000;  // ns
-};
-
 class ControlPlane : public rdma::PacketIo {
  public:
-  ControlPlane(sim::Simulator& sim, sw::SwitchDevice& device, P4ceDataplane& dataplane,
-               ControlPlaneConfig config = {});
+  ControlPlane(sim::Simulator& sim, sw::SwitchDevice& device, P4ceDataplane& dataplane);
   ~ControlPlane() override;
 
   // --- PacketIo (the CPU port: packets crafted "by hand") ----------------
@@ -45,9 +35,6 @@ class ControlPlane : public rdma::PacketIo {
 
   /// Number of groups currently installed.
   std::size_t active_groups() const noexcept { return groups_.size(); }
-
-  /// Introspection for tests: the installed spec for a BCast QPN.
-  const GroupSpec* find_group(Qpn bcast_qpn) const noexcept;
 
  private:
   struct GroupRecord {
@@ -84,7 +71,6 @@ class ControlPlane : public rdma::PacketIo {
   sim::Simulator& sim_;
   sw::SwitchDevice& device_;
   P4ceDataplane& dataplane_;
-  ControlPlaneConfig config_;
   Rng rng_;
   std::unique_ptr<rdma::CmAgent> cm_;  ///< active-side connects to replicas
   std::map<Qpn, GroupRecord> groups_;  ///< by BCast QPN

@@ -70,7 +70,6 @@ void CmAgent::handle(const net::Packet& packet) {
 
   switch (msg.type) {
     case CmType::kConnectRequest: {
-      ++requests_handled_;
       auto it = listeners_.find(msg.service_id);
       CmMessage reply;
       reply.transaction_id = msg.transaction_id;

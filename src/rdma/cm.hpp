@@ -73,8 +73,6 @@ class CmAgent {
   /// Handle an inbound CM packet (dest QP == kCmQpn).
   void handle(const net::Packet& packet);
 
-  u64 requests_handled() const noexcept { return requests_handled_; }
-
  private:
   struct PendingConnect {
     ConnectCallback cb;
@@ -95,7 +93,6 @@ class CmAgent {
   std::unordered_map<u32, HalfOpen> half_open_;       // by transaction id
   u32 next_transaction_ = 1;
   Psn psn_seed_;
-  u64 requests_handled_ = 0;
 };
 
 }  // namespace p4ce::rdma

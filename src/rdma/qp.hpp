@@ -32,7 +32,7 @@ struct QpConfig {
   u32 max_queued_wr = 1u << 20;  ///< send-queue capacity before post fails
   /// RDMA timeout; "timeout values can only take discrete values of the form
   /// 4.096 x 2^x us"; the paper's cards use 131 us (§V-E).
-  Duration retransmit_timeout = 131'072;  // ns
+  static constexpr Duration retransmit_timeout = 131'072;  // ns
   u32 max_retries = 7;
 };
 
@@ -115,7 +115,6 @@ class QueuePair {
   /// Whether inbound RDMA writes on this connection are honoured. Replicas
   /// flip this so only the current leader can append to their log (§III).
   void set_allow_remote_write(bool allow) noexcept { allow_remote_write_ = allow; }
-  bool allow_remote_write() const noexcept { return allow_remote_write_; }
 
   // --- Dataplane entry point -------------------------------------------
 

@@ -41,7 +41,6 @@ class CpuExecutor {
 
   /// Crash-stop: pending and future tasks never run.
   void halt() noexcept { halted_ = true; }
-  bool halted() const noexcept { return halted_; }
 
  private:
   Simulator& sim_;

@@ -310,7 +310,6 @@ class PeriodicTimer {
 
   bool running() const noexcept { return running_; }
   Duration period() const noexcept { return period_; }
-  void set_period(Duration period) noexcept { period_ = period; }
 
  private:
   void arm() {

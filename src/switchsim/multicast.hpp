@@ -27,8 +27,6 @@ class MulticastEngine {
   /// Data-plane lookup; empty vector means unknown group (packet dropped).
   const std::vector<McastCopy>& lookup(u32 group_id) const noexcept;
 
-  std::size_t group_count() const noexcept { return groups_.size(); }
-
  private:
   std::vector<std::pair<u32, std::vector<McastCopy>>> groups_;
   static const std::vector<McastCopy> kEmpty;

@@ -21,6 +21,10 @@ namespace p4ce::sw {
 
 class SwitchDevice;
 
+/// Per-port parser packet rate: "each ingress and each egress parser can
+/// process 121 million packets per second" with the P4CE program (§IV-D).
+inline constexpr double kParserPps = 121e6;
+
 /// Serial packet-rate resource with sub-nanosecond resolution (tracked in
 /// picoseconds so 121 M pps == 8.26 ns/packet models exactly).
 class ParserModel {
@@ -54,7 +58,7 @@ class ParserModel {
 /// the switch with the port index attached.
 class Port : public net::PacketSink {
  public:
-  Port(SwitchDevice& device, u32 index, double parser_pps);
+  Port(SwitchDevice& device, u32 index);
 
   void attach_link(net::Link* link, int end) noexcept {
     link_ = link;

@@ -7,9 +7,8 @@
 
 namespace p4ce::sw {
 
-SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip,
-                           SwitchConfig config)
-    : sim_(sim), name_(std::move(name)), ip_(ip), config_(config) {
+SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip)
+    : sim_(sim), name_(std::move(name)), ip_(ip) {
   auto& reg = sim_.obs().metrics;
   m_ingress_drops_ = &reg.counter(obs::MetricsRegistry::label("switch.ingress_drops", {{"sw", name_}}));
   m_egress_drops_ = &reg.counter(obs::MetricsRegistry::label("switch.egress_drops", {{"sw", name_}}));
@@ -23,7 +22,7 @@ void SwitchDevice::power_off() {
 
 u32 SwitchDevice::add_port() {
   const u32 index = static_cast<u32>(ports_.size());
-  ports_.push_back(std::make_unique<Port>(*this, index, config_.parser_pps));
+  ports_.push_back(std::make_unique<Port>(*this, index));
   return index;
 }
 
@@ -32,7 +31,7 @@ void SwitchDevice::on_port_rx(u32 port, net::Packet packet) {
   // Per-port ingress parser: a finite packet rate, the §IV-D bottleneck.
   const SimTime parsed = ports_[port]->ingress_parser().admit(sim_.now());
   ports_[port]->note_ingress_backlog(sim_.now());
-  sim_.schedule_at(parsed + config_.ingress_latency,
+  sim_.schedule_at(parsed + kIngressLatency,
                    [this, port, p = std::move(packet)]() mutable {
                      if (!powered_) return;
                      PacketContext ctx;
@@ -44,7 +43,7 @@ void SwitchDevice::on_port_rx(u32 port, net::Packet packet) {
 
 void SwitchDevice::inject_from_cpu(net::Packet packet) {
   if (!powered_ || program_ == nullptr) return;
-  sim_.schedule(config_.punt_latency, [this, p = std::move(packet)]() mutable {
+  sim_.schedule(kPuntLatency, [this, p = std::move(packet)]() mutable {
     if (!powered_) return;
     PacketContext ctx;
     ctx.packet = std::move(p);
@@ -68,7 +67,7 @@ void SwitchDevice::route(PacketContext ctx) {
     ++punted_;
     m_punts_->inc();
     if (!cpu_handler_) return;
-    sim_.schedule(config_.punt_latency,
+    sim_.schedule(kPuntLatency,
                   [this, p = std::move(ctx.packet), port = ctx.ingress_port]() mutable {
                     if (powered_ && cpu_handler_) cpu_handler_(std::move(p), port);
                   });
@@ -123,15 +122,15 @@ void SwitchDevice::run_egress(PacketContext ctx) {
   // The largest capture in the stack; it sizes SmallFn::kInlineBytes.
   static_assert(sim::detail::SmallFn::fits_inline<decltype(egress)>(),
                 "a switch egress hop must not heap-allocate its event");
-  sim_.schedule_at(parsed + config_.egress_latency, std::move(egress));
+  sim_.schedule_at(parsed + kEgressLatency, std::move(egress));
 }
 
 // ---------------------------------------------------------------------------
 // Port
 // ---------------------------------------------------------------------------
 
-Port::Port(SwitchDevice& device, u32 index, double parser_pps)
-    : device_(device), index_(index), ingress_parser_(parser_pps), egress_parser_(parser_pps) {
+Port::Port(SwitchDevice& device, u32 index)
+    : device_(device), index_(index), ingress_parser_(kParserPps), egress_parser_(kParserPps) {
   auto& reg = device.simulator().obs().metrics;
   const auto port_label = [&](std::string_view series) {
     return obs::MetricsRegistry::label(series,

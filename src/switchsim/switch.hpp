@@ -19,20 +19,15 @@
 
 namespace p4ce::sw {
 
-struct SwitchConfig {
-  /// Fixed match-action latency per gress (cut-through ASIC).
-  Duration ingress_latency = 200;  // ns
-  Duration egress_latency = 200;   // ns
-  /// Per-port parser packet rate: "each ingress and each egress parser can
-  /// process 121 million packets per second" with the P4CE program (§IV-D).
-  double parser_pps = 121e6;
-  /// Latency of punting a packet to the control-plane CPU (PCIe + driver).
-  Duration punt_latency = 10'000;  // ns
-};
+/// Fixed match-action latency per gress (cut-through ASIC).
+inline constexpr Duration kIngressLatency = 200;  // ns
+inline constexpr Duration kEgressLatency = 200;   // ns
+/// Latency of punting a packet to the control-plane CPU (PCIe + driver).
+inline constexpr Duration kPuntLatency = 10'000;  // ns
 
 class SwitchDevice {
  public:
-  SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip, SwitchConfig config = {});
+  SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip);
 
   SwitchDevice(const SwitchDevice&) = delete;
   SwitchDevice& operator=(const SwitchDevice&) = delete;
@@ -40,7 +35,6 @@ class SwitchDevice {
   const std::string& name() const noexcept { return name_; }
   Ipv4Addr ip() const noexcept { return ip_; }
   sim::Simulator& simulator() noexcept { return sim_; }
-  const SwitchConfig& config() const noexcept { return config_; }
 
   /// Add a port; returns its index. Attach the link separately.
   u32 add_port();
@@ -82,7 +76,6 @@ class SwitchDevice {
   sim::Simulator& sim_;
   std::string name_;
   Ipv4Addr ip_;
-  SwitchConfig config_;
   std::vector<std::unique_ptr<Port>> ports_;
   MulticastEngine mcast_;
   PipelineProgram* program_ = nullptr;

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
-#include <tuple>
 
 #include "common/logging.hpp"
 #include "core/cluster.hpp"
@@ -91,11 +90,6 @@ BenchSession::BenchSession(std::string name) : name_(std::move(name)) {
   } else {
     dir_ = ".";
   }
-  if (const char* flag = std::getenv("P4CE_BENCH_JSON");
-      flag != nullptr && std::strcmp(flag, "0") == 0) {
-    json_enabled_ = false;
-  }
-
   if (const char* trace = env_on("P4CE_TRACE")) {
     tracing_ = true;
     if (std::strcmp(trace, "1") != 0 && std::strcmp(trace, "true") != 0) trace_path_ = trace;
@@ -151,7 +145,6 @@ std::string BenchSession::path_for(const std::string& prefix) const {
 void BenchSession::finish() {
   if (finished_) return;
   finished_ = true;
-  if (!json_enabled_) return;
 
   const u32 hw = std::max(1u, std::thread::hardware_concurrency());
 
@@ -249,14 +242,6 @@ void BenchSession::finish() {
   }
 
   if (tracing_) {
-    std::string metrics = "{\n  \"runs\": [";
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-      metrics += r == 0 ? "\n  " : ",\n  ";
-      obs::append_snapshot_json(metrics, runs_[r].obs->metrics.snapshot());
-    }
-    metrics += "\n  ]\n}\n";
-    std::ignore = write_file(path_for("METRICS"), metrics);
-
     const auto tracers = each_run(&obs::Context::tracer);
     std::size_t events = 0;
     bool overflowed = false;

@@ -56,7 +56,6 @@ void print_header(const std::string& experiment, const std::string& paper_claim)
 ///   P4CE_SAMPLE_US=<n>      enable the telemetry sampler, period n µs
 ///   P4CE_FLIGHT=1           enable the fault flight recorder
 ///   P4CE_BENCH_DIR=<dir>    output directory (default ".")
-///   P4CE_BENCH_JSON=0       disable all JSON export
 /// The observability variables only switch a pillar on: unset, empty or 0
 /// leaves it at the bench's default. A bench opts a pillar in by default with
 /// the enable_*() methods. Each cluster the bench builds is attach()ed right
@@ -65,11 +64,11 @@ void print_header(const std::string& experiment, const std::string& paper_claim)
 /// every run is observed in isolation. finish() — or the destructor —
 /// writes BENCH_<name>.json (schema p4ce-bench-v1: recorded values, tables,
 /// and one "runs" entry per attached cluster with its attribution report
-/// when enabled and its metrics snapshot) plus, when tracing,
-/// METRICS_<name>.json and the Chrome trace TRACE_<name>.json, when
-/// sampling, SERIES_<name>.json, and when a flight recorder captured
-/// anything, FLIGHT_<name>.json. In SERIES and FLIGHT frames the epoch
-/// column is the run's index in attach order.
+/// when enabled and its metrics snapshot) plus, when tracing, the Chrome
+/// trace TRACE_<name>.json (run i is process i+1), when sampling,
+/// SERIES_<name>.json, and when a flight recorder captured anything,
+/// FLIGHT_<name>.json. In SERIES and FLIGHT frames the epoch column is the
+/// run's index in attach order.
 class BenchSession {
  public:
   explicit BenchSession(std::string name);
@@ -114,7 +113,6 @@ class BenchSession {
   std::string dir_;
   std::string trace_path_;
   std::string meta_backend_ = "none";
-  bool json_enabled_ = true;
   bool tracing_ = false;
   bool attribution_ = false;
   bool sampling_ = false;

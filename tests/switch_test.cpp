@@ -260,8 +260,7 @@ TEST_F(SwitchFixture, PipelineAddsFixedLatency) {
   links[0]->send(0, to(11));
   sim.run();
   // propagation(100)*2 + serialization + parsers + ingress/egress latency.
-  const auto& config = device.config();
-  EXPECT_GE(sim.now(), 200 + config.ingress_latency + config.egress_latency);
+  EXPECT_GE(sim.now(), 200 + kIngressLatency + kEgressLatency);
 }
 
 }  // namespace

@@ -101,6 +101,7 @@ TEST(BenchSession, WritesOneRunEntryPerAttachedClusterInAttachOrder) {
       std::filesystem::temp_directory_path() / "p4ce_workload_test_bench";
   std::filesystem::create_directories(dir);
   ASSERT_EQ(setenv("P4CE_BENCH_DIR", dir.c_str(), 1), 0);
+  ASSERT_EQ(setenv("P4CE_TRACE", "1", 1), 0);
   {
     BenchSession session("two_runs");
     session.enable_attribution();
@@ -117,13 +118,26 @@ TEST(BenchSession, WritesOneRunEntryPerAttachedClusterInAttachOrder) {
     session.finish();
   }
   unsetenv("P4CE_BENCH_DIR");
+  unsetenv("P4CE_TRACE");
 
-  std::ifstream in(dir / "BENCH_two_runs.json");
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
+  const auto read = [&](const char* file) {
+    std::ifstream in(dir / file);
+    EXPECT_TRUE(in.good()) << file;
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  const std::string json = read("BENCH_two_runs.json");
+  const std::string trace = read("TRACE_two_runs.json");
+  // The metrics snapshots live in BENCH runs[] only.
+  EXPECT_FALSE(std::filesystem::exists(dir / "METRICS_two_runs.json"));
   std::filesystem::remove_all(dir);
+
+  // One trace process per attached run, numbered in attach order.
+  EXPECT_NE(trace.find("\"process_name\", \"ph\": \"M\", \"pid\": 1,"), std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"process_name\", \"ph\": \"M\", \"pid\": 2,"), std::string::npos);
+  EXPECT_EQ(trace.find("\"process_name\", \"ph\": \"M\", \"pid\": 3,"), std::string::npos);
 
   const auto runs = json.find("\"runs\": [");
   ASSERT_NE(runs, std::string::npos) << json;
