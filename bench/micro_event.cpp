@@ -6,6 +6,9 @@
 //             slot recycling and generation checks under churn.
 //   ping    — chains of events each hopping 100 ns (about one short link
 //             hop) into the future.
+//   timers  — ping, but every hop also cancels and re-arms a 131 us timer:
+//             a QP's retransmit timer re-armed on every ACK. The queue then
+//             holds many more cancelled timers than live events.
 //
 // Wall-clock rates depend on the machine; the simulated outcome does not:
 // every shape executes a fixed event count, which the bench asserts.
@@ -23,6 +26,7 @@ using namespace p4ce;
 namespace {
 
 constexpr Duration kHop = 100;  // ns per ping hop, ~one short link hop
+constexpr Duration kTimer = 131'072;  // ns, the QP retransmit timeout
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -99,13 +103,40 @@ ShapeResult run_ping(u32 chains, u32 hops) {
   return finish(sim, t0);
 }
 
+/// timers: ping chains whose every hop also re-arms the chain's long timer
+/// (cancel, then schedule anew). No timer ever fires.
+ShapeResult run_timers(u32 chains, u32 hops) {
+  const auto t0 = std::chrono::steady_clock::now();
+  sim::Simulator sim;
+  struct Chain {
+    std::function<void(u32)> hop;
+    sim::EventHandle timer;
+  };
+  std::vector<std::unique_ptr<Chain>> keep;
+  keep.reserve(chains);
+  for (u32 c = 0; c < chains; ++c) {
+    auto chain = std::make_unique<Chain>();
+    Chain* self = chain.get();
+    self->hop = [&sim, self](u32 remaining) {
+      self->timer.cancel();
+      if (remaining == 0) return;
+      self->timer = sim.schedule(kTimer, [] {});
+      sim.schedule(kHop, [self, remaining] { self->hop(remaining - 1); });
+    };
+    sim.schedule(1 + c, [self, hops] { self->hop(hops); });
+    keep.push_back(std::move(chain));
+  }
+  sim.run();
+  return finish(sim, t0);
+}
+
 }  // namespace
 
 int main() {
   workload::BenchSession session("micro_event");
   session.set_backend("none");  // event-kernel microbench, no consensus protocol
   workload::print_header("micro_event: serial event-kernel throughput",
-                         "one (when, seq) priority queue over a recycled event slab");
+                         "one (when, seq) two-level queue over a recycled event slab");
 
   constexpr u32 kChains = 64, kSteps = 4000;  // churn: 256k events
   constexpr u32 kCancelTotal = 200'000;       // 25% cancelled
@@ -114,18 +145,22 @@ int main() {
   const ShapeResult churn = run_churn(kChains, kSteps);
   const ShapeResult cancel = run_cancel(kCancelTotal);
   const ShapeResult ping = run_ping(kRings, kHops);
+  const ShapeResult timers = run_timers(kRings, kHops);
 
   // Churn executes chains * steps events, cancel executes 3/4 of the seeded
-  // events, ping executes rings * hops + rings seeds.
+  // events, ping and timers execute rings * hops + rings seeds.
   const u64 want_churn = static_cast<u64>(kChains) * kSteps;
   const u64 want_cancel = kCancelTotal - (kCancelTotal + 3) / 4;
   const u64 want_ping = static_cast<u64>(kRings) * kHops + kRings;
   if (churn.executed != want_churn || cancel.executed != want_cancel ||
-      ping.executed != want_ping) {
-    std::fprintf(stderr, "event-count mismatch: churn %llu/%llu cancel %llu/%llu ping %llu/%llu\n",
+      ping.executed != want_ping || timers.executed != want_ping) {
+    std::fprintf(stderr,
+                 "event-count mismatch: churn %llu/%llu cancel %llu/%llu ping %llu/%llu "
+                 "timers %llu/%llu\n",
                  (unsigned long long)churn.executed, (unsigned long long)want_churn,
                  (unsigned long long)cancel.executed, (unsigned long long)want_cancel,
-                 (unsigned long long)ping.executed, (unsigned long long)want_ping);
+                 (unsigned long long)ping.executed, (unsigned long long)want_ping,
+                 (unsigned long long)timers.executed, (unsigned long long)want_ping);
     return 1;
   }
 
@@ -133,10 +168,13 @@ int main() {
   session.add_value("events_per_sec_lanes1", churn.events_per_sec);
   session.add_value("cancel_events_per_sec_lanes1", cancel.events_per_sec);
   session.add_value("ping_events_per_sec_lanes1", ping.events_per_sec);
+  // Reported, not gated: bench/baselines has no value for this shape.
+  session.add_value("timers_events_per_sec", timers.events_per_sec);
   workload::Table table("event kernel throughput", {"shape", "events", "Mev/s"});
   for (const auto& [shape, r] : {std::pair<const char*, const ShapeResult&>{"churn", churn},
                                  {"cancel", cancel},
-                                 {"ping", ping}}) {
+                                 {"ping", ping},
+                                 {"timers", timers}}) {
     table.add_row({shape, std::to_string(r.executed),
                    workload::Table::fmt(r.events_per_sec / 1e6, 3)});
   }

@@ -244,23 +244,26 @@ void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
     return;
   }
 
-  accel_pending_.emplace(seq, AccelOp{offset, entry});
+  // The WQE and the replay record share one buffer.
+  net::PayloadRef payload(std::move(entry));
+  accel_pending_.insert(seq, AccelOp{offset, payload});
   const SimTime t_replicate = sim_.now();
   // One post, one future completion: the whole point of the design.
-  cpu_.execute(cal_.cpu_post_wr, [this, offset, entry = std::move(entry), seq, t_replicate] {
+  cpu_.execute(cal_.cpu_post_wr, [this, offset, payload = std::move(payload), seq,
+                                  t_replicate]() mutable {
     if (state_ != State::kAccelerated || switch_qp_ == nullptr) return;  // replayed by fallback
     if (sim_.obs().tracer.is_enabled()) {
       auto& tracer = sim_.obs().tracer;
       // Register the PSN range this write will occupy so the switch-side
       // hooks can attribute its scatter/gather packets to this instance.
       const u32 npkts =
-          entry.empty() ? 1 : (static_cast<u32>(entry.size()) + cal_.mtu - 1) / cal_.mtu;
+          payload.empty() ? 1 : (static_cast<u32>(payload.size()) + cal_.mtu - 1) / cal_.mtu;
       tracer.map_wire(seq, switch_qp_->planned_next_psn(), npkts, bcast_qpn_);
       tracer.span(seq, "leader.post", t_replicate, sim_.now());
       tracer.mark_post_done(seq, sim_.now());
     }
     const Status st =
-        switch_qp_->post_write(seq, std::move(entry), virtual_base_ + offset, virtual_rkey_);
+        switch_qp_->post_write(seq, std::move(payload), virtual_base_ + offset, virtual_rkey_);
     if (!st.is_ok()) enter_fallback();
   });
 }
@@ -278,9 +281,7 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
     sim_.obs().tracer.mark_ack_rx(c.wr_id, t_ack);
   }
   cpu_.execute(cal_.cpu_completion, [this, seq = c.wr_id, t_ack] {
-    auto it = accel_pending_.find(seq);
-    if (it == accel_pending_.end()) return;
-    accel_pending_.erase(it);
+    if (!accel_pending_.erase(seq)) return;
     if (sim_.obs().tracer.is_enabled()) {
       sim_.obs().tracer.span(seq, "commit.cpu", t_ack, sim_.now());
     }
@@ -300,9 +301,9 @@ void P4ceCommunicator::enter_fallback() {
 
   // Replay everything that was in flight on the accelerated path through
   // the direct connections (idempotent: same bytes at the same offsets).
-  auto pending = std::move(accel_pending_);
-  accel_pending_.clear();
-  for (auto& [seq, op] : pending) fallback_.replicate(op.offset, std::move(op.entry), seq);
+  for (auto& [seq, op] : accel_pending_.take_all()) {
+    fallback_.replicate(op.offset, op.entry.to_bytes(), seq);
+  }
   // Entries committed with f *other* ACKs may be missing at the replica
   // that NAK'd; the node refills them from its log over the direct path.
   if (hooks_.on_repair_needed) hooks_.on_repair_needed();

@@ -13,9 +13,12 @@
 //    atomics on the same direct connections as Mu.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -30,6 +33,104 @@
 #include "sim/simulator.hpp"
 
 namespace p4ce::consensus {
+
+/// Per-op state keyed by op number. A node numbers its ops densely, so the
+/// live ones span a short window: each op sits in slot `op % capacity`, and
+/// the table doubles only when two live ops would share a slot. Ops may be
+/// inserted and erased in any order; take_all() hands them back in op
+/// order. Lookup, insert and erase cost no allocation once the table has
+/// grown to the window.
+template <class T>
+class OpRing {
+ public:
+  /// Store `value` for `op`, which must not be present.
+  void insert(u64 op, T value) {
+    if (slots_.empty()) slots_.resize(kInitialSlots);
+    while (slots_[index(op)].used) grow();
+    Slot& slot = slots_[index(op)];
+    slot.op = op;
+    slot.used = true;
+    slot.value = std::move(value);
+    ++size_;
+  }
+
+  T* find(u64 op) noexcept {
+    if (slots_.empty()) return nullptr;
+    Slot& slot = slots_[index(op)];
+    return slot.used && slot.op == op ? &slot.value : nullptr;
+  }
+
+  /// Remove `op`; false if it was not present.
+  bool erase(u64 op) {
+    if (find(op) == nullptr) return false;
+    release(slots_[index(op)]);
+    return true;
+  }
+
+  /// Remove every op and return them in op order. The table is empty (and
+  /// may be refilled) before the caller acts on any of them.
+  std::vector<std::pair<u64, T>> take_all() {
+    std::vector<std::pair<u64, T>> out;
+    out.reserve(size_);
+    for (Slot& slot : slots_) {
+      if (!slot.used) continue;
+      out.emplace_back(slot.op, std::move(slot.value));
+      release(slot);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return out;
+  }
+
+  void clear() {
+    for (Slot& slot : slots_) {
+      if (slot.used) release(slot);
+    }
+  }
+
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 64;
+
+  struct Slot {
+    u64 op = 0;
+    bool used = false;
+    T value{};
+  };
+
+  std::size_t index(u64 op) const noexcept { return op & (slots_.size() - 1); }
+
+  void release(Slot& slot) {
+    slot.used = false;
+    slot.value = T{};  // drop captures and payload references now
+    --size_;
+  }
+
+  /// Double until every live op has a slot of its own, then move them over.
+  void grow() {
+    std::size_t capacity = slots_.size() * 2;
+    while (!fits(capacity)) capacity *= 2;
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+    for (Slot& slot : old) {
+      if (slot.used) slots_[index(slot.op)] = std::move(slot);
+    }
+  }
+
+  bool fits(std::size_t capacity) const {
+    std::vector<bool> taken(capacity);
+    for (const Slot& slot : slots_) {
+      if (!slot.used) continue;
+      const std::size_t i = slot.op & (capacity - 1);
+      if (taken[i]) return false;
+      taken[i] = true;
+    }
+    return true;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
 
 /// A replica endpoint from the leader's point of view.
 struct ReplicaTarget {
@@ -221,12 +322,13 @@ class P4ceCommunicator : public Communicator {
   /// The replica IPs the current/most recent group request named.
   std::vector<Ipv4Addr> group_member_ips_;
   /// Ops in flight on the accelerated path: op -> (offset, entry) so they
-  /// can be replayed through the fallback path after a NAK/timeout.
+  /// can be replayed through the fallback path after a NAK/timeout. The
+  /// entry shares its buffer with the posted WQE.
   struct AccelOp {
-    u64 offset;
-    Bytes entry;
+    u64 offset = 0;
+    net::PayloadRef entry;
   };
-  std::map<u64, AccelOp> accel_pending_;
+  OpRing<AccelOp> accel_pending_;
   sim::PeriodicTimer reaccel_timer_;
   u64 fallbacks_ = 0;
   u64 reaccelerations_ = 0;

@@ -1,5 +1,6 @@
 #include "consensus/log.hpp"
 
+#include <cassert>
 #include <cstring>
 
 namespace p4ce::consensus {
@@ -78,6 +79,8 @@ StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
 }
 
 u32 LogReader::poll() {
+  assert(!polling_ && "LogReader::poll re-entered from its delivery callback");
+  polling_ = true;
   u32 delivered = 0;
   const u8* base = region_.bytes();
   const u64 size = region_.length();
@@ -102,16 +105,16 @@ u32 LogReader::poll() {
     if (entry[kEntryHeaderBytes + len] != kEntryMarker) break;  // incomplete
     const u64 seq = load_u64(entry + 4);
     if (seq != last_seq_ + 1) break;  // stale bytes from a previous lap
-    LogEntry out;
-    out.seq = seq;
-    out.term = load_u64(entry + 12);
-    out.payload.assign(entry + kEntryHeaderBytes, entry + kEntryHeaderBytes + len);
+    entry_.seq = seq;
+    entry_.term = load_u64(entry + 12);
+    entry_.payload.assign(entry + kEntryHeaderBytes, entry + kEntryHeaderBytes + len);
     cursor_ += footprint;
-    last_seq_ = out.seq;
-    last_term_ = out.term;
+    last_seq_ = entry_.seq;
+    last_term_ = entry_.term;
     ++delivered;
-    deliver_(out);
+    deliver_(entry_);
   }
+  polling_ = false;
   return delivered;
 }
 

@@ -87,6 +87,11 @@ class LogWriter {
 /// Follower-side consumer: parses complete entries out of the region as DMA
 /// writes land (driven by the region's write hook) and invokes the delivery
 /// callback in order. Also the leader's local delivery path.
+///
+/// Every delivery decodes into the same reader-owned LogEntry, so the
+/// payload buffer is reused rather than allocated per entry: the entry
+/// passed to the callback is valid only during that call (copy what must
+/// outlive it), and the callback must not call poll() on the same reader.
 class LogReader {
  public:
   using DeliverFn = std::function<void(const LogEntry&)>;
@@ -105,6 +110,8 @@ class LogReader {
  private:
   rdma::MemoryRegion& region_;
   DeliverFn deliver_;
+  LogEntry entry_;  ///< the entry being delivered; its payload keeps its capacity
+  bool polling_ = false;
   u64 cursor_ = 0;
   u64 last_seq_ = 0;
   u64 last_term_ = 0;

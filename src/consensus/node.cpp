@@ -36,33 +36,29 @@ Duration memcpy_cost(u64 bytes, double gbps) noexcept {
 // ---------------------------------------------------------------------------
 
 void CommitSequencer::expect(u64 seq, DoneFn done) {
-  ops_.emplace(seq, Op{std::move(done), false, Status::ok()});
+  ops_.insert(seq, Op{std::move(done), false, Status::ok()});
 }
 
 void CommitSequencer::mark_ready(u64 seq, Status status) {
-  auto it = ops_.find(seq);
-  if (it == ops_.end()) return;
-  it->second.ready = true;
-  it->second.status = std::move(status);
+  Op* op = ops_.find(seq);
+  if (op == nullptr) return;
+  op->ready = true;
+  op->status = std::move(status);
   drain();
 }
 
 void CommitSequencer::drain() {
-  while (!ops_.empty()) {
-    auto it = ops_.begin();
-    if (it->first != next_ || !it->second.ready) break;
-    Op op = std::move(it->second);
-    ops_.erase(it);
+  for (Op* op = ops_.find(next_); op != nullptr && op->ready; op = ops_.find(next_)) {
+    Op released = std::move(*op);
+    ops_.erase(next_);
     ++next_;
-    op.done(std::move(op.status));
+    released.done(std::move(released.status));
   }
 }
 
 void CommitSequencer::flush_all(Status status) {
   // Deliver failures in order; callbacks may re-enter, so detach first.
-  auto ops = std::move(ops_);
-  ops_.clear();
-  for (auto& [seq, op] : ops) {
+  for (auto& [seq, op] : ops_.take_all()) {
     next_ = std::max(next_, seq + 1);
     op.done(status);
   }

@@ -35,7 +35,7 @@ inline constexpr u32 kMaxNodes = 16;
 
 /// Releases per-op commit callbacks strictly in op order, no matter which
 /// order the (possibly mode-switching) verdicts arrive in. Ops are dense,
-/// starting at `first`.
+/// starting at `first`, so they live in an OpRing.
 class CommitSequencer {
  public:
   using DoneFn = std::function<void(Status)>;
@@ -56,7 +56,7 @@ class CommitSequencer {
     bool ready = false;
     Status status;
   };
-  std::map<u64, Op> ops_;
+  OpRing<Op> ops_;
   u64 next_;
 };
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <utility>
 
 #include "common/time.hpp"
 #include "common/types.hpp"
@@ -20,14 +21,17 @@ class CpuExecutor {
   CpuExecutor& operator=(const CpuExecutor&) = delete;
 
   /// Occupy the core for `cost` ns, then run `fn`. Tasks run in submission
-  /// order; a saturated core accumulates backlog (queueing latency).
-  void execute(Duration cost, EventFn fn) {
+  /// order; a saturated core accumulates backlog (queueing latency). `fn`
+  /// is stored in the task's event as it is, so a lambda costs no heap
+  /// allocation unless it outgrows the kernel's inline buffer.
+  template <class F>
+  void execute(Duration cost, F&& fn) {
     if (halted_) return;
     const SimTime start = std::max(busy_until_, sim_.now());
     busy_until_ = start + cost;
     busy_ns_ += cost;
     ++tasks_;
-    sim_.schedule_at(busy_until_, [this, f = std::move(fn)] {
+    sim_.schedule_at(busy_until_, [this, f = std::forward<F>(fn)]() mutable {
       if (!halted_) f();
     });
   }

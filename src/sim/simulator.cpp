@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "obs/context.hpp"
 
@@ -8,7 +10,8 @@ namespace p4ce::sim {
 
 Simulator::Simulator()
     : obs_(std::make_shared<obs::Context>()),
-      events_alloc_(obs_->metrics.counter("sim.events_alloc")) {
+      events_alloc_(obs_->metrics.counter("sim.events_alloc")),
+      events_(obs_->metrics.counter("sim.events")) {
   obs_->sampler.set_clock(this);
 }
 
@@ -18,24 +21,18 @@ Simulator::~Simulator() { obs_->sampler.set_clock(nullptr); }
 
 // --- Scheduling --------------------------------------------------------------
 
-EventHandle Simulator::schedule_impl(SimTime when, detail::SmallFn fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  u32 index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    if (slot_count_ == slab_.size() * kSlabChunkSlots) {
-      slab_.push_back(std::make_unique<EventSlot[]>(kSlabChunkSlots));
-    }
-    index = slot_count_++;
+u32 Simulator::new_slot() {
+  if (slot_count_ == slab_.size() * kSlabChunkSlots) {
+    slab_.push_back(std::make_unique<EventSlot[]>(kSlabChunkSlots));
   }
-  EventSlot& slot = slot_at(index);
-  slot.fn = std::move(fn);
-  slot.armed = true;
-  const u64 gen = ++slot.gen;
-  queue_.push(QueueEntry{when, next_seq_++, index, gen});
-  return EventHandle(this, index, gen);
+  return slot_count_++;
+}
+
+void Simulator::push_far(const QueueEntry& entry, u64 block) {
+  // block > last_block_: nothing is scheduled before now().
+  const u32 bucket = 63 - static_cast<u32>(std::countl_zero(block ^ last_block_));
+  far_[bucket].push_back(entry);
+  far_mask_ |= u64{1} << bucket;
 }
 
 // --- Cancellation ------------------------------------------------------------
@@ -59,34 +56,75 @@ bool Simulator::event_pending(u32 slot_index, u64 gen) const noexcept {
 
 // --- Event execution ---------------------------------------------------------
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  const QueueEntry entry = queue_.top();
-  queue_.pop();
+bool Simulator::refill(SimTime deadline) {
+  near_.clear();
+  near_head_ = 0;
+  if (far_mask_ == 0) return false;
+  const u32 bucket = static_cast<u32>(std::countr_zero(far_mask_));
+  std::vector<QueueEntry>& entries = far_[bucket];
+  SimTime earliest = entries.front().when;
+  for (const QueueEntry& e : entries) earliest = std::min(earliest, e.when);
+  // Leave last_block_ alone unless the earliest entry is popped right away:
+  // run_until may stop now() below it, and later events scheduled in that
+  // gap must still land at or after last_block_.
+  if (earliest > deadline) return false;
+  last_block_ = static_cast<u64>(earliest) >> kBlockShift;
+  far_mask_ &= ~(u64{1} << bucket);
+  for (const QueueEntry& e : entries) {
+    const u64 block = static_cast<u64>(e.when) >> kBlockShift;
+    if (block == last_block_) {
+      near_.push_back(e);
+    } else {
+      push_far(e, block);  // a lower bucket than this one
+    }
+  }
+  entries.clear();
+  // A burst of far events spreads over several buckets on its way down;
+  // keep only small buckets' storage, so the burst is not held once per
+  // bucket it passed through.
+  if (entries.capacity() > kKeptBucketEntries) std::vector<QueueEntry>().swap(entries);
+  std::sort(near_.begin(), near_.end(), earlier);
+  return true;
+}
+
+bool Simulator::step(SimTime deadline) {
+  if (near_head_ == near_.size() && spill_.empty() && !refill(deadline)) return false;
+  const bool from_spill = !spill_.empty() && (near_head_ == near_.size() ||
+                                              earlier(spill_.front(), near_[near_head_]));
+  const QueueEntry entry = from_spill ? spill_.front() : near_[near_head_];
+  if (entry.when > deadline) return false;
+  if (from_spill) {
+    std::pop_heap(spill_.begin(), spill_.end(), Later{});
+    spill_.pop_back();
+  } else {
+    ++near_head_;
+  }
   now_ = entry.when;
   EventSlot& slot = slot_at(entry.slot);
   if (slot.gen == entry.gen && slot.armed) {
-    // Move the callable out and recycle the slot *before* invoking: the
-    // event may schedule new work (possibly growing the slab) or cancel
-    // other events.
-    detail::SmallFn fn = std::move(slot.fn);
+    // Run the callable where it sits: slab chunks never move, so the slot
+    // stays valid even if the event grows the slab, and it is not recycled
+    // until the callable returns. Disarmed first, so the event cannot
+    // cancel itself.
     slot.armed = false;
+    events_.inc();
+    slot.fn();
+    slot.fn.reset();
     free_slots_.push_back(entry.slot);
-    ++executed_;
-    fn();
   }
   return true;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  while (!stopped_ && step()) {
+  while (!stopped_ && step(std::numeric_limits<SimTime>::max())) {
   }
 }
 
 void Simulator::run_until(SimTime deadline) {
   stopped_ = false;
-  while (!stopped_ && !queue_.empty() && queue_.top().when <= deadline) step();
+  while (!stopped_ && step(deadline)) {
+  }
   if (!stopped_ && now_ < deadline) now_ = deadline;
 }
 

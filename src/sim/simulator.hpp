@@ -7,12 +7,15 @@
 // identical event sequences, so every bench table is reproducible byte for
 // byte.
 //
-// Allocation-light by design: callables are stored in a small-buffer-
-// optimized SmallFn (inline storage sized so even packet-carrying lambdas
-// fit; larger captures fall back to the heap and bump this simulator's
-// `sim.events_alloc` counter), and cancellation uses generation counters in
-// a recycled slab of event slots instead of one shared_ptr<bool> per event.
-// The priority queue itself holds only 32-byte POD entries.
+// Allocation-light by design: each callable is built in a recycled slab
+// slot, in a small-buffer-optimized SmallFn (inline storage sized so even
+// packet-carrying lambdas fit; larger captures fall back to the heap and
+// bump this simulator's `sim.events_alloc` counter), and runs where it was
+// built. Cancellation uses generation counters in those slots instead of
+// one shared_ptr<bool> per event.
+// The queue holds only 32-byte POD entries, in two levels: a sorted run
+// for the current 1024 ns block and radix buckets for everything later
+// (see the comment above kBlockShift).
 //
 // Each simulator owns the observability context of its run (obs()): the
 // metrics, tracer, attribution, sampler and flight recorder every component
@@ -20,12 +23,13 @@
 // schedules its ticks on.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -46,10 +50,11 @@ using EventFn = std::function<void()>;
 
 namespace detail {
 
-/// Move-only type-erased callable with inline storage. Sized so the common
-/// simulation closures — timer callbacks, and lambdas carrying a whole
-/// net::Packet or sw::PacketContext by value — stay allocation-free;
-/// anything bigger lives on the heap (counted by Simulator::schedule_at).
+/// Type-erased callable with inline storage, built in place in its event
+/// slot and never moved. Sized so the common simulation closures — timer
+/// callbacks, and lambdas carrying a whole net::Packet or sw::PacketContext
+/// by value — stay allocation-free; anything bigger lives on the heap
+/// (counted by Simulator::schedule_at).
 class SmallFn {
  public:
   /// The largest capture in the stack: the switch egress hop, `this` plus a
@@ -59,15 +64,18 @@ class SmallFn {
 
   template <class D>
   static constexpr bool fits_inline() noexcept {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t);
   }
 
   SmallFn() noexcept = default;
+  SmallFn(const SmallFn&) = delete;
+  SmallFn& operator=(const SmallFn&) = delete;
+  ~SmallFn() { reset(); }
 
-  template <class F, class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, SmallFn>>>
-  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
+  /// Replace the held callable with `f`.
+  template <class F, class D = std::decay_t<F>>
+  void emplace(F&& f) {
+    reset();
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = inline_ops<D>();
@@ -76,18 +84,6 @@ class SmallFn {
       ops_ = heap_ops<D>();
     }
   }
-
-  SmallFn(SmallFn&& other) noexcept { move_from(other); }
-  SmallFn& operator=(SmallFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
-  ~SmallFn() { reset(); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -103,8 +99,6 @@ class SmallFn {
  private:
   struct Ops {
     void (*invoke)(void* slot);
-    /// Move-construct the payload from `src` into `dst`, destroying `src`.
-    void (*relocate)(void* src, void* dst) noexcept;
     void (*destroy)(void* slot) noexcept;
   };
 
@@ -112,11 +106,6 @@ class SmallFn {
   static const Ops* inline_ops() noexcept {
     static constexpr Ops ops{
         [](void* slot) { (*std::launder(reinterpret_cast<D*>(slot)))(); },
-        [](void* src, void* dst) noexcept {
-          D* from = std::launder(reinterpret_cast<D*>(src));
-          ::new (dst) D(std::move(*from));
-          from->~D();
-        },
         [](void* slot) noexcept { std::launder(reinterpret_cast<D*>(slot))->~D(); },
     };
     return &ops;
@@ -126,20 +115,9 @@ class SmallFn {
   static const Ops* heap_ops() noexcept {
     static constexpr Ops ops{
         [](void* slot) { (**std::launder(reinterpret_cast<D**>(slot)))(); },
-        [](void* src, void* dst) noexcept {
-          ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
-        },
         [](void* slot) noexcept { delete *std::launder(reinterpret_cast<D**>(slot)); },
     };
     return &ops;
-  }
-
-  void move_from(SmallFn& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(other.storage_, storage_);
-      other.ops_ = nullptr;
-    }
   }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
@@ -198,8 +176,11 @@ class Simulator {
   /// Schedule `fn` at absolute simulated time `when` (>= now()).
   template <class F>
   EventHandle schedule_at(SimTime when, F&& fn) {
+    assert(when >= now_ && "cannot schedule into the past");
     if constexpr (!detail::SmallFn::fits_inline<std::decay_t<F>>()) events_alloc_.inc();
-    return schedule_impl(when, detail::SmallFn(std::forward<F>(fn)));
+    const u32 index = acquire_slot();
+    slot_at(index).fn.emplace(std::forward<F>(fn));
+    return arm(index, when);
   }
 
   /// Run until the event queue drains or `stop()` is called.
@@ -215,8 +196,11 @@ class Simulator {
   /// Stop the run loop after the current event returns.
   void stop() noexcept { stopped_ = true; }
 
-  u64 events_executed() const noexcept { return executed_; }
-  bool empty() const noexcept { return queue_.empty(); }
+  /// Events run so far (this run's `sim.events` counter).
+  u64 events_executed() const noexcept { return events_.value(); }
+  bool empty() const noexcept {
+    return near_head_ == near_.size() && spill_.empty() && far_mask_ == 0;
+  }
 
   /// Capacity introspection: currently allocated event slots (high-water of
   /// concurrently outstanding events, recycled forever after).
@@ -233,24 +217,49 @@ class Simulator {
     u64 gen = 0;
     bool armed = false;
   };
-  /// What the priority queue actually orders: plain PODs.
+  /// What the queue orders: plain PODs.
   struct QueueEntry {
     SimTime when;
     u64 seq;
     u32 slot;
     u64 gen;
   };
+  static bool earlier(const QueueEntry& a, const QueueEntry& b) noexcept {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
   struct Later {
     bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+      return earlier(b, a);
     }
   };
 
-  // The slab grows in fixed-size chunks so slots never move (growth is one
-  // chunk allocation, not a realloc that relocates every live callable).
-  // 128 slots of ~350 B keep a chunk (~45 KB) below the 256 x 264 B chunk
-  // of the 240 B inline buffer; a busy cluster peaks near 100 slots.
+  // The queue is monotone (nothing is scheduled before now()), so it is a
+  // radix heap over 1024 ns blocks with a sorted run in front. Entries in
+  // the block of the last popped event (`last_block_`) sit in `near_`,
+  // sorted on (when, seq) and consumed from `near_head_`. A new entry
+  // carries the largest seq yet, so its place is after every near entry
+  // due at or before it: a short scan back from the tail finds it. An entry
+  // whose place lies more than kMaxShift entries back goes to `spill_`, a
+  // binary heap that step() merges with the run, so a burst of out-of-order
+  // events in one block stays O(log n) each.
+  //
+  // A later entry sits in far bucket b, where b is the highest bit in
+  // which its block differs from `last_block_`; every entry of a lower
+  // bucket is earlier than every entry of a higher one. When the near
+  // level runs dry, step() takes the lowest bucket, moves `last_block_` to
+  // the block of its earliest entry and redistributes it: that block is
+  // sorted into `near_`, the rest drops into lower buckets. A long timer
+  // that is cancelled before it fires (a retransmit timer re-armed on every
+  // ACK) waits in a far bucket, touched about once per redistribution.
+  static constexpr u32 kBlockShift = 10;
+  static constexpr u32 kFarBuckets = 64;
+  static constexpr std::size_t kMaxShift = 64;
+  static constexpr std::size_t kKeptBucketEntries = 1024;
+
+  // The slab grows in fixed-size chunks so slots never move: growth is one
+  // chunk allocation, not a realloc that relocates every live callable, and
+  // step() can run a callable in its slot while that callable schedules
+  // more events. 128 slots of about 350 B make a 45 KB chunk.
   static constexpr u32 kSlabChunkShift = 7;
   static constexpr u32 kSlabChunkSlots = 1u << kSlabChunkShift;
 
@@ -261,20 +270,66 @@ class Simulator {
     return slab_[index >> kSlabChunkShift][index & (kSlabChunkSlots - 1)];
   }
 
-  EventHandle schedule_impl(SimTime when, detail::SmallFn fn);
-  bool step();  // execute the earliest event; false if the queue is empty
+  /// A free slot; arm() queues it once its callable is in place.
+  u32 acquire_slot() {
+    if (!free_slots_.empty()) {
+      const u32 index = free_slots_.back();
+      free_slots_.pop_back();
+      return index;
+    }
+    return new_slot();
+  }
+  /// A never-used slot, growing the slab by a chunk when it is full.
+  u32 new_slot();
+  EventHandle arm(u32 index, SimTime when) {
+    EventSlot& slot = slot_at(index);
+    slot.armed = true;
+    const u64 gen = ++slot.gen;
+    push(QueueEntry{when, next_seq_++, index, gen});
+    return EventHandle(this, index, gen);
+  }
+  void push(const QueueEntry& entry) {
+    const u64 block = static_cast<u64>(entry.when) >> kBlockShift;
+    if (block != last_block_) {
+      push_far(entry, block);
+      return;
+    }
+    std::size_t i = near_.size();
+    if (i - near_head_ > kMaxShift && near_[i - 1 - kMaxShift].when > entry.when) {
+      spill_.push_back(entry);
+      std::push_heap(spill_.begin(), spill_.end(), Later{});
+      return;
+    }
+    near_.push_back(entry);
+    for (; i > near_head_ && near_[i - 1].when > entry.when; --i) near_[i] = near_[i - 1];
+    near_[i] = entry;
+  }
+  void push_far(const QueueEntry& entry, u64 block);
+  /// Move the next block from the far buckets into the (empty) near level;
+  /// false, and nothing moves, if there is none or it starts after
+  /// `deadline`.
+  bool refill(SimTime deadline);
+  /// Pop the earliest entry and run its event if it is still armed; false
+  /// (and nothing moves) if the queue is empty or its earliest entry is
+  /// later than `deadline`.
+  bool step(SimTime deadline);
   void cancel_event(u32 slot, u64 gen) noexcept;
   bool event_pending(u32 slot, u64 gen) const noexcept;
 
   std::shared_ptr<obs::Context> obs_;
   obs::Counter& events_alloc_;  ///< `sim.events_alloc`: heap-stored callables
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue_;
+  obs::Counter& events_;        ///< `sim.events`: events run
+  std::vector<QueueEntry> near_;  ///< entries in `last_block_`, sorted from near_head_
+  std::size_t near_head_ = 0;
+  std::vector<QueueEntry> spill_;  ///< min-heap: the rest of `last_block_`
+  std::vector<QueueEntry> far_[kFarBuckets];
+  u64 far_mask_ = 0;  ///< bit b set: far_[b] is non-empty
+  u64 last_block_ = 0;
   std::vector<std::unique_ptr<EventSlot[]>> slab_;
   u32 slot_count_ = 0;
   std::vector<u32> free_slots_;
   SimTime now_ = 0;
   u64 next_seq_ = 0;
-  u64 executed_ = 0;
   bool stopped_ = false;
 };
 

@@ -69,6 +69,46 @@ TEST(CommitSequencer, StartsAtTheOpGivenAtConstruction) {
   EXPECT_EQ(sequencer.next(), 102u);
 }
 
+TEST(CommitSequencer, ReleasesAWideOutOfOrderWindowInOrder) {
+  // More ops outstanding than the op table starts with, expected and made
+  // ready back to front.
+  CommitSequencer sequencer(1000);
+  std::vector<u64> order;
+  for (u64 op = 1000 + 299; op >= 1000; --op) {
+    sequencer.expect(op, [&order, op](Status) { order.push_back(op); });
+  }
+  for (u64 op = 1000 + 299; op > 1000; --op) sequencer.mark_ready(op, Status::ok());
+  EXPECT_TRUE(order.empty());
+  sequencer.mark_ready(1000, Status::ok());
+  ASSERT_EQ(order.size(), 300u);
+  for (u64 i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], 1000 + i);
+  EXPECT_EQ(sequencer.outstanding(), 0u);
+}
+
+TEST(OpRing, KeepsOpsThatShareASlotApart) {
+  OpRing<int> ring;
+  // 7, 7 + 64 and 7 + 128 share a slot at the initial size.
+  ring.insert(7 + 128, 3);
+  ring.insert(7, 1);
+  ring.insert(7 + 64, 2);
+  ASSERT_NE(ring.find(7), nullptr);
+  EXPECT_EQ(*ring.find(7), 1);
+  EXPECT_EQ(*ring.find(7 + 64), 2);
+  EXPECT_EQ(*ring.find(7 + 128), 3);
+  EXPECT_EQ(ring.find(8), nullptr);
+  EXPECT_TRUE(ring.erase(7 + 64));
+  EXPECT_FALSE(ring.erase(7 + 64));
+  EXPECT_EQ(ring.size(), 2u);
+  ring.insert(9, 4);
+  const auto all = ring.take_all();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0], (std::pair<u64, int>{7, 1}));
+  EXPECT_EQ(all[1], (std::pair<u64, int>{9, 4}));
+  EXPECT_EQ(all[2], (std::pair<u64, int>{7 + 128, 3}));
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.find(7), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // P4CE fallback / re-acceleration over a live cluster
 // ---------------------------------------------------------------------------

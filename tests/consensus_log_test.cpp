@@ -73,6 +73,22 @@ TEST_F(LogFixture, PollIsIncrementalAndIdempotent) {
   EXPECT_EQ(delivered.size(), 2u);
 }
 
+TEST_F(LogFixture, EachDeliverySeesItsOwnBytesAsPayloadsShrinkAndGrow) {
+  // The reader decodes every entry into one reused LogEntry: a short
+  // payload after a long one must not show the long one's tail, and a long
+  // one after a short one must come out whole.
+  const std::vector<std::size_t> sizes = {300, 5, 0, 64, 700, 1, 300, 0, 2};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    ASSERT_TRUE(append_one(*writer, i + 1, Bytes(sizes[i], static_cast<u8>(i + 1))).is_ok());
+  }
+  std::vector<bool> own_bytes;
+  LogReader checking(*region, [&](const LogEntry& e) {
+    own_bytes.push_back(e.payload == Bytes(sizes[e.seq - 1], static_cast<u8>(e.seq)));
+  });
+  EXPECT_EQ(checking.poll(), sizes.size());
+  EXPECT_EQ(own_bytes, std::vector<bool>(sizes.size(), true));
+}
+
 TEST_F(LogFixture, TornEntryInvisibleUntilMarkerLands) {
   // Simulate a partially-arrived entry: copy all bytes except the marker.
   const Bytes entry = encode_entry(1, 1, to_bytes("partial"));

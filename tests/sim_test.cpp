@@ -1,17 +1,43 @@
 // Unit tests for the discrete-event kernel: ordering, cancellation,
-// deterministic ties, a golden mixed program, timers, and the serial CPU
-// model.
+// deterministic ties, a golden mixed program, a differential check of the
+// two-level queue against a plain priority queue, callable lifetimes,
+// timers, and the serial CPU model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
+#include <queue>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "net/packet.hpp"
 #include "obs/context.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "switchsim/pipeline.hpp"
+
+namespace {
+// Heap allocations made by this test binary; tests read it as a delta.
+p4ce::u64 g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs the free() below with the operator new call it inlines into,
+// not with the malloc() inside it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace p4ce::sim {
 namespace {
@@ -363,6 +389,260 @@ TEST_P(EventStormTest, ManyEventsAllExecuteInOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EventStormTest, ::testing::Values(10, 1000, 50000));
+
+// ---------------------------------------------------------------------------
+// Differential check of the two-level queue
+// ---------------------------------------------------------------------------
+
+/// The reference model: one std::priority_queue on (when, seq) with lazy
+/// cancellation, under the same run/run_until contract as Simulator.
+class ReferenceKernel {
+ public:
+  using Handle = u32;
+
+  SimTime now() const noexcept { return now_; }
+
+  Handle schedule(Duration delay, std::function<void()> fn) {
+    const auto id = static_cast<u32>(fns_.size());
+    fns_.push_back(std::move(fn));
+    queue_.push(Entry{now_ + delay, next_seq_++, id});
+    return id;
+  }
+
+  void cancel(Handle id) { fns_[id] = nullptr; }
+
+  void run_until(SimTime deadline) {
+    while (!queue_.empty() && queue_.top().when <= deadline) pop_and_run();
+    if (now_ < deadline) now_ = deadline;
+  }
+
+  void run() {
+    while (!queue_.empty()) pop_and_run();
+  }
+
+ private:
+  struct Entry {
+    SimTime when;
+    u64 seq;
+    u32 id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+
+  void pop_and_run() {
+    const Entry e = queue_.top();
+    queue_.pop();
+    now_ = e.when;
+    std::function<void()> fn = std::move(fns_[e.id]);
+    fns_[e.id] = nullptr;
+    if (fn) fn();
+  }
+
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<std::function<void()>> fns_;
+  SimTime now_ = 0;
+  u64 next_seq_ = 0;
+};
+
+class SimulatorKernel {
+ public:
+  using Handle = EventHandle;
+
+  SimTime now() const noexcept { return sim_.now(); }
+  Handle schedule(Duration delay, std::function<void()> fn) {
+    return sim_.schedule(delay, std::move(fn));
+  }
+  void cancel(Handle& handle) { handle.cancel(); }
+  void run_until(SimTime deadline) { sim_.run_until(deadline); }
+  void run() { sim_.run(); }
+
+ private:
+  Simulator sim_;
+};
+
+/// A seeded random program. Every choice is drawn from one Rng in firing
+/// order, so two kernels that fire the same (when, id) sequence make the
+/// same choices; the first divergence shows in `fired`.
+template <class Kernel>
+class RandomProgram {
+ public:
+  explicit RandomProgram(u64 seed) : rng_(seed) {}
+
+  /// Rounds of top-level scheduling and cancels, each followed by a
+  /// run_until; then a final drain.
+  void run() {
+    for (int round = 0; round < 150; ++round) {
+      for (u64 i = rng_.next_below(4); i > 0; --i) add();
+      // Now and then a burst of out-of-order events within one microsecond.
+      if (rng_.next_below(8) == 0) {
+        for (int i = 0; i < 160; ++i) add(static_cast<Duration>(rng_.next_below(1024)));
+      }
+      if (rng_.next_below(3) == 0) cancel_one();
+      // Deadlines of every scale: many land in an empty gap before the next
+      // event, and the next round schedules into that gap.
+      kernel_.run_until(kernel_.now() + pick_delay());
+      times_.push_back(kernel_.now());
+    }
+    kernel_.run();
+    times_.push_back(kernel_.now());
+  }
+
+  const std::vector<std::pair<SimTime, u32>>& fired() const noexcept { return fired_; }
+  /// now() after every run_until and after the final drain.
+  const std::vector<SimTime>& times() const noexcept { return times_; }
+
+ private:
+  Duration pick_delay() {
+    switch (rng_.next_below(7)) {
+      case 0: return 0;                                          // tie at now()
+      case 1: return static_cast<Duration>(rng_.next_below(1024));  // same block
+      case 2: return static_cast<Duration>(rng_.next_below(u64{1} << 14));
+      case 3: return static_cast<Duration>(rng_.next_below(u64{1} << 24));
+      case 4: return 131'072;  // one timer length: many equal timestamps
+      case 5: return static_cast<Duration>(u64{1} << rng_.next_below(41));
+      default: return static_cast<Duration>(rng_.next_below((u64{1} << 40) + 1));
+    }
+  }
+
+  void add() { add(pick_delay()); }
+
+  void add(Duration delay) {
+    if (budget_ == 0) return;
+    --budget_;
+    const auto id = static_cast<u32>(handles_.size());
+    handles_.push_back(kernel_.schedule(delay, [this, id] { on_fire(id); }));
+  }
+
+  /// Cancel one of the 64 most recent events (pending or not): those are
+  /// spread over the near heap and the far buckets alike.
+  void cancel_one() {
+    if (handles_.empty()) return;
+    const u64 back = rng_.next_below(std::min<u64>(handles_.size(), 64));
+    kernel_.cancel(handles_[handles_.size() - 1 - back]);
+  }
+
+  void on_fire(u32 id) {
+    fired_.emplace_back(kernel_.now(), id);
+    const u64 r = rng_.next_below(8);
+    if (r < 5) add();  // nested scheduling from a callback
+    if (r < 2) add();
+    if (r == 7) cancel_one();
+  }
+
+  Kernel kernel_;
+  Rng rng_;
+  u32 budget_ = 6000;
+  std::vector<typename Kernel::Handle> handles_;
+  std::vector<std::pair<SimTime, u32>> fired_;
+  std::vector<SimTime> times_;
+};
+
+TEST(Simulator, QueueMatchesAPlainPriorityQueue) {
+  for (u64 seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    RandomProgram<SimulatorKernel> sim(seed);
+    RandomProgram<ReferenceKernel> ref(seed);
+    sim.run();
+    ref.run();
+    ASSERT_EQ(sim.fired().size(), ref.fired().size());
+    for (std::size_t i = 0; i < ref.fired().size(); ++i) {
+      ASSERT_EQ(sim.fired()[i], ref.fired()[i]) << "at fired event " << i;
+    }
+    EXPECT_EQ(sim.times(), ref.times());
+    EXPECT_GT(ref.fired().size(), 1000u);
+  }
+}
+
+TEST(Simulator, RunUntilLeavesTheGapBeforeTheNextEventOpen) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  sim.schedule(1 << 20, [&] { fired.push_back(sim.now()); });
+  sim.run_until(100);  // nothing due; the clock stops in the gap
+  sim.schedule(10, [&] { fired.push_back(sim.now()); });
+  sim.schedule(0, [&] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{100, 110, 1 << 20}));
+}
+
+// ---------------------------------------------------------------------------
+// Callable lifetimes
+// ---------------------------------------------------------------------------
+
+TEST(Simulator, RunningEventMayCancelItselfAndGrowTheSlab) {
+  Simulator sim;
+  EventHandle self;
+  auto make_pattern = [] {
+    std::array<u64, 32> pattern{};
+    for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+    return pattern;
+  };
+  int children = 0;
+  bool intact = false;
+  bool pending_inside = true;
+  self = sim.schedule(5, [&, pattern = make_pattern()] {
+    pending_inside = self.pending();
+    self.cancel();  // inert: the event is already running
+    // More events than one slab chunk holds, each with a capture of its
+    // own: the running callable's slot must neither move nor be reused.
+    for (u64 i = 0; i < 300; ++i) {
+      std::array<u64, 32> other{};
+      other.fill(i);
+      sim.schedule(1, [&children, other, i] { children += other[31] == i ? 1 : 0; });
+    }
+    intact = pattern == make_pattern();
+  });
+  sim.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(children, 300);
+  EXPECT_GT(sim.event_slab_size(), 128u);
+  EXPECT_EQ(sim.events_executed(), 301u);
+}
+
+TEST(Simulator, CapturesAreDestroyedAfterTheCallbackReturns) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  bool alive_inside = false;
+  bool alive_next = true;
+  sim.schedule(1, [&, token = std::move(token)] { alive_inside = !watch.expired(); });
+  sim.schedule(1, [&] { alive_next = !watch.expired(); });  // same instant, runs next
+  sim.run();
+  EXPECT_TRUE(alive_inside);
+  EXPECT_FALSE(alive_next);
+
+  // A cancelled event frees its captures at once.
+  auto pinned = std::make_shared<int>(0);
+  const std::weak_ptr<int> pinned_watch = pinned;
+  EventHandle handle = sim.schedule(10, [pinned = std::move(pinned)] {});
+  EXPECT_FALSE(pinned_watch.expired());
+  handle.cancel();
+  EXPECT_TRUE(pinned_watch.expired());
+}
+
+TEST(CpuExecutor, TaskCapturingBytesAndAFunctionDoesNotAllocate) {
+  Simulator sim;
+  CpuExecutor cpu(sim);
+  u64 seen = 0;
+  // Both captures are built (and allocate) before the count starts; the
+  // task itself must move them into its event without allocating.
+  auto submit = [&] {
+    Bytes bytes(64, 0xab);
+    std::function<void(u64)> done = [&seen, pad = std::array<u64, 4>{}](u64 n) {
+      seen += n + pad[0];
+    };
+    const u64 before = g_allocations;
+    cpu.execute(100, [bytes = std::move(bytes), done = std::move(done)] { done(bytes.size()); });
+    sim.run();
+    return g_allocations - before;
+  };
+  submit();  // warm-up: sizes the slab, the queue and the free list
+  EXPECT_EQ(submit(), 0u);
+  EXPECT_EQ(seen, 128u);
+}
 
 }  // namespace
 }  // namespace p4ce::sim
