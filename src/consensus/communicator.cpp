@@ -39,12 +39,14 @@ u32 DirectCommunicator::live_target_count() const noexcept {
 }
 
 void DirectCommunicator::write_raw(u64 offset, Bytes bytes) {
+  // Every per-replica write shares the one buffer.
+  net::PayloadRef payload(std::move(bytes));
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (!postable(i)) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, bytes] {
+    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, payload]() mutable {
       if (!postable(i)) return;
       ReplicaTarget& target = targets_[i];
-      std::ignore = target.qp->post_write(0, bytes, target.log_vaddr + offset,
+      std::ignore = target.qp->post_write(0, std::move(payload), target.log_vaddr + offset,
                                           target.log_rkey, /*signaled=*/false);
     });
   }
@@ -77,11 +79,12 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   // serialization is exactly why "the leader divides its own network
   // capacity by the number of replicas" also costs it CPU (§I, §V-C).
   // Targets are addressed by index: reset_targets() may replace the vector
-  // while these posts sit in the CPU queue.
+  // while these posts sit in the CPU queue. The writes share one buffer.
+  net::PayloadRef payload(std::move(entry));
   const SimTime t_replicate = sim_.now();
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (!postable(i)) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, entry, seq, t_replicate] {
+    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, payload, seq, t_replicate]() mutable {
       if (!postable(i)) return;
       ReplicaTarget& target = targets_[i];
       if (sim_.obs().tracer.is_enabled()) {
@@ -92,8 +95,8 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
                                    target.id);
         sim_.obs().tracer.mark_post_done(seq, sim_.now());
       }
-      const Status st =
-          target.qp->post_write(seq, entry, target.log_vaddr + offset, target.log_rkey);
+      const Status st = target.qp->post_write(seq, std::move(payload),
+                                              target.log_vaddr + offset, target.log_rkey);
       if (!st.is_ok()) {
         target.excluded = true;
         fail_if_quorum_lost();

@@ -37,14 +37,15 @@ namespace p4ce::consensus {
 /// Per-op state keyed by op number. A node numbers its ops densely, so the
 /// live ones span a short window: each op sits in slot `op % capacity`, and
 /// the table doubles only when two live ops would share a slot. Ops may be
-/// inserted and erased in any order; take_all() hands them back in op
-/// order. Lookup, insert and erase cost no allocation once the table has
-/// grown to the window.
+/// inserted and erased in any order; take_all() and for_each_in_order()
+/// hand them back in op order. Lookup, insert and erase cost no allocation
+/// once the table has grown to the window.
 template <class T>
 class OpRing {
  public:
-  /// Store `value` for `op`, which must not be present.
-  void insert(u64 op, T value) {
+  /// Store `value` for `op`, which must not be present. The reference is
+  /// valid until the next insert.
+  T& insert(u64 op, T value) {
     if (slots_.empty()) slots_.resize(kInitialSlots);
     while (slots_[index(op)].used) grow();
     Slot& slot = slots_[index(op)];
@@ -52,6 +53,7 @@ class OpRing {
     slot.used = true;
     slot.value = std::move(value);
     ++size_;
+    return slot.value;
   }
 
   T* find(u64 op) noexcept {
@@ -80,6 +82,23 @@ class OpRing {
     std::sort(out.begin(), out.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     return out;
+  }
+
+  /// Call `fn(op, value)` for every op present now, in op order. Each op is
+  /// looked up again just before its call, so `fn` may insert and erase
+  /// ops: one erased before its turn is skipped, one inserted is not
+  /// visited.
+  template <class Fn>
+  void for_each_in_order(Fn&& fn) {
+    std::vector<u64> ops;
+    ops.reserve(size_);
+    for (const Slot& slot : slots_) {
+      if (slot.used) ops.push_back(slot.op);
+    }
+    std::sort(ops.begin(), ops.end());
+    for (const u64 op : ops) {
+      if (T* value = find(op)) fn(op, *value);
+    }
   }
 
   void clear() {

@@ -1,6 +1,8 @@
 #include "consensus/one_sided.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <utility>
 
 #include "obs/context.hpp"
 
@@ -57,7 +59,7 @@ void OneSidedCommunicator::takeover(u64 term, std::function<void(Status)> on_rea
       // Read the ballot register: an FAA of zero is an atomic read whose
       // response travels the same completion path as every other atomic.
       const u64 wr = next_wr_++;
-      wr_ctx_.emplace(wr, WrCtx{0, Phase::kTkRead, i, 0});
+      wr_ctx_.insert(wr, WrCtx{0, Phase::kTkRead, i, 0});
       const Status st = target.qp->post_faa(wr, target.atomic_vaddr + kOneSidedBallotOffset,
                                             target.atomic_rkey, 0);
       if (!st.is_ok()) {
@@ -90,7 +92,7 @@ void OneSidedCommunicator::takeover_check(Takeover& tk) {
       if (!postable(i)) continue;
       ReplicaTarget& t = targets_[i];
       const u64 wr = next_wr_++;
-      wr_ctx_.emplace(wr, WrCtx{0, Phase::kTkFrontier, i, 0});
+      wr_ctx_.insert(wr, WrCtx{0, Phase::kTkFrontier, i, 0});
       const Status st = t.qp->post_faa(wr, t.atomic_vaddr + kOneSidedFrontierOffset,
                                        t.atomic_rkey, kOneSidedFrontierBatch);
       if (!st.is_ok()) {
@@ -158,7 +160,7 @@ void OneSidedCommunicator::handle_takeover(const WrCtx& ctx, std::size_t target_
     if (ctx.phase == Phase::kTkRead) {
       // Raise the register from the value we just read.
       const u64 wr = next_wr_++;
-      wr_ctx_.emplace(wr, WrCtx{0, Phase::kTkRaise, target_index, ballot_});
+      wr_ctx_.insert(wr, WrCtx{0, Phase::kTkRaise, target_index, ballot_});
       const Status st = target.qp->post_cas(wr, target.atomic_vaddr + kOneSidedBallotOffset,
                                             target.atomic_rkey, original, ballot_);
       if (st.is_ok()) return;  // chain continues at the CAS completion
@@ -167,7 +169,7 @@ void OneSidedCommunicator::handle_takeover(const WrCtx& ctx, std::size_t target_
     } else {
       // Lost the raise race: re-read and try again.
       const u64 wr = next_wr_++;
-      wr_ctx_.emplace(wr, WrCtx{0, Phase::kTkRead, target_index, 0});
+      wr_ctx_.insert(wr, WrCtx{0, Phase::kTkRead, target_index, 0});
       const Status st = target.qp->post_faa(wr, target.atomic_vaddr + kOneSidedBallotOffset,
                                             target.atomic_rkey, 0);
       if (st.is_ok()) return;
@@ -195,7 +197,7 @@ void OneSidedCommunicator::reserve_frontier_batch() {
       if (!postable(i)) return;
       ReplicaTarget& target = targets_[i];
       const u64 wr = next_wr_++;
-      wr_ctx_.emplace(wr, WrCtx{0, Phase::kFrontier, i, 0});
+      wr_ctx_.insert(wr, WrCtx{0, Phase::kFrontier, i, 0});
       const Status st = target.qp->post_faa(wr, target.atomic_vaddr + kOneSidedFrontierOffset,
                                             target.atomic_rkey, kOneSidedFrontierBatch);
       if (!st.is_ok()) wr_ctx_.erase(wr);
@@ -213,30 +215,36 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   if (ops_issued_ >= reserved_) reserve_frontier_batch();
   const u64 slot = (frontier_base_ + ops_issued_) % kOneSidedSlotCount;
   ++ops_issued_;
+  // A lap of the ring is far longer than the ops the send queues hold
+  // (Calibration::max_outstanding WRs per replica), so the op that last
+  // used this slot has resolved and `prev` is its word.
+  assert(ops_.size() < kOneSidedSlotCount);
 
   OpState op;
   op.slot_off = kOneSidedSlotsOffset + slot * 8;
   op.word = one_sided_slot_word(ballot_, obs::trace_op(seq));
+  op.prev = std::exchange(slot_words_[slot], op.word);
   // With too few live replicas for a fast quorum, go straight to the
   // classic-quorum two-phase path.
   op.slow = live_target_count() < fast_needed_remote_;
-  auto [op_it, inserted] = ops_.emplace(seq, std::move(op));
-  std::ignore = inserted;
+  OpState& inserted = ops_.insert(seq, op);
 
+  // Every per-replica write shares the one buffer.
+  net::PayloadRef payload(std::move(entry));
   const SimTime t_replicate = sim_.now();
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (!postable(i)) continue;
-    ++op_it->second.inflight;
+    ++inserted.inflight;
     // Two work requests per replica — the entry write and the slot atomic —
     // is the CPU price of one-sidedness: double Mu's posting cost, where
     // P4CE pays for a single post in total.
-    cpu_.execute(2 * cal_.cpu_post_wr, [this, i, offset, entry, seq, t_replicate] {
-      auto it = ops_.find(seq);
-      if (it == ops_.end()) return;
-      OpState& op = it->second;
+    cpu_.execute(2 * cal_.cpu_post_wr,
+                 [this, i, offset, payload, seq, t_replicate]() mutable {
+      OpState* op = ops_.find(seq);
+      if (op == nullptr) return;
       if (!postable(i)) {
-        --op.inflight;
-        check_op_verdict(op, seq);
+        --op->inflight;
+        check_op_verdict(seq);
         maybe_erase(seq);
         return;
       }
@@ -249,17 +257,17 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
       // Unsignaled entry write, then the signaled slot atomic on the same
       // QP: RC ordering makes the atomic's response prove the write landed,
       // so the fast path is one broadcast-CAS round trip.
-      Status st = target.qp->post_write(0, entry, target.log_vaddr + offset, target.log_rkey,
-                                        /*signaled=*/false);
+      Status st = target.qp->post_write(0, std::move(payload), target.log_vaddr + offset,
+                                        target.log_rkey, /*signaled=*/false);
       if (st.is_ok()) {
         const u64 wr = next_wr_++;
-        if (!op.slow) {
-          wr_ctx_.emplace(wr, WrCtx{seq, Phase::kFastCas, i, 0});
-          st = target.qp->post_cas(wr, target.atomic_vaddr + op.slot_off, target.atomic_rkey,
-                                   /*compare=*/0, op.word);
+        if (!op->slow) {
+          wr_ctx_.insert(wr, WrCtx{seq, Phase::kFastCas, i, op->prev});
+          st = target.qp->post_cas(wr, target.atomic_vaddr + op->slot_off, target.atomic_rkey,
+                                   /*compare=*/op->prev, op->word);
         } else {
-          wr_ctx_.emplace(wr, WrCtx{seq, Phase::kPrepare, i, 0});
-          st = target.qp->post_masked_cas(wr, target.atomic_vaddr + op.slot_off,
+          wr_ctx_.insert(wr, WrCtx{seq, Phase::kPrepare, i, 0});
+          st = target.qp->post_masked_cas(wr, target.atomic_vaddr + op->slot_off,
                                           target.atomic_rkey, /*compare=*/0,
                                           /*swap=*/ballot_ << 48,
                                           /*compare_mask=*/0,
@@ -269,19 +277,16 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
       }
       if (!st.is_ok()) {
         target.excluded = true;
-        --op.inflight;
+        --op->inflight;
         fail_if_quorum_lost();
-        auto again = ops_.find(seq);
-        if (again != ops_.end()) {
-          check_op_verdict(again->second, seq);
-          maybe_erase(seq);
-        }
+        check_op_verdict(seq);
+        maybe_erase(seq);
       }
     });
   }
-  if (op_it->second.inflight == 0) {
+  if (inserted.inflight == 0) {
     // No remote posts at all (single-machine cluster).
-    check_op_verdict(op_it->second, seq);
+    check_op_verdict(seq);
     maybe_erase(seq);
   }
 }
@@ -297,15 +302,14 @@ void OneSidedCommunicator::on_completion(std::size_t target_index, const rdma::C
       target.excluded = true;
       fail_if_quorum_lost();
     }
-    auto ctx_it = wr_ctx_.find(c.wr_id);
-    if (ctx_it == wr_ctx_.end()) return;
-    const WrCtx ctx = ctx_it->second;
-    wr_ctx_.erase(ctx_it);
+    const WrCtx* found = wr_ctx_.find(c.wr_id);
+    if (found == nullptr) return;
+    const WrCtx ctx = *found;
+    wr_ctx_.erase(c.wr_id);
     if (ctx.seq != 0) {
-      auto op_it = ops_.find(ctx.seq);
-      if (op_it != ops_.end()) {
-        --op_it->second.inflight;
-        check_op_verdict(op_it->second, ctx.seq);
+      if (OpState* op = ops_.find(ctx.seq)) {
+        --op->inflight;
+        check_op_verdict(ctx.seq);
         maybe_erase(ctx.seq);
       }
     } else if (ctx.phase == Phase::kTkRead || ctx.phase == Phase::kTkRaise) {
@@ -319,10 +323,10 @@ void OneSidedCommunicator::on_completion(std::size_t target_index, const rdma::C
     return;
   }
 
-  auto ctx_it = wr_ctx_.find(c.wr_id);
-  if (ctx_it == wr_ctx_.end()) return;  // stale (aborted / already resolved)
-  const WrCtx ctx = ctx_it->second;
-  wr_ctx_.erase(ctx_it);
+  const WrCtx* found = wr_ctx_.find(c.wr_id);
+  if (found == nullptr) return;  // stale (aborted / already resolved)
+  const WrCtx ctx = *found;
+  wr_ctx_.erase(c.wr_id);
 
   const SimTime t_ack = sim_.now();
   if (ctx.seq != 0 && sim_.obs().tracer.is_enabled()) {
@@ -337,37 +341,34 @@ void OneSidedCommunicator::on_completion(std::size_t target_index, const rdma::C
       handle_takeover(ctx, target_index, original);
       return;
     }
-    auto it = ops_.find(ctx.seq);
-    if (it == ops_.end()) return;
-    OpState& op = it->second;
-    --op.inflight;
+    OpState* op = ops_.find(ctx.seq);
+    if (op == nullptr) return;
+    --op->inflight;
     switch (ctx.phase) {
       case Phase::kFastCas:
-        handle_fast(op, original);
+        handle_fast(*op, ctx, original);
         break;
       case Phase::kPrepare:
-        handle_prepare(op, ctx.seq, target_index, original);
+        handle_prepare(*op, ctx.seq, target_index, original);
         break;
       case Phase::kAccept:
-        handle_accept(op, ctx.seq, target_index, ctx, original);
+        handle_accept(*op, ctx.seq, target_index, ctx, original);
         break;
       default:
         break;
     }
-    auto again = ops_.find(ctx.seq);
-    if (again != ops_.end()) {
-      check_op_verdict(again->second, ctx.seq);
-      maybe_erase(ctx.seq);
-    }
+    check_op_verdict(ctx.seq);
+    maybe_erase(ctx.seq);
   });
 }
 
-void OneSidedCommunicator::handle_fast(OpState& op, u64 original) {
-  if (original == 0 || original == op.word) {
+void OneSidedCommunicator::handle_fast(OpState& op, const WrCtx& ctx, u64 original) {
+  if (original == ctx.expected || original == op.word) {
     ++op.fast_acks;
   } else {
-    // The slot already held a word (stale stamp from a dead regime, or a
-    // competing ballot): this replica's fast vote is lost.
+    // The slot held a word other than the one we last installed there (a
+    // competing ballot, a stale regime's word, or a lap this replica
+    // missed): this replica's fast vote is lost.
     ++op.fast_rejects;
     m_slot_conflicts_.inc();
   }
@@ -385,7 +386,7 @@ void OneSidedCommunicator::post_prepare(OpState& op, u64 seq, std::size_t target
   ReplicaTarget& target = targets_[target_index];
   ++op.inflight;
   const u64 wr = next_wr_++;
-  wr_ctx_.emplace(wr, WrCtx{seq, Phase::kPrepare, target_index, 0});
+  wr_ctx_.insert(wr, WrCtx{seq, Phase::kPrepare, target_index, 0});
   // Unconditionally raise the slot's ballot bits while preserving the
   // stamp; the original tells us what (if anything) the slot held.
   const Status st = target.qp->post_masked_cas(
@@ -414,7 +415,7 @@ void OneSidedCommunicator::handle_prepare(OpState& op, u64 seq, std::size_t targ
   ++op.inflight;
   const u64 expected = one_sided_slot_word(ballot_, original);
   const u64 wr = next_wr_++;
-  wr_ctx_.emplace(wr, WrCtx{seq, Phase::kAccept, target_index, expected});
+  wr_ctx_.insert(wr, WrCtx{seq, Phase::kAccept, target_index, expected});
   const Status st = target.qp->post_cas(wr, target.atomic_vaddr + op.slot_off,
                                         target.atomic_rkey, expected, op.word);
   if (!st.is_ok()) {
@@ -458,44 +459,48 @@ void OneSidedCommunicator::commit(OpState& op, u64 seq, bool fast) {
   verdict_(seq, Status::ok());
 }
 
-void OneSidedCommunicator::check_op_verdict(OpState& op, u64 seq) {
-  if (op.resolved) return;
-  bool was_fast = !op.slow;
-  if (was_fast) {
-    if (op.fast_acks >= fast_needed_remote_) {
-      commit(op, seq, /*fast=*/true);
+void OneSidedCommunicator::check_op_verdict(u64 seq) {
+  OpState* op = ops_.find(seq);
+  if (op == nullptr || op->resolved) return;
+  if (!op->slow) {
+    if (op->fast_acks >= fast_needed_remote_) {
+      commit(*op, seq, /*fast=*/true);
       return;
     }
-    if (op.fast_acks + op.inflight >= fast_needed_remote_) return;  // still possible
+    if (op->fast_acks + op->inflight >= fast_needed_remote_) return;  // still possible
     // The fast quorum is out of reach; fall back to the classic path.
-    enter_slow_path(op, seq);
+    enter_slow_path(*op, seq);
+    // A failed post may have failed every op (fail_if_quorum_lost).
+    op = ops_.find(seq);
+    if (op == nullptr || op->resolved) return;
   }
-  if (op.accepts >= classic_needed_remote_) {
-    commit(op, seq, /*fast=*/false);
+  if (op->accepts >= classic_needed_remote_) {
+    commit(*op, seq, /*fast=*/false);
     return;
   }
-  if (op.accepts + op.inflight < classic_needed_remote_) {
-    op.resolved = true;
+  if (op->accepts + op->inflight < classic_needed_remote_) {
+    op->resolved = true;
     verdict_(
-        seq, op.aborts > 0
+        seq, op->aborts > 0
                  ? error(StatusCode::kAborted, "slot fenced by a higher ballot")
                  : error(StatusCode::kUnavailable, "quorum of replicas lost"));
   }
 }
 
 void OneSidedCommunicator::maybe_erase(u64 seq) {
-  auto it = ops_.find(seq);
-  if (it != ops_.end() && it->second.resolved && it->second.inflight == 0) ops_.erase(it);
+  const OpState* op = ops_.find(seq);
+  if (op != nullptr && op->resolved && op->inflight == 0) ops_.erase(seq);
 }
 
 void OneSidedCommunicator::fail_if_quorum_lost() {
   if (live_target_count() >= classic_needed_remote_) return;
-  for (auto& [seq, op] : ops_) {
+  // In seq order; each verdict may re-enter and edit the table.
+  ops_.for_each_in_order([this](u64 seq, OpState& op) {
     if (!op.resolved) {
       op.resolved = true;
       verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     }
-  }
+  });
 }
 
 void OneSidedCommunicator::abort_all() {

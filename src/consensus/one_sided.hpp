@@ -10,10 +10,25 @@
 //                               [ballot:16][stamp:48]  (0 == empty)
 //
 // Fast path (one broadcast-CAS round trip): the leader pairs an unsignaled
-// RDMA write of the log entry with a signaled CAS(0 -> ballot|stamp) on the
-// op's slot, on the same QP. RC ordering means the CAS response proves the
-// data landed, so a *fast quorum* of (3n+3)/4 successful CASes (leader
-// included) commits in a single round trip.
+// RDMA write of the log entry with a signaled CAS(slot, prev -> word) on the
+// op's slot, on the same QP, where word = ballot|stamp. RC ordering means the
+// CAS response proves the data landed, so a *fast quorum* of (3n+3)/4
+// successful CASes (leader included) commits in a single round trip.
+//
+// Slot reuse: the slots form a ring, so op k + 2^14 lands on op k's slot.
+// The leader remembers the word it last installed in each slot (a 128 KB
+// slot-word memory, all zero when the communicator is built) and uses it as
+// `prev`; the CAS also counts as won when the slot already holds our own
+// word. Any other word (a higher ballot, a stale regime's word, a replica
+// that missed this leader's previous lap) sends the op to the slow path,
+// whose accept leaves our word there, so the next lap is fast again. A new
+// term builds a new communicator with an empty memory: its first lap takes
+// the slow path wherever an older regime left words, at no extra WRs.
+//
+// Deposed leaders: an old leader's CAS succeeds only on a slot that still
+// holds exactly its own last word, so no newer ballot has touched that slot
+// — the same guarantee a CAS against an empty slot gives — and permission
+// fencing still stops the old leader's writes.
 //
 // Slow path (classic two-phase, on CAS conflict): a masked-CAS "prepare"
 // raises the slot's ballot bits unconditionally while preserving the stamp
@@ -29,8 +44,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "consensus/communicator.hpp"
 
@@ -111,6 +126,7 @@ class OneSidedCommunicator : public DirectCommunicator {
   struct OpState {
     u64 slot_off = 0;  ///< byte offset of the slot inside the atomics region
     u64 word = 0;      ///< ballot|stamp this op installs
+    u64 prev = 0;      ///< word this leader last installed in the slot (0: none)
     u32 inflight = 0;  ///< wr completions still owed to this op
     u32 fast_acks = 0;
     u32 fast_rejects = 0;
@@ -134,7 +150,7 @@ class OneSidedCommunicator : public DirectCommunicator {
   };
 
   void on_completion(std::size_t target_index, const rdma::Completion& c) override;
-  void handle_fast(OpState& op, u64 original);
+  void handle_fast(OpState& op, const WrCtx& ctx, u64 original);
   void handle_prepare(OpState& op, u64 seq, std::size_t target_index, u64 original);
   void handle_accept(OpState& op, u64 seq, std::size_t target_index, const WrCtx& ctx,
                      u64 original);
@@ -145,7 +161,7 @@ class OneSidedCommunicator : public DirectCommunicator {
   void enter_slow_path(OpState& op, u64 seq);
   void post_prepare(OpState& op, u64 seq, std::size_t target_index);
   void commit(OpState& op, u64 seq, bool fast);
-  void check_op_verdict(OpState& op, u64 seq);
+  void check_op_verdict(u64 seq);
   void maybe_erase(u64 seq);
   void fail_if_quorum_lost() override;
   void reserve_frontier_batch();
@@ -162,8 +178,11 @@ class OneSidedCommunicator : public DirectCommunicator {
   u64 ops_issued_ = 0;     ///< slots consumed since takeover
   u64 reserved_ = 0;       ///< slots reserved since takeover
 
-  std::map<u64, OpState> ops_;  // by seq
-  std::map<u64, WrCtx> wr_ctx_;
+  OpRing<OpState> ops_;  ///< by seq
+  OpRing<WrCtx> wr_ctx_;  ///< by wr id
+  /// The word this leader last installed in each slot: the fast CAS's
+  /// compare operand when the ring comes round again.
+  std::vector<u64> slot_words_ = std::vector<u64>(kOneSidedSlotCount);
   u64 next_wr_ = 1;
   std::optional<Takeover> takeover_;  ///< the current ballot's takeover
   SimTime last_ack_ = 0;  ///< arrival time of the completion being processed

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consensus/one_sided.hpp"
 #include "core/cluster.hpp"
 #include "obs/context.hpp"
 
@@ -31,7 +32,10 @@ namespace {
 using core::Cluster;
 using core::ClusterOptions;
 
-void run_chaos_seed(u64 seed, consensus::Mode mode) {
+/// `warmup_commits` > 0: before any fault is scheduled, a closed loop of 16
+/// clients commits that many values, and the leader is one of the machines
+/// that crash.
+void run_chaos_seed(u64 seed, consensus::Mode mode, u64 warmup_commits = 0) {
   Rng rng(seed);
 
   ClusterOptions options;
@@ -51,6 +55,26 @@ void run_chaos_seed(u64 seed, consensus::Mode mode) {
   std::set<u64> committed_seqs;
   u64 proposals = 0;
   u64 max_term_seen = 0;
+
+  if (warmup_commits > 0) {
+    consensus::Node* first = cluster->leader();
+    ASSERT_NE(first, nullptr);
+    std::function<void()> issue = [&] {
+      if (proposals == warmup_commits) return;
+      ++proposals;
+      std::ignore = first->propose(Bytes(64, static_cast<u8>(proposals)),
+                                   [&](Status st, u64 seq) {
+                                     if (st.is_ok()) committed_seqs.insert(seq);
+                                     issue();
+                                   });
+    };
+    for (int client = 0; client < 16; ++client) issue();
+    const SimTime deadline = cluster->now() + seconds(1);
+    while (committed_seqs.size() < warmup_commits && cluster->now() < deadline) {
+      cluster->run_for(milliseconds(1));
+    }
+    ASSERT_EQ(committed_seqs.size(), warmup_commits) << "warm-up stalled (seed " << seed << ")";
+  }
 
   // Continuous closed-ish load through whoever currently leads.
   auto pump = std::make_shared<std::function<void()>>();
@@ -75,9 +99,13 @@ void run_chaos_seed(u64 seed, consensus::Mode mode) {
   std::set<u32> killed;
   for (u32 k = 0; k < machine_crashes; ++k) {
     u32 victim;
-    do {
-      victim = static_cast<u32>(rng.next_below(5));
-    } while (killed.contains(victim));
+    if (k == 0 && warmup_commits > 0) {
+      victim = cluster->leader()->id();
+    } else {
+      do {
+        victim = static_cast<u32>(rng.next_below(5));
+      } while (killed.contains(victim));
+    }
     killed.insert(victim);
     const Duration when = 2'000'000 + static_cast<Duration>(rng.next_below(28'000'000));
     sim.schedule(when, [&cluster, victim] { cluster->crash_node(victim); });
@@ -124,6 +152,10 @@ void run_chaos_seed(u64 seed, consensus::Mode mode) {
   EXPECT_GE(leader->term(), 1u);
   if (killed.contains(0u)) {
     EXPECT_GT(leader->term(), 1u);
+  }
+  if (warmup_commits > 0 && mode == consensus::Mode::kOneSided) {
+    // The new regime's first lap met the old regime's slot words.
+    EXPECT_GT(sim.obs().metrics.counter("consensus.one_sided.slot_conflicts").value(), 0u);
   }
 
   // Commit sequence numbers are nearly contiguous: each leadership
@@ -177,6 +209,20 @@ TEST_P(OneSidedChaosTest, CommittedValuesSurviveArbitraryCrashSchedules) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OneSidedChaosTest, ::testing::Values(101, 404));
+
+// The one-sided backend past its slot-ring wrap: the first regime commits
+// more than 2^14 values, so every slot holds one of its words when its
+// crash hands the ring to a new leader, whose first lap must take each
+// slot over through the slow path. Seed 904 crashes only the leader; 913
+// crashes the switch as well.
+class OneSidedWrapChaosTest : public ::testing::TestWithParam<u64> {};
+
+TEST_P(OneSidedWrapChaosTest, TakeoverMeetsTheOldRegimesSlotWords) {
+  run_chaos_seed(GetParam(), consensus::Mode::kOneSided,
+                 /*warmup_commits=*/consensus::kOneSidedSlotCount + 2'000);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OneSidedWrapChaosTest, ::testing::Values(904, 913));
 
 // --- Repeatability under chaos ------------------------------------------------
 

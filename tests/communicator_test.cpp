@@ -109,6 +109,32 @@ TEST(OpRing, KeepsOpsThatShareASlotApart) {
   EXPECT_EQ(ring.find(7), nullptr);
 }
 
+TEST(OpRing, WalksOpsInOpOrderWhileTheCallbackEditsTheTable) {
+  OpRing<int> ring;
+  // 5, 5 + 64 and 5 + 192 share a slot at the initial size, so the table
+  // has grown to 256 slots before the walk starts; 10 + 256 then sits in
+  // slot 10, ahead of ops it follows.
+  for (const u64 op : {5 + 192, 70, 5, 3, 5 + 64, 10 + 256}) {
+    ring.insert(op, static_cast<int>(op));
+  }
+  std::vector<u64> visited;
+  ring.for_each_in_order([&](u64 op, int& value) {
+    EXPECT_EQ(value, static_cast<int>(op));
+    visited.push_back(op);
+    if (op == 5) {
+      // Erase an op not yet visited, and insert ops that move the table's
+      // slots: the walk skips the first and does not visit the others.
+      EXPECT_TRUE(ring.erase(70));
+      ring.insert(5 + 256, 0);
+      ring.insert(5 + 512, 0);
+    }
+  });
+  EXPECT_EQ(visited, (std::vector<u64>{3, 5, 5 + 64, 5 + 192, 10 + 256}));
+  EXPECT_EQ(ring.size(), 7u);
+  ASSERT_NE(ring.find(5 + 64), nullptr);
+  EXPECT_EQ(*ring.find(5 + 64), 5 + 64);
+}
+
 // ---------------------------------------------------------------------------
 // P4CE fallback / re-acceleration over a live cluster
 // ---------------------------------------------------------------------------
