@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the regular build + full test suite, a perf smoke of
 # the simulation substrate (the event core and the scatter path must stay
-# within 20% of the checked-in baselines — see scripts/perf_smoke.py), then
+# within 20% of the checked-in baselines — see scripts/perf_smoke.py), a run
+# of the two paper benches that take about a second (tab4_failover,
+# fig7_burst_latency) whose JSON output must pass the schema check, then
 # the test suite again under AddressSanitizer + UBSan (separate build tree).
 #
 # Usage: scripts/check.sh [--no-sanitize] [--no-perf]
@@ -28,10 +30,18 @@ if [[ "$perf" == 1 ]]; then
   ./build/bench/micro_event >/dev/null
   python3 scripts/perf_smoke.py micro_packet micro_event
 
+  echo "== paper benches: tab4_failover + fig7_burst_latency =="
+  # Their values are not gated yet; this keeps them running and their
+  # BENCH/SERIES/FLIGHT files well-formed.
+  ./build/bench/tab4_failover >/dev/null
+  ./build/bench/fig7_burst_latency >/dev/null
+
   echo "== bench JSON schema check =="
-  # The perf smoke's BENCH files plus whatever the test run emitted (the
-  # chaos suite writes FLIGHT_*.json into build/tests).
+  # The perf smoke's and the paper benches' files plus whatever the test run
+  # emitted (the chaos suite writes FLIGHT_*.json into build/tests).
   python3 scripts/check_bench_json.py BENCH_micro_packet.json BENCH_micro_event.json \
+    BENCH_tab4_failover.json SERIES_tab4_failover.json FLIGHT_tab4_failover.json \
+    BENCH_fig7_burst_latency.json \
     $(ls build/tests/FLIGHT_*.json build/tests/SERIES_*.json 2>/dev/null || true)
 fi
 

@@ -9,9 +9,11 @@ are passed:
     anywhere in the tree poisons downstream plotting silently);
   * BENCH files carry the p4ce-bench-v1 envelope: "schema", "bench",
     a "meta" block recording the host's core count (hw_cores, a positive
-    integer) and the protocol backend ("mu", "p4ce", "one_sided", "mixed"
-    for comparison benches, or "none" for protocol-free microbenches), a
-    "values" object and a
+    integer), the protocol backend ("mu", "p4ce", "one_sided", "mixed"
+    for comparison benches, or "none" for protocol-free microbenches), the
+    build type (build_type, a non-empty string), the bench's wall seconds
+    (wall_s, non-negative) and the process's peak resident memory
+    (peak_rss_mb, positive), a "values" object and a
     "tables" array of {title, columns, rows};
   * latency-named values are non-negative (table *cells* are exempt —
     tab4 legitimately prints "-1.00" for a timed-out scenario);
@@ -79,7 +81,8 @@ def check_bench(path, doc):
         ok = fail(path, "missing \"bench\" name")
     meta = doc.get("meta")
     if not isinstance(meta, dict):
-        ok = fail(path, "missing \"meta\" block (hw_cores/backend)")
+        ok = fail(path, "missing \"meta\" block (hw_cores/backend/build_type/wall_s/"
+                        "peak_rss_mb)")
     else:
         hw_cores = meta.get("hw_cores")
         if not isinstance(hw_cores, int) or hw_cores < 1:
@@ -88,6 +91,15 @@ def check_bench(path, doc):
         if backend not in ("mu", "p4ce", "one_sided", "mixed", "none"):
             ok = fail(path, f"meta.backend = {backend!r}, want one of "
                             "mu/p4ce/one_sided/mixed/none")
+        build_type = meta.get("build_type")
+        if not isinstance(build_type, str) or not build_type:
+            ok = fail(path, f"meta.build_type = {build_type!r}, want a non-empty string")
+        wall_s = meta.get("wall_s")
+        if not isinstance(wall_s, (int, float)) or wall_s < 0:
+            ok = fail(path, f"meta.wall_s = {wall_s!r}, want a non-negative number")
+        peak_rss_mb = meta.get("peak_rss_mb")
+        if not isinstance(peak_rss_mb, (int, float)) or peak_rss_mb <= 0:
+            ok = fail(path, f"meta.peak_rss_mb = {peak_rss_mb!r}, want a positive number")
     values = doc.get("values")
     if not isinstance(values, dict):
         return fail(path, "missing \"values\" object")

@@ -37,14 +37,20 @@ struct AtomicArgs {
   u64 swap_mask = ~0ull;
 };
 
-/// A registered memory region. Owns its backing bytes. Remote (one-sided)
-/// operations go through `remote_write` / `remote_read`, which perform the
-/// R_key-independent bounds and permission checks; R_key validation is done
-/// by the owning MemoryManager before the region is even found.
+/// A registered memory region. Owns its backing bytes: an anonymous page
+/// mapping that the kernel zeroes on first touch, so a region costs memory
+/// and set-up time only for the pages a run writes or reads. Remote
+/// (one-sided) operations go through `remote_write` / `remote_read`, which
+/// perform the R_key-independent bounds and permission checks; R_key
+/// validation is done by the owning MemoryManager before the region is even
+/// found.
 class MemoryRegion {
  public:
-  MemoryRegion(u64 vaddr, u64 length, RKey rkey, u32 access)
-      : vaddr_(vaddr), rkey_(rkey), access_(access), data_(length, 0) {}
+  MemoryRegion(u64 vaddr, u64 length, RKey rkey, u32 access);
+  ~MemoryRegion();
+
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
 
   u64 vaddr() const noexcept { return vaddr_; }
   u64 length() const noexcept { return data_.size(); }
@@ -59,7 +65,7 @@ class MemoryRegion {
   /// Local (CPU-side) access, no permission checks.
   u8* bytes() noexcept { return data_.data(); }
   const u8* bytes() const noexcept { return data_.data(); }
-  std::span<u8> span() noexcept { return {data_.data(), data_.size()}; }
+  std::span<u8> span() noexcept { return data_; }
 
   /// Write via DMA as the NIC would on an inbound RDMA write. Checks bounds
   /// and kAccessRemoteWrite. Fires the write hook on success.
@@ -87,7 +93,7 @@ class MemoryRegion {
   u64 vaddr_;
   RKey rkey_;
   u32 access_;
-  Bytes data_;
+  std::span<u8> data_;  // the mapping; empty (and null) for a zero-length region
   std::function<void(u64, u64)> write_hook_;
 };
 

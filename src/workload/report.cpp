@@ -1,9 +1,11 @@
 #include "workload/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <thread>
 
 #include "common/logging.hpp"
@@ -73,6 +75,16 @@ const char* env_on(const char* name) {
   return value != nullptr && value[0] != '\0' && std::strcmp(value, "0") != 0 ? value : nullptr;
 }
 
+/// The process's peak resident set (VmHWM) in MB, or 0 if unreadable.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+  }
+  return 0;
+}
+
 bool write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -82,7 +94,8 @@ bool write_file(const std::string& path, const std::string& content) {
 
 }  // namespace
 
-BenchSession::BenchSession(std::string name) : name_(std::move(name)) {
+BenchSession::BenchSession(std::string name)
+    : name_(std::move(name)), started_(std::chrono::steady_clock::now()) {
   set_log_level_from_env();
 
   if (const char* dir = std::getenv("P4CE_BENCH_DIR"); dir != nullptr && dir[0] != '\0') {
@@ -147,6 +160,7 @@ void BenchSession::finish() {
   finished_ = true;
 
   const u32 hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - started_;
 
   std::string out = "{\n  \"schema\": \"p4ce-bench-v1\",\n  \"bench\": ";
   obs::append_json_escaped(out, name_);
@@ -154,6 +168,12 @@ void BenchSession::finish() {
   append_number_json(out, hw);
   out += ", \"backend\": ";
   obs::append_json_escaped(out, meta_backend_);
+  out += ", \"build_type\": ";
+  obs::append_json_escaped(out, P4CE_BUILD_TYPE);
+  out += ", \"wall_s\": ";
+  append_number_json(out, std::round(wall.count() * 1e3) / 1e3);
+  out += ", \"peak_rss_mb\": ";
+  append_number_json(out, std::round(peak_rss_mb() * 10) / 10);
   out += "},\n  \"values\": {";
   for (std::size_t i = 0; i < values_.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";

@@ -4,6 +4,7 @@
 // run's metrics, attribution and traces) as machine-readable JSON.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
@@ -62,7 +63,9 @@ void print_header(const std::string& experiment, const std::string& paper_claim)
 /// after Cluster::create: the session switches the enabled pillars on in
 /// that cluster's own obs::Context (one call each) and keeps the context, so
 /// every run is observed in isolation. finish() — or the destructor —
-/// writes BENCH_<name>.json (schema p4ce-bench-v1: recorded values, tables,
+/// writes BENCH_<name>.json (schema p4ce-bench-v1: a meta block with the
+/// host's cores, the backend, the build type, the session's wall seconds and
+/// the process's peak RSS; recorded values, tables,
 /// and one "runs" entry per attached cluster with its attribution report
 /// when enabled and its metrics snapshot) plus, when tracing, the Chrome
 /// trace TRACE_<name>.json (run i is process i+1), when sampling,
@@ -110,6 +113,7 @@ class BenchSession {
   std::string path_for(const std::string& prefix) const;
 
   std::string name_;
+  std::chrono::steady_clock::time_point started_;  // for meta.wall_s
   std::string dir_;
   std::string trace_path_;
   std::string meta_backend_ = "none";

@@ -2,6 +2,10 @@
 // the enforcement layer the whole protocol's safety rests on.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <string>
+
 #include "common/rng.hpp"
 #include "rdma/memory.hpp"
 
@@ -111,6 +115,47 @@ TEST(MemoryManager, DeregisterInvalidatesKey) {
   EXPECT_EQ(mm.deregister(rkey).code(), StatusCode::kNotFound);
   const Bytes data = {1};
   EXPECT_EQ(mm.remote_write(rkey, 0, data).code(), StatusCode::kPermissionDenied);
+}
+
+// The process's resident set, from /proc/self/status (0 if unreadable).
+u64 resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) * 1024;
+  }
+  return 0;
+}
+
+TEST(MemoryRegion, LargeRegionCostsOnlyTouchedPages) {
+  constexpr u64 kMiB = u64{1} << 20;
+  constexpr u64 kLength = 1024 * kMiB;
+  MemoryManager mm(1);
+  const u64 before = resident_bytes();
+  ASSERT_GT(before, 0u);
+
+  auto& region = mm.register_region(kLength, kAccessRemoteRead | kAccessRemoteWrite);
+  const RKey rkey = region.rkey();
+  EXPECT_LT(resident_bytes(), before + 16 * kMiB);
+
+  for (const u64 offset : {u64{0}, kLength / 2, kLength - 1}) {
+    EXPECT_EQ(region.bytes()[offset], 0) << "offset=" << offset;
+  }
+  const Bytes word = {1, 2, 3, 4, 5, 6, 7, 8};
+  const u64 last = region.vaddr() + kLength - word.size();
+  ASSERT_TRUE(mm.remote_write(rkey, last, word).is_ok());
+  auto back = mm.remote_read(rkey, last, word.size());
+  ASSERT_TRUE(back.is_ok());
+  EXPECT_EQ(back.value(), word);
+  EXPECT_LT(resident_bytes(), before + 16 * kMiB);
+
+  // Pages that are written do become resident, and deregistering the
+  // region gives them back.
+  std::memset(region.bytes() + kLength / 4, 0xab, 8 * kMiB);
+  const u64 filled = resident_bytes();
+  EXPECT_GE(filled, before + 8 * kMiB);
+  ASSERT_TRUE(mm.deregister(rkey).is_ok());
+  EXPECT_LE(resident_bytes() + 8 * kMiB, filled);
 }
 
 class RandomAccessPropertyTest : public ::testing::TestWithParam<u64> {};
