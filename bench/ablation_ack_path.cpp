@@ -25,7 +25,7 @@ using namespace p4ce;
 namespace {
 
 struct NullSink : net::PacketSink {
-  void deliver(net::Packet) override {}
+  void deliver(net::Packet&&) override {}
 };
 
 double aggregate_mpps(p4::AckDropStage stage, u32 replicas) {
@@ -85,7 +85,7 @@ double aggregate_mpps(p4::AckDropStage stage, u32 replicas) {
       // Inject at the exact offered interval (7 ns ~= 143 Mpps per port),
       // bypassing link serialization to stress the parsers alone.
       sim.schedule(static_cast<Duration>(k * 7), [&device, r, a = std::move(ack)]() mutable {
-        device.on_port_rx(1 + r, std::move(a));
+        device.port(1 + r).deliver(std::move(a));
       });
     }
   }

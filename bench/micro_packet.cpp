@@ -171,7 +171,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct CountingSink : net::PacketSink {
   u64 delivered = 0;
   u64 payload_bytes = 0;
-  void deliver(net::Packet packet) override {
+  void deliver(net::Packet&& packet) override {
     ++delivered;
     payload_bytes += packet.payload.size();
   }
@@ -219,7 +219,7 @@ void run_scatter_workload(workload::BenchSession& session, workload::Table& tabl
   for (u32 i = 0; i < kPackets; ++i) {
     net::Packet p = make_write_packet(kPayload);
     p.bth.psn = i & kPsnMask;
-    dev.on_port_rx(ingress_port, std::move(p));
+    dev.port(ingress_port).deliver(std::move(p));
   }
   sim.run();
   const double secs = seconds_since(t0);

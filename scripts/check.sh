@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the regular build + full test suite, a perf smoke of
-# the simulation substrate (the event core and the scatter path must stay
-# within 20% of the checked-in baselines — see scripts/perf_smoke.py), a run
-# of the two paper benches that take about a second (tab4_failover,
-# fig7_burst_latency) whose JSON output must pass the schema check, then
-# the test suite again under AddressSanitizer + UBSan (separate build tree).
+# Tier-1 verification: the regular build + full test suite, a run of the
+# three paper benches that take a few seconds (tab_consensus_rate,
+# tab4_failover, fig7_burst_latency) whose stdout must match bench/golden
+# byte for byte and whose JSON output must pass the schema check, a perf
+# smoke of the simulation substrate (the event core and the scatter path
+# must stay within 20% of the checked-in baselines — see
+# scripts/perf_smoke.py), then the test suite again under AddressSanitizer +
+# UBSan (separate build tree).
 #
 # Usage: scripts/check.sh [--no-sanitize] [--no-perf]
 set -euo pipefail
@@ -25,24 +27,28 @@ cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 if [[ "$perf" == 1 ]]; then
-  echo "== perf smoke: micro_packet + micro_event vs bench/baselines =="
-  ./build/bench/micro_packet >/dev/null
-  ./build/bench/micro_event >/dev/null
-  python3 scripts/perf_smoke.py micro_packet micro_event
+  echo "== paper benches vs bench/golden: tab_consensus_rate + tab4_failover + fig7_burst_latency =="
+  # Runs are deterministic, so each table must match its golden byte for
+  # byte. tab4's "flight recorder: <path>" line names an output file and is
+  # left out of the comparison.
+  for bench in tab_consensus_rate tab4_failover fig7_burst_latency; do
+    ./build/bench/"$bench" | grep -v '^flight recorder: ' | diff -u "bench/golden/$bench.stdout" -
+  done
 
-  echo "== paper benches: tab4_failover + fig7_burst_latency =="
-  # Their values are not gated yet; this keeps them running and their
-  # BENCH/SERIES/FLIGHT files well-formed.
-  ./build/bench/tab4_failover >/dev/null
-  ./build/bench/fig7_burst_latency >/dev/null
-
-  echo "== bench JSON schema check =="
-  # The perf smoke's and the paper benches' files plus whatever the test run
-  # emitted (the chaos suite writes FLIGHT_*.json into build/tests).
-  python3 scripts/check_bench_json.py BENCH_micro_packet.json BENCH_micro_event.json \
+  echo "== bench JSON schema check: paper benches =="
+  # Their files plus whatever the test run emitted (the chaos suite writes
+  # FLIGHT_*.json into build/tests).
+  python3 scripts/check_bench_json.py BENCH_tab_consensus_rate.json \
     BENCH_tab4_failover.json SERIES_tab4_failover.json FLIGHT_tab4_failover.json \
     BENCH_fig7_burst_latency.json \
     $(ls build/tests/FLIGHT_*.json build/tests/SERIES_*.json 2>/dev/null || true)
+
+  echo "== perf smoke: micro_packet + micro_event vs bench/baselines =="
+  # Wall-clock rates: last, as a busy shared host can fail them.
+  ./build/bench/micro_packet >/dev/null
+  ./build/bench/micro_event >/dev/null
+  python3 scripts/check_bench_json.py BENCH_micro_packet.json BENCH_micro_event.json
+  python3 scripts/perf_smoke.py micro_packet micro_event
 fi
 
 if [[ "$sanitize" == 1 ]]; then

@@ -35,32 +35,30 @@ Duration memcpy_cost(u64 bytes, double gbps) noexcept {
 // CommitSequencer
 // ---------------------------------------------------------------------------
 
-void CommitSequencer::expect(u64 seq, DoneFn done) {
-  ops_.insert(seq, Op{std::move(done), false, Status::ok()});
-}
+void CommitSequencer::expect(u64 op) { ops_.insert(op, Op{}); }
 
-void CommitSequencer::mark_ready(u64 seq, Status status) {
-  Op* op = ops_.find(seq);
-  if (op == nullptr) return;
-  op->ready = true;
-  op->status = std::move(status);
+void CommitSequencer::mark_ready(u64 op, Status status) {
+  Op* found = ops_.find(op);
+  if (found == nullptr) return;
+  found->ready = true;
+  found->status = std::move(status);
   drain();
 }
 
 void CommitSequencer::drain() {
   for (Op* op = ops_.find(next_); op != nullptr && op->ready; op = ops_.find(next_)) {
-    Op released = std::move(*op);
+    Status status = std::move(op->status);
     ops_.erase(next_);
-    ++next_;
-    released.done(std::move(released.status));
+    const u64 released = next_++;
+    release_(released, std::move(status));
   }
 }
 
 void CommitSequencer::flush_all(Status status) {
-  // Deliver failures in order; callbacks may re-enter, so detach first.
-  for (auto& [seq, op] : ops_.take_all()) {
-    next_ = std::max(next_, seq + 1);
-    op.done(status);
+  // Deliver failures in order; release_ may re-enter, so detach first.
+  for (const auto& entry : ops_.take_all()) {
+    next_ = std::max(next_, entry.first + 1);
+    release_(entry.first, status);
   }
 }
 
@@ -94,7 +92,8 @@ Node::Node(sim::Simulator& sim, rdma::Nic& nic, rdma::MemoryManager& memory,
       cpu_(cpu),
       options_(options),
       qp_config_(node_qp_config(options.cal)),
-      sequencer_(obs::trace_key(options.domain, next_op_)) {
+      sequencer_(obs::trace_key(options.domain, next_op_),
+                 [this](u64 op, Status st) { finish_commit(op, std::move(st)); }) {
   using rdma::Access;
   hb_mr_ = &memory_.register_region(8, rdma::kAccessRemoteRead);
   mail_mr_ = &memory_.register_region(kMaxNodes * kMailboxSlotBytes,
@@ -786,19 +785,26 @@ void Node::append_and_replicate(std::span<const Bytes> values, bool batch, SimTi
                 batch ? n : first_seq);
     tracer.mark_propose_done(op, sim_.now());
   }
-  sequencer_.expect(op, [this, last_seq, n, op, t_propose, done = std::move(done)](Status st) {
-    if (st.is_ok()) {
-      commits_ += n;
-      m_.commits.inc(n);
-      m_.commit_index.set(static_cast<double>(last_seq));
-    } else {
-      m_.commit_failures.inc();
-    }
-    m_.commit_latency.record(sim_.now() - t_propose);
-    if (sim_.obs().tracer.is_enabled()) sim_.obs().tracer.end_round(op, sim_.now(), st.is_ok());
-    if (done) done(std::move(st), last_seq);
-  });
+  commit_records_.insert(op, CommitRecord{last_seq, n, t_propose, std::move(done)});
+  sequencer_.expect(op);
   communicator_->replicate(append.value().offset, std::move(append.value().bytes), op);
+}
+
+void Node::finish_commit(u64 op, Status st) {
+  CommitRecord* found = commit_records_.find(op);
+  assert(found != nullptr && "every op the sequencer releases has a record");
+  CommitRecord record = std::move(*found);
+  commit_records_.erase(op);
+  if (st.is_ok()) {
+    commits_ += record.n;
+    m_.commits.inc(record.n);
+    m_.commit_index.set(static_cast<double>(record.last_seq));
+  } else {
+    m_.commit_failures.inc();
+  }
+  m_.commit_latency.record(sim_.now() - record.t_propose);
+  if (sim_.obs().tracer.is_enabled()) sim_.obs().tracer.end_round(op, sim_.now(), st.is_ok());
+  if (record.done) record.done(std::move(st), record.last_seq);
 }
 
 void Node::repair_replicas() {

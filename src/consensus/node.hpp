@@ -33,17 +33,19 @@ enum class Mode { kMu, kP4ce, kOneSided };
 
 inline constexpr u32 kMaxNodes = 16;
 
-/// Releases per-op commit callbacks strictly in op order, no matter which
-/// order the (possibly mode-switching) verdicts arrive in. Ops are dense,
-/// starting at `first`, so they live in an OpRing.
+/// Releases ops strictly in op order, no matter which order the (possibly
+/// mode-switching) verdicts arrive in: `release(op, status)` runs once per
+/// op, in order. Ops are dense, starting at `first`, so they live in an
+/// OpRing.
 class CommitSequencer {
  public:
-  using DoneFn = std::function<void(Status)>;
+  using ReleaseFn = std::function<void(u64 op, Status)>;
 
-  explicit CommitSequencer(u64 first = 1) noexcept : next_(first) {}
+  CommitSequencer(u64 first, ReleaseFn release) noexcept
+      : next_(first), release_(std::move(release)) {}
 
-  void expect(u64 seq, DoneFn done);
-  void mark_ready(u64 seq, Status status);
+  void expect(u64 op);
+  void mark_ready(u64 op, Status status);
   u64 next() const noexcept { return next_; }
   std::size_t outstanding() const noexcept { return ops_.size(); }
   /// Fail everything still outstanding (leader stepping down).
@@ -52,12 +54,12 @@ class CommitSequencer {
  private:
   void drain();
   struct Op {
-    DoneFn done;
     bool ready = false;
     Status status;
   };
   OpRing<Op> ops_;
   u64 next_;
+  ReleaseFn release_;
 };
 
 struct NodeOptions {
@@ -202,6 +204,8 @@ class Node {
   // picks the propose span's argument ("batch" count vs "seq").
   void append_and_replicate(std::span<const Bytes> values, bool batch, SimTime t_propose,
                             CommitFn done);
+  /// The sequencer released `op`: record the verdict and answer its proposer.
+  void finish_commit(u64 op, Status st);
 
   // Log delivery.
   void reconcile_replicas();
@@ -281,9 +285,18 @@ class Node {
   // Proposer state.
   u64 next_seq_ = 1;    ///< next log entry sequence number
   u64 next_op_ = 1;     ///< next communicator operation id
-  /// Releases commit callbacks in op order. Ops are dense per node and every
-  /// one is expected here, so the sequencer never needs re-basing.
+  /// Releases ops to finish_commit() in op order. Ops are dense per node
+  /// and every one is expected here, so the sequencer never needs re-basing.
   CommitSequencer sequencer_;
+  /// What finish_commit() needs of each op the sequencer holds, in a ring
+  /// rather than a per-op callback: no allocation per commit.
+  struct CommitRecord {
+    u64 last_seq = 0;
+    u64 n = 0;
+    SimTime t_propose = 0;
+    CommitFn done;
+  };
+  OpRing<CommitRecord> commit_records_;
   u64 commits_ = 0;
   u64 delivered_ = 0;
   bool deliver_scheduled_ = false;

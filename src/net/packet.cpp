@@ -83,27 +83,38 @@ std::string Packet::describe() const {
   return buf;
 }
 
-SimTime Link::send(int from, Packet packet) {
-  const SimTime now = sim_.now();
-  if (is_cut() || ends_[1 - from] == nullptr) return now;
+SimTime Link::send_at(int from, Packet&& packet, SimTime start) {
+  if (is_cut() || ends_[1 - from] == nullptr) return start;
 
-  const Duration ser = serialization_delay(packet.wire_size(), bandwidth_gbps_);
+  const u32 wire = packet.wire_size();
   SimTime& busy = busy_until_[from];
-  const SimTime start = std::max(busy, now);
-  const SimTime done = start + ser;
+  const SimTime done = std::max(busy, start) + serialization_delay(wire, bandwidth_gbps_);
   busy = done;
-  wire_bytes_[from] += packet.wire_size();
+  wire_bytes_[from] += wire;
   ++packets_[from];
 
+  const InFlight flight{start, done + propagation_, epoch(), from};
   PacketSink* dst = ends_[1 - from];
-  auto hop = [this, dst, epoch = epoch_, p = std::move(packet)]() mutable {
-    if (epoch_ != epoch || cut_) return;  // severed
+  if (dst->take_in_flight(std::move(packet), flight)) return done;
+  auto hop = [this, dst, flight, p = std::move(packet)]() mutable {
+    if (lost(flight, p)) return;
     dst->deliver(std::move(p));
   };
   static_assert(sim::detail::SmallFn::fits_inline<decltype(hop)>(),
                 "a link hop must not heap-allocate its event");
-  sim_.schedule_at(done + propagation_, std::move(hop));
+  sim_.schedule_at(flight.arrival, std::move(hop));
   return done;
+}
+
+bool Link::lost(const InFlight& flight, const Packet& packet) noexcept {
+  const bool silenced = flight.start >= silent_at_[flight.from];
+  const bool severed = flight.epoch < epoch() && cut_at_[flight.epoch] <= flight.arrival;
+  if (!silenced && !severed) return false;
+  if (silenced || cut_at_[flight.epoch] <= flight.start) {
+    wire_bytes_[flight.from] -= packet.wire_size();
+    --packets_[flight.from];
+  }
+  return true;
 }
 
 }  // namespace p4ce::net

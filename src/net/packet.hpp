@@ -3,10 +3,12 @@
 // queueing.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/time.hpp"
@@ -79,11 +81,28 @@ struct Packet {
   std::string describe() const;
 };
 
+/// One packet's passage over one direction of a link, fixed when the link
+/// accepts it (Link::send_at).
+struct InFlight {
+  SimTime start = 0;    ///< transmit slot: when the sender handed it over
+  SimTime arrival = 0;  ///< when its last bit lands at the far end
+  u64 epoch = 0;        ///< the link's epoch at send (see Link::lost)
+  int from = 0;         ///< the sending endpoint
+};
+
 /// Anything that can accept a delivered packet (NIC, switch port, ...).
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  virtual void deliver(Packet packet) = 0;
+  /// A packet landing now.
+  virtual void deliver(Packet&& packet) = 0;
+  /// Offered by the link at send time, before any arrival event exists. A
+  /// sink that only this link feeds, in send order, and that on arrival
+  /// only queues the packet (a switch port's ingress parser) may take it
+  /// here and return true: the link then schedules no arrival event, and
+  /// the sink drops the packet at its next stage if Link::lost() says so.
+  /// By default the sink declines and deliver() runs at `flight.arrival`.
+  virtual bool take_in_flight(Packet&& /*packet*/, const InFlight& /*flight*/) { return false; }
 };
 
 /// Full-duplex point-to-point link. Each direction serializes packets at
@@ -105,15 +124,35 @@ class Link {
 
   /// Transmit `packet` from endpoint `from` (0 or 1) toward the other end.
   /// Returns the simulated time at which the last bit leaves the sender.
-  SimTime send(int from, Packet packet);
+  SimTime send(int from, Packet&& packet) { return send_at(from, std::move(packet), sim_.now()); }
+
+  /// send() with `start` (>= now) as the packet's transmit slot instead of
+  /// now. Only the sole sender on its direction may post ahead, and only in
+  /// `start` order (a NIC): then the FIFO arithmetic comes out exactly as if
+  /// it had called send() at `start`, without an event to get there.
+  SimTime send_at(int from, Packet&& packet, SimTime start);
+
+  /// The sender at endpoint `from` has died now, for good: packets it
+  /// posted ahead whose transmit slot is at or after now never reach the
+  /// wire (see lost()).
+  void silence(int from) noexcept { silent_at_[from] = std::min(silent_at_[from], sim_.now()); }
+
+  /// Whether the packet `flight` describes is lost: the link was cut
+  /// between its send and its arrival, or its sender died at or before its
+  /// transmit slot. A lost packet that never reached the wire (the sender
+  /// was dead, or the link cut, by its slot) also comes off the counters.
+  /// Call once per packet, at arrival or later.
+  bool lost(const InFlight& flight, const Packet& packet) noexcept;
 
   /// Sever the link (both directions). In-flight deliveries are suppressed.
-  void cut() noexcept {
-    ++epoch_;
+  void cut() {
+    cut_at_.push_back(sim_.now());
     cut_ = true;
   }
   void restore() noexcept { cut_ = false; }
   bool is_cut() const noexcept { return cut_; }
+  /// Cuts so far; a packet records it at send to tell whether one came since.
+  u64 epoch() const noexcept { return cut_at_.size(); }
 
   double bandwidth_gbps() const noexcept { return bandwidth_gbps_; }
   Duration propagation_delay() const noexcept { return propagation_; }
@@ -128,9 +167,10 @@ class Link {
   Duration propagation_;
   PacketSink* ends_[2] = {nullptr, nullptr};
   SimTime busy_until_[2] = {0, 0};
+  SimTime silent_at_[2] = {kTimeNever, kTimeNever};
   u64 wire_bytes_[2] = {0, 0};
   u64 packets_[2] = {0, 0};
-  u64 epoch_ = 0;  ///< bumped on cut(); stale deliveries check it
+  std::vector<SimTime> cut_at_;  ///< cut_at_[e]: when the cut ending epoch e came
   bool cut_ = false;
 };
 

@@ -28,7 +28,7 @@ ControlPlane::ControlPlane(sim::Simulator& sim, sw::SwitchDevice& device,
 
 ControlPlane::~ControlPlane() = default;
 
-void ControlPlane::send_packet(net::Packet packet) {
+void ControlPlane::send_packet(net::Packet&& packet) {
   device_.inject_from_cpu(std::move(packet));
 }
 

@@ -28,7 +28,7 @@ class ControlPlane : public rdma::PacketIo {
   ~ControlPlane() override;
 
   // --- PacketIo (the CPU port: packets crafted "by hand") ----------------
-  void send_packet(net::Packet packet) override;
+  void send_packet(net::Packet&& packet) override;
   Ipv4Addr ip() const noexcept override { return device_.ip(); }
   net::MacAddr mac() const noexcept override { return 0xAA'0000'0000ull | device_.ip(); }
   sim::Simulator& simulator() noexcept override { return sim_; }

@@ -45,21 +45,25 @@ QueuePair* Nic::find_qp(Qpn qpn) noexcept {
 
 void Nic::destroy_qp(Qpn qpn) { qps_.erase(qpn); }
 
-void Nic::send_packet(net::Packet packet) {
+void Nic::send_packet(net::Packet&& packet) {
   if (!powered_ || paths_.empty()) return;
   ++tx_count_;
   // Per-packet transmit processing models the NIC's message rate limit; it
-  // pipelines with (does not add to) link serialization.
-  const SimTime start = std::max(tx_busy_until_, sim_.now());
-  tx_busy_until_ = start + config_.tx_per_packet;
-  const u32 path = active_path_;
-  sim_.schedule_at(tx_busy_until_, [this, path, p = std::move(packet)]() mutable {
-    if (!powered_ || path >= paths_.size()) return;
-    paths_[path].link->send(paths_[path].end, std::move(p));
-  });
+  // pipelines with (does not add to) link serialization. The packet reaches
+  // the link at the end of its turn, its transmit slot. The NIC is the only
+  // sender on its side of each link and its slots only move forward, so it
+  // hands the packet over now with that slot as the send time.
+  tx_busy_until_ = std::max(tx_busy_until_, sim_.now()) + config_.tx_per_packet;
+  const Path& path = paths_[active_path_];
+  path.link->send_at(path.end, std::move(packet), tx_busy_until_);
 }
 
-void Nic::deliver(net::Packet packet) {
+void Nic::power_off() noexcept {
+  powered_ = false;
+  for (const Path& path : paths_) path.link->silence(path.end);
+}
+
+void Nic::deliver(net::Packet&& packet) {
   if (!powered_) return;
   ++rx_count_;
   if (rx_pending_ >= config_.rx_buffer_capacity) {
@@ -71,14 +75,14 @@ void Nic::deliver(net::Packet packet) {
   ++rx_pending_;
   const SimTime start = std::max(rx_busy_until_, sim_.now());
   rx_busy_until_ = start + config_.rx_per_packet;
-  sim_.schedule_at(rx_busy_until_, [this, p = std::move(packet)]() mutable {
+  sim_.schedule_at(rx_busy_until_, [this, p = std::move(packet)] {
     if (rx_pending_ > 0) --rx_pending_;
     if (!powered_) return;
-    dispatch(std::move(p));
+    dispatch(p);
   });
 }
 
-void Nic::dispatch(net::Packet packet) {
+void Nic::dispatch(const net::Packet& packet) {
   if (packet.bth.dest_qp == kCmQpn || packet.is_cm()) {
     cm_->handle(packet);
     return;
@@ -89,7 +93,7 @@ void Nic::dispatch(net::Packet packet) {
     log(LogLevel::kDebug, sim_.now(), name_, "drop, no QP: " + packet.describe());
     return;
   }
-  qp->handle_packet(std::move(packet));
+  qp->handle_packet(packet);
 }
 
 u8 Nic::current_credits() const noexcept {

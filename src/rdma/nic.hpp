@@ -30,7 +30,7 @@ class CmAgent;
 class PacketIo {
  public:
   virtual ~PacketIo() = default;
-  virtual void send_packet(net::Packet packet) = 0;
+  virtual void send_packet(net::Packet&& packet) = 0;
   virtual Ipv4Addr ip() const noexcept = 0;
   virtual net::MacAddr mac() const noexcept = 0;
   virtual sim::Simulator& simulator() noexcept = 0;
@@ -81,16 +81,18 @@ class Nic : public net::PacketSink, public PacketIo {
   CmAgent& cm() noexcept { return *cm_; }
 
   /// Transmit a packet built by a QP or the CM agent (tx pipeline + link).
-  void send_packet(net::Packet packet) override;
+  void send_packet(net::Packet&& packet) override;
 
   /// PacketSink: inbound from a link.
-  void deliver(net::Packet packet) override;
+  void deliver(net::Packet&& packet) override;
 
   /// Credits this NIC currently advertises in outgoing ACKs.
   u8 current_credits() const noexcept;
 
-  /// Emulate host/NIC death: stop all processing, drop all traffic.
-  void power_off() noexcept { powered_ = false; }
+  /// Emulate host/NIC death, for good: stop all processing, drop all
+  /// traffic, including packets already posted whose transmit slot has not
+  /// come yet.
+  void power_off() noexcept;
   bool powered() const noexcept { return powered_; }
 
   u64 packets_sent() const noexcept { return tx_count_; }
@@ -101,7 +103,7 @@ class Nic : public net::PacketSink, public PacketIo {
   u64 rx_overflows() const noexcept { return rx_overflow_count_; }
 
  private:
-  void dispatch(net::Packet packet);
+  void dispatch(const net::Packet& packet);
 
   sim::Simulator& sim_;
   std::string name_;

@@ -266,7 +266,7 @@ void QueuePair::transmit_wqe(const Wqe& wqe) {
   }
 }
 
-void QueuePair::handle_packet(net::Packet packet) {
+void QueuePair::handle_packet(const net::Packet& packet) {
   if (state_ == QpState::kError) return;
   if (packet.is_ack()) {
     handle_ack(packet);

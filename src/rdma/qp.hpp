@@ -119,7 +119,7 @@ class QueuePair {
   // --- Dataplane entry point -------------------------------------------
 
   /// Handle an inbound packet addressed to this QP (called by the NIC).
-  void handle_packet(net::Packet packet);
+  void handle_packet(const net::Packet& packet);
 
   /// Invoked when the QP transitions to the error state (timeout / fatal
   /// NAK). Used by P4CE to detect a dead switch and fall back.

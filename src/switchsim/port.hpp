@@ -55,7 +55,9 @@ class ParserModel {
 };
 
 /// A physical port. Implements PacketSink so links can deliver straight into
-/// the switch with the port index attached.
+/// the switch with the port index attached. Only its link feeds its ingress
+/// parser, in send order, so it takes every packet at send time
+/// (take_in_flight) and the switch schedules the ingress stage right away.
 class Port : public net::PacketSink {
  public:
   Port(SwitchDevice& device, u32 index);
@@ -65,10 +67,13 @@ class Port : public net::PacketSink {
     end_ = end;
   }
 
-  void deliver(net::Packet packet) override;
+  /// A packet landing now without a link flight (injected by a test or a
+  /// bench); it takes the same path as one from the link.
+  void deliver(net::Packet&& packet) override;
+  bool take_in_flight(net::Packet&& packet, const net::InFlight& flight) override;
 
   /// Transmit a finished egress copy onto the wire.
-  void transmit(net::Packet packet);
+  void transmit(net::Packet&& packet);
 
   u32 index() const noexcept { return index_; }
   net::Link* link() const noexcept { return link_; }

@@ -26,22 +26,28 @@ u32 SwitchDevice::add_port() {
   return index;
 }
 
-void SwitchDevice::on_port_rx(u32 port, net::Packet packet) {
+void SwitchDevice::on_port_rx(u32 port, net::Packet&& packet, const net::InFlight& flight) {
   if (!powered_ || program_ == nullptr) return;
   // Per-port ingress parser: a finite packet rate, the §IV-D bottleneck.
-  const SimTime parsed = ports_[port]->ingress_parser().admit(sim_.now());
-  ports_[port]->note_ingress_backlog(sim_.now());
-  sim_.schedule_at(parsed + kIngressLatency,
-                   [this, port, p = std::move(packet)]() mutable {
-                     if (!powered_) return;
-                     PacketContext ctx;
-                     ctx.packet = std::move(p);
-                     ctx.ingress_port = port;
-                     run_ingress(std::move(ctx));
-                   });
+  // Only this port's link feeds it, in send order, so admitting at the
+  // arrival time now gives the parse time the arrival would have.
+  Port& in = *ports_[port];
+  const SimTime parsed = in.ingress_parser().admit(flight.arrival);
+  in.note_ingress_backlog(flight.arrival);
+  auto ingress = [this, port, flight, p = std::move(packet)]() mutable {
+    net::Link* link = ports_[port]->link();
+    if (!powered_ || (link != nullptr && link->lost(flight, p))) return;
+    PacketContext ctx;
+    ctx.packet = std::move(p);
+    ctx.ingress_port = port;
+    run_ingress(std::move(ctx));
+  };
+  static_assert(sim::detail::SmallFn::fits_inline<decltype(ingress)>(),
+                "a switch ingress hop must not heap-allocate its event");
+  sim_.schedule_at(parsed + kIngressLatency, std::move(ingress));
 }
 
-void SwitchDevice::inject_from_cpu(net::Packet packet) {
+void SwitchDevice::inject_from_cpu(net::Packet&& packet) {
   if (!powered_ || program_ == nullptr) return;
   sim_.schedule(kPuntLatency, [this, p = std::move(packet)]() mutable {
     if (!powered_) return;
@@ -52,12 +58,12 @@ void SwitchDevice::inject_from_cpu(net::Packet packet) {
   });
 }
 
-void SwitchDevice::run_ingress(PacketContext ctx) {
+void SwitchDevice::run_ingress(PacketContext&& ctx) {
   program_->ingress(ctx);
   route(std::move(ctx));
 }
 
-void SwitchDevice::route(PacketContext ctx) {
+void SwitchDevice::route(PacketContext&& ctx) {
   if (ctx.drop) {
     ++ingress_drops_;
     m_ingress_drops_->inc();
@@ -83,10 +89,11 @@ void SwitchDevice::route(PacketContext ctx) {
       m_ingress_drops_->inc();
       return;
     }
-    for (const auto& copy : copies) {
-      PacketContext replica = ctx;  // carbon copy
-      replica.egress_port = copy.egress_port;
-      replica.replication_id = copy.replication_id;
+    // Carbon copies; the last one takes the context itself.
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      PacketContext replica = i + 1 < copies.size() ? ctx : std::move(ctx);
+      replica.egress_port = copies[i].egress_port;
+      replica.replication_id = copies[i].replication_id;
       run_egress(std::move(replica));
     }
     return;
@@ -101,7 +108,7 @@ void SwitchDevice::route(PacketContext ctx) {
   m_ingress_drops_->inc();
 }
 
-void SwitchDevice::run_egress(PacketContext ctx) {
+void SwitchDevice::run_egress(PacketContext&& ctx) {
   if (ctx.egress_port >= ports_.size()) {
     ++egress_drops_;
     m_egress_drops_->inc();
@@ -144,14 +151,21 @@ Port::Port(SwitchDevice& device, u32 index)
   m_egress_backlog_ = &reg.gauge(port_label("switch.port.egress_backlog_ns"));
 }
 
-void Port::deliver(net::Packet packet) {
+void Port::deliver(net::Packet&& packet) {
+  const SimTime now = device_.simulator().now();
+  take_in_flight(std::move(packet),
+                 net::InFlight{now, now, link_ != nullptr ? link_->epoch() : 0, 1 - end_});
+}
+
+bool Port::take_in_flight(net::Packet&& packet, const net::InFlight& flight) {
   ++rx_;
   m_rx_pkts_->inc();
   m_rx_bytes_->inc(packet.wire_size());
-  device_.on_port_rx(index_, std::move(packet));
+  device_.on_port_rx(index_, std::move(packet), flight);
+  return true;
 }
 
-void Port::transmit(net::Packet packet) {
+void Port::transmit(net::Packet&& packet) {
   if (link_ == nullptr) return;
   ++tx_;
   m_tx_pkts_->inc();

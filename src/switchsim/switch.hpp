@@ -53,7 +53,7 @@ class SwitchDevice {
 
   /// Inject a control-plane-crafted packet; it traverses the normal ingress
   /// pipeline as if it arrived on the CPU port.
-  void inject_from_cpu(net::Packet packet);
+  void inject_from_cpu(net::Packet&& packet);
 
   /// Crash-stop the switch: all processing ceases, packets blackhole, and
   /// peers discover the failure through RDMA timeouts (§III-A).
@@ -61,17 +61,19 @@ class SwitchDevice {
   void power_on() noexcept { powered_ = true; }
   bool powered() const noexcept { return powered_; }
 
-  // Called by ports.
-  void on_port_rx(u32 port, net::Packet packet);
-
   u64 ingress_drops() const noexcept { return ingress_drops_; }
   u64 egress_drops() const noexcept { return egress_drops_; }
   u64 punted() const noexcept { return punted_; }
 
  private:
-  void run_ingress(PacketContext ctx);
-  void route(PacketContext ctx);
-  void run_egress(PacketContext ctx);
+  friend class Port;
+
+  /// A packet a port took in flight: admit it to the port's ingress parser
+  /// at its arrival and schedule the ingress stage.
+  void on_port_rx(u32 port, net::Packet&& packet, const net::InFlight& flight);
+  void run_ingress(PacketContext&& ctx);
+  void route(PacketContext&& ctx);
+  void run_egress(PacketContext&& ctx);
 
   sim::Simulator& sim_;
   std::string name_;

@@ -15,11 +15,9 @@ namespace p4ce::consensus {
 namespace {
 
 TEST(CommitSequencer, ReleasesInOrderRegardlessOfReadiness) {
-  CommitSequencer sequencer;
   std::vector<u64> order;
-  for (u64 seq = 1; seq <= 4; ++seq) {
-    sequencer.expect(seq, [&order, seq](Status) { order.push_back(seq); });
-  }
+  CommitSequencer sequencer(1, [&](u64 op, Status) { order.push_back(op); });
+  for (u64 seq = 1; seq <= 4; ++seq) sequencer.expect(seq);
   sequencer.mark_ready(3, Status::ok());
   sequencer.mark_ready(2, Status::ok());
   EXPECT_TRUE(order.empty());  // 1 still outstanding
@@ -31,37 +29,39 @@ TEST(CommitSequencer, ReleasesInOrderRegardlessOfReadiness) {
 }
 
 TEST(CommitSequencer, CarriesPerOpStatus) {
-  CommitSequencer sequencer;
   std::vector<bool> ok;
-  sequencer.expect(1, [&](Status st) { ok.push_back(st.is_ok()); });
-  sequencer.expect(2, [&](Status st) { ok.push_back(st.is_ok()); });
+  CommitSequencer sequencer(1, [&](u64, Status st) { ok.push_back(st.is_ok()); });
+  sequencer.expect(1);
+  sequencer.expect(2);
   sequencer.mark_ready(1, error(StatusCode::kUnavailable, "lost"));
   sequencer.mark_ready(2, Status::ok());
   EXPECT_EQ(ok, (std::vector<bool>{false, true}));
 }
 
 TEST(CommitSequencer, FlushAllFailsOutstanding) {
-  CommitSequencer sequencer;
   int failures = 0;
-  sequencer.expect(1, [&](Status st) { failures += !st.is_ok(); });
-  sequencer.expect(2, [&](Status st) { failures += !st.is_ok(); });
+  CommitSequencer sequencer(1, [&](u64, Status st) { failures += !st.is_ok(); });
+  sequencer.expect(1);
+  sequencer.expect(2);
   sequencer.flush_all(error(StatusCode::kAborted, "step down"));
   EXPECT_EQ(failures, 2);
   EXPECT_EQ(sequencer.next(), 3u);
 }
 
 TEST(CommitSequencer, MarkReadyForUnknownSeqIsIgnored) {
-  CommitSequencer sequencer;
+  int released = 0;
+  CommitSequencer sequencer(1, [&](u64, Status) { ++released; });
   sequencer.mark_ready(17, Status::ok());  // no crash, no effect
   EXPECT_EQ(sequencer.outstanding(), 0u);
+  EXPECT_EQ(released, 0);
 }
 
 TEST(CommitSequencer, StartsAtTheOpGivenAtConstruction) {
   // A node in replication domain d numbers its ops from trace_key(d, 1).
-  CommitSequencer sequencer(100);
   std::vector<u64> order;
-  sequencer.expect(101, [&](Status) { order.push_back(101); });
-  sequencer.expect(100, [&](Status) { order.push_back(100); });
+  CommitSequencer sequencer(100, [&](u64 op, Status) { order.push_back(op); });
+  sequencer.expect(101);
+  sequencer.expect(100);
   sequencer.mark_ready(101, Status::ok());
   EXPECT_TRUE(order.empty());  // 100 comes first
   sequencer.mark_ready(100, Status::ok());
@@ -72,11 +72,9 @@ TEST(CommitSequencer, StartsAtTheOpGivenAtConstruction) {
 TEST(CommitSequencer, ReleasesAWideOutOfOrderWindowInOrder) {
   // More ops outstanding than the op table starts with, expected and made
   // ready back to front.
-  CommitSequencer sequencer(1000);
   std::vector<u64> order;
-  for (u64 op = 1000 + 299; op >= 1000; --op) {
-    sequencer.expect(op, [&order, op](Status) { order.push_back(op); });
-  }
+  CommitSequencer sequencer(1000, [&](u64 op, Status) { order.push_back(op); });
+  for (u64 op = 1000 + 299; op >= 1000; --op) sequencer.expect(op);
   for (u64 op = 1000 + 299; op > 1000; --op) sequencer.mark_ready(op, Status::ok());
   EXPECT_TRUE(order.empty());
   sequencer.mark_ready(1000, Status::ok());

@@ -286,5 +286,25 @@ TEST_P(BatchSizeTest, BatchedProposalsDeliverEveryValue) {
 
 INSTANTIATE_TEST_SUITE_P(Batches, BatchSizeTest, ::testing::Values(1, 2, 16, 64));
 
+
+TEST(EndToEnd, P4ceCommitRunsAFixedNumberOfEvents) {
+  // The simulator's host cost per commit, as a count: unlike a wall-clock
+  // rate it is the same on every machine, so a packet hop or timer that
+  // comes back shows here even on a one-core runner.
+  auto cluster = Cluster::create(options_for(Mode::kP4ce, 5));
+  ASSERT_TRUE(cluster->start());
+  std::ignore = workload::run_closed_loop(*cluster, 64, 16, /*ops=*/500, /*warmup=*/0);
+  const u64 before = cluster->sim().events_executed();
+  const auto result = workload::run_closed_loop(*cluster, 64, 16, /*ops=*/4000, /*warmup=*/0);
+  ASSERT_EQ(result.failed, 0u);
+  ASSERT_GT(result.operations, 0u);
+  const double per_commit = static_cast<double>(cluster->sim().events_executed() - before) /
+                            static_cast<double>(result.operations);
+  // 27.09 since the NIC transmit and switch-port arrival hops folded into
+  // their neighbours (37.13 before). Within 1%: either hop coming back
+  // adds 5 per commit (one write and four ACKs cross each).
+  EXPECT_NEAR(per_commit, 27.09, 0.27);
+}
+
 }  // namespace
 }  // namespace p4ce

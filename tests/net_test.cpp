@@ -177,7 +177,7 @@ TEST(Packet, ClassificationHelpers) {
 struct Recorder : PacketSink {
   std::vector<std::pair<SimTime, Packet>> received;
   sim::Simulator* sim = nullptr;
-  void deliver(Packet p) override { received.emplace_back(sim->now(), std::move(p)); }
+  void deliver(Packet&& p) override { received.emplace_back(sim->now(), std::move(p)); }
 };
 
 struct LinkFixture : ::testing::Test {
@@ -270,6 +270,40 @@ TEST_F(LinkFixture, RestoreAllowsNewTraffic) {
   link.send(0, sized(64));
   sim.run();
   EXPECT_EQ(b.received.size(), 1u);
+}
+
+
+TEST_F(LinkFixture, RestoreDoesNotReviveAPacketCutOnTheWire) {
+  Link link(sim, 100.0, 1000);
+  wire(link);
+  const Duration ser = serialization_delay(sized(64).wire_size(), 100.0);
+  link.send(0, sized(64));
+  sim.schedule_at(10, [&] { link.cut(); });
+  sim.schedule_at(20, [&] { link.restore(); });
+  sim.schedule_at(30, [&] { link.send(0, sized(64)); });
+  sim.run();
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].first, 30 + ser + 1000);
+  EXPECT_EQ(link.packets_sent(0), 2u);
+}
+
+TEST_F(LinkFixture, MixedSizesLandInSendOrder) {
+  Link link(sim, 100.0, 50);
+  wire(link);
+  const u32 sizes[] = {1024, 0, 4096, 64};
+  SimTime done = 0;
+  std::vector<SimTime> expected;
+  for (const u32 size : sizes) {
+    done += serialization_delay(sized(size).wire_size(), 100.0);
+    expected.push_back(done + 50);
+    link.send(0, sized(size));
+  }
+  sim.run();
+  ASSERT_EQ(b.received.size(), std::size(sizes));
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    EXPECT_EQ(b.received[i].first, expected[i]);
+    EXPECT_EQ(b.received[i].second.payload.size(), sizes[i]);
+  }
 }
 
 }  // namespace

@@ -159,5 +159,70 @@ TEST_F(NicFixture, RxProcessingAddsLatencyNotLoss) {
   EXPECT_EQ(nic_b->rx_overflows(), 0u);
 }
 
+
+// send_packet gives each packet a transmit slot T1 = the end of its
+// tx_per_packet turn (40 ns apart here); the packet reaches the wire at T1.
+
+TEST_F(NicFixture, PacketLandsOneWireTimeAfterItsTransmitSlot) {
+  const Duration wire = serialization_delay(to_b().wire_size(), 100.0) + 100;
+  for (int i = 0; i < 3; ++i) nic_a->send_packet(to_b());
+  for (int i = 1; i <= 3; ++i) {
+    const SimTime landed = 40 * i + wire;
+    sim.run_until(landed - 1);
+    EXPECT_EQ(nic_b->packets_received(), static_cast<u64>(i - 1));
+    sim.run_until(landed);
+    EXPECT_EQ(nic_b->packets_received(), static_cast<u64>(i));
+  }
+}
+
+TEST_F(NicFixture, PowerOffKeepsUnsentPacketsOffTheWire) {
+  // Slots at 40, 80 and 120 ns. A crash at 80 ns, scheduled before the
+  // posts, lets the first packet out and neither of the others: a packet
+  // whose slot is at or after the power-off never reaches the wire.
+  sim.schedule_at(80, [&] { nic_a->power_off(); });
+  for (int i = 0; i < 3; ++i) nic_a->send_packet(to_b());
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 1u);
+  EXPECT_EQ(link->packets_sent(0), 1u);
+  EXPECT_EQ(link->wire_bytes_sent(0), to_b().wire_size());
+}
+
+TEST_F(NicFixture, PowerOffJustBeforeTheSlotDropsThePacket) {
+  sim.schedule_at(39, [&] { nic_a->power_off(); });
+  nic_a->send_packet(to_b());
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 0u);
+  EXPECT_EQ(link->packets_sent(0), 0u);
+}
+
+TEST_F(NicFixture, PowerOffJustAfterTheSlotLetsThePacketLand) {
+  sim.schedule_at(41, [&] { nic_a->power_off(); });
+  nic_a->send_packet(to_b());
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 1u);
+  EXPECT_EQ(link->packets_sent(0), 1u);
+}
+
+TEST_F(NicFixture, LinkCutBeforeTheSlotDropsThePacket) {
+  sim.schedule_at(20, [&] { link->cut(); });
+  nic_a->send_packet(to_b());
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 0u);
+  EXPECT_EQ(link->packets_sent(0), 0u);  // it never reached the wire
+  link->restore();
+  nic_a->send_packet(to_b());
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 1u);
+  EXPECT_EQ(link->packets_sent(0), 1u);
+}
+
+TEST_F(NicFixture, LinkCutOnTheWireDropsThePacket) {
+  sim.schedule_at(60, [&] { link->cut(); });  // after the slot, before landing
+  nic_a->send_packet(to_b());
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 0u);
+  EXPECT_EQ(link->packets_sent(0), 1u);  // it was on the wire
+}
+
 }  // namespace
 }  // namespace p4ce::rdma

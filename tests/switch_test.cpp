@@ -8,6 +8,8 @@
 
 #include "common/rng.hpp"
 #include "net/packet.hpp"
+#include "p4ce/dataplane.hpp"
+#include "rdma/nic.hpp"
 #include "sim/simulator.hpp"
 #include "switchsim/multicast.hpp"
 #include "switchsim/register.hpp"
@@ -136,8 +138,11 @@ TEST(ParserModel, NoBacklogWhenSlow) {
 class L3Program : public PipelineProgram {
  public:
   ExactMatchTable<Ipv4Addr, u32> routes{"l3"};
+  const sim::Simulator* clock = nullptr;
+  std::vector<SimTime> ingress_times;
   u32 egress_runs = 0;
   void ingress(PacketContext& ctx) override {
+    ingress_times.push_back(clock->now());
     const u32* port = routes.lookup(ctx.packet.ip.dst);
     if (port != nullptr) {
       ctx.unicast_port = *port;
@@ -150,7 +155,7 @@ class L3Program : public PipelineProgram {
 
 struct Recorder : net::PacketSink {
   std::vector<net::Packet> received;
-  void deliver(net::Packet p) override { received.push_back(std::move(p)); }
+  void deliver(net::Packet&& p) override { received.push_back(std::move(p)); }
 };
 
 struct SwitchFixture : ::testing::Test {
@@ -161,6 +166,7 @@ struct SwitchFixture : ::testing::Test {
   std::vector<std::unique_ptr<net::Link>> links;
 
   void SetUp() override {
+    program.clock = &sim;
     device.load_program(&program);
     for (u32 i = 0; i < 3; ++i) {
       const u32 port = device.add_port();
@@ -172,14 +178,26 @@ struct SwitchFixture : ::testing::Test {
     }
   }
 
-  net::Packet to(u8 host) {
+  net::Packet to(u8 host, std::size_t payload = 64) {
     net::Packet p;
     p.ip.src = net::make_ip(0, 10);
     p.ip.dst = net::make_ip(0, host);
-    p.payload = Bytes(64, 0);
+    p.payload = Bytes(payload, 0);
     return p;
   }
 };
+
+/// FNV-1a over a sequence of 64-bit words.
+u64 fnv1a(const std::vector<u64>& words) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (const u64 word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
 
 TEST_F(SwitchFixture, ForwardsByDestinationIp) {
   links[0]->send(0, to(11));
@@ -261,6 +279,184 @@ TEST_F(SwitchFixture, PipelineAddsFixedLatency) {
   sim.run();
   // propagation(100)*2 + serialization + parsers + ingress/egress latency.
   EXPECT_GE(sim.now(), 200 + kIngressLatency + kEgressLatency);
+}
+
+
+// The link hands a packet to a port's ingress parser when it lands, and the
+// ingress stage runs kIngressLatency after the parse. These pin when that
+// happens and what stops it.
+
+TEST_F(SwitchFixture, IngressRunsAfterArrivalParseAndLatency) {
+  const net::Packet p = to(11);
+  const Duration ser = serialization_delay(p.wire_size(), 100.0);
+  links[0]->send(0, to(11));
+  sim.run();
+  ASSERT_EQ(program.ingress_times.size(), 1u);
+  // Arrival at ser + 100 ns; an idle parser takes 8.26 ns, rounded up.
+  EXPECT_EQ(program.ingress_times[0], ser + 100 + 9 + kIngressLatency);
+  EXPECT_EQ(device.port(0).rx_packets(), 1u);
+  EXPECT_EQ(device.port(0).ingress_parser().processed(), 1u);
+}
+
+TEST_F(SwitchFixture, BurstQueuesInTheIngressParser) {
+  // 64 B frames arrive every 6.72 ns at 100 Gbit/s, faster than the parser's
+  // 8.26 ns per packet, so the parser falls behind and sets the pace.
+  constexpr int kBurst = 64;
+  for (int i = 0; i < kBurst; ++i) links[0]->send(0, to(11, 2));
+  ASSERT_EQ(to(11, 2).frame_size(), 64u);
+  sim.run();
+  ASSERT_EQ(program.ingress_times.size(), static_cast<std::size_t>(kBurst));
+  EXPECT_EQ(program.ingress_times.front(), 316);
+  EXPECT_EQ(program.ingress_times.back(), 836);
+  std::vector<u64> words(program.ingress_times.begin(), program.ingress_times.end());
+  EXPECT_EQ(fnv1a(words), 13088404533401130153ull);
+  EXPECT_EQ(hosts[1].received.size(), static_cast<std::size_t>(kBurst));
+  EXPECT_EQ(device.port(0).rx_packets(), static_cast<u64>(kBurst));
+}
+
+TEST_F(SwitchFixture, PowerOffBeforeArrivalNeverRunsIngress) {
+  links[0]->send(0, to(11));  // lands at ~112 ns
+  sim.schedule_at(50, [&] { device.power_off(); });
+  sim.run();
+  EXPECT_TRUE(program.ingress_times.empty());
+  EXPECT_EQ(program.egress_runs, 0u);
+  EXPECT_TRUE(hosts[1].received.empty());
+  EXPECT_EQ(device.port(0).rx_packets(), 1u);  // the port still saw it land
+}
+
+TEST_F(SwitchFixture, PowerOffBetweenArrivalAndIngressDropsPacket) {
+  links[0]->send(0, to(11));  // lands at ~112 ns, ingress at ~321 ns
+  sim.schedule_at(200, [&] { device.power_off(); });
+  sim.run();
+  EXPECT_TRUE(program.ingress_times.empty());
+  EXPECT_TRUE(hosts[1].received.empty());
+}
+
+TEST_F(SwitchFixture, LinkCutBeforeArrivalDropsPacket) {
+  links[0]->send(0, to(11));
+  sim.schedule_at(50, [&] { links[0]->cut(); });
+  sim.run();
+  EXPECT_TRUE(program.ingress_times.empty());
+  EXPECT_TRUE(hosts[1].received.empty());
+}
+
+TEST_F(SwitchFixture, LinkCutAfterArrivalKeepsPacket) {
+  // Once the last bit has landed, cutting the wire it came over cannot
+  // take the packet back.
+  links[0]->send(0, to(11));
+  sim.schedule_at(200, [&] { links[0]->cut(); });
+  sim.run();
+  EXPECT_EQ(program.ingress_times.size(), 1u);
+  EXPECT_EQ(hosts[1].received.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The whole packet path: NIC -> P4CE switch -> 4 NICs and back
+// ---------------------------------------------------------------------------
+
+/// Sits between a link and a NIC and logs every packet it passes on.
+struct Tap : net::PacketSink {
+  sim::Simulator* sim = nullptr;
+  rdma::Nic* nic = nullptr;
+  u64 node = 0;
+  std::vector<u64>* log = nullptr;
+  void deliver(net::Packet&& p) override {
+    log->insert(log->end(), {static_cast<u64>(sim->now()), node, u64{p.bth.psn},
+                             static_cast<u64>(p.bth.opcode)});
+    nic->deliver(std::move(p));
+  }
+};
+
+TEST(P4cePacketPath, ScatterGatherTimelineGolden) {
+  // One leader NIC writes through a P4CE switch to four replica NICs, which
+  // ACK through the gather stage. The timeline of every packet delivered
+  // to a NIC and every leader completion, as (time, node, psn) words, is
+  // pinned by hash: a packet hop that moves in time or order shows here.
+  constexpr u32 kNodes = 5;
+  constexpr Ipv4Addr kSwitchIp = net::make_ip(1, 1);
+  sim::Simulator sim;
+  SwitchDevice device(sim, "tofino", kSwitchIp);
+  p4::P4ceDataplane dataplane(kSwitchIp);
+  dataplane.set_clock(&sim);
+  device.load_program(&dataplane);
+
+  std::vector<u64> timeline;
+  std::vector<std::unique_ptr<rdma::MemoryManager>> memory;
+  std::vector<std::unique_ptr<rdma::Nic>> nics;
+  std::vector<std::unique_ptr<net::Link>> links;
+  std::vector<Tap> taps(kNodes);
+  std::vector<rdma::CompletionQueue> cqs(kNodes);
+  std::vector<rdma::QueuePair*> qps;
+  for (u32 i = 0; i < kNodes; ++i) {
+    const Ipv4Addr ip = net::make_ip(0, static_cast<u8>(10 + i));
+    memory.push_back(std::make_unique<rdma::MemoryManager>(i + 1));
+    nics.push_back(std::make_unique<rdma::Nic>(sim, "n" + std::to_string(i), ip, 0xE0 + i,
+                                               *memory.back()));
+    const u32 port = device.add_port();
+    links.push_back(std::make_unique<net::Link>(sim, 100.0, 100));
+    taps[i].sim = &sim;
+    taps[i].nic = nics.back().get();
+    taps[i].node = i;
+    taps[i].log = &timeline;
+    links.back()->attach(&taps[i], &device.port(port));
+    nics.back()->attach_link(links.back().get(), 0);
+    device.port(port).attach_link(links.back().get(), 1);
+    ASSERT_TRUE(dataplane.add_route(ip, port).is_ok());
+    qps.push_back(&nics.back()->create_qp(cqs[i]));
+  }
+
+  p4::GroupSpec spec;
+  spec.group_idx = 0;
+  spec.mcast_group_id = 100;
+  spec.bcast_qpn = 0x8000;
+  spec.aggr_qpn = 0xc000;
+  spec.f_needed = 2;
+  spec.virtual_rkey = 0x1234;
+  spec.leader = p4::LeaderEndpoint{net::make_ip(0, 10), 0xE0, qps[0]->qpn(), 0};
+  std::vector<McastCopy> copies;
+  for (u32 r = 1; r < kNodes; ++r) {
+    auto& region = memory[r]->register_region(1 << 16, rdma::kAccessRemoteWrite);
+    p4::ConnectionEntry conn;
+    conn.ip = nics[r]->ip();
+    conn.mac = nics[r]->mac();
+    conn.qpn = qps[r]->qpn();
+    conn.port = r;
+    conn.vaddr = region.vaddr();
+    conn.buffer_len = region.length();
+    conn.rkey = region.rkey();
+    spec.replicas.push_back(conn);
+    copies.push_back({r, static_cast<u16>(r - 1)});
+    qps[r]->connect(kSwitchIp, spec.aggr_qpn, 0, 0);
+  }
+  ASSERT_TRUE(device.multicast().create_group(spec.mcast_group_id, std::move(copies)).is_ok());
+  ASSERT_TRUE(dataplane.install_group(spec).is_ok());
+  qps[0]->connect(kSwitchIp, spec.bcast_qpn, 0, 0);
+
+  // 200 writes, mostly one packet, every fifth spanning three MTUs.
+  constexpr u64 kWrites = 200;
+  u64 posted = 0;
+  u64 completed = 0;
+  const auto post_next = [&] {
+    const u32 len = posted % 5 == 4 ? 2500 : 64;
+    ASSERT_TRUE(qps[0]->post_write(posted, Bytes(len, static_cast<u8>(posted)),
+                                   (posted * 64) % 32768, spec.virtual_rkey)
+                    .is_ok());
+    ++posted;
+  };
+  cqs[0].set_callback([&](const rdma::Completion& c) {
+    EXPECT_EQ(c.status, rdma::WcStatus::kSuccess);
+    timeline.insert(timeline.end(), {static_cast<u64>(sim.now()), 0, c.wr_id, 0xff});
+    ++completed;
+    if (posted < kWrites) post_next();
+  });
+  for (int i = 0; i < 8; ++i) post_next();
+  sim.run();
+
+  EXPECT_EQ(completed, kWrites);
+  EXPECT_EQ(dataplane.group_stats(0).acks_forwarded, kWrites);
+  EXPECT_EQ(timeline.size(), 4u * 1520);  // 200 completions, 200 + 4 x 280 packets
+  EXPECT_EQ(sim.now(), 169508);
+  EXPECT_EQ(fnv1a(timeline), 5357195838321224365ull);
 }
 
 }  // namespace
