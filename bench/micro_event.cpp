@@ -1,4 +1,5 @@
-// Event-kernel micro bench: the serial kernel's three hot shapes.
+// Simulator micro bench: the serial event kernel's four hot shapes and the
+// switch's scatter path.
 //
 //   churn   — self-rescheduling empty callbacks: the pure
 //             schedule/pop/dispatch cost.
@@ -9,16 +10,31 @@
 //   timers  — ping, but every hop also cancels and re-arms a 131 us timer:
 //             a QP's retransmit timer re-armed on every ACK. The queue then
 //             holds many more cancelled timers than live events.
+//   scatter — 1 KiB packets into one switch port, each replicated to five
+//             egress links (the §III scatter path).
 //
-// Wall-clock rates depend on the machine; the simulated outcome does not:
-// every shape executes a fixed event count, which the bench asserts.
+// Each shape is gated twice. Its counters (events executed, callables
+// stored on the heap, and for scatter the copies delivered and payload
+// bytes copied) depend on the code alone, so every run must match them
+// exactly or the bench exits 1. Its rate depends on the host and on what
+// else runs there, so every run is bracketed by perfbench's reference loop
+// and the gated value is the rate divided by the reference speed around it,
+// as the median of kReps interleaved runs; scripts/perf_smoke.py compares
+// it with bench/baselines/micro_event.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "net/packet.hpp"
+#include "obs/context.hpp"
+#include "perfbench/reference.hpp"
 #include "sim/simulator.hpp"
+#include "switchsim/switch.hpp"
 #include "workload/report.hpp"
 
 using namespace p4ce;
@@ -28,32 +44,39 @@ namespace {
 constexpr Duration kHop = 100;  // ns per ping hop, ~one short link hop
 constexpr Duration kTimer = 131'072;  // ns, the QP retransmit timeout
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+constexpr u32 kChains = 64, kSteps = 16'000;  // churn: 1M events
+constexpr u32 kCancelTotal = 200'000;         // 25% cancelled
+constexpr u32 kRings = 32, kHops = 10'000;    // timers: 320k hops
+constexpr u32 kPingHops = 40'000;             // ping: 1.3M hops
+constexpr u32 kReplicas = 5, kPackets = 20'000, kPayload = 1024;  // scatter
 
-struct ShapeResult {
-  double events_per_sec = 0;
-  u64 executed = 0;
+// Five runs of each shape, each between two 20 ms reference windows: the
+// median stays put when a competing process takes half of a shared core.
+constexpr int kReps = 5;
+constexpr double kReferenceSeconds = 0.02;
+
+/// What a run of a shape did that the code alone decides.
+struct Counters {
+  u64 events = 0;        ///< sim events executed
+  u64 heap_events = 0;   ///< `sim.events_alloc`: callables too big to store inline
+  u64 delivered = 0;     ///< scatter: copies delivered to the egress links
+  u64 copied_bytes = 0;  ///< scatter: payload bytes copied instead of shared
+  bool operator==(const Counters&) const = default;
 };
 
-ShapeResult finish(const sim::Simulator& sim, std::chrono::steady_clock::time_point t0) {
-  ShapeResult r;
-  r.executed = sim.events_executed();
-  r.events_per_sec = static_cast<double>(r.executed) / seconds_since(t0);
-  return r;
+Counters kernel_counters(sim::Simulator& sim) {
+  return {sim.events_executed(), sim.obs().metrics.counter("sim.events_alloc").value()};
 }
 
-/// churn: `chains` independent chains, each an empty callback that
-/// reschedules itself `steps` times one tick in the future.
-ShapeResult run_churn(u32 chains, u32 steps) {
-  const auto t0 = std::chrono::steady_clock::now();
+/// churn: kChains independent chains, each an empty callback that
+/// reschedules itself kSteps times one tick in the future.
+Counters run_churn() {
   sim::Simulator sim;
   std::vector<std::shared_ptr<std::function<void()>>> keep;
-  keep.reserve(chains);
-  for (u32 c = 0; c < chains; ++c) {
+  keep.reserve(kChains);
+  for (u32 c = 0; c < kChains; ++c) {
     auto self = std::make_shared<std::function<void()>>();
-    auto remaining = std::make_shared<u32>(steps - 1);
+    auto remaining = std::make_shared<u32>(kSteps - 1);
     *self = [&sim, self, remaining] {
       if ((*remaining)-- > 0) sim.schedule(1, [self] { (*self)(); });
     };
@@ -63,58 +86,55 @@ ShapeResult run_churn(u32 chains, u32 steps) {
   }
   sim.run();
   for (auto& self : keep) *self = nullptr;  // break the keep-alive cycles
-  return finish(sim, t0);
+  return kernel_counters(sim);
 }
 
-/// cancel: seed `total` events at pseudo-random times, cancel every 4th
-/// before running — micro_packet's event-core mix.
-ShapeResult run_cancel(u32 total) {
-  const auto t0 = std::chrono::steady_clock::now();
+/// cancel: seed kCancelTotal events at pseudo-random times, cancel every
+/// 4th before running.
+Counters run_cancel() {
   sim::Simulator sim;
   auto counter = std::make_shared<u64>(0);
   std::vector<sim::EventHandle> to_cancel;
-  to_cancel.reserve(total / 4 + 1);
-  for (u32 i = 0; i < total; ++i) {
+  to_cancel.reserve(kCancelTotal / 4 + 1);
+  for (u32 i = 0; i < kCancelTotal; ++i) {
     sim::EventHandle h = sim.schedule((i * 7919) % 100'000, [counter] { ++*counter; });
     if ((i & 3) == 0) to_cancel.push_back(h);
   }
   for (auto& h : to_cancel) h.cancel();
   sim.run();
-  return finish(sim, t0);
+  return kernel_counters(sim);
 }
 
-/// ping: `chains` chains each hop `hops` times, one kHop into the future.
-ShapeResult run_ping(u32 chains, u32 hops) {
-  const auto t0 = std::chrono::steady_clock::now();
+/// ping: kRings chains each hop kPingHops times, one kHop into the future.
+Counters run_ping() {
   sim::Simulator sim;
   std::vector<std::shared_ptr<std::function<void(u32)>>> keep;
-  keep.reserve(chains);
-  for (u32 c = 0; c < chains; ++c) {
+  keep.reserve(kRings);
+  for (u32 c = 0; c < kRings; ++c) {
     auto self = std::make_shared<std::function<void(u32)>>();
     *self = [&sim, self](u32 remaining) {
       if (remaining == 0) return;
       sim.schedule(kHop, [self, remaining] { (*self)(remaining - 1); });
     };
-    sim.schedule(1 + c, [self, hops] { (*self)(hops); });
+    sim.schedule(1 + c, [self] { (*self)(kPingHops); });
     keep.push_back(std::move(self));
   }
   sim.run();
   for (auto& self : keep) *self = nullptr;  // break the keep-alive cycles
-  return finish(sim, t0);
+  return kernel_counters(sim);
 }
 
 /// timers: ping chains whose every hop also re-arms the chain's long timer
 /// (cancel, then schedule anew). No timer ever fires.
-ShapeResult run_timers(u32 chains, u32 hops) {
-  const auto t0 = std::chrono::steady_clock::now();
+Counters run_timers() {
   sim::Simulator sim;
   struct Chain {
     std::function<void(u32)> hop;
     sim::EventHandle timer;
   };
   std::vector<std::unique_ptr<Chain>> keep;
-  keep.reserve(chains);
-  for (u32 c = 0; c < chains; ++c) {
+  keep.reserve(kRings);
+  for (u32 c = 0; c < kRings; ++c) {
     auto chain = std::make_unique<Chain>();
     Chain* self = chain.get();
     self->hop = [&sim, self](u32 remaining) {
@@ -123,61 +143,152 @@ ShapeResult run_timers(u32 chains, u32 hops) {
       self->timer = sim.schedule(kTimer, [] {});
       sim.schedule(kHop, [self, remaining] { self->hop(remaining - 1); });
     };
-    sim.schedule(1 + c, [self, hops] { self->hop(hops); });
+    sim.schedule(1 + c, [self] { self->hop(kHops); });
     keep.push_back(std::move(chain));
   }
   sim.run();
-  return finish(sim, t0);
+  return kernel_counters(sim);
+}
+
+/// Terminal endpoint for scatter copies.
+struct CountingSink : net::PacketSink {
+  u64 delivered = 0;
+  void deliver(net::Packet&&) override { ++delivered; }
+};
+
+/// Every inbound packet goes to multicast group 1, and egress rewrites a
+/// header field per copy: the fabric's cost, not the P4CE tables'.
+struct ScatterProgram : sw::PipelineProgram {
+  void ingress(sw::PacketContext& ctx) override { ctx.mcast_group = 1; }
+  void egress(sw::PacketContext& ctx) override { ctx.packet.bth.dest_qp ^= ctx.replication_id; }
+};
+
+/// scatter: kPackets writes into one ingress port, each replicated to
+/// kReplicas egress ports at line rate.
+Counters run_scatter() {
+  const u64 copied_before = net::PayloadRef::copied_bytes();
+  sim::Simulator sim;
+  sw::SwitchDevice dev(sim, "bench-sw", net::make_ip(1, 1));
+  ScatterProgram program;
+  dev.load_program(&program);
+  const u32 ingress_port = dev.add_port();
+
+  std::vector<net::Link> links;
+  links.reserve(kReplicas);
+  std::vector<CountingSink> sinks(kReplicas);
+  std::vector<sw::McastCopy> copies;
+  for (u32 r = 0; r < kReplicas; ++r) {
+    const u32 port = dev.add_port();
+    links.emplace_back(sim, 100.0, 500);
+    links.back().attach(&dev.port(port), &sinks[r]);
+    dev.port(port).attach_link(&links.back(), 0);
+    copies.push_back({port, static_cast<u16>(r)});
+  }
+  std::ignore = dev.multicast().create_group(1, std::move(copies));
+
+  for (u32 i = 0; i < kPackets; ++i) {
+    net::Packet p;
+    p.ip.src = net::make_ip(0, 10);
+    p.ip.dst = net::make_ip(1, 1);
+    p.bth.opcode = rdma::Opcode::kWriteOnly;
+    p.bth.dest_qp = 0x8000;
+    p.bth.psn = i & kPsnMask;
+    p.reth = rdma::Reth{0x100, 0x1234, kPayload};
+    p.payload = Bytes(kPayload, 0xab);
+    dev.port(ingress_port).deliver(std::move(p));
+  }
+  sim.run();
+
+  Counters c = kernel_counters(sim);
+  for (const auto& sink : sinks) c.delivered += sink.delivered;
+  c.copied_bytes = net::PayloadRef::copied_bytes() - copied_before;
+  return c;
+}
+
+struct Shape {
+  const char* name;
+  Counters (*run)();
+  Counters want;
+};
+
+// Churn executes chains * steps events, cancel 3/4 of the seeded events,
+// ping and timers rings * hops + rings seeds; scatter runs 11 events per
+// packet (one ingress, then per copy an egress stage and the link's
+// delivery), and no shape stores a callable on the heap.
+constexpr Shape kShapes[] = {
+    {"churn", run_churn, {.events = u64{kChains} * kSteps}},
+    {"cancel", run_cancel, {.events = kCancelTotal - (kCancelTotal + 3) / 4}},
+    {"ping", run_ping, {.events = u64{kRings} * kPingHops + kRings}},
+    {"timers", run_timers, {.events = u64{kRings} * kHops + kRings}},
+    {"scatter",
+     run_scatter,
+     {.events = u64{kPackets} * (1 + 2 * kReplicas), .delivered = u64{kPackets} * kReplicas}},
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
 
 int main() {
   workload::BenchSession session("micro_event");
-  session.set_backend("none");  // event-kernel microbench, no consensus protocol
-  workload::print_header("micro_event: serial event-kernel throughput",
+  session.set_backend("none");  // simulator microbench, no consensus protocol
+  workload::print_header("micro_event: event-kernel and scatter-path throughput",
                          "one (when, seq) two-level queue over a recycled event slab");
 
-  constexpr u32 kChains = 64, kSteps = 4000;  // churn: 256k events
-  constexpr u32 kCancelTotal = 200'000;       // 25% cancelled
-  constexpr u32 kRings = 32, kHops = 10'000;  // ping: 320k hops
-
-  const ShapeResult churn = run_churn(kChains, kSteps);
-  const ShapeResult cancel = run_cancel(kCancelTotal);
-  const ShapeResult ping = run_ping(kRings, kHops);
-  const ShapeResult timers = run_timers(kRings, kHops);
-
-  // Churn executes chains * steps events, cancel executes 3/4 of the seeded
-  // events, ping and timers execute rings * hops + rings seeds.
-  const u64 want_churn = static_cast<u64>(kChains) * kSteps;
-  const u64 want_cancel = kCancelTotal - (kCancelTotal + 3) / 4;
-  const u64 want_ping = static_cast<u64>(kRings) * kHops + kRings;
-  if (churn.executed != want_churn || cancel.executed != want_cancel ||
-      ping.executed != want_ping || timers.executed != want_ping) {
-    std::fprintf(stderr,
-                 "event-count mismatch: churn %llu/%llu cancel %llu/%llu ping %llu/%llu "
-                 "timers %llu/%llu\n",
-                 (unsigned long long)churn.executed, (unsigned long long)want_churn,
-                 (unsigned long long)cancel.executed, (unsigned long long)want_cancel,
-                 (unsigned long long)ping.executed, (unsigned long long)want_ping,
-                 (unsigned long long)timers.executed, (unsigned long long)want_ping);
-    return 1;
+  struct Samples {
+    std::vector<double> rate, reference, normalized;  // Mev/s, Mev/s, ratio
+  };
+  std::vector<Samples> samples(std::size(kShapes));
+  std::vector<double> windows;  // every reference window's speed
+  windows.push_back(perfbench::reference_mevents_per_s(kReferenceSeconds));
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t s = 0; s < std::size(kShapes); ++s) {
+      const Shape& shape = kShapes[s];
+      const auto t0 = std::chrono::steady_clock::now();
+      const Counters got = shape.run();
+      const double seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      if (got != shape.want) {
+        std::fprintf(stderr,
+                     "%s: counters differ (got/want): events %llu/%llu heap events %llu/%llu "
+                     "delivered %llu/%llu copied bytes %llu/%llu\n",
+                     shape.name, (unsigned long long)got.events,
+                     (unsigned long long)shape.want.events, (unsigned long long)got.heap_events,
+                     (unsigned long long)shape.want.heap_events,
+                     (unsigned long long)got.delivered, (unsigned long long)shape.want.delivered,
+                     (unsigned long long)got.copied_bytes,
+                     (unsigned long long)shape.want.copied_bytes);
+        return 1;
+      }
+      const double before = windows.back();
+      windows.push_back(perfbench::reference_mevents_per_s(kReferenceSeconds));
+      const double ref = (before + windows.back()) / 2;  // the windows around this run
+      const double rate = static_cast<double>(got.events) / seconds / 1e6;
+      samples[s].rate.push_back(rate);
+      samples[s].reference.push_back(ref);
+      samples[s].normalized.push_back(rate / ref);
+    }
   }
 
-  // Key names are the ones bench/baselines/micro_event.json gates on.
-  session.add_value("events_per_sec_lanes1", churn.events_per_sec);
-  session.add_value("cancel_events_per_sec_lanes1", cancel.events_per_sec);
-  session.add_value("ping_events_per_sec_lanes1", ping.events_per_sec);
-  // Reported, not gated: bench/baselines has no value for this shape.
-  session.add_value("timers_events_per_sec", timers.events_per_sec);
-  workload::Table table("event kernel throughput", {"shape", "events", "Mev/s"});
-  for (const auto& [shape, r] : {std::pair<const char*, const ShapeResult&>{"churn", churn},
-                                 {"cancel", cancel},
-                                 {"ping", ping},
-                                 {"timers", timers}}) {
-    table.add_row({shape, std::to_string(r.executed),
-                   workload::Table::fmt(r.events_per_sec / 1e6, 3)});
+  // The `*_normalized` keys are the ones bench/baselines/micro_event.json
+  // gates on.
+  workload::Table table("simulator throughput (medians of " + std::to_string(kReps) + " runs)",
+                        {"shape", "events", "Mev/s", "reference Mev/s", "normalized"});
+  for (std::size_t s = 0; s < std::size(kShapes); ++s) {
+    const std::string name = kShapes[s].name;
+    const Samples& m = samples[s];
+    session.add_value(name + "_events", static_cast<double>(kShapes[s].want.events));
+    session.add_value(name + "_mevents_per_s", median(m.rate));
+    session.add_value(name + "_normalized", median(m.normalized));
+    table.add_row({name, std::to_string(kShapes[s].want.events),
+                   workload::Table::fmt(median(m.rate), 3),
+                   workload::Table::fmt(median(m.reference), 3),
+                   workload::Table::fmt(median(m.normalized), 3)});
   }
+  session.add_value("reference_mevents_per_s", median(windows));
   table.print();
   session.add_table(table);
   return 0;

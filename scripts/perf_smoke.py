@@ -8,15 +8,19 @@ For each bench name, loads BENCH_<name>.json from the current directory and
 bench/baselines/<name>.json, then:
 
   * every key in the baseline's "values" must be present in the run and
-    within TOLERANCE (20%) of the baseline — on failure the offending
-    metric is named together with how far below baseline it landed.
+    no more than TOLERANCE (35%) below the baseline — on failure the
+    offending metric is named together with how far below baseline it
+    landed.
 
+The gated values are rates divided by the speed of a reference loop timed
+next to them (see bench/micro_event.cpp): a slower or busier host moves
+them little, while a 2x slowdown of the code halves them.
 Exits non-zero if any metric regressed.
 """
 import json
 import sys
 
-TOLERANCE = 0.20  # fail on >20% regression; noise and small wins are fine
+TOLERANCE = 0.35  # unloaded or shared-core runs read <=15% below, 2x slower ~50%
 
 
 def load(path):
@@ -38,10 +42,10 @@ def compare_values(name, current, baseline):
             continue
         ratio = got / ref
         if ratio >= 1.0 - TOLERANCE:
-            print(f"  ok         {name}.{key}: {got:,.0f} vs baseline {ref:,.0f} "
+            print(f"  ok         {name}.{key}: {got:.3g} vs baseline {ref:.3g} "
                   f"({ratio:.2f}x)")
         else:
-            print(f"  REGRESSION {name}.{key}: {got:,.0f} vs baseline {ref:,.0f} "
+            print(f"  REGRESSION {name}.{key}: {got:.3g} vs baseline {ref:.3g} "
                   f"— {(1.0 - ratio) * 100:.1f}% below baseline "
                   f"(tolerance {TOLERANCE * 100:.0f}%)")
             ok = False

@@ -74,7 +74,7 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
     verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     return;
   }
-  pending_.emplace(seq, Pending{});
+  pending_.insert(seq, 0);
   // The leader posts one write per replica; each post costs CPU time — this
   // serialization is exactly why "the leader divides its own network
   // capacity by the number of replicas" also costs it CPU (§I, §V-C).
@@ -121,26 +121,20 @@ void MuCommunicator::on_completion(std::size_t target_index, const rdma::Complet
   // Aggregating the replicas' ACKs on the leader CPU: the work the P4CE
   // switch absorbs in-network.
   cpu_.execute(cal_.cpu_completion + cal_.cpu_mu_track, [this, seq = c.wr_id] {
-    auto it = pending_.find(seq);
-    if (it == pending_.end()) return;
-    if (++it->second.acks >= f_needed_ && !it->second.resolved) {
-      it->second.resolved = true;
-      if (sim_.obs().tracer.is_enabled()) sim_.obs().tracer.on_quorum(seq, sim_.now());
-      verdict_(seq, Status::ok());
-    }
-    if (it->second.acks >= live_target_count()) pending_.erase(it);
+    u32* acks = pending_.find(seq);
+    if (acks == nullptr || ++*acks < f_needed_) return;
+    pending_.erase(seq);
+    if (sim_.obs().tracer.is_enabled()) sim_.obs().tracer.on_quorum(seq, sim_.now());
+    verdict_(seq, Status::ok());
   });
 }
 
 void MuCommunicator::fail_if_quorum_lost() {
   if (live_target_count() >= f_needed_) return;
-  for (auto& [seq, op] : pending_) {
-    if (!op.resolved) {
-      op.resolved = true;
-      verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
-    }
-  }
-  pending_.clear();
+  pending_.for_each_in_order([this](u64 seq, u32) {
+    pending_.erase(seq);
+    verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
+  });
 }
 
 void MuCommunicator::abort_all() { pending_.clear(); }

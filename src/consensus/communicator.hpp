@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -258,11 +257,9 @@ class MuCommunicator : public DirectCommunicator {
   void fail_if_quorum_lost() override;
 
   u32 f_needed_;
-  struct Pending {
-    u32 acks = 0;
-    bool resolved = false;
-  };
-  std::map<u64, Pending> pending_;  // by op (wr_id)
+  /// ACK count of each op awaiting its verdict, by op (wr_id). An op leaves
+  /// when its verdict is given, so a later ACK finds nothing.
+  OpRing<u32> pending_;
 };
 
 // ---------------------------------------------------------------------------

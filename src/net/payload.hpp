@@ -14,10 +14,10 @@
 //
 // Observability: every byte shared without copying bumps shared_bytes();
 // every byte materialized through copy_of/to_bytes/copy_to bumps
-// copied_bytes(). The ratio is the zero-copy win, tracked by
-// bench/micro_packet. A PayloadRef is a value with no owning run, so these
-// are plain per-thread totals (read them as before/after deltas), not
-// series in a run's metrics registry.
+// copied_bytes(). The ratio is the zero-copy win; bench/micro_event's
+// scatter shape asserts that it copies none. A PayloadRef is a value with
+// no owning run, so these are plain per-thread totals (read them as
+// before/after deltas), not series in a run's metrics registry.
 #pragma once
 
 #include <cstddef>
