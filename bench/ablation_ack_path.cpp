@@ -11,6 +11,7 @@
 //
 // This bench floods a stand-alone switch with ACKs from n replica ports and
 // measures the aggregate ACK-processing rate in both drop modes.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -91,8 +92,16 @@ double aggregate_mpps(p4::AckDropStage stage, u32 replicas) {
   }
   sim.run();
 
+  // The run ends when the last ACK clears the pipeline. An ACK dropped in
+  // the leader's egress leaves no event behind (the switch runs the egress
+  // stage inside the ingress event), so take the end of its egress stage
+  // from the leader port's egress parser.
+  SimTime end = sim.now();
+  if (device.port(0).egress_parser().processed() > 0) {
+    end = std::max(end, device.port(0).egress_parser().busy_until() + sw::kEgressLatency);
+  }
   const u64 processed = dataplane.group_stats(0).acks_gathered;
-  const double seconds = to_seconds(sim.now());
+  const double seconds = to_seconds(end);
   return seconds > 0 ? processed / seconds / 1e6 : 0;
 }
 

@@ -43,15 +43,20 @@ Result measure(workload::BenchSession& session, bool aggregate_credits) {
   if (!cluster->start()) return {};
   cluster->dataplane().set_credit_aggregation(aggregate_credits);
 
-  // Periodic hiccup on replica 2's NIC: 200 us at 1 us/packet, every 2 ms.
-  auto& slow_config = const_cast<rdma::NicConfig&>(cluster->host(2).nic.config());
+  // Periodic hiccup on replica 2's NIC: 200 us at 1 us/packet, every 2 ms,
+  // the first at 1 ms. The NIC settles a packet's rx cost when the packet
+  // is sent, so each stall is declared one period ahead of its start.
+  rdma::Nic& slow_nic = cluster->host(2).nic;
   sim::Simulator& sim = cluster->sim();
+  const auto stall = [&slow_nic](SimTime from) {
+    slow_nic.stall_rx(from, from + microseconds(200), /*per_packet=*/1'000);
+  };
   auto hiccup = std::make_shared<std::function<void()>>();
-  *hiccup = [&slow_config, &sim, hiccup] {
-    slow_config.rx_per_packet = 1'000;
-    sim.schedule(microseconds(200), [&slow_config] { slow_config.rx_per_packet = 45; });
+  *hiccup = [&sim, stall, hiccup] {
+    stall(sim.now() + milliseconds(2));
     sim.schedule(milliseconds(2), [hiccup] { (*hiccup)(); });
   };
+  stall(sim.now() + milliseconds(1));
   sim.schedule(milliseconds(1), [hiccup] { (*hiccup)(); });
 
   const auto run = workload::run_closed_loop(*cluster, /*value=*/64, /*window=*/16,

@@ -20,7 +20,9 @@
 // else runs there, so every run is bracketed by perfbench's reference loop
 // and the gated value is the rate divided by the reference speed around it,
 // as the median of kReps interleaved runs; scripts/perf_smoke.py compares
-// it with bench/baselines/micro_event.json.
+// it with bench/baselines/micro_event.json. A kernel shape's rate counts
+// events; scatter's counts copies delivered, so it does not move when the
+// switch spends fewer events on a copy.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -209,12 +211,14 @@ struct Shape {
   const char* name;
   Counters (*run)();
   Counters want;
+  u64 Counters::*work = &Counters::events;  ///< what its rate counts
+  const char* unit = "events";
 };
 
 // Churn executes chains * steps events, cancel 3/4 of the seeded events,
-// ping and timers rings * hops + rings seeds; scatter runs 11 events per
-// packet (one ingress, then per copy an egress stage and the link's
-// delivery), and no shape stores a callable on the heap.
+// ping and timers rings * hops + rings seeds; scatter runs 6 events per
+// packet (one ingress, whose egress stages post the copies, then per copy
+// the link's delivery), and no shape stores a callable on the heap.
 constexpr Shape kShapes[] = {
     {"churn", run_churn, {.events = u64{kChains} * kSteps}},
     {"cancel", run_cancel, {.events = kCancelTotal - (kCancelTotal + 3) / 4}},
@@ -222,7 +226,9 @@ constexpr Shape kShapes[] = {
     {"timers", run_timers, {.events = u64{kRings} * kHops + kRings}},
     {"scatter",
      run_scatter,
-     {.events = u64{kPackets} * (1 + 2 * kReplicas), .delivered = u64{kPackets} * kReplicas}},
+     {.events = u64{kPackets} * (1 + kReplicas), .delivered = u64{kPackets} * kReplicas},
+     &Counters::delivered,
+     "copies"},
 };
 
 double median(std::vector<double> v) {
@@ -236,10 +242,10 @@ int main() {
   workload::BenchSession session("micro_event");
   session.set_backend("none");  // simulator microbench, no consensus protocol
   workload::print_header("micro_event: event-kernel and scatter-path throughput",
-                         "one (when, seq) two-level queue over a recycled event slab");
+                         "one (when, as_of, seq) two-level queue over a recycled event slab");
 
   struct Samples {
-    std::vector<double> rate, reference, normalized;  // Mev/s, Mev/s, ratio
+    std::vector<double> rate, reference, normalized;  // M/s, Mev/s, ratio
   };
   std::vector<Samples> samples(std::size(kShapes));
   std::vector<double> windows;  // every reference window's speed
@@ -266,7 +272,7 @@ int main() {
       const double before = windows.back();
       windows.push_back(perfbench::reference_mevents_per_s(kReferenceSeconds));
       const double ref = (before + windows.back()) / 2;  // the windows around this run
-      const double rate = static_cast<double>(got.events) / seconds / 1e6;
+      const double rate = static_cast<double>(got.*shape.work) / seconds / 1e6;
       samples[s].rate.push_back(rate);
       samples[s].reference.push_back(ref);
       samples[s].normalized.push_back(rate / ref);
@@ -276,14 +282,15 @@ int main() {
   // The `*_normalized` keys are the ones bench/baselines/micro_event.json
   // gates on.
   workload::Table table("simulator throughput (medians of " + std::to_string(kReps) + " runs)",
-                        {"shape", "events", "Mev/s", "reference Mev/s", "normalized"});
+                        {"shape", "events", "rate of", "M/s", "reference Mev/s", "normalized"});
   for (std::size_t s = 0; s < std::size(kShapes); ++s) {
-    const std::string name = kShapes[s].name;
+    const Shape& shape = kShapes[s];
+    const std::string name = shape.name;
     const Samples& m = samples[s];
-    session.add_value(name + "_events", static_cast<double>(kShapes[s].want.events));
-    session.add_value(name + "_mevents_per_s", median(m.rate));
+    session.add_value(name + "_events", static_cast<double>(shape.want.events));
+    session.add_value(name + "_m" + shape.unit + "_per_s", median(m.rate));
     session.add_value(name + "_normalized", median(m.normalized));
-    table.add_row({name, std::to_string(kShapes[s].want.events),
+    table.add_row({name, std::to_string(shape.want.events), shape.unit,
                    workload::Table::fmt(median(m.rate), 3),
                    workload::Table::fmt(median(m.reference), 3),
                    workload::Table::fmt(median(m.normalized), 3)});

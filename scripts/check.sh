@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the regular build + full test suite, a run of the
-# three paper benches that take a few seconds (tab_consensus_rate,
-# tab4_failover, fig7_burst_latency) whose stdout must match bench/golden
-# byte for byte and whose JSON output must pass the schema check, a perf
+# five paper benches that take a few seconds (tab_consensus_rate,
+# tab4_failover, fig7_burst_latency and the ack-path and flow-control
+# ablations) whose stdout must match bench/golden byte for byte, the schema
+# check of the first three's JSON output, a perf
 # smoke of the simulation substrate (bench/micro_event asserts the exact
 # counters of the event kernel's shapes and of the scatter path, and its
 # reference-normalized rates must stay within 35% of the checked-in
@@ -28,11 +29,12 @@ cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 if [[ "$perf" == 1 ]]; then
-  echo "== paper benches vs bench/golden: tab_consensus_rate + tab4_failover + fig7_burst_latency =="
+  echo "== paper benches vs bench/golden =="
   # Runs are deterministic, so each table must match its golden byte for
   # byte. tab4's "flight recorder: <path>" line names an output file and is
   # left out of the comparison.
-  for bench in tab_consensus_rate tab4_failover fig7_burst_latency; do
+  for bench in tab_consensus_rate tab4_failover fig7_burst_latency ablation_ack_path \
+    ablation_flow_control; do
     ./build/bench/"$bench" | grep -v '^flight recorder: ' | diff -u "bench/golden/$bench.stdout" -
   done
 

@@ -19,19 +19,21 @@ u64 load_u64(const u8* p) noexcept {
 void store_u32(u8* p, u32 v) noexcept { std::memcpy(p, &v, 4); }
 void store_u64(u8* p, u64 v) noexcept { std::memcpy(p, &v, 8); }
 
-/// Write one entry's on-log bytes at `out` (entry_footprint() bytes, padding
-/// already zeroed).
+/// Write one entry's on-log bytes at `out`: entry_footprint() bytes,
+/// padding included.
 void write_entry(u8* out, u64 seq, u64 term, BytesView payload) noexcept {
   store_u32(out, static_cast<u32>(payload.size()));
   store_u64(out + 4, seq);
   store_u64(out + 12, term);
   if (!payload.empty()) std::memcpy(out + kEntryHeaderBytes, payload.data(), payload.size());
-  out[kEntryHeaderBytes + payload.size()] = kEntryMarker;
+  const u64 marker = kEntryHeaderBytes + payload.size();
+  out[marker] = kEntryMarker;
+  std::memset(out + marker + 1, 0, entry_footprint(payload.size()) - marker - 1);
 }
 }  // namespace
 
 Bytes encode_entry(u64 seq, u64 term, BytesView payload) {
-  Bytes out(entry_footprint(payload.size()), 0);
+  Bytes out(entry_footprint(payload.size()));
   write_entry(out.data(), seq, term, payload);
   return out;
 }
@@ -65,17 +67,18 @@ StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
   }
   auto wrap = make_room(total, first_seq);
   if (!wrap.is_ok()) return wrap.status();
+  // Encode straight into the local log, then copy the range out for the
+  // replicas.
   const u64 offset = cursor_;
-  Bytes bytes(total, 0);
+  u8* const out = region_.bytes() + offset;
   u64 at = 0;
   u64 seq = first_seq;
   for (const auto& p : payloads) {
-    write_entry(bytes.data() + at, seq++, term, p);
+    write_entry(out + at, seq++, term, p);
     at += entry_footprint(p.size());
   }
-  std::memcpy(region_.bytes() + offset, bytes.data(), bytes.size());
-  cursor_ += bytes.size();
-  return Append{offset, std::move(bytes), std::move(wrap.value())};
+  cursor_ += total;
+  return Append{offset, Bytes(out, out + total), std::move(wrap.value())};
 }
 
 u32 LogReader::poll() {

@@ -93,25 +93,44 @@ SimTime Link::send_at(int from, Packet&& packet, SimTime start) {
   wire_bytes_[from] += wire;
   ++packets_[from];
 
-  const InFlight flight{start, done + propagation_, epoch(), from};
+  const InFlight flight{start, done + propagation_, epoch(), this, from, wire};
   PacketSink* dst = ends_[1 - from];
   if (dst->take_in_flight(std::move(packet), flight)) return done;
   auto hop = [this, dst, flight, p = std::move(packet)]() mutable {
-    if (lost(flight, p)) return;
+    if (lost(flight)) return;
     dst->deliver(std::move(p));
   };
   static_assert(sim::detail::SmallFn::fits_inline<decltype(hop)>(),
                 "a link hop must not heap-allocate its event");
-  sim_.schedule_at(flight.arrival, std::move(hop));
+  sim_.schedule_at(flight.arrival, start, std::move(hop));
   return done;
 }
 
-bool Link::lost(const InFlight& flight, const Packet& packet) noexcept {
-  const bool silenced = flight.start >= silent_at_[flight.from];
+void Link::silence(int from) {
+  std::vector<Silence>& windows = silences_[from];
+  if (!windows.empty() && windows.back().end == kTimeNever) return;
+  windows.push_back(Silence{sim_.now(), kTimeNever});
+}
+
+void Link::unsilence(int from) noexcept {
+  std::vector<Silence>& windows = silences_[from];
+  if (!windows.empty() && windows.back().end == kTimeNever) windows.back().end = sim_.now();
+}
+
+bool Link::silent(int from, SimTime start) const noexcept {
+  for (const Silence& window : silences_[from]) {
+    if (start < window.begin) return false;
+    if (start < window.end) return true;
+  }
+  return false;
+}
+
+bool Link::lost(const InFlight& flight) noexcept {
+  const bool silenced = silent(flight.from, flight.start);
   const bool severed = flight.epoch < epoch() && cut_at_[flight.epoch] <= flight.arrival;
   if (!silenced && !severed) return false;
   if (silenced || cut_at_[flight.epoch] <= flight.start) {
-    wire_bytes_[flight.from] -= packet.wire_size();
+    wire_bytes_[flight.from] -= flight.wire;
     --packets_[flight.from];
   }
   return true;

@@ -81,13 +81,17 @@ struct Packet {
   std::string describe() const;
 };
 
+class Link;
+
 /// One packet's passage over one direction of a link, fixed when the link
 /// accepts it (Link::send_at).
 struct InFlight {
   SimTime start = 0;    ///< transmit slot: when the sender handed it over
   SimTime arrival = 0;  ///< when its last bit lands at the far end
   u64 epoch = 0;        ///< the link's epoch at send (see Link::lost)
+  Link* link = nullptr; ///< the link it crosses (null: injected, never lost)
   int from = 0;         ///< the sending endpoint
+  u32 wire = 0;         ///< its wire size (Packet::wire_size)
 };
 
 /// Anything that can accept a delivered packet (NIC, switch port, ...).
@@ -97,11 +101,12 @@ class PacketSink {
   /// A packet landing now.
   virtual void deliver(Packet&& packet) = 0;
   /// Offered by the link at send time, before any arrival event exists. A
-  /// sink that only this link feeds, in send order, and that on arrival
-  /// only queues the packet (a switch port's ingress parser) may take it
-  /// here and return true: the link then schedules no arrival event, and
-  /// the sink drops the packet at its next stage if Link::lost() says so.
-  /// By default the sink declines and deliver() runs at `flight.arrival`.
+  /// sink that on arrival only queues the packet (a switch port's ingress
+  /// parser, a NIC's receive buffer) may take it here and return true: the
+  /// link then schedules no arrival event, and the sink drops the packet at
+  /// its next stage if Link::lost() says so. By default the sink declines
+  /// and deliver() runs at `flight.arrival`, ordered among its ties as if
+  /// scheduled at `flight.start`.
   virtual bool take_in_flight(Packet&& /*packet*/, const InFlight& /*flight*/) { return false; }
 };
 
@@ -128,21 +133,26 @@ class Link {
 
   /// send() with `start` (>= now) as the packet's transmit slot instead of
   /// now. Only the sole sender on its direction may post ahead, and only in
-  /// `start` order (a NIC): then the FIFO arithmetic comes out exactly as if
-  /// it had called send() at `start`, without an event to get there.
+  /// `start` order (a NIC, a switch port's egress): then the FIFO
+  /// arithmetic comes out exactly as if it had called send() at `start`,
+  /// without an event to get there.
   SimTime send_at(int from, Packet&& packet, SimTime start);
 
-  /// The sender at endpoint `from` has died now, for good: packets it
-  /// posted ahead whose transmit slot is at or after now never reach the
-  /// wire (see lost()).
-  void silence(int from) noexcept { silent_at_[from] = std::min(silent_at_[from], sim_.now()); }
+  /// The sender at endpoint `from` goes dark now: packets it posted ahead
+  /// whose transmit slot is at or after now, and before a later unsilence(),
+  /// never reach the wire (see lost()). A dead NIC stays silent for good; a
+  /// switch that powers back on unsilences its links.
+  void silence(int from);
+  /// End the silence of endpoint `from`: packets whose transmit slot is at
+  /// or after now go out again.
+  void unsilence(int from) noexcept;
 
   /// Whether the packet `flight` describes is lost: the link was cut
-  /// between its send and its arrival, or its sender died at or before its
+  /// between its send and its arrival, or its sender was silent at its
   /// transmit slot. A lost packet that never reached the wire (the sender
-  /// was dead, or the link cut, by its slot) also comes off the counters.
+  /// was silent, or the link cut, by its slot) also comes off the counters.
   /// Call once per packet, at arrival or later.
-  bool lost(const InFlight& flight, const Packet& packet) noexcept;
+  bool lost(const InFlight& flight) noexcept;
 
   /// Sever the link (both directions). In-flight deliveries are suppressed.
   void cut() {
@@ -162,12 +172,21 @@ class Link {
   u64 packets_sent(int from) const noexcept { return packets_[from]; }
 
  private:
+  struct Silence {
+    SimTime begin;
+    SimTime end;  ///< kTimeNever while it lasts
+  };
+
+  /// Whether a packet from `from` with transmit slot `start` falls in a
+  /// silence.
+  bool silent(int from, SimTime start) const noexcept;
+
   sim::Simulator& sim_;
   double bandwidth_gbps_;
   Duration propagation_;
   PacketSink* ends_[2] = {nullptr, nullptr};
   SimTime busy_until_[2] = {0, 0};
-  SimTime silent_at_[2] = {kTimeNever, kTimeNever};
+  std::vector<Silence> silences_[2];  ///< per direction, in time order
   u64 wire_bytes_[2] = {0, 0};
   u64 packets_[2] = {0, 0};
   std::vector<SimTime> cut_at_;  ///< cut_at_[e]: when the cut ending epoch e came

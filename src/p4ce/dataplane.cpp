@@ -314,7 +314,7 @@ void P4ceDataplane::egress(sw::PacketContext& ctx) {
       // group's BCast QP); resolve before the rewrite.
       auto& tracer = clock_->obs().tracer;
       if (const u64 inst = tracer.instance_for_psn(p.bth.psn, p.bth.dest_qp)) {
-        tracer.on_scatter_copy(inst, clock_->now(), ctx.replication_id);
+        tracer.on_scatter_copy(inst, ctx.egress_time, ctx.replication_id);
       }
     }
     const ConnectionEntry& conn = group.spec.replicas[ctx.replication_id];

@@ -59,27 +59,111 @@ void Nic::send_packet(net::Packet&& packet) {
 }
 
 void Nic::power_off() noexcept {
+  land();  // what landed before now was received
   powered_ = false;
   for (const Path& path : paths_) path.link->silence(path.end);
 }
 
+void Nic::stall_rx(SimTime from, SimTime until, Duration per_packet) {
+  assert(from < until && (stalls_.empty() || stalls_.back().until <= from));
+  stalls_.push_back(Stall{from, until, per_packet});
+}
+
 void Nic::deliver(net::Packet&& packet) {
   if (!powered_) return;
-  ++rx_count_;
-  if (rx_pending_ >= config_.rx_buffer_capacity) {
-    // Receive buffer exhausted: the card tail-drops, exactly the overload
-    // the advertised credit count is supposed to prevent.
-    ++rx_overflow_count_;
+  const SimTime now = sim_.now();
+  const net::InFlight flight{now, now, 0, nullptr, 0, packet.wire_size()};
+  admit(std::move(packet), flight, sim_.running_key());
+}
+
+bool Nic::take_in_flight(net::Packet&& packet, const net::InFlight& flight) {
+  // A dead card leaves the packet to the link's arrival event, which drops
+  // it (and settles the link's counters if it never reached the wire).
+  if (!powered_) return false;
+  // Its landing sits among the events at its arrival where the link's
+  // arrival event would have: scheduled at its transmit slot, now.
+  admit(std::move(packet), flight, TieKey{flight.start, sim_.next_seq()});
+  return true;
+}
+
+void Nic::admit(net::Packet&& packet, const net::InFlight& flight, TieKey lands) {
+  RxSlot slot{flight, lands, sim_.next_seq(), kTimeNever, false};
+  if (buffered_when_landing(slot) >= config_.rx_buffer_capacity) {
+    // Receive buffer exhausted when it lands: the card tail-drops, exactly
+    // the overload the advertised credit count is supposed to prevent.
+    rx_slots_.push_back(slot);
     return;
   }
-  ++rx_pending_;
-  const SimTime start = std::max(rx_busy_until_, sim_.now());
-  rx_busy_until_ = start + config_.rx_per_packet;
-  sim_.schedule_at(rx_busy_until_, [this, p = std::move(packet)] {
-    if (rx_pending_ > 0) --rx_pending_;
+  const SimTime start = std::max(rx_busy_until_, flight.arrival);
+  rx_busy_until_ = start + rx_cost(flight.arrival);
+  slot.done = rx_busy_until_;
+  rx_slots_.push_back(slot);
+  auto rx = [this, p = std::move(packet)] {
     if (!powered_) return;
-    dispatch(p);
-  });
+    land();
+    // Slots ahead of this one were tail-dropped (rx events run in slot
+    // order); they have landed and been counted.
+    while (rx_slots_.front().done == kTimeNever) pop_rx_slot();
+    const bool buffered = rx_slots_.front().buffered;
+    if (buffered) --rx_pending_;
+    pop_rx_slot();
+    if (buffered) dispatch(p);
+  };
+  static_assert(sim::detail::SmallFn::fits_inline<decltype(rx)>(),
+                "a NIC rx event must not heap-allocate");
+  // Ordered among its ties as if the packet's arrival had scheduled it.
+  sim_.schedule_at(slot.done, flight.arrival, std::move(rx));
+}
+
+u32 Nic::buffered_when_landing(const RxSlot& slot) const noexcept {
+  // rx ends come in slot order, so walk back from the newest slot while
+  // the rx still runs after `slot` lands.
+  const TieKey landing = slot.lands;
+  u32 buffered = 0;
+  for (std::size_t i = rx_slots_.size(); i-- > 0;) {
+    const RxSlot& other = rx_slots_[i];
+    if (other.done == kTimeNever) continue;
+    const bool rx_after = other.done > slot.flight.arrival ||
+                          (other.done == slot.flight.arrival &&
+                           TieKey{other.flight.arrival, other.rx_seq} > landing);
+    if (!rx_after) break;
+    if (i < landed_ && !other.buffered) continue;  // landed lost, or on a dead card
+    const bool landed_first =
+        other.flight.arrival != slot.flight.arrival ? other.flight.arrival < slot.flight.arrival
+                                                    : other.lands <= landing;
+    if (landed_first) ++buffered;
+  }
+  return buffered;
+}
+
+Duration Nic::rx_cost(SimTime arrival) {
+  while (!stalls_.empty() && stalls_.front().until <= arrival) stalls_.pop_front();
+  if (!stalls_.empty() && stalls_.front().from <= arrival) return stalls_.front().per_packet;
+  return config_.rx_per_packet;
+}
+
+void Nic::land() const noexcept {
+  const SimTime now = sim_.now();
+  const TieKey running = sim_.running_key();
+  for (; landed_ < rx_slots_.size(); ++landed_) {
+    RxSlot& slot = rx_slots_[landed_];
+    if (slot.flight.arrival > now || (slot.flight.arrival == now && slot.lands > running)) break;
+    const bool lost = slot.flight.link != nullptr && slot.flight.link->lost(slot.flight);
+    if (lost || !powered_) continue;
+    ++rx_count_;
+    if (slot.done == kTimeNever) {
+      ++rx_overflow_count_;
+    } else {
+      slot.buffered = true;
+      ++rx_pending_;
+    }
+  }
+}
+
+void Nic::pop_rx_slot() noexcept {
+  assert(landed_ > 0);
+  rx_slots_.pop_front();
+  --landed_;
 }
 
 void Nic::dispatch(const net::Packet& packet) {
@@ -97,6 +181,7 @@ void Nic::dispatch(const net::Packet& packet) {
 }
 
 u8 Nic::current_credits() const noexcept {
+  land();
   if (rx_pending_ >= config_.rx_buffer_capacity) return 0;
   const u32 free = config_.rx_buffer_capacity - rx_pending_;
   return static_cast<u8>(std::min<u32>(free, 31));

@@ -2,6 +2,13 @@
 // models per-packet tx/rx processing rates (message-rate limits) and the
 // receive-buffer occupancy that backs the credit count advertised in ACKs
 // (paper Table I / §II-A "Congestion").
+//
+// A packet costs the NIC one event, its rx: the NIC takes each packet from
+// the link when it is sent (take_in_flight), decides then whether the
+// buffer will hold it when it lands, and schedules its rx processing. The
+// ring of rx slots keeps each packet's landing time until it is processed,
+// so the buffer occupancy, the credits and the counters read at any moment
+// what a packet landing at its arrival time would have made them.
 #pragma once
 
 #include <functional>
@@ -10,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
@@ -83,11 +91,23 @@ class Nic : public net::PacketSink, public PacketIo {
   /// Transmit a packet built by a QP or the CM agent (tx pipeline + link).
   void send_packet(net::Packet&& packet) override;
 
-  /// PacketSink: inbound from a link.
+  /// PacketSink: a packet landing now, within the running event (a test or
+  /// a tap between the link and the NIC).
   void deliver(net::Packet&& packet) override;
+  /// PacketSink: a packet sent toward this NIC, landing at
+  /// `flight.arrival`; taken now unless the NIC is dead.
+  bool take_in_flight(net::Packet&& packet, const net::InFlight& flight) override;
 
   /// Credits this NIC currently advertises in outgoing ACKs.
   u8 current_credits() const noexcept;
+
+  /// Fault injection: packets landing in [from, until) cost `per_packet`
+  /// of rx processing instead of config().rx_per_packet (a card stalled by
+  /// a GC-pause-like hiccup). The NIC settles a packet's rx time when the
+  /// packet is sent, so declare a stall before anything that lands in it is
+  /// sent: at least a flight time ahead of `from`. Stalls come in `from`
+  /// order and do not overlap.
+  void stall_rx(SimTime from, SimTime until, Duration per_packet);
 
   /// Emulate host/NIC death, for good: stop all processing, drop all
   /// traffic, including packets already posted whose transmit slot has not
@@ -96,13 +116,50 @@ class Nic : public net::PacketSink, public PacketIo {
   bool powered() const noexcept { return powered_; }
 
   u64 packets_sent() const noexcept { return tx_count_; }
-  u64 packets_received() const noexcept { return rx_count_; }
+  /// Packets landed on the live card (tail-dropped ones included).
+  u64 packets_received() const noexcept {
+    land();
+    return rx_count_;
+  }
   u64 packets_dropped() const noexcept { return drop_count_; }
   /// Inbound packets tail-dropped because the receive buffer was full —
   /// what the credit mechanism exists to prevent (§II-A "Congestion").
-  u64 rx_overflows() const noexcept { return rx_overflow_count_; }
+  u64 rx_overflows() const noexcept {
+    land();
+    return rx_overflow_count_;
+  }
 
  private:
+  using TieKey = sim::Simulator::TieKey;
+
+  /// One packet from its send until its rx processing ends (or, tail-
+  /// dropped, until the next rx event clears it). Slots sit in take order,
+  /// which on one link is landing order.
+  struct RxSlot {
+    net::InFlight flight;
+    TieKey lands;     ///< its landing's place among the events at flight.arrival
+    u64 rx_seq = 0;   ///< the seq of its rx event
+    SimTime done = 0; ///< when rx processing ends; kTimeNever: tail-dropped
+    bool buffered = false;  ///< landed on the live card and holds a buffer slot
+  };
+  struct Stall {
+    SimTime from;
+    SimTime until;
+    Duration per_packet;
+  };
+
+  /// Admit a packet landing as `flight` and `lands` describe: tail-drop it
+  /// if the buffer will be full when it lands, else schedule its rx.
+  void admit(net::Packet&& packet, const net::InFlight& flight, TieKey lands);
+  /// Buffered packets whose rx is still to run when `slot` lands.
+  u32 buffered_when_landing(const RxSlot& slot) const noexcept;
+  /// rx processing time of a packet landing at `arrival`.
+  Duration rx_cost(SimTime arrival);
+  /// Count the slots that have landed by the running event as received,
+  /// tail-dropped or buffered. Everything that reads those counts, the
+  /// credits included, calls it first.
+  void land() const noexcept;
+  void pop_rx_slot() noexcept;
   void dispatch(const net::Packet& packet);
 
   sim::Simulator& sim_;
@@ -125,11 +182,15 @@ class Nic : public net::PacketSink, public PacketIo {
 
   SimTime tx_busy_until_ = 0;
   SimTime rx_busy_until_ = 0;
-  u32 rx_pending_ = 0;  ///< packets delivered but not yet processed
+  // land() brings these up to the running event, so they are mutable.
+  mutable Ring<RxSlot> rx_slots_;
+  mutable std::size_t landed_ = 0;  ///< rx_slots_[0, landed_) have landed
+  mutable u32 rx_pending_ = 0;      ///< packets landed but not yet processed
+  mutable u64 rx_count_ = 0;
+  mutable u64 rx_overflow_count_ = 0;
+  Ring<Stall> stalls_;
   u64 tx_count_ = 0;
-  u64 rx_count_ = 0;
   u64 drop_count_ = 0;
-  u64 rx_overflow_count_ = 0;
   bool powered_ = true;
 };
 

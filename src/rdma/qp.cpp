@@ -60,8 +60,8 @@ void QueuePair::set_error(WcStatus flush_status) {
   // the queues first: a completion callback may reset() this QP.
   auto inflight = std::exchange(inflight_, {});
   auto queued = std::exchange(send_queue_, {});
-  for (auto& wqe : inflight) complete(wqe, flush_status);
-  for (auto& wqe : queued) complete(wqe, WcStatus::kFlushed);
+  for (std::size_t i = 0; i < inflight.size(); ++i) complete(inflight[i], flush_status);
+  for (std::size_t i = 0; i < queued.size(); ++i) complete(queued[i], WcStatus::kFlushed);
   if (error_cb_) error_cb_(flush_status);
 }
 
@@ -294,7 +294,7 @@ void QueuePair::handle_ack(const net::Packet& packet) {
       // outstanding from the oldest unacknowledged message.
       ++retransmissions_;
       m_.retransmits.inc();
-      for (const auto& wqe : inflight_) transmit_wqe(wqe);
+      for (std::size_t i = 0; i < inflight_.size(); ++i) transmit_wqe(inflight_[i]);
       arm_timer();
     } else {
       // Fatal NAK (access error etc.): the offending (oldest) WQE completes
@@ -341,12 +341,16 @@ void QueuePair::handle_ack(const net::Packet& packet) {
 void QueuePair::handle_read_response(const net::Packet& packet) {
   // Find the read this response belongs to. Responses arrive in order on the
   // in-order network, so it is the oldest in-flight read covering the PSN.
-  auto it = std::find_if(inflight_.begin(), inflight_.end(), [&](const Wqe& w) {
-    return w.kind == Opcode::kReadRequest && psn_distance(w.first_psn, packet.bth.psn) >= 0 &&
-           psn_distance(packet.bth.psn, w.last_psn) >= 0;
-  });
-  if (it == inflight_.end()) return;  // stale/duplicate response
-  Wqe& wqe = *it;
+  std::size_t index = 0;
+  for (; index < inflight_.size(); ++index) {
+    const Wqe& w = inflight_[index];
+    if (w.kind == Opcode::kReadRequest && psn_distance(w.first_psn, packet.bth.psn) >= 0 &&
+        psn_distance(packet.bth.psn, w.last_psn) >= 0) {
+      break;
+    }
+  }
+  if (index == inflight_.size()) return;  // stale/duplicate response
+  Wqe& wqe = inflight_[index];
 
   // Land the response slice in the WQE's assembly buffer — the one
   // materialization on the read path (the "DMA" into requester memory).
@@ -362,7 +366,7 @@ void QueuePair::handle_read_response(const net::Packet& packet) {
     // outstanding only if the responder reordered, which our in-order
     // fabric never does; complete in queue order.
     complete(wqe, WcStatus::kSuccess, std::move(wqe.assembly));
-    inflight_.erase(it);
+    inflight_.erase(index);
     m_.inflight.add(-1);
     retry_count_ = 0;
     retransmit_timer_.cancel();
@@ -444,7 +448,7 @@ void QueuePair::on_timeout() {
   // A whole-window resend means the path went quiet; per-kind rate
   // limiting in the recorder turns a storm into one capture.
   sim_.obs().recorder.trigger("retransmit_timeout", sim_.now(), "qpn", qpn_);
-  for (const auto& wqe : inflight_) transmit_wqe(wqe);
+  for (std::size_t i = 0; i < inflight_.size(); ++i) transmit_wqe(inflight_[i]);
   arm_timer();
 }
 
@@ -500,7 +504,8 @@ void QueuePair::handle_request(const net::Packet& packet) {
     // re-executing (real RNICs keep the same duplicate-response cache).
     m_.duplicates_rx.inc();
     if (is_atomic(packet.bth.opcode)) {
-      for (const auto& [psn, original] : atomic_replay_) {
+      for (std::size_t i = 0; i < atomic_replay_.size(); ++i) {
+        const auto& [psn, original] = atomic_replay_[i];
         if (psn == packet.bth.psn) {
           send_atomic_ack(psn, original);
           return;
@@ -650,7 +655,7 @@ void QueuePair::handle_request(const net::Packet& packet) {
       ++msn_;
       ++messages_received_;
       m_.msgs_received.inc();
-      atomic_replay_.emplace_back(packet.bth.psn, original.value());
+      atomic_replay_.push_back({packet.bth.psn, original.value()});
       if (atomic_replay_.size() > kAtomicReplayDepth) atomic_replay_.pop_front();
       send_atomic_ack(packet.bth.psn, original.value());
       return;

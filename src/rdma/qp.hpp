@@ -4,10 +4,12 @@
 // has to stay transparent to.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <optional>
+#include <utility>
 
+#include "common/ring.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
@@ -142,7 +144,7 @@ class QueuePair {
   /// WQE leaves the send queue, so account for everything still queued.
   Psn planned_next_psn() const noexcept {
     u32 queued = 0;
-    for (const auto& wqe : send_queue_) queued += packets_for(wqe);
+    for (std::size_t i = 0; i < send_queue_.size(); ++i) queued += packets_for(send_queue_[i]);
     return psn_add(send_psn_, queued);
   }
   Psn expected_recv_psn() const noexcept { return expected_psn_; }
@@ -211,8 +213,8 @@ class QueuePair {
   Qpn remote_qpn_ = 0;
 
   // Requester state.
-  std::deque<Wqe> send_queue_;   // posted, not yet transmitted
-  std::deque<Wqe> inflight_;     // transmitted, awaiting ACK (ordered by PSN)
+  Ring<Wqe> send_queue_;         // posted, not yet transmitted
+  Ring<Wqe> inflight_;           // transmitted, awaiting ACK (ordered by PSN)
   Psn send_psn_ = 0;             // next PSN to assign
   u8 credits_seen_ = 16;         // responder credits from the last AETH
   u32 retry_count_ = 0;
@@ -238,7 +240,7 @@ class QueuePair {
   /// duplicate-request response cache real RNICs keep. Depth exceeds the
   /// largest send window, so any go-back-N replay finds its entry.
   static constexpr std::size_t kAtomicReplayDepth = 32;
-  std::deque<std::pair<Psn, u64>> atomic_replay_;
+  Ring<std::pair<Psn, u64>> atomic_replay_;
 
   std::function<void(WcStatus)> error_cb_;
   std::function<void(NakCode, Psn)> nak_cb_;

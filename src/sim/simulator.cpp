@@ -108,6 +108,7 @@ bool Simulator::step(SimTime deadline) {
     // cancel itself.
     slot.armed = false;
     events_.inc();
+    running_ = TieKey{entry.when - entry.lead, entry.seq};
     slot.fn();
     slot.fn.reset();
     free_slots_.push_back(entry.slot);
@@ -119,12 +120,14 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && step(std::numeric_limits<SimTime>::max())) {
   }
+  running_ = kBetweenEvents;
 }
 
 void Simulator::run_until(SimTime deadline) {
   stopped_ = false;
   while (!stopped_ && step(deadline)) {
   }
+  running_ = kBetweenEvents;
   if (!stopped_ && now_ < deadline) now_ = deadline;
 }
 

@@ -1,11 +1,15 @@
 // Discrete-event simulation kernel: one serial event loop over a single
 // simulated clock.
 //
-// Events run in (when, seq) order: earliest timestamp first, and events
-// scheduled for the same instant run in the order they were scheduled. That
+// Events run in (when, as_of, seq) order: earliest timestamp first, and
+// events due at the same instant run in the order they were scheduled. That
 // tie-break is the whole determinism contract — identical programs execute
 // identical event sequences, so every bench table is reproducible byte for
-// byte.
+// byte. `as_of` is the time an event counts as scheduled at: now() for an
+// ordinary event, so among those (as_of, seq) is plain scheduling order. A
+// component that schedules an event ahead of the moment it stands for (a
+// NIC admitting a packet at send time, see rdma::Nic) passes that moment,
+// and the event sorts among its ties as if scheduled then.
 //
 // Allocation-light by design: each callable is built in a recycled slab
 // slot, in a small-buffer-optimized SmallFn (inline storage sized so even
@@ -25,6 +29,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -57,9 +62,10 @@ namespace detail {
 /// (counted by Simulator::schedule_at).
 class SmallFn {
  public:
-  /// The largest capture in the stack: the switch egress hop, `this` plus a
-  /// 320 B sw::PacketContext (static_asserts at the packet-carrying call
-  /// sites keep this honest).
+  /// The largest captures in the stack: the link hop and the switch
+  /// ingress hop, each `this`, a pointer or index, a 40 B net::InFlight and
+  /// a 272 B packet (static_asserts at the packet-carrying call sites keep
+  /// this honest).
   static constexpr std::size_t kInlineBytes = 328;
 
   template <class D>
@@ -176,12 +182,37 @@ class Simulator {
   /// Schedule `fn` at absolute simulated time `when` (>= now()).
   template <class F>
   EventHandle schedule_at(SimTime when, F&& fn) {
+    return schedule_at(when, now_, std::forward<F>(fn));
+  }
+
+  /// schedule_at(), ordered among the events due at `when` as if it had
+  /// been scheduled at `as_of` (now() <= as_of <= when; an `as_of` after
+  /// now() must lie within kMaxLead of `when`).
+  template <class F>
+  EventHandle schedule_at(SimTime when, SimTime as_of, F&& fn) {
     assert(when >= now_ && "cannot schedule into the past");
+    assert(as_of >= now_ && as_of <= when && "as_of lies between now and when");
+    assert((as_of == now_ || when - as_of <= kMaxLead) && "as_of ahead of now but far before when");
     if constexpr (!detail::SmallFn::fits_inline<std::decay_t<F>>()) events_alloc_.inc();
     const u32 index = acquire_slot();
     slot_at(index).fn.emplace(std::forward<F>(fn));
-    return arm(index, when);
+    return arm(index, when, as_of);
   }
+
+  /// Where an event stands among the events due at its instant: by the time
+  /// it counts as scheduled at, then by scheduling order.
+  struct TieKey {
+    SimTime as_of = 0;
+    u64 seq = 0;
+    friend auto operator<=>(const TieKey&, const TieKey&) = default;
+  };
+  /// The tie key of the event running now (for an event scheduled more
+  /// than kMaxLead before its time, as_of reads as that far before). Between
+  /// events (before a run, after one returns) it is after every event's, so
+  /// whatever is due at now() counts as done.
+  TieKey running_key() const noexcept { return running_; }
+  /// The seq the next scheduled event takes.
+  u64 next_seq() const noexcept { return next_seq_; }
 
   /// Run until the event queue drains or `stop()` is called.
   void run();
@@ -217,15 +248,22 @@ class Simulator {
     u64 gen = 0;
     bool armed = false;
   };
-  /// What the queue orders: plain PODs.
+  /// What the queue orders: 32-byte PODs. `lead` is when - as_of, capped
+  /// at kMaxLead: a larger lead is an earlier as_of. Only ordinary events
+  /// (as_of = the time they were scheduled) can reach the cap, and among
+  /// those as_of order is seq order, so (when, -lead, seq) orders exactly
+  /// as (when, as_of, seq).
   struct QueueEntry {
     SimTime when;
     u64 seq;
-    u32 slot;
     u64 gen;
+    u32 slot;
+    u32 lead;
   };
+  static constexpr Duration kMaxLead = 0xffffffff;
   static bool earlier(const QueueEntry& a, const QueueEntry& b) noexcept {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    if (a.when != b.when) return a.when < b.when;
+    return a.lead != b.lead ? a.lead > b.lead : a.seq < b.seq;
   }
   struct Later {
     bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
@@ -236,9 +274,10 @@ class Simulator {
   // The queue is monotone (nothing is scheduled before now()), so it is a
   // radix heap over 1024 ns blocks with a sorted run in front. Entries in
   // the block of the last popped event (`last_block_`) sit in `near_`,
-  // sorted on (when, seq) and consumed from `near_head_`. A new entry
-  // carries the largest seq yet, so its place is after every near entry
-  // due at or before it: a short scan back from the tail finds it. An entry
+  // sorted on (when, -lead, seq) and consumed from `near_head_`. A new
+  // entry carries the largest seq yet, so its place is after every near
+  // entry that sorts before it: a short scan back from the tail finds it
+  // (an entry with as_of ahead of now can sort after its ties). An entry
   // whose place lies more than kMaxShift entries back goes to `spill_`, a
   // binary heap that step() merges with the run, so a burst of out-of-order
   // events in one block stays O(log n) each.
@@ -281,11 +320,12 @@ class Simulator {
   }
   /// A never-used slot, growing the slab by a chunk when it is full.
   u32 new_slot();
-  EventHandle arm(u32 index, SimTime when) {
+  EventHandle arm(u32 index, SimTime when, SimTime as_of) {
     EventSlot& slot = slot_at(index);
     slot.armed = true;
     const u64 gen = ++slot.gen;
-    push(QueueEntry{when, next_seq_++, index, gen});
+    const auto lead = static_cast<u32>(std::min<Duration>(when - as_of, kMaxLead));
+    push(QueueEntry{when, next_seq_++, gen, index, lead});
     return EventHandle(this, index, gen);
   }
   void push(const QueueEntry& entry) {
@@ -295,13 +335,13 @@ class Simulator {
       return;
     }
     std::size_t i = near_.size();
-    if (i - near_head_ > kMaxShift && near_[i - 1 - kMaxShift].when > entry.when) {
+    if (i - near_head_ > kMaxShift && earlier(entry, near_[i - 1 - kMaxShift])) {
       spill_.push_back(entry);
       std::push_heap(spill_.begin(), spill_.end(), Later{});
       return;
     }
     near_.push_back(entry);
-    for (; i > near_head_ && near_[i - 1].when > entry.when; --i) near_[i] = near_[i - 1];
+    for (; i > near_head_ && earlier(entry, near_[i - 1]); --i) near_[i] = near_[i - 1];
     near_[i] = entry;
   }
   void push_far(const QueueEntry& entry, u64 block);
@@ -330,6 +370,8 @@ class Simulator {
   std::vector<u32> free_slots_;
   SimTime now_ = 0;
   u64 next_seq_ = 0;
+  static constexpr TieKey kBetweenEvents{kTimeNever, ~u64{0}};
+  TieKey running_ = kBetweenEvents;
   bool stopped_ = false;
 };
 

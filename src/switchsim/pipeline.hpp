@@ -8,6 +8,7 @@
 #include <array>
 #include <optional>
 
+#include "common/time.hpp"
 #include "common/types.hpp"
 #include "net/packet.hpp"
 
@@ -32,6 +33,10 @@ struct PacketContext {
   // Set by the traffic manager for each copy before egress.
   u16 replication_id = 0;
   u32 egress_port = 0;
+  /// When this copy's egress stage runs in simulated time. The switch runs
+  /// the stage early, inside the ingress event, so an egress program reads
+  /// the time here rather than from the clock.
+  SimTime egress_time = 0;
 
   // Program-defined metadata words.
   std::array<u32, 4> meta{};

@@ -42,6 +42,8 @@ class ParserModel {
   }
 
   u64 processed() const noexcept { return processed_; }
+  /// When the last admitted packet's parse completes (0 if none was).
+  SimTime busy_until() const noexcept { return (busy_until_ps_ + 999) / 1000; }
   /// Current backlog in ns (how far behind real time the parser is).
   Duration backlog(SimTime now) const noexcept {
     const i64 b = busy_until_ps_ / 1000 - now;
@@ -57,7 +59,8 @@ class ParserModel {
 /// A physical port. Implements PacketSink so links can deliver straight into
 /// the switch with the port index attached. Only its link feeds its ingress
 /// parser, in send order, so it takes every packet at send time
-/// (take_in_flight) and the switch schedules the ingress stage right away.
+/// (take_in_flight) and the switch schedules the ingress stage right away;
+/// the egress stage runs inside that event (SwitchDevice::run_egress).
 class Port : public net::PacketSink {
  public:
   Port(SwitchDevice& device, u32 index);
@@ -72,8 +75,11 @@ class Port : public net::PacketSink {
   void deliver(net::Packet&& packet) override;
   bool take_in_flight(net::Packet&& packet, const net::InFlight& flight) override;
 
-  /// Transmit a finished egress copy onto the wire.
-  void transmit(net::Packet&& packet);
+  /// Post a finished egress copy onto the wire for transmit slot `start`
+  /// (its egress time; copies come in `start` order).
+  void transmit(net::Packet&& packet, SimTime start);
+  /// Silence (or end the silence of) this port's side of its link.
+  void set_silent(bool silent);
 
   u32 index() const noexcept { return index_; }
   net::Link* link() const noexcept { return link_; }

@@ -16,8 +16,17 @@ SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip)
 }
 
 void SwitchDevice::power_off() {
-  if (powered_) sim_.obs().recorder.trigger("switch_failure", sim_.now(), "switch_ip", ip_);
+  if (!powered_) return;
+  sim_.obs().recorder.trigger("switch_failure", sim_.now(), "switch_ip", ip_);
   powered_ = false;
+  // Egress copies already posted for a slot at or after now never leave.
+  for (const auto& port : ports_) port->set_silent(true);
+}
+
+void SwitchDevice::power_on() {
+  if (powered_) return;
+  powered_ = true;
+  for (const auto& port : ports_) port->set_silent(false);
 }
 
 u32 SwitchDevice::add_port() {
@@ -35,8 +44,7 @@ void SwitchDevice::on_port_rx(u32 port, net::Packet&& packet, const net::InFligh
   const SimTime parsed = in.ingress_parser().admit(flight.arrival);
   in.note_ingress_backlog(flight.arrival);
   auto ingress = [this, port, flight, p = std::move(packet)]() mutable {
-    net::Link* link = ports_[port]->link();
-    if (!powered_ || (link != nullptr && link->lost(flight, p))) return;
+    if (!powered_ || (flight.link != nullptr && flight.link->lost(flight))) return;
     PacketContext ctx;
     ctx.packet = std::move(p);
     ctx.ingress_port = port;
@@ -114,22 +122,21 @@ void SwitchDevice::run_egress(PacketContext&& ctx) {
     m_egress_drops_->inc();
     return;
   }
-  const SimTime parsed = ports_[ctx.egress_port]->egress_parser().admit(sim_.now());
-  ports_[ctx.egress_port]->note_egress_backlog(sim_.now());
-  auto egress = [this, c = std::move(ctx)]() mutable {
-    if (!powered_) return;
-    program_->egress(c);
-    if (c.drop) {
-      ++egress_drops_;
-      m_egress_drops_->inc();
-      return;
-    }
-    ports_[c.egress_port]->transmit(std::move(c.packet));
-  };
-  // The largest capture in the stack; it sizes SmallFn::kInlineBytes.
-  static_assert(sim::detail::SmallFn::fits_inline<decltype(egress)>(),
-                "a switch egress hop must not heap-allocate its event");
-  sim_.schedule_at(parsed + kEgressLatency, std::move(egress));
+  // The egress stage runs now, inside the ingress event, and the copy is
+  // posted onto the wire for the time the stage would have run. The port
+  // is the only sender on its direction and its egress parser's slots only
+  // move forward, so the link sees the copies in the order, and at the
+  // times, an egress event per copy would have sent them.
+  Port& out = *ports_[ctx.egress_port];
+  ctx.egress_time = out.egress_parser().admit(sim_.now()) + kEgressLatency;
+  out.note_egress_backlog(sim_.now());
+  program_->egress(ctx);
+  if (ctx.drop) {
+    ++egress_drops_;
+    m_egress_drops_->inc();
+    return;
+  }
+  out.transmit(std::move(ctx.packet), ctx.egress_time);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,8 +160,9 @@ Port::Port(SwitchDevice& device, u32 index)
 
 void Port::deliver(net::Packet&& packet) {
   const SimTime now = device_.simulator().now();
-  take_in_flight(std::move(packet),
-                 net::InFlight{now, now, link_ != nullptr ? link_->epoch() : 0, 1 - end_});
+  const u32 wire = packet.wire_size();
+  take_in_flight(std::move(packet), net::InFlight{now, now, link_ != nullptr ? link_->epoch() : 0,
+                                                  link_, 1 - end_, wire});
 }
 
 bool Port::take_in_flight(net::Packet&& packet, const net::InFlight& flight) {
@@ -165,12 +173,21 @@ bool Port::take_in_flight(net::Packet&& packet, const net::InFlight& flight) {
   return true;
 }
 
-void Port::transmit(net::Packet&& packet) {
+void Port::transmit(net::Packet&& packet, SimTime start) {
   if (link_ == nullptr) return;
   ++tx_;
   m_tx_pkts_->inc();
   m_tx_bytes_->inc(packet.wire_size());
-  link_->send(end_, std::move(packet));
+  link_->send_at(end_, std::move(packet), start);
+}
+
+void Port::set_silent(bool silent) {
+  if (link_ == nullptr) return;
+  if (silent) {
+    link_->silence(end_);
+  } else {
+    link_->unsilence(end_);
+  }
 }
 
 void Port::note_ingress_backlog(SimTime now) noexcept {

@@ -56,9 +56,10 @@ class SwitchDevice {
   void inject_from_cpu(net::Packet&& packet);
 
   /// Crash-stop the switch: all processing ceases, packets blackhole, and
-  /// peers discover the failure through RDMA timeouts (§III-A).
+  /// peers discover the failure through RDMA timeouts (§III-A). Copies
+  /// whose egress time is at or after now are lost on the wire.
   void power_off();
-  void power_on() noexcept { powered_ = true; }
+  void power_on();
   bool powered() const noexcept { return powered_; }
 
   u64 ingress_drops() const noexcept { return ingress_drops_; }
@@ -73,6 +74,8 @@ class SwitchDevice {
   void on_port_rx(u32 port, net::Packet&& packet, const net::InFlight& flight);
   void run_ingress(PacketContext&& ctx);
   void route(PacketContext&& ctx);
+  /// Admit one copy to its port's egress parser, run the egress stage and
+  /// post the copy for its egress time.
   void run_egress(PacketContext&& ctx);
 
   sim::Simulator& sim_;

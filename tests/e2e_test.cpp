@@ -287,23 +287,35 @@ TEST_P(BatchSizeTest, BatchedProposalsDeliverEveryValue) {
 INSTANTIATE_TEST_SUITE_P(Batches, BatchSizeTest, ::testing::Values(1, 2, 16, 64));
 
 
-TEST(EndToEnd, P4ceCommitRunsAFixedNumberOfEvents) {
-  // The simulator's host cost per commit, as a count: unlike a wall-clock
-  // rate it is the same on every machine, so a packet hop or timer that
-  // comes back shows here even on a one-core runner.
-  auto cluster = Cluster::create(options_for(Mode::kP4ce, 5));
-  ASSERT_TRUE(cluster->start());
+/// Events the simulator runs per commit in a closed-loop run of `mode`:
+/// the simulator's host cost per commit, as a count. Unlike a wall-clock
+/// rate it is the same on every machine, so a packet hop or timer that
+/// comes back shows here even on a one-core runner.
+double events_per_commit(Mode mode, u32 machines) {
+  auto cluster = Cluster::create(options_for(mode, machines));
+  EXPECT_TRUE(cluster->start());
   std::ignore = workload::run_closed_loop(*cluster, 64, 16, /*ops=*/500, /*warmup=*/0);
   const u64 before = cluster->sim().events_executed();
   const auto result = workload::run_closed_loop(*cluster, 64, 16, /*ops=*/4000, /*warmup=*/0);
-  ASSERT_EQ(result.failed, 0u);
-  ASSERT_GT(result.operations, 0u);
-  const double per_commit = static_cast<double>(cluster->sim().events_executed() - before) /
-                            static_cast<double>(result.operations);
-  // 27.09 since the NIC transmit and switch-port arrival hops folded into
-  // their neighbours (37.13 before). Within 1%: either hop coming back
-  // adds 5 per commit (one write and four ACKs cross each).
-  EXPECT_NEAR(per_commit, 27.09, 0.27);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_GT(result.operations, 0u);
+  return static_cast<double>(cluster->sim().events_executed() - before) /
+         static_cast<double>(result.operations);
+}
+
+TEST(EndToEnd, P4ceCommitRunsAFixedNumberOfEvents) {
+  // 17.05 since a packet costs one event per device it crosses: the switch
+  // runs the egress stage inside the ingress event and the NIC takes
+  // packets in flight (27.09 before, 37.13 before that). Within 1%: a
+  // hop coming back adds 5 per commit (one write and four ACKs cross each).
+  EXPECT_NEAR(events_per_commit(Mode::kP4ce, 5), 17.05, 0.17);
+}
+
+TEST(EndToEnd, OneSidedCommitRunsAFixedNumberOfEvents) {
+  // 23.07 (39.1 before the same change). One-sided Paxos sends about 8
+  // packets per commit through the switch, so a hop coming back adds
+  // about 8 per commit; within 1%.
+  EXPECT_NEAR(events_per_commit(Mode::kOneSided, 3), 23.07, 0.23);
 }
 
 }  // namespace

@@ -224,5 +224,118 @@ TEST_F(NicFixture, LinkCutOnTheWireDropsThePacket) {
   EXPECT_EQ(link->packets_sent(0), 1u);  // it was on the wire
 }
 
+// The NIC takes each packet from the link when it is sent and schedules only
+// its rx; a packet counts as received, and holds a buffer slot, from the
+// moment it lands, exactly as when the landing was an event of its own.
+
+TEST_F(NicFixture, PacketsInFlightHoldNoCreditsUntilTheyLand) {
+  NicConfig slow;
+  slow.rx_per_packet = 1'000;
+  build(slow);
+  const Duration wire = serialization_delay(to_b().wire_size(), 100.0) + 100;
+  for (int i = 0; i < 3; ++i) nic_a->send_packet(to_b());
+  // Slots at 40, 80 and 120 ns: all three are on the wire, none landed.
+  sim.run_until(40 + wire - 1);
+  EXPECT_EQ(nic_b->current_credits(), 31u);
+  EXPECT_EQ(nic_b->packets_received(), 0u);
+  sim.run_until(40 + wire);
+  EXPECT_EQ(nic_b->current_credits(), 30u);
+  EXPECT_EQ(nic_b->packets_received(), 1u);
+  sim.run_until(120 + wire);
+  EXPECT_EQ(nic_b->current_credits(), 28u);
+  EXPECT_EQ(nic_b->packets_received(), 3u);
+  // The first finishes rx 1 us after it landed and frees its slot.
+  sim.run_until(40 + wire + 1'000);
+  EXPECT_EQ(nic_b->current_credits(), 29u);
+  sim.run();
+  EXPECT_EQ(nic_b->current_credits(), 31u);
+  EXPECT_EQ(nic_b->packets_dropped(), 3u);  // no such QP, counted at rx end
+}
+
+TEST_F(NicFixture, CreditsReadInsideAnEventSeeOnlyWhatLandedBeforeIt) {
+  const Duration wire = serialization_delay(to_b().wire_size(), 100.0) + 100;
+  // Scheduled before the send: runs first among the events at the landing.
+  std::vector<u32> credits;
+  sim.schedule_at(40 + wire, [&] { credits.push_back(nic_b->current_credits()); });
+  nic_a->send_packet(to_b());  // lands at 40 + wire
+  // Scheduled by an event after the send's slot: runs after the landing.
+  sim.schedule_at(50, [&] {
+    sim.schedule_at(40 + wire, [&] { credits.push_back(nic_b->current_credits()); });
+  });
+  sim.run();
+  EXPECT_EQ(credits, (std::vector<u32>{31u, 30u}));
+}
+
+// Packet Y finishes rx in the nanosecond packet X lands. If X was sent
+// before Y landed, X's landing comes first and Y still fills the one-slot
+// buffer; if X was sent after Y landed, Y's rx comes first.
+
+TEST_F(NicFixture, LandingInTheNanosecondAnRxEndsSentBeforeThatRxWasDue) {
+  NicConfig one_slot;
+  one_slot.rx_buffer_capacity = 1;
+  one_slot.rx_per_packet = 40;  // Y's rx ends as X (one 40 ns tx turn later) lands
+  build(one_slot);
+  nic_a->send_packet(to_b());  // Y: slot 40
+  nic_a->send_packet(to_b());  // X: slot 80, sent before Y lands
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 2u);
+  EXPECT_EQ(nic_b->rx_overflows(), 1u);
+}
+
+TEST_F(NicFixture, LandingInTheNanosecondAnRxEndsSentAfterThatRxWasDue) {
+  NicConfig one_slot;
+  one_slot.rx_buffer_capacity = 1;
+  one_slot.rx_per_packet = 200;
+  build(one_slot);
+  nic_a->send_packet(to_b());  // Y: slot 40, lands at 40 + wire < 200
+  // X: sent at 200 for slot 240, lands at 240 + wire, Y's rx end.
+  sim.schedule_at(200, [&] { nic_a->send_packet(to_b()); });
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 2u);
+  EXPECT_EQ(nic_b->rx_overflows(), 0u);
+}
+
+TEST_F(NicFixture, RxStallCoversPacketsLandingFromItsStartUpToItsEnd) {
+  const Duration wire = serialization_delay(to_b().wire_size(), 100.0) + 100;
+  const SimTime lands = 40 + wire;
+  // The stall starts the nanosecond the packet lands: its rx takes 500 ns.
+  nic_b->stall_rx(lands, lands + 1'000, 500);
+  nic_a->send_packet(to_b());
+  sim.run_until(lands + 499);
+  EXPECT_EQ(nic_b->packets_dropped(), 0u);
+  sim.run_until(lands + 500);
+  EXPECT_EQ(nic_b->packets_dropped(), 1u);
+}
+
+TEST_F(NicFixture, RxStallEndsTheNanosecondBeforeItsEnd) {
+  const Duration wire = serialization_delay(to_b().wire_size(), 100.0) + 100;
+  const SimTime lands = 40 + wire;
+  // The stall ends the nanosecond the packet lands: its rx takes the usual
+  // 45 ns.
+  nic_b->stall_rx(0, lands, 500);
+  nic_a->send_packet(to_b());
+  sim.run_until(lands + 44);
+  EXPECT_EQ(nic_b->packets_dropped(), 0u);
+  sim.run_until(lands + 45);
+  EXPECT_EQ(nic_b->packets_dropped(), 1u);
+}
+
+TEST_F(NicFixture, PacketsInFlightOnBothPathsAreAllProcessed) {
+  // A backup path with a shorter wire: the second packet lands before the
+  // first. The NIC serves rx in the order it took the packets (DESIGN
+  // §5.1 lists this window), and every packet is still received once.
+  net::Link backup(sim, 100.0, 10);
+  backup.attach(nic_a.get(), nic_b.get());
+  nic_a->attach_link(&backup, 0);
+  nic_b->attach_link(&backup, 1);
+  nic_a->send_packet(to_b());
+  nic_a->set_active_path(1);
+  nic_a->send_packet(to_b());
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 2u);
+  EXPECT_EQ(nic_b->packets_dropped(), 2u);  // no such QP, counted at rx end
+  EXPECT_EQ(nic_b->current_credits(), 31u);
+}
+
 }  // namespace
 }  // namespace p4ce::rdma

@@ -19,7 +19,6 @@
 #include "obs/context.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
-#include "switchsim/pipeline.hpp"
 
 namespace {
 // Heap allocations made by this test binary; tests read it as a delta.
@@ -274,21 +273,22 @@ TEST(Simulator, SmallCapturesDoNotHeapAllocate) {
   EXPECT_EQ(alloc_counter.value(), before);
 
   // A whole packet rides inline: the link hop's capture (this, the far
-  // end, the link epoch and the packet by value) and the switch egress
-  // hop's (this and a PacketContext) are the largest in the stack.
+  // end, the packet's flight and the packet by value) and the switch
+  // ingress hop's (this, the port, the flight and the packet) are the
+  // largest in the stack.
   net::Packet packet;
   packet.payload = Bytes(64, 0xab);
   u64 delivered = 0;
   const u64 fire_at = static_cast<u64>(sim.now()) + 1;
-  sim.schedule(1, [&sim, &delivered, epoch = u64{7}, p = packet]() mutable {
-    delivered += p.payload.size() + epoch + static_cast<u64>(sim.now());
+  sim.schedule(1, [&sim, &delivered, flight = net::InFlight{.epoch = 7}, p = packet]() mutable {
+    delivered += p.payload.size() + flight.epoch + static_cast<u64>(sim.now());
   });
-  sim.schedule(1, [&delivered, c = sw::PacketContext{}]() mutable {
-    delivered += c.packet.payload.size();
+  sim.schedule(1, [&delivered, port = u32{0}, flight = net::InFlight{}, p = packet]() mutable {
+    delivered += p.payload.size() + port + flight.epoch;
   });
   EXPECT_EQ(alloc_counter.value(), before);
   sim.run();
-  EXPECT_EQ(delivered, 64u + 7u + fire_at);
+  EXPECT_EQ(delivered, 64u + 7u + fire_at + 64u);
 
   // An oversized capture falls back to the heap — and is counted.
   struct Big {
@@ -394,18 +394,20 @@ INSTANTIATE_TEST_SUITE_P(Sizes, EventStormTest, ::testing::Values(10, 1000, 5000
 // Differential check of the two-level queue
 // ---------------------------------------------------------------------------
 
-/// The reference model: one std::priority_queue on (when, seq) with lazy
-/// cancellation, under the same run/run_until contract as Simulator.
+/// The reference model: one std::priority_queue on (when, as_of, seq) with
+/// lazy cancellation, under the same run/run_until contract as Simulator.
 class ReferenceKernel {
  public:
   using Handle = u32;
 
   SimTime now() const noexcept { return now_; }
 
-  Handle schedule(Duration delay, std::function<void()> fn) {
+  /// An event due `delay` from now, ordered among its ties as if scheduled
+  /// `lead` from now (0 <= lead <= delay).
+  Handle schedule(Duration delay, Duration lead, std::function<void()> fn) {
     const auto id = static_cast<u32>(fns_.size());
     fns_.push_back(std::move(fn));
-    queue_.push(Entry{now_ + delay, next_seq_++, id});
+    queue_.push(Entry{now_ + delay, now_ + lead, next_seq_++, id});
     return id;
   }
 
@@ -423,12 +425,14 @@ class ReferenceKernel {
  private:
   struct Entry {
     SimTime when;
+    SimTime as_of;
     u64 seq;
     u32 id;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+      if (a.when != b.when) return a.when > b.when;
+      return a.as_of != b.as_of ? a.as_of > b.as_of : a.seq > b.seq;
     }
   };
 
@@ -452,8 +456,8 @@ class SimulatorKernel {
   using Handle = EventHandle;
 
   SimTime now() const noexcept { return sim_.now(); }
-  Handle schedule(Duration delay, std::function<void()> fn) {
-    return sim_.schedule(delay, std::move(fn));
+  Handle schedule(Duration delay, Duration lead, std::function<void()> fn) {
+    return sim_.schedule_at(sim_.now() + delay, sim_.now() + lead, std::move(fn));
   }
   void cancel(Handle& handle) { handle.cancel(); }
   void run_until(SimTime deadline) { sim_.run_until(deadline); }
@@ -507,13 +511,30 @@ class RandomProgram {
     }
   }
 
+  /// How far ahead of now an event counts as scheduled: mostly now (an
+  /// ordinary event), sometimes later, up to its own time (a NIC's rx
+  /// event, ordered as of its packet's arrival). The kernel takes an as_of
+  /// ahead of now only within 2^32 - 1 ns of the event's time; ordinary
+  /// events scheduled further ahead (up to 2^40 ns) tie with these.
+  Duration pick_lead(Duration delay) {
+    constexpr u64 kMaxLead = 0xffffffff;
+    const u64 d = static_cast<u64>(delay);
+    switch (rng_.next_below(6)) {
+      case 0: return delay;
+      case 1: return static_cast<Duration>(d - std::min(d, rng_.next_below(1024)));
+      case 2: return static_cast<Duration>(d - std::min(d, rng_.next_below(kMaxLead + 1)));
+      default: return 0;
+    }
+  }
+
   void add() { add(pick_delay()); }
 
   void add(Duration delay) {
     if (budget_ == 0) return;
     --budget_;
     const auto id = static_cast<u32>(handles_.size());
-    handles_.push_back(kernel_.schedule(delay, [this, id] { on_fire(id); }));
+    const Duration lead = pick_lead(delay);
+    handles_.push_back(kernel_.schedule(delay, lead, [this, id] { on_fire(id); }));
   }
 
   /// Cancel one of the 64 most recent events (pending or not): those are
@@ -554,6 +575,24 @@ TEST(Simulator, QueueMatchesAPlainPriorityQueue) {
     EXPECT_EQ(sim.times(), ref.times());
     EXPECT_GT(ref.fired().size(), 1000u);
   }
+}
+
+TEST(Simulator, AsOfOrdersAnEventAmongItsTiesAsIfScheduledThen) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<Simulator::TieKey> keys;
+  sim.schedule_at(10, 8, [&] {
+    order.push_back(0);
+    keys.push_back(sim.running_key());
+  });
+  sim.schedule_at(10, [&] { order.push_back(1); });  // as of 0
+  sim.schedule_at(5, [&] { sim.schedule_at(10, [&] { order.push_back(2); }); });
+  sim.schedule_at(9, [&] { sim.schedule_at(10, [&] { order.push_back(3); }); });
+  EXPECT_EQ(sim.next_seq(), 4u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3}));
+  EXPECT_EQ(keys, (std::vector<Simulator::TieKey>{{8, 0}}));
+  EXPECT_GT(sim.running_key(), (Simulator::TieKey{kTimeNever - 1, 0}));  // between events
 }
 
 TEST(Simulator, RunUntilLeavesTheGapBeforeTheNextEventOpen) {

@@ -350,6 +350,26 @@ TEST_F(SwitchFixture, LinkCutAfterArrivalKeepsPacket) {
   EXPECT_EQ(hosts[1].received.size(), 1u);
 }
 
+// The egress stage runs inside the ingress event and posts the copy for its
+// egress time; a power-off before that time still keeps the copy off the
+// wire, and a power cycle that ends before it does not.
+
+TEST_F(SwitchFixture, PowerOffBetweenIngressAndEgressTimeDropsTheCopy) {
+  links[0]->send(0, to(11));  // ingress at ~321 ns, egress time ~530 ns
+  sim.schedule_at(400, [&] { device.power_off(); });
+  sim.run();
+  EXPECT_EQ(program.ingress_times.size(), 1u);
+  EXPECT_TRUE(hosts[1].received.empty());
+}
+
+TEST_F(SwitchFixture, PowerCycleBeforeTheEgressTimeLetsTheCopyOut) {
+  links[0]->send(0, to(11));
+  sim.schedule_at(400, [&] { device.power_off(); });
+  sim.schedule_at(450, [&] { device.power_on(); });
+  sim.run();
+  EXPECT_EQ(hosts[1].received.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // The whole packet path: NIC -> P4CE switch -> 4 NICs and back
 // ---------------------------------------------------------------------------
