@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the regular build + full test suite, a run of the
-# five paper benches that take a few seconds (tab_consensus_rate,
-# tab4_failover, fig7_burst_latency and the ack-path and flow-control
-# ablations) whose stdout must match bench/golden byte for byte, the schema
-# check of the first three's JSON output, a perf
-# smoke of the simulation substrate (bench/micro_event asserts the exact
+# six paper benches that take seconds (tab_consensus_rate, tab4_failover,
+# fig7_burst_latency, fig6_latency_vs_throughput and the ack-path and
+# flow-control ablations) whose stdout must match bench/golden byte for
+# byte, the schema check of the first three's JSON output, a perf smoke of
+# the simulation substrate (bench/micro_event asserts the exact
 # counters of the event kernel's shapes and of the scatter path, and its
 # reference-normalized rates must stay within 35% of the checked-in
 # baseline — see scripts/perf_smoke.py), then the test suite again under
@@ -33,8 +33,8 @@ if [[ "$perf" == 1 ]]; then
   # Runs are deterministic, so each table must match its golden byte for
   # byte. tab4's "flight recorder: <path>" line names an output file and is
   # left out of the comparison.
-  for bench in tab_consensus_rate tab4_failover fig7_burst_latency ablation_ack_path \
-    ablation_flow_control; do
+  for bench in tab_consensus_rate tab4_failover fig7_burst_latency fig6_latency_vs_throughput \
+    ablation_ack_path ablation_flow_control; do
     ./build/bench/"$bench" | grep -v '^flight recorder: ' | diff -u "bench/golden/$bench.stdout" -
   done
 

@@ -52,6 +52,12 @@ class Ring {
     ++size_;
   }
 
+  /// Append a default-valued element and return it, to be filled in place.
+  T& emplace_back() {
+    if (size_ == slots_.size()) grow();
+    return slots_[(head_ + size_++) & (slots_.size() - 1)];
+  }
+
   /// Drop the front element; its slot is reset so it holds no resources.
   void pop_front() {
     assert(size_ > 0);

@@ -69,7 +69,7 @@ MuCommunicator::MuCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
     : DirectCommunicator(sim, cpu, cal, std::move(targets), std::move(verdict)),
       f_needed_(f_needed) {}
 
-void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
+void MuCommunicator::replicate(u64 offset, net::PayloadRef entry, u64 seq) {
   if (live_target_count() < f_needed_) {
     verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     return;
@@ -79,12 +79,12 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   // serialization is exactly why "the leader divides its own network
   // capacity by the number of replicas" also costs it CPU (§I, §V-C).
   // Targets are addressed by index: reset_targets() may replace the vector
-  // while these posts sit in the CPU queue. The writes share one buffer.
-  net::PayloadRef payload(std::move(entry));
+  // while these posts sit in the CPU queue.
   const SimTime t_replicate = sim_.now();
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (!postable(i)) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, payload, seq, t_replicate]() mutable {
+    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, payload = entry, seq,
+                                    t_replicate]() mutable {
       if (!postable(i)) return;
       ReplicaTarget& target = targets_[i];
       if (sim_.obs().tracer.is_enabled()) {
@@ -234,7 +234,7 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
       kGroupSetupTimeout);
 }
 
-void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
+void P4ceCommunicator::replicate(u64 offset, net::PayloadRef entry, u64 seq) {
   if (state_ != State::kAccelerated) {
     // Un-accelerated path: identical to Mu.
     fallback_.replicate(offset, std::move(entry), seq);
@@ -242,11 +242,10 @@ void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   }
 
   // The WQE and the replay record share one buffer.
-  net::PayloadRef payload(std::move(entry));
-  accel_pending_.insert(seq, AccelOp{offset, payload});
+  accel_pending_.insert(seq, AccelOp{offset, entry});
   const SimTime t_replicate = sim_.now();
   // One post, one future completion: the whole point of the design.
-  cpu_.execute(cal_.cpu_post_wr, [this, offset, payload = std::move(payload), seq,
+  cpu_.execute(cal_.cpu_post_wr, [this, offset, payload = std::move(entry), seq,
                                   t_replicate]() mutable {
     if (state_ != State::kAccelerated || switch_qp_ == nullptr) return;  // replayed by fallback
     if (sim_.obs().tracer.is_enabled()) {
@@ -299,7 +298,7 @@ void P4ceCommunicator::enter_fallback() {
   // Replay everything that was in flight on the accelerated path through
   // the direct connections (idempotent: same bytes at the same offsets).
   for (auto& [seq, op] : accel_pending_.take_all()) {
-    fallback_.replicate(op.offset, op.entry.to_bytes(), seq);
+    fallback_.replicate(op.offset, std::move(op.entry), seq);
   }
   // Entries committed with f *other* ACKs may be missing at the replica
   // that NAK'd; the node refills them from its log over the direct path.

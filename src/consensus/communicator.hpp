@@ -179,7 +179,8 @@ class Communicator {
   /// replicas' logs at the same offset. The verdict callback fires exactly
   /// once for `op`, in any order relative to other ops (the node's
   /// CommitSequencer restores op order) — unless abort_all() drops it first.
-  virtual void replicate(u64 offset, Bytes entry, u64 op) = 0;
+  /// Every write of `entry` shares its one buffer.
+  virtual void replicate(u64 offset, net::PayloadRef entry, u64 op) = 0;
 
   /// Fire-and-forget unsignaled write to every live replica's log (the
   /// ring-wrap record). No verdict: it is ordered before any later
@@ -249,7 +250,7 @@ class MuCommunicator : public DirectCommunicator {
   MuCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
                  u32 f_needed, std::vector<ReplicaTarget> targets, VerdictFn verdict);
 
-  void replicate(u64 offset, Bytes entry, u64 op) override;
+  void replicate(u64 offset, net::PayloadRef entry, u64 op) override;
   void abort_all() override;
 
  private:
@@ -289,7 +290,7 @@ class P4ceCommunicator : public Communicator {
   /// §III-A "Faulty switch") and probe for re-acceleration periodically.
   void start_fallback(u64 term);
 
-  void replicate(u64 offset, Bytes entry, u64 op) override;
+  void replicate(u64 offset, net::PayloadRef entry, u64 op) override;
   void write_raw(u64 offset, Bytes bytes) override;
   bool accelerated() const noexcept override { return state_ == State::kAccelerated; }
   void exclude_replica(NodeId id) override;

@@ -68,7 +68,7 @@ StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
   auto wrap = make_room(total, first_seq);
   if (!wrap.is_ok()) return wrap.status();
   // Encode straight into the local log, then copy the range out for the
-  // replicas.
+  // replicas into one buffer (one allocation with its reference count).
   const u64 offset = cursor_;
   u8* const out = region_.bytes() + offset;
   u64 at = 0;
@@ -78,7 +78,9 @@ StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
     at += entry_footprint(p.size());
   }
   cursor_ += total;
-  return Append{offset, Bytes(out, out + total), std::move(wrap.value())};
+  return Append{offset,
+                net::PayloadRef::filled(total, [&](u8* dst) { std::memcpy(dst, out, total); }),
+                std::move(wrap.value())};
 }
 
 u32 LogReader::poll() {

@@ -23,6 +23,7 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "net/payload.hpp"
 #include "rdma/memory.hpp"
 
 namespace p4ce::consensus {
@@ -50,14 +51,15 @@ Bytes encode_entry(u64 seq, u64 term, BytesView payload);
 
 /// Leader-side appender over the local log region. append() writes the
 /// entries' bytes into local memory and returns the (offset, encoded bytes)
-/// pair the communicator replicates to the same offset on every replica.
+/// pair the communicator replicates to the same offset on every replica;
+/// the bytes are one immutable buffer every replica's write shares.
 class LogWriter {
  public:
   explicit LogWriter(rdma::MemoryRegion& region) : region_(region) {}
 
   struct Append {
     u64 offset = 0;
-    Bytes bytes;
+    net::PayloadRef entry;
     /// Set when this append wrapped the ring: the wrap record (12 bytes at
     /// `first`) must reach the replicas' logs before the entry itself so
     /// their readers follow the wrap too.

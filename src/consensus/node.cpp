@@ -787,7 +787,7 @@ void Node::append_and_replicate(std::span<const Bytes> values, bool batch, SimTi
   }
   commit_records_.insert(op, CommitRecord{last_seq, n, t_propose, std::move(done)});
   sequencer_.expect(op);
-  communicator_->replicate(append.value().offset, std::move(append.value().bytes), op);
+  communicator_->replicate(append.value().offset, std::move(append.value().entry), op);
 }
 
 void Node::finish_commit(u64 op, Status st) {

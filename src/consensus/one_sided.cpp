@@ -206,7 +206,7 @@ void OneSidedCommunicator::reserve_frontier_batch() {
   reserved_ += kOneSidedFrontierBatch;
 }
 
-void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
+void OneSidedCommunicator::replicate(u64 offset, net::PayloadRef entry, u64 seq) {
   if (live_target_count() < classic_needed_remote_) {
     verdict_(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
     return;
@@ -230,7 +230,6 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
   OpState& inserted = ops_.insert(seq, op);
 
   // Every per-replica write shares the one buffer.
-  net::PayloadRef payload(std::move(entry));
   const SimTime t_replicate = sim_.now();
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (!postable(i)) continue;
@@ -239,7 +238,7 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq) {
     // is the CPU price of one-sidedness: double Mu's posting cost, where
     // P4CE pays for a single post in total.
     cpu_.execute(2 * cal_.cpu_post_wr,
-                 [this, i, offset, payload, seq, t_replicate]() mutable {
+                 [this, i, offset, payload = entry, seq, t_replicate]() mutable {
       OpState* op = ops_.find(seq);
       if (op == nullptr) return;
       if (!postable(i)) {

@@ -98,7 +98,7 @@ class OneSidedCommunicator : public DirectCommunicator {
   /// kUnavailable until enough replicas return).
   void takeover(u64 term, std::function<void(Status)> on_ready);
 
-  void replicate(u64 offset, Bytes entry, u64 op) override;
+  void replicate(u64 offset, net::PayloadRef entry, u64 op) override;
   void abort_all() override;
 
   u64 ballot() const noexcept { return ballot_; }

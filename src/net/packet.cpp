@@ -100,7 +100,7 @@ SimTime Link::send_at(int from, Packet&& packet, SimTime start) {
     if (lost(flight)) return;
     dst->deliver(std::move(p));
   };
-  static_assert(sim::detail::SmallFn::fits_inline<decltype(hop)>(),
+  static_assert(sim::Simulator::fits_inline<decltype(hop)>(),
                 "a link hop must not heap-allocate its event");
   sim_.schedule_at(flight.arrival, start, std::move(hop));
   return done;

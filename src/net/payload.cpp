@@ -16,7 +16,10 @@ u64 PayloadRef::shared_bytes() noexcept { return t_shared_bytes; }
 PayloadRef::PayloadRef(Bytes&& bytes) {
   if (bytes.empty()) return;
   len_ = bytes.size();
-  buf_ = std::make_shared<const Bytes>(std::move(bytes));
+  // The vector moves into the control block; buf_ points at its bytes.
+  auto owner = std::make_shared<const Bytes>(std::move(bytes));
+  const u8* data = owner->data();
+  buf_ = std::shared_ptr<const u8>(std::move(owner), data);
 }
 
 PayloadRef::PayloadRef(const PayloadRef& other)

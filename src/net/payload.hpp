@@ -7,10 +7,10 @@
 // region (or by an explicit to_bytes()/copy_to()).
 //
 // Ownership contract: a PayloadRef never aliases caller-owned mutable
-// memory. Construction either takes ownership of a Bytes (move, no copy) or
-// explicitly copies (copy_of). Once inside a PayloadRef the bytes are
-// immutable for the buffer's lifetime, so slices and carbon copies are safe
-// to hold across arbitrary simulated time.
+// memory. Construction either takes ownership of a Bytes (move, no copy),
+// explicitly copies (copy_of), or fills a fresh buffer once (filled). Once
+// inside a PayloadRef the bytes are immutable for the buffer's lifetime, so
+// slices and carbon copies are safe to hold across arbitrary simulated time.
 //
 // Observability: every byte shared without copying bumps shared_bytes();
 // every byte materialized through copy_of/to_bytes/copy_to bumps
@@ -44,16 +44,27 @@ class PayloadRef {
   /// Materialize an owned copy of `bytes` (counted as copied).
   static PayloadRef copy_of(BytesView bytes);
 
+  /// A fresh `length`-byte buffer, written once by `fill(u8* data)` before
+  /// it becomes immutable: buffer and reference count in one allocation.
+  /// What `fill` writes is the payload's first materialization, not a copy
+  /// of another payload, so it is not counted.
+  template <class Fill>
+  static PayloadRef filled(std::size_t length, Fill&& fill) {
+    if (length == 0) return {};
+    std::shared_ptr<u8[]> buf = std::make_shared_for_overwrite<u8[]>(length);
+    fill(buf.get());
+    const u8* data = buf.get();
+    return PayloadRef(std::shared_ptr<const u8>(std::move(buf), data), 0, length);
+  }
+
   /// A view of [offset, offset+length) sharing this buffer (counted as
   /// shared, no copy). Out-of-range requests are clamped to the view.
   PayloadRef slice(std::size_t offset, std::size_t length) const;
 
-  BytesView view() const noexcept {
-    return buf_ ? BytesView{buf_->data() + off_, len_} : BytesView{};
-  }
+  BytesView view() const noexcept { return buf_ ? BytesView{data(), len_} : BytesView{}; }
   std::size_t size() const noexcept { return len_; }
   bool empty() const noexcept { return len_ == 0; }
-  const u8* data() const noexcept { return buf_ ? buf_->data() + off_ : nullptr; }
+  const u8* data() const noexcept { return buf_ ? buf_.get() + off_ : nullptr; }
   const u8* begin() const noexcept { return data(); }
   const u8* end() const noexcept { return data() + len_; }
 
@@ -75,10 +86,11 @@ class PayloadRef {
   bool operator==(const PayloadRef& other) const noexcept;
 
  private:
-  PayloadRef(std::shared_ptr<const Bytes> buf, std::size_t off, std::size_t len) noexcept
+  PayloadRef(std::shared_ptr<const u8> buf, std::size_t off, std::size_t len) noexcept
       : buf_(std::move(buf)), off_(off), len_(len) {}
 
-  std::shared_ptr<const Bytes> buf_;
+  /// The buffer's first byte; the control block owns the whole buffer.
+  std::shared_ptr<const u8> buf_;
   std::size_t off_ = 0;
   std::size_t len_ = 0;
 };

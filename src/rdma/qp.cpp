@@ -35,9 +35,9 @@ QueuePair::QueuePair(sim::Simulator& sim, Nic& nic, Qpn qpn, CompletionQueue& cq
     : sim_(sim), m_(sim.obs().metrics), nic_(nic), qpn_(qpn), cq_(cq), config_(config) {}
 
 QueuePair::~QueuePair() {
-  // A QP destroyed while healthy may still have a retransmit timeout
-  // scheduled; the event captures `this`, so it must not outlive the QP.
-  retransmit_timer_.cancel();
+  // A QP destroyed while healthy may still have a retransmit wake queued;
+  // the event captures `this`, so it must not outlive the QP.
+  rto_wake_.cancel();
   m_.inflight.add(-static_cast<double>(inflight_.size()));
 }
 
@@ -54,7 +54,7 @@ void QueuePair::connect(Ipv4Addr remote_ip, Qpn remote_qpn, Psn our_start_psn, P
 void QueuePair::set_error(WcStatus flush_status) {
   if (state_ == QpState::kError) return;
   state_ = QpState::kError;
-  retransmit_timer_.cancel();
+  disarm_timer();
   m_.inflight.add(-static_cast<double>(inflight_.size()));
   // Flush everything outstanding, oldest first, as a real QP would. Detach
   // the queues first: a completion callback may reset() this QP.
@@ -66,7 +66,8 @@ void QueuePair::set_error(WcStatus flush_status) {
 }
 
 void QueuePair::reset() {
-  retransmit_timer_.cancel();
+  disarm_timer();
+  rto_wake_.cancel();
   m_.inflight.add(-static_cast<double>(inflight_.size()));
   inflight_.clear();
   send_queue_.clear();
@@ -189,7 +190,7 @@ void QueuePair::pump_send_queue() {
     m_.msgs_sent.inc();
     m_.inflight.add(1);
   }
-  if (!inflight_.empty() && !retransmit_timer_.pending()) arm_timer();
+  if (!inflight_.empty() && !timer_armed()) arm_timer();
 }
 
 void QueuePair::transmit_wqe(const Wqe& wqe) {
@@ -333,7 +334,7 @@ void QueuePair::handle_ack(const net::Packet& packet) {
     progressed = true;
   }
   if (progressed) retry_count_ = 0;
-  retransmit_timer_.cancel();
+  disarm_timer();
   if (!inflight_.empty()) arm_timer();
   pump_send_queue();
 }
@@ -369,7 +370,7 @@ void QueuePair::handle_read_response(const net::Packet& packet) {
     inflight_.erase(index);
     m_.inflight.add(-1);
     retry_count_ = 0;
-    retransmit_timer_.cancel();
+    disarm_timer();
     if (!inflight_.empty()) arm_timer();
     pump_send_queue();
   }
@@ -411,7 +412,7 @@ void QueuePair::handle_atomic_response(const net::Packet& packet) {
   // state above was still refreshed, nothing more to do.
 
   if (progressed) retry_count_ = 0;
-  retransmit_timer_.cancel();
+  disarm_timer();
   if (!inflight_.empty()) arm_timer();
   pump_send_queue();
 }
@@ -430,8 +431,25 @@ void QueuePair::complete(const Wqe& wqe, WcStatus status, Bytes read_data) {
 }
 
 void QueuePair::arm_timer() {
-  retransmit_timer_.cancel();
-  retransmit_timer_ = sim_.schedule(config_.retransmit_timeout, [this] { on_timeout(); });
+  rto_deadline_ = sim_.now() + config_.retransmit_timeout;
+  rto_key_ = sim_.reserve_key();
+  if (!rto_wake_.pending()) queue_wake();
+}
+
+void QueuePair::queue_wake() {
+  rto_wake_ = sim_.schedule_at(rto_deadline_, rto_key_,
+                               [this, seq = rto_key_.seq] { on_wake(seq); });
+}
+
+void QueuePair::on_wake(u64 key_seq) {
+  if (!timer_armed()) return;
+  // Deadlines only move later, and each arming reserves a fresh key.
+  if (rto_key_.seq != key_seq) {
+    queue_wake();
+    return;
+  }
+  disarm_timer();
+  on_timeout();
 }
 
 void QueuePair::on_timeout() {

@@ -177,7 +177,13 @@ class QueuePair {
   void handle_atomic_response(const net::Packet& packet);
   void complete(const Wqe& wqe, WcStatus status, Bytes read_data = {});
   void fatal(WcStatus status);
+  /// (Re)start the retransmit timer: the deadline moves to one timeout
+  /// from now, in the tie place a timeout event scheduled now would take.
   void arm_timer();
+  void disarm_timer() noexcept { rto_deadline_ = kTimeNever; }
+  bool timer_armed() const noexcept { return rto_deadline_ != kTimeNever; }
+  void queue_wake();
+  void on_wake(u64 key_seq);
   void on_timeout();
 
   // Responder internals.
@@ -220,7 +226,14 @@ class QueuePair {
   u32 retry_count_ = 0;
   u64 retransmissions_ = 0;
   u64 messages_sent_ = 0;
-  sim::EventHandle retransmit_timer_;
+  // The retransmit timer is re-armed on every ACK, so it is lazy: arming
+  // records the deadline and reserves its tie key, disarming clears the
+  // deadline, and at most one wake event chases the deadline. A wake fires
+  // on_timeout() only if the deadline and key are still its own; otherwise
+  // it re-queues itself at the current ones.
+  SimTime rto_deadline_ = kTimeNever;  ///< kTimeNever: disarmed
+  sim::Simulator::TieKey rto_key_;
+  sim::EventHandle rto_wake_;
 
   // Responder state.
   Psn expected_psn_ = 0;

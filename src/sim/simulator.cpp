@@ -112,6 +112,8 @@ bool Simulator::step(SimTime deadline) {
     slot.fn();
     slot.fn.reset();
     free_slots_.push_back(entry.slot);
+  } else {
+    ++cancelled_pops_;
   }
   return true;
 }

@@ -9,7 +9,11 @@
 // ordinary event, so among those (as_of, seq) is plain scheduling order. A
 // component that schedules an event ahead of the moment it stands for (a
 // NIC admitting a packet at send time, see rdma::Nic) passes that moment,
-// and the event sorts among its ties as if scheduled then.
+// and the event sorts among its ties as if scheduled then. Work that waits
+// outside the queue (a CPU core's backlog, a retransmit deadline) takes its
+// place with reserve_key() when it is submitted and enters the queue later
+// in that place, so only events that will run, or a wake chasing a moved
+// deadline, occupy the queue.
 //
 // Allocation-light by design: each callable is built in a recycled slab
 // slot, in a small-buffer-optimized SmallFn (inline storage sized so even
@@ -55,27 +59,29 @@ using EventFn = std::function<void()>;
 
 namespace detail {
 
-/// Type-erased callable with inline storage, built in place in its event
-/// slot and never moved. Sized so the common simulation closures — timer
-/// callbacks, and lambdas carrying a whole net::Packet or sw::PacketContext
-/// by value — stay allocation-free; anything bigger lives on the heap
-/// (counted by Simulator::schedule_at).
+/// Type-erased callable with N bytes of inline storage. Captures that fit
+/// are built in place and never touch the heap; anything bigger lives on
+/// the heap (Simulator::schedule_at counts those). Moving one moves the
+/// held callable (or, for a heap-held one, its pointer).
+template <std::size_t N>
 class SmallFn {
  public:
-  /// The largest captures in the stack: the link hop and the switch
-  /// ingress hop, each `this`, a pointer or index, a 40 B net::InFlight and
-  /// a 272 B packet (static_asserts at the packet-carrying call sites keep
-  /// this honest).
-  static constexpr std::size_t kInlineBytes = 328;
+  static constexpr std::size_t kInlineBytes = N;
 
   template <class D>
   static constexpr bool fits_inline() noexcept {
     return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t);
   }
 
-  SmallFn() noexcept = default;
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
+  SmallFn() noexcept {}  // storage left uninitialized: no zero-fill per slot
+  SmallFn(SmallFn&& other) noexcept { take(other); }
+  SmallFn& operator=(SmallFn&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
   ~SmallFn() { reset(); }
 
   /// Replace the held callable with `f`.
@@ -106,13 +112,25 @@ class SmallFn {
   struct Ops {
     void (*invoke)(void* slot);
     void (*destroy)(void* slot) noexcept;
+    /// Move-construct the callable held at `from` into `to`, then destroy
+    /// the one at `from`.
+    void (*relocate)(void* to, void* from) noexcept;
   };
+
+  template <class D>
+  static D* as(void* slot) noexcept {
+    return std::launder(reinterpret_cast<D*>(slot));
+  }
 
   template <class D>
   static const Ops* inline_ops() noexcept {
     static constexpr Ops ops{
-        [](void* slot) { (*std::launder(reinterpret_cast<D*>(slot)))(); },
-        [](void* slot) noexcept { std::launder(reinterpret_cast<D*>(slot))->~D(); },
+        [](void* slot) { (*as<D>(slot))(); },
+        [](void* slot) noexcept { as<D>(slot)->~D(); },
+        [](void* to, void* from) noexcept {
+          ::new (to) D(std::move(*as<D>(from)));
+          as<D>(from)->~D();
+        },
     };
     return &ops;
   }
@@ -120,10 +138,17 @@ class SmallFn {
   template <class D>
   static const Ops* heap_ops() noexcept {
     static constexpr Ops ops{
-        [](void* slot) { (**std::launder(reinterpret_cast<D**>(slot)))(); },
-        [](void* slot) noexcept { delete *std::launder(reinterpret_cast<D**>(slot)); },
+        [](void* slot) { (**as<D*>(slot))(); },
+        [](void* slot) noexcept { delete *as<D*>(slot); },
+        [](void* to, void* from) noexcept { ::new (to) D*(*as<D*>(from)); },
     };
     return &ops;
+  }
+
+  void take(SmallFn& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(storage_, other.storage_);
+    ops_ = std::exchange(other.ops_, nullptr);
   }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
@@ -173,6 +198,18 @@ class Simulator {
   /// is gone.
   const std::shared_ptr<obs::Context>& obs_handle() const noexcept { return obs_; }
 
+  /// Inline capture budget of an event: the largest captures in the stack
+  /// are the link hop and the switch ingress hop, each `this`, a pointer or
+  /// index, a 40 B net::InFlight and a 272 B packet.
+  static constexpr std::size_t kEventInlineBytes = 328;
+  using EventCallable = detail::SmallFn<kEventInlineBytes>;
+  /// Whether an event capturing a `D` is stored without a heap allocation
+  /// (static_asserts at the packet-carrying call sites keep this honest).
+  template <class D>
+  static constexpr bool fits_inline() noexcept {
+    return EventCallable::fits_inline<D>();
+  }
+
   /// Schedule `fn` to run `delay` ns from now (>= 0).
   template <class F>
   EventHandle schedule(Duration delay, F&& fn) {
@@ -193,10 +230,7 @@ class Simulator {
     assert(when >= now_ && "cannot schedule into the past");
     assert(as_of >= now_ && as_of <= when && "as_of lies between now and when");
     assert((as_of == now_ || when - as_of <= kMaxLead) && "as_of ahead of now but far before when");
-    if constexpr (!detail::SmallFn::fits_inline<std::decay_t<F>>()) events_alloc_.inc();
-    const u32 index = acquire_slot();
-    slot_at(index).fn.emplace(std::forward<F>(fn));
-    return arm(index, when, as_of);
+    return emplace_and_arm(when, TieKey{as_of, next_seq_++}, std::forward<F>(fn));
   }
 
   /// Where an event stands among the events due at its instant: by the time
@@ -206,6 +240,22 @@ class Simulator {
     u64 seq = 0;
     friend auto operator<=>(const TieKey&, const TieKey&) = default;
   };
+
+  /// The tie key an event scheduled now would get, taking its seq exactly
+  /// as scheduling does: work that waits outside the queue (a CPU backlog,
+  /// a retransmit deadline) keeps its place among its ties and enters the
+  /// queue later, with schedule_at(when, key, fn).
+  TieKey reserve_key() noexcept { return TieKey{now_, next_seq_++}; }
+
+  /// schedule_at(), in the place among the events due at `when` that `key`
+  /// reserved: the event runs exactly where one scheduled at reserve time
+  /// would. (when, key) must still lie ahead of the running event.
+  template <class F>
+  EventHandle schedule_at(SimTime when, TieKey key, F&& fn) {
+    assert(key.as_of <= now_ && key.seq < next_seq_ && "a key from reserve_key()");
+    assert((when > now_ || (when == now_ && key > running_)) && "cannot schedule into the past");
+    return emplace_and_arm(when, key, std::forward<F>(fn));
+  }
   /// The tie key of the event running now (for an event scheduled more
   /// than kMaxLead before its time, as_of reads as that far before). Between
   /// events (before a run, after one returns) it is after every event's, so
@@ -229,6 +279,8 @@ class Simulator {
 
   /// Events run so far (this run's `sim.events` counter).
   u64 events_executed() const noexcept { return events_.value(); }
+  /// Queue entries popped and skipped because their event was cancelled.
+  u64 cancelled_pops() const noexcept { return cancelled_pops_; }
   bool empty() const noexcept {
     return near_head_ == near_.size() && spill_.empty() && far_mask_ == 0;
   }
@@ -244,15 +296,15 @@ class Simulator {
   /// slot is (re)armed, so queue entries and handles from earlier uses of
   /// the slot can never touch the current occupant.
   struct EventSlot {
-    detail::SmallFn fn;
+    EventCallable fn;
     u64 gen = 0;
     bool armed = false;
   };
   /// What the queue orders: 32-byte PODs. `lead` is when - as_of, capped
-  /// at kMaxLead: a larger lead is an earlier as_of. Only ordinary events
-  /// (as_of = the time they were scheduled) can reach the cap, and among
-  /// those as_of order is seq order, so (when, -lead, seq) orders exactly
-  /// as (when, as_of, seq).
+  /// at kMaxLead: a larger lead is an earlier as_of. Only events whose
+  /// as_of is the time their seq was taken (ordinary events, and reserved
+  /// keys) can reach the cap, and among those as_of order is seq order, so
+  /// (when, -lead, seq) orders exactly as (when, as_of, seq).
   struct QueueEntry {
     SimTime when;
     u64 seq;
@@ -275,9 +327,10 @@ class Simulator {
   // radix heap over 1024 ns blocks with a sorted run in front. Entries in
   // the block of the last popped event (`last_block_`) sit in `near_`,
   // sorted on (when, -lead, seq) and consumed from `near_head_`. A new
-  // entry carries the largest seq yet, so its place is after every near
-  // entry that sorts before it: a short scan back from the tail finds it
-  // (an entry with as_of ahead of now can sort after its ties). An entry
+  // entry mostly carries the largest seq yet, so its place is after every
+  // near entry that sorts before it: a short scan back from the tail finds
+  // it (an entry with as_of ahead of now can sort after its ties, and one
+  // on a reserved key before them). An entry
   // whose place lies more than kMaxShift entries back goes to `spill_`, a
   // binary heap that step() merges with the run, so a burst of out-of-order
   // events in one block stays O(log n) each.
@@ -287,9 +340,10 @@ class Simulator {
   // bucket is earlier than every entry of a higher one. When the near
   // level runs dry, step() takes the lowest bucket, moves `last_block_` to
   // the block of its earliest entry and redistributes it: that block is
-  // sorted into `near_`, the rest drops into lower buckets. A long timer
-  // that is cancelled before it fires (a retransmit timer re-armed on every
-  // ACK) waits in a far bucket, touched about once per redistribution.
+  // sorted into `near_`, the rest drops into lower buckets. A cancelled
+  // event's entry stays queued until it is popped and skipped, so the
+  // frequently re-armed timers (QP retransmits) keep one wake event
+  // instead of cancelling.
   static constexpr u32 kBlockShift = 10;
   static constexpr u32 kFarBuckets = 64;
   static constexpr std::size_t kMaxShift = 64;
@@ -309,7 +363,7 @@ class Simulator {
     return slab_[index >> kSlabChunkShift][index & (kSlabChunkSlots - 1)];
   }
 
-  /// A free slot; arm() queues it once its callable is in place.
+  /// A free slot; emplace_and_arm() fills and queues it.
   u32 acquire_slot() {
     if (!free_slots_.empty()) {
       const u32 index = free_slots_.back();
@@ -320,12 +374,16 @@ class Simulator {
   }
   /// A never-used slot, growing the slab by a chunk when it is full.
   u32 new_slot();
-  EventHandle arm(u32 index, SimTime when, SimTime as_of) {
+  template <class F>
+  EventHandle emplace_and_arm(SimTime when, TieKey key, F&& fn) {
+    if constexpr (!fits_inline<std::decay_t<F>>()) events_alloc_.inc();
+    const u32 index = acquire_slot();
     EventSlot& slot = slot_at(index);
+    slot.fn.emplace(std::forward<F>(fn));
     slot.armed = true;
     const u64 gen = ++slot.gen;
-    const auto lead = static_cast<u32>(std::min<Duration>(when - as_of, kMaxLead));
-    push(QueueEntry{when, next_seq_++, gen, index, lead});
+    const auto lead = static_cast<u32>(std::min<Duration>(when - key.as_of, kMaxLead));
+    push(QueueEntry{when, key.seq, gen, index, lead});
     return EventHandle(this, index, gen);
   }
   void push(const QueueEntry& entry) {
@@ -370,6 +428,7 @@ class Simulator {
   std::vector<u32> free_slots_;
   SimTime now_ = 0;
   u64 next_seq_ = 0;
+  u64 cancelled_pops_ = 0;
   static constexpr TieKey kBetweenEvents{kTimeNever, ~u64{0}};
   TieKey running_ = kBetweenEvents;
   bool stopped_ = false;

@@ -50,7 +50,7 @@ void SwitchDevice::on_port_rx(u32 port, net::Packet&& packet, const net::InFligh
     ctx.ingress_port = port;
     run_ingress(std::move(ctx));
   };
-  static_assert(sim::detail::SmallFn::fits_inline<decltype(ingress)>(),
+  static_assert(sim::Simulator::fits_inline<decltype(ingress)>(),
                 "a switch ingress hop must not heap-allocate its event");
   sim_.schedule_at(parsed + kIngressLatency, std::move(ingress));
 }

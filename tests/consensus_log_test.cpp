@@ -107,7 +107,7 @@ TEST_F(LogFixture, BatchAppendIsContiguousAndSequential) {
   EXPECT_EQ(append.value().offset, 0u);
   u64 expected = 0;
   for (const auto& v : values) expected += entry_footprint(v.size());
-  EXPECT_EQ(append.value().bytes.size(), expected);
+  EXPECT_EQ(append.value().entry.size(), expected);
   EXPECT_EQ(reader->poll(), 3u);
   EXPECT_EQ(delivered[2].seq, 3u);
   EXPECT_EQ(delivered[2].term, 4u);

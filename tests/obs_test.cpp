@@ -178,6 +178,51 @@ TEST_F(TracerTest, WireMapHandles24BitPsnWrap) {
   tracer_.end_round(9, 10, true);
 }
 
+TEST_F(TracerTest, WireLookupsTakeTheEarliestBegunRoundOnTheQp) {
+  tracer_.enable();
+  tracer_.begin_round(1, 0);
+  tracer_.begin_round(2, 0);
+  tracer_.begin_round(3, 0);
+  // Round 2 is mapped first, but round 1 began first and overlaps it.
+  tracer_.map_wire(2, /*first_psn=*/10, /*npkts=*/4, /*qpn=*/0x100);
+  tracer_.map_wire(1, /*first_psn=*/12, /*npkts=*/4, /*qpn=*/0x100);
+  tracer_.map_wire(3, /*first_psn=*/10, /*npkts=*/8, /*qpn=*/0);  // any QP
+  EXPECT_EQ(tracer_.instance_for_psn(10, 0x100), 2u);
+  EXPECT_EQ(tracer_.instance_for_psn(12, 0x100), 1u);
+  EXPECT_EQ(tracer_.instance_for_psn(16, 0x100), 3u);
+  EXPECT_EQ(tracer_.instance_for_psn(10, 0x200), 3u);
+  EXPECT_EQ(tracer_.instance_for_psn(12), 1u);  // QPN 0 matches any mapping
+  // Re-mapping a round moves its footprint; ending one releases it.
+  tracer_.map_wire(1, /*first_psn=*/40, /*npkts=*/1, /*qpn=*/0x100);
+  EXPECT_EQ(tracer_.instance_for_psn(12, 0x100), 2u);
+  EXPECT_EQ(tracer_.instance_for_psn(40, 0x100), 1u);
+  tracer_.end_round(2, 10, true);
+  EXPECT_EQ(tracer_.instance_for_psn(12, 0x100), 3u);
+  const auto rounds = tracer_.active_rounds();
+  ASSERT_EQ(rounds.size(), 2u);
+  EXPECT_EQ(rounds[0].key, 1u);  // in begin order
+  EXPECT_EQ(rounds[1].key, 3u);
+}
+
+TEST_F(TracerTest, ChromeTraceOrderDoesNotDependOnHookOrder) {
+  // Events tied on track, start and duration print in (name, argument)
+  // order whichever hook ran first.
+  const auto record = [](Tracer& tracer, bool reversed) {
+    tracer.enable();
+    tracer.begin_round(1, 0);
+    for (u32 i = 0; i < 4; ++i) {
+      const u32 r = reversed ? 3 - i : i;
+      tracer.on_ack(1, 100, r);
+      tracer.instant(1, r % 2 == 0 ? "b" : "a", 100);
+    }
+    tracer.end_round(1, 200, true);
+    return tracer.to_chrome_json();
+  };
+  LatencyAttribution sink_a, sink_b;
+  Tracer a(sink_a), b(sink_b);
+  EXPECT_EQ(record(a, false), record(b, true));
+}
+
 TEST_F(TracerTest, EventBufferIsBounded) {
   tracer_.enable(/*sample_every=*/1, /*max_events=*/4);
   tracer_.begin_round(1, 0);

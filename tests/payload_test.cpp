@@ -32,6 +32,18 @@ TEST(PayloadRef, TakesOwnershipWithoutCopying) {
   EXPECT_EQ(copied_bytes(), copied_before);
 }
 
+TEST(PayloadRef, FilledWritesOneFreshBufferWithoutCountingACopy) {
+  const u64 copied_before = copied_bytes();
+  const PayloadRef p = PayloadRef::filled(100, [](u8* data) {
+    for (u8 i = 0; i < 100; ++i) data[i] = i;
+  });
+  EXPECT_EQ(copied_bytes(), copied_before);
+  EXPECT_EQ(p.size(), 100u);
+  EXPECT_EQ(p, PayloadRef(pattern(100)));
+  EXPECT_EQ(p.use_count(), 1);
+  EXPECT_TRUE(PayloadRef::filled(0, [](u8*) { FAIL() << "nothing to fill"; }).empty());
+}
+
 TEST(PayloadRef, SlicesShareOneBuffer) {
   PayloadRef whole(pattern(2048));
   const u64 shared_before = shared_bytes();

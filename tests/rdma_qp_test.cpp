@@ -221,6 +221,45 @@ TEST_F(QpFixture, RetryExhaustionErrorsTheQp) {
   EXPECT_GE(sim.now(), 3 * QpConfig{}.retransmit_timeout);
 }
 
+TEST_F(QpFixture, TimeoutKeepsItsTiePlaceAfterManyReArms) {
+  // A chain of writes re-arms the retransmit timer on every ACK. At the
+  // last ACK the link goes down, so the last write times out one timeout
+  // after that ACK. An eagerly re-armed timer is an event scheduled when the
+  // ACK's handling re-arms it, after the completion callback returns: the
+  // two probes the callback schedules for the deadline run before the
+  // timeout, and one scheduled 1 ns later for the same instant runs after.
+  constexpr u64 kWrites = 50;
+  const Duration timeout = QpConfig::retransmit_timeout;
+  u64 posted = 0;
+  std::vector<std::pair<char, u64>> probes;  // (probe, retransmissions seen)
+  const auto probe = [&](char name) {
+    return [&, name] { probes.emplace_back(name, qp_a->retransmissions()); };
+  };
+  const auto post = [&] {
+    ASSERT_TRUE(
+        qp_a->post_write(posted++, pattern(64), region_b->vaddr(), region_b->rkey()).is_ok());
+  };
+  cq_a.set_callback([&](const Completion& c) {
+    completions_a.push_back(c);
+    if (posted < kWrites - 1) {
+      post();
+    } else if (posted == kWrites - 1) {
+      link.cut();
+      sim.schedule(timeout, probe('b'));
+      post();
+      sim.schedule(timeout, probe('c'));
+      sim.schedule(1, [&] { sim.schedule(timeout - 1, probe('a')); });
+    }
+  });
+  post();
+  sim.run();
+  ASSERT_EQ(completions_a.size(), kWrites);
+  EXPECT_EQ(completions_a.back().status, WcStatus::kRetryExceeded);
+  EXPECT_EQ(probes, (std::vector<std::pair<char, u64>>{{'b', 0}, {'c', 0}, {'a', 1}}));
+  // Re-arming cancelled nothing: no dead entry was left in the queue.
+  EXPECT_EQ(sim.cancelled_pops(), 0u);
+}
+
 TEST_F(QpFixture, ErrorStateFlushesQueuedWork) {
   link.cut();
   QpConfig config;

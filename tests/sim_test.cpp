@@ -221,6 +221,130 @@ TEST(CpuExecutor, HaltDropsPendingTasks) {
   EXPECT_EQ(ran, 1);
 }
 
+TEST(CpuExecutor, ReentrantExecuteFromARunningTask) {
+  Simulator sim;
+  CpuExecutor cpu(sim);
+  std::vector<std::pair<SimTime, int>> ran;
+  // Task 0 submits task 3 behind the two already waiting; task 3, running
+  // on an idle core, submits task 4.
+  cpu.execute(10, [&] {
+    ran.emplace_back(sim.now(), 0);
+    cpu.execute(5, [&] {
+      ran.emplace_back(sim.now(), 3);
+      cpu.execute(0, [&] { ran.emplace_back(sim.now(), 4); });
+    });
+  });
+  cpu.execute(10, [&] { ran.emplace_back(sim.now(), 1); });
+  cpu.execute(10, [&] { ran.emplace_back(sim.now(), 2); });
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<std::pair<SimTime, int>>{{10, 0}, {20, 1}, {30, 2}, {35, 3}, {35, 4}}));
+  EXPECT_EQ(cpu.tasks_executed(), 5u);
+  EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+TEST(CpuExecutor, OnlyTheHeadTaskHasAKernelEvent) {
+  Simulator sim;
+  CpuExecutor cpu(sim);
+  int ran = 0;
+  for (int i = 0; i < 1000; ++i) cpu.execute(10, [&] { ++ran; });
+  EXPECT_EQ(sim.event_slab_size(), 1u);
+  sim.run();
+  EXPECT_EQ(ran, 1000);
+  EXPECT_EQ(sim.now(), 10'000);
+  // A running head queues its successor before its own slot is freed.
+  EXPECT_EQ(sim.event_slab_size(), 2u);
+}
+
+TEST(CpuExecutor, HaltDropsTheWaitingBacklog) {
+  Simulator sim;
+  CpuExecutor cpu(sim);
+  int ran = 0;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  for (int i = 0; i < 100; ++i) cpu.execute(10, [&ran, token] { ran += *token + 1; });
+  token.reset();
+  sim.run_until(255);  // 25 tasks done, the 26th is the head
+  EXPECT_EQ(ran, 25);
+  cpu.halt();
+  EXPECT_TRUE(watch.expired());  // every waiting task, the head's included
+  sim.run();
+  EXPECT_EQ(ran, 25);
+  EXPECT_EQ(sim.now(), 260);  // only the head's event was left to pop
+  cpu.execute(10, [&] { ++ran; });  // ignored after halt
+  sim.run();
+  EXPECT_EQ(ran, 25);
+}
+
+/// The serial core as one kernel event per task, scheduled at submission:
+/// the order CpuExecutor's ring must reproduce exactly.
+class EventPerTaskCpu {
+ public:
+  explicit EventPerTaskCpu(Simulator& sim) noexcept : sim_(sim) {}
+  template <class F>
+  void execute(Duration cost, F&& fn) {
+    if (halted_) return;
+    busy_until_ = std::max(busy_until_, sim_.now()) + cost;
+    sim_.schedule_at(busy_until_, [this, f = std::forward<F>(fn)]() mutable {
+      if (!halted_) f();
+    });
+  }
+  void halt() noexcept { halted_ = true; }
+
+ private:
+  Simulator& sim_;
+  SimTime busy_until_ = 0;
+  bool halted_ = false;
+};
+
+/// A seeded program of CPU tasks and plain events that tie with them (task
+/// costs and event delays of 0-3 ns), submitted from top level and from
+/// running tasks and events, with the core halted late in the run.
+template <class Cpu>
+std::vector<std::pair<SimTime, u32>> run_cpu_program(u64 seed) {
+  Simulator sim;
+  Cpu cpu(sim);
+  Rng rng(seed);
+  std::vector<std::pair<SimTime, u32>> fired;
+  u32 next_id = 0;
+  u32 budget = 4000;
+  std::function<void()> spawn;
+  std::function<void(u32)> fire = [&](u32 id) {
+    fired.emplace_back(sim.now(), id);
+    if (id == 3000) cpu.halt();
+    spawn();
+  };
+  spawn = [&] {
+    const u64 r = rng.next_below(6);
+    if (r < 3 && budget > 0) {
+      --budget;
+      cpu.execute(static_cast<Duration>(rng.next_below(4)), [&fire, id = next_id++] { fire(id); });
+    }
+    if (r >= 2 && r < 5 && budget > 0) {
+      --budget;
+      sim.schedule(static_cast<Duration>(rng.next_below(4)), [&fire, id = next_id++] { fire(id); });
+    }
+  };
+  for (int round = 0; round < 200; ++round) {
+    for (u64 i = rng.next_below(4); i > 0; --i) spawn();
+    sim.run_until(sim.now() + static_cast<Duration>(rng.next_below(8)));
+  }
+  sim.run();
+  return fired;
+}
+
+TEST(CpuExecutor, TasksRunWhereAnEventScheduledAtSubmissionWould) {
+  for (u64 seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto ring = run_cpu_program<CpuExecutor>(seed);
+    const auto reference = run_cpu_program<EventPerTaskCpu>(seed);
+    EXPECT_GT(reference.size(), 1000u);
+    ASSERT_EQ(ring.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(ring[i], reference[i]) << "at fired event " << i;
+    }
+  }
+}
+
 TEST(Simulator, SlabRecyclesSlotsAcrossWaves) {
   Simulator sim;
   int fired = 0;
@@ -399,27 +523,37 @@ INSTANTIATE_TEST_SUITE_P(Sizes, EventStormTest, ::testing::Values(10, 1000, 5000
 class ReferenceKernel {
  public:
   using Handle = u32;
+  using TieKey = Simulator::TieKey;
 
   SimTime now() const noexcept { return now_; }
 
   /// An event due `delay` from now, ordered among its ties as if scheduled
   /// `lead` from now (0 <= lead <= delay).
   Handle schedule(Duration delay, Duration lead, std::function<void()> fn) {
+    return schedule_at(now_ + delay, TieKey{now_ + lead, next_seq_++}, std::move(fn));
+  }
+
+  /// The place an event scheduled now would take among its ties.
+  TieKey reserve_key() { return TieKey{now_, next_seq_++}; }
+  Handle schedule_at(SimTime when, TieKey key, std::function<void()> fn) {
     const auto id = static_cast<u32>(fns_.size());
     fns_.push_back(std::move(fn));
-    queue_.push(Entry{now_ + delay, now_ + lead, next_seq_++, id});
+    queue_.push(Entry{when, key.as_of, key.seq, id});
     return id;
   }
+  TieKey running_key() const noexcept { return running_; }
 
   void cancel(Handle id) { fns_[id] = nullptr; }
 
   void run_until(SimTime deadline) {
     while (!queue_.empty() && queue_.top().when <= deadline) pop_and_run();
+    running_ = kBetweenEvents;
     if (now_ < deadline) now_ = deadline;
   }
 
   void run() {
     while (!queue_.empty()) pop_and_run();
+    running_ = kBetweenEvents;
   }
 
  private:
@@ -442,23 +576,32 @@ class ReferenceKernel {
     now_ = e.when;
     std::function<void()> fn = std::move(fns_[e.id]);
     fns_[e.id] = nullptr;
+    running_ = TieKey{e.as_of, e.seq};
     if (fn) fn();
   }
 
+  static constexpr TieKey kBetweenEvents{kTimeNever, ~u64{0}};
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   std::vector<std::function<void()>> fns_;
   SimTime now_ = 0;
   u64 next_seq_ = 0;
+  TieKey running_ = kBetweenEvents;
 };
 
 class SimulatorKernel {
  public:
   using Handle = EventHandle;
+  using TieKey = Simulator::TieKey;
 
   SimTime now() const noexcept { return sim_.now(); }
   Handle schedule(Duration delay, Duration lead, std::function<void()> fn) {
     return sim_.schedule_at(sim_.now() + delay, sim_.now() + lead, std::move(fn));
   }
+  TieKey reserve_key() { return sim_.reserve_key(); }
+  Handle schedule_at(SimTime when, TieKey key, std::function<void()> fn) {
+    return sim_.schedule_at(when, key, std::move(fn));
+  }
+  TieKey running_key() const noexcept { return sim_.running_key(); }
   void cancel(Handle& handle) { handle.cancel(); }
   void run_until(SimTime deadline) { sim_.run_until(deadline); }
   void run() { sim_.run(); }
@@ -485,6 +628,7 @@ class RandomProgram {
         for (int i = 0; i < 160; ++i) add(static_cast<Duration>(rng_.next_below(1024)));
       }
       if (rng_.next_below(3) == 0) cancel_one();
+      if (rng_.next_below(2) == 0) queue_reserved();
       // Deadlines of every scale: many land in an empty gap before the next
       // event, and the next round schedules into that gap.
       kernel_.run_until(kernel_.now() + pick_delay());
@@ -529,12 +673,31 @@ class RandomProgram {
 
   void add() { add(pick_delay()); }
 
+  /// Schedule an event now, or (one time in five) reserve its place now and
+  /// queue it later on that key, the way a CPU core's backlog and a lazy
+  /// retransmit timer do.
   void add(Duration delay) {
     if (budget_ == 0) return;
     --budget_;
-    const auto id = static_cast<u32>(handles_.size());
+    const u32 id = next_id_++;
+    if (rng_.next_below(5) == 0) {
+      reserved_.push_back(Reserved{kernel_.now() + delay, kernel_.reserve_key(), id});
+      return;
+    }
     const Duration lead = pick_lead(delay);
     handles_.push_back(kernel_.schedule(delay, lead, [this, id] { on_fire(id); }));
+  }
+
+  /// Queue the oldest reserved event on its key; it is dropped if its place
+  /// has already passed (an event it ties with, scheduled after it, ran).
+  void queue_reserved() {
+    if (reserved_.empty()) return;
+    const Reserved r = reserved_.front();
+    reserved_.erase(reserved_.begin());
+    const bool ahead = r.when > kernel_.now() ||
+                       (r.when == kernel_.now() && r.key > kernel_.running_key());
+    if (!ahead) return;
+    handles_.push_back(kernel_.schedule_at(r.when, r.key, [this, id = r.id] { on_fire(id); }));
   }
 
   /// Cancel one of the 64 most recent events (pending or not): those are
@@ -551,11 +714,20 @@ class RandomProgram {
     if (r < 5) add();  // nested scheduling from a callback
     if (r < 2) add();
     if (r == 7) cancel_one();
+    if (r % 2 == 0) queue_reserved();
   }
+
+  struct Reserved {
+    SimTime when;
+    typename Kernel::TieKey key;
+    u32 id;
+  };
 
   Kernel kernel_;
   Rng rng_;
   u32 budget_ = 6000;
+  u32 next_id_ = 0;
+  std::vector<Reserved> reserved_;
   std::vector<typename Kernel::Handle> handles_;
   std::vector<std::pair<SimTime, u32>> fired_;
   std::vector<SimTime> times_;
