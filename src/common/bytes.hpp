@@ -1,5 +1,6 @@
-// Byte-buffer helpers: big-endian (network order) encode/decode primitives
-// used by every wire-format codec, and a growable write cursor.
+// Byte-buffer helpers: big-endian (network order) write and read cursors
+// for the byte strings that do travel as bytes (CM private data, and the
+// commands the kv_store example logs).
 #pragma once
 
 #include <cassert>
@@ -22,11 +23,6 @@ class ByteWriter {
 
   void u8be(u8 v) { out_.push_back(v); }
   void u16be(u16 v) {
-    out_.push_back(static_cast<u8>(v >> 8));
-    out_.push_back(static_cast<u8>(v));
-  }
-  void u24be(u32 v) {
-    out_.push_back(static_cast<u8>(v >> 16));
     out_.push_back(static_cast<u8>(v >> 8));
     out_.push_back(static_cast<u8>(v));
   }
@@ -57,11 +53,6 @@ class ByteReader {
     if (!take(2)) return 0;
     return static_cast<u16>((data_[pos_ - 2] << 8) | data_[pos_ - 1]);
   }
-  u32 u24be() {
-    if (!take(3)) return 0;
-    return (static_cast<u32>(data_[pos_ - 3]) << 16) | (static_cast<u32>(data_[pos_ - 2]) << 8) |
-           data_[pos_ - 1];
-  }
   u32 u32be() {
     const u32 hi = u16be();
     const u32 lo = u16be();
@@ -76,13 +67,6 @@ class ByteReader {
     if (!take(n)) return {};
     return Bytes(data_.begin() + static_cast<std::ptrdiff_t>(pos_ - n),
                  data_.begin() + static_cast<std::ptrdiff_t>(pos_));
-  }
-  /// Non-owning window over the next `n` bytes; valid only while the span
-  /// passed to the constructor is. Use in parse paths that only inspect
-  /// bytes (or copy them exactly once downstream) instead of raw().
-  BytesView view(std::size_t n) {
-    if (!take(n)) return {};
-    return data_.subspan(pos_ - n, n);
   }
   void skip(std::size_t n) { take(n); }
 

@@ -4,90 +4,6 @@
 
 namespace p4ce::net {
 
-void EthernetHeader::encode(ByteWriter& w) const {
-  w.u16be(static_cast<u16>(dst_mac >> 32));
-  w.u32be(static_cast<u32>(dst_mac));
-  w.u16be(static_cast<u16>(src_mac >> 32));
-  w.u32be(static_cast<u32>(src_mac));
-  w.u16be(ethertype);
-}
-
-EthernetHeader EthernetHeader::decode(ByteReader& r) {
-  EthernetHeader h;
-  h.dst_mac = (static_cast<u64>(r.u16be()) << 32) | r.u32be();
-  h.src_mac = (static_cast<u64>(r.u16be()) << 32) | r.u32be();
-  h.ethertype = r.u16be();
-  return h;
-}
-
-u16 Ipv4Header::checksum() const {
-  // Sum the header as 16-bit big-endian words with the checksum field zero.
-  Bytes buf;
-  buf.reserve(kWireSize);
-  ByteWriter w(buf);
-  // Encode without checksum (field written as zero inside encode_inner).
-  w.u8be(0x45);  // version 4, IHL 5
-  w.u8be(dscp_ecn);
-  w.u16be(total_length);
-  w.u16be(0);  // identification
-  w.u16be(0);  // flags/fragment offset
-  w.u8be(ttl);
-  w.u8be(protocol);
-  w.u16be(0);  // checksum placeholder
-  w.u32be(src);
-  w.u32be(dst);
-
-  u32 sum = 0;
-  for (std::size_t i = 0; i + 1 < buf.size(); i += 2) {
-    sum += (static_cast<u32>(buf[i]) << 8) | buf[i + 1];
-  }
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<u16>(~sum);
-}
-
-void Ipv4Header::encode(ByteWriter& w) const {
-  w.u8be(0x45);
-  w.u8be(dscp_ecn);
-  w.u16be(total_length);
-  w.u16be(0);
-  w.u16be(0);
-  w.u8be(ttl);
-  w.u8be(protocol);
-  w.u16be(checksum());
-  w.u32be(src);
-  w.u32be(dst);
-}
-
-Ipv4Header Ipv4Header::decode(ByteReader& r) {
-  Ipv4Header h;
-  r.skip(1);  // version/IHL
-  h.dscp_ecn = r.u8be();
-  h.total_length = r.u16be();
-  r.skip(4);  // id, flags/frag
-  h.ttl = r.u8be();
-  h.protocol = r.u8be();
-  r.skip(2);  // checksum (validated separately if desired)
-  h.src = r.u32be();
-  h.dst = r.u32be();
-  return h;
-}
-
-void UdpHeader::encode(ByteWriter& w) const {
-  w.u16be(src_port);
-  w.u16be(dst_port);
-  w.u16be(length);
-  w.u16be(0);  // checksum optional for RoCE v2 (covered by ICRC)
-}
-
-UdpHeader UdpHeader::decode(ByteReader& r) {
-  UdpHeader h;
-  h.src_port = r.u16be();
-  h.dst_port = r.u16be();
-  h.length = r.u16be();
-  r.skip(2);
-  return h;
-}
-
 std::string ipv4_to_string(Ipv4Addr a) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (a >> 24) & 0xff, (a >> 16) & 0xff,

@@ -1,14 +1,13 @@
-// Ethernet / IPv4 / UDP header definitions with byte-exact codecs.
+// Ethernet / IPv4 / UDP header definitions.
 //
-// The simulator fast-path passes structured headers between components, but
-// every header can be encoded to and decoded from network byte order; wire
-// sizes used for bandwidth accounting are always the encoded sizes.
+// The simulator passes structured headers between components and never
+// serializes them. Each header's `kWireSize` is its size in network byte
+// order; Packet::frame_size() adds these up for bandwidth accounting, and
+// net_test pins every one of them.
 #pragma once
 
-#include <optional>
 #include <string>
 
-#include "common/bytes.hpp"
 #include "common/types.hpp"
 
 namespace p4ce::net {
@@ -33,10 +32,6 @@ struct EthernetHeader {
   u16 ethertype = kEtherTypeIpv4;
 
   static constexpr u32 kWireSize = 14;
-
-  void encode(ByteWriter& w) const;
-  static EthernetHeader decode(ByteReader& r);
-  bool operator==(const EthernetHeader&) const = default;
 };
 
 struct Ipv4Header {
@@ -48,13 +43,6 @@ struct Ipv4Header {
   Ipv4Addr dst = 0;
 
   static constexpr u32 kWireSize = 20;
-
-  /// RFC 791 one's-complement header checksum over the encoded header.
-  u16 checksum() const;
-
-  void encode(ByteWriter& w) const;
-  static Ipv4Header decode(ByteReader& r);
-  bool operator==(const Ipv4Header&) const = default;
 };
 
 struct UdpHeader {
@@ -63,10 +51,6 @@ struct UdpHeader {
   u16 length = 0;  ///< header + payload, bytes
 
   static constexpr u32 kWireSize = 8;
-
-  void encode(ByteWriter& w) const;
-  static UdpHeader decode(ByteReader& r);
-  bool operator==(const UdpHeader&) const = default;
 };
 
 /// "10.0.0.x"-style dotted-quad formatting for logs and error messages.

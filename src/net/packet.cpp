@@ -5,69 +5,6 @@
 
 namespace p4ce::net {
 
-namespace {
-// Marker bits describing which optional headers follow BTH. A real RoCE
-// parser infers this from the BTH opcode; our CM messages are a modeling
-// construct, so the encoder writes an explicit layout byte right after the
-// UDP header to keep decode unambiguous and round-trip exact.
-constexpr u8 kHasReth = 0x01;
-constexpr u8 kHasAeth = 0x02;
-constexpr u8 kHasCm = 0x04;
-constexpr u8 kHasAtomicEth = 0x08;
-constexpr u8 kHasAtomicAckEth = 0x10;
-}  // namespace
-
-Bytes Packet::encode() const {
-  Bytes out;
-  out.reserve(encoded_size());
-  ByteWriter w(out);
-  eth.encode(w);
-  ip.encode(w);
-  udp.encode(w);
-  u8 layout = 0;
-  if (reth) layout |= kHasReth;
-  if (aeth) layout |= kHasAeth;
-  if (cm) layout |= kHasCm;
-  if (atomic_eth) layout |= kHasAtomicEth;
-  if (atomic_ack_eth) layout |= kHasAtomicAckEth;
-  w.u8be(layout);
-  bth.encode(w);
-  if (reth) reth->encode(w);
-  if (aeth) aeth->encode(w);
-  if (atomic_eth) atomic_eth->encode(w);
-  if (atomic_ack_eth) atomic_ack_eth->encode(w);
-  if (cm) cm->encode(w);
-  w.u32be(static_cast<u32>(payload.size()));
-  w.raw(payload.view());
-  w.u32be(0xdeadbeef);  // ICRC placeholder (not computed in the model)
-  return out;
-}
-
-Packet Packet::decode(BytesView bytes, bool* ok) {
-  Packet p;
-  ByteReader r(bytes);
-  p.eth = EthernetHeader::decode(r);
-  p.ip = Ipv4Header::decode(r);
-  p.udp = UdpHeader::decode(r);
-  const u8 layout = r.u8be();
-  p.bth = rdma::Bth::decode(r);
-  if (layout & kHasReth) p.reth = rdma::Reth::decode(r);
-  if (layout & kHasAeth) p.aeth = rdma::Aeth::decode(r);
-  if (layout & kHasAtomicEth) {
-    p.atomic_eth =
-        rdma::AtomicEth::decode(r, p.bth.opcode == rdma::Opcode::kMaskedCompareSwap);
-  }
-  if (layout & kHasAtomicAckEth) p.atomic_ack_eth = rdma::AtomicAckEth::decode(r);
-  if (layout & kHasCm) p.cm = rdma::CmMessage::decode(r);
-  const u32 payload_len = r.u32be();
-  // The single materialization point on the parse path: one counted copy out
-  // of the wire buffer into an owned payload.
-  p.payload = PayloadRef::copy_of(r.view(payload_len));
-  r.skip(4);  // ICRC
-  if (ok) *ok = r.ok();
-  return p;
-}
-
 std::string Packet::describe() const {
   char buf[160];
   if (cm) {

@@ -67,16 +67,6 @@ struct Packet {
   /// what bandwidth accounting uses, so goodput numbers are honest.
   u32 wire_size() const noexcept { return frame_size() + kPhyOverheadBytes; }
 
-  /// Exact size of the buffer encode() produces: the frame minus the FCS
-  /// (not serialized) plus the layout byte and the payload-length word the
-  /// encoder writes for unambiguous round-trips.
-  u32 encoded_size() const noexcept { return frame_size() - kEthernetFcsBytes + 1 + 4; }
-
-  /// Serialize the full packet to network byte order (tests / fidelity).
-  Bytes encode() const;
-  /// Parse a packet previously produced by encode().
-  static Packet decode(BytesView bytes, bool* ok = nullptr);
-
   /// Short human-readable description for logs.
   std::string describe() const;
 };

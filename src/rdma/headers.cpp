@@ -47,126 +47,4 @@ std::string_view to_string(CmType t) noexcept {
   return "UnknownCm";
 }
 
-void Bth::encode(ByteWriter& w) const {
-  w.u8be(static_cast<u8>(opcode));
-  u8 flags = 0;
-  if (solicited_event) flags |= 0x80;
-  // migreq/pad/tver bits unused in this model; kept zero.
-  w.u8be(flags);
-  w.u16be(partition_key);
-  w.u8be(0);  // reserved
-  w.u24be(dest_qp & 0x00ffffff);
-  w.u8be(ack_request ? 0x80 : 0x00);
-  w.u24be(psn & kPsnMask);
-}
-
-Bth Bth::decode(ByteReader& r) {
-  Bth h;
-  h.opcode = static_cast<Opcode>(r.u8be());
-  const u8 flags = r.u8be();
-  h.solicited_event = (flags & 0x80) != 0;
-  h.partition_key = r.u16be();
-  r.skip(1);
-  h.dest_qp = r.u24be();
-  h.ack_request = (r.u8be() & 0x80) != 0;
-  h.psn = r.u24be();
-  return h;
-}
-
-void Reth::encode(ByteWriter& w) const {
-  w.u64be(vaddr);
-  w.u32be(rkey);
-  w.u32be(dma_len);
-}
-
-Reth Reth::decode(ByteReader& r) {
-  Reth h;
-  h.vaddr = r.u64be();
-  h.rkey = r.u32be();
-  h.dma_len = r.u32be();
-  return h;
-}
-
-void Aeth::encode(ByteWriter& w) const {
-  u8 syndrome;
-  if (is_nak) {
-    syndrome = static_cast<u8>(0x60 | (static_cast<u8>(nak_code) & 0x1f));
-  } else {
-    syndrome = credits & 0x1f;
-  }
-  w.u8be(syndrome);
-  w.u24be(msn & kPsnMask);
-}
-
-Aeth Aeth::decode(ByteReader& r) {
-  Aeth h;
-  const u8 syndrome = r.u8be();
-  if ((syndrome & 0x60) == 0x60) {
-    h.is_nak = true;
-    h.nak_code = static_cast<NakCode>(syndrome & 0x1f);
-  } else {
-    h.is_nak = false;
-    h.credits = syndrome & 0x1f;
-  }
-  h.msn = r.u24be();
-  return h;
-}
-
-void AtomicEth::encode(ByteWriter& w) const {
-  w.u64be(vaddr);
-  w.u32be(rkey);
-  w.u64be(swap_add);
-  w.u64be(compare);
-  if (masked) {
-    w.u64be(swap_mask);
-    w.u64be(compare_mask);
-  }
-}
-
-AtomicEth AtomicEth::decode(ByteReader& r, bool masked) {
-  AtomicEth h;
-  h.vaddr = r.u64be();
-  h.rkey = r.u32be();
-  h.swap_add = r.u64be();
-  h.compare = r.u64be();
-  h.masked = masked;
-  if (masked) {
-    h.swap_mask = r.u64be();
-    h.compare_mask = r.u64be();
-  }
-  return h;
-}
-
-void AtomicAckEth::encode(ByteWriter& w) const { w.u64be(original); }
-
-AtomicAckEth AtomicAckEth::decode(ByteReader& r) {
-  AtomicAckEth h;
-  h.original = r.u64be();
-  return h;
-}
-
-void CmMessage::encode(ByteWriter& w) const {
-  w.u8be(static_cast<u8>(type));
-  w.u8be(reject_reason);
-  w.u16be(service_id);
-  w.u32be(transaction_id);
-  w.u24be(sender_qpn & 0x00ffffff);
-  w.u24be(starting_psn & kPsnMask);
-  w.u16be(static_cast<u16>(private_data.size()));
-  w.raw(private_data);
-}
-
-CmMessage CmMessage::decode(ByteReader& r) {
-  CmMessage m;
-  m.type = static_cast<CmType>(r.u8be());
-  m.reject_reason = r.u8be();
-  m.service_id = r.u16be();
-  m.transaction_id = r.u32be();
-  m.sender_qpn = r.u24be();
-  m.starting_psn = r.u24be();
-  const u16 len = r.u16be();
-  m.private_data = r.raw(len);
-  return m;
-}
-
 }  // namespace p4ce::rdma

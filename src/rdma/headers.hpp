@@ -1,15 +1,15 @@
-// InfiniBand / RoCE v2 transport headers (IBTA spec vol. 1) with byte-exact
-// codecs: BTH (base transport header), RETH (RDMA extended transport header),
-// AETH (ACK extended transport header), and the connection-manager messages
-// exchanged during the handshake (ConnectRequest / ConnectReply /
-// ReadyToUse / ConnectReject).
+// InfiniBand / RoCE v2 transport headers (IBTA spec vol. 1): BTH (base
+// transport header), RETH (RDMA extended transport header), AETH (ACK
+// extended transport header), the atomic headers, and the connection-manager
+// messages exchanged during the handshake (ConnectRequest / ConnectReply /
+// ReadyToUse / ConnectReject). Headers travel as structs; each one's wire
+// size is a constant (`kWireSize`, or `wire_size()` where it varies).
 //
 // These are exactly the fields the P4CE switch rewrites during scatter and
 // gather (paper Table I), so fidelity here is what makes the in-network
 // transformations meaningful.
 #pragma once
 
-#include <optional>
 #include <string_view>
 
 #include "common/bytes.hpp"
@@ -90,9 +90,6 @@ struct Bth {
   Psn psn = 0;      ///< 24-bit packet sequence number
 
   static constexpr u32 kWireSize = 12;
-  void encode(ByteWriter& w) const;
-  static Bth decode(ByteReader& r);
-  bool operator==(const Bth&) const = default;
 };
 
 /// RDMA extended transport header: carried by WriteFirst/WriteOnly/ReadRequest.
@@ -102,9 +99,6 @@ struct Reth {
   u32 dma_len = 0;  ///< total length of the RDMA operation, bytes
 
   static constexpr u32 kWireSize = 16;
-  void encode(ByteWriter& w) const;
-  static Reth decode(ByteReader& r);
-  bool operator==(const Reth&) const = default;
 };
 
 /// NAK codes (subset relevant to this system).
@@ -123,7 +117,7 @@ std::string_view to_string(NakCode c) noexcept;
 /// Simplification vs IBTA: the real spec encodes credits with a 5-bit
 /// log-ish table; we store the credit count directly in the 5 bits
 /// (0..31), which preserves the protocol role (receiver-buffer
-/// backpressure) with a simpler codec.
+/// backpressure) with a simpler encoding.
 struct Aeth {
   bool is_nak = false;
   NakCode nak_code = NakCode::kPsnSequenceError;
@@ -131,9 +125,6 @@ struct Aeth {
   u32 msn = 0;     ///< message sequence number (24-bit)
 
   static constexpr u32 kWireSize = 4;
-  void encode(ByteWriter& w) const;
-  static Aeth decode(ByteReader& r);
-  bool operator==(const Aeth&) const = default;
 };
 
 /// Atomic extended transport header, carried by CompareSwap / FetchAdd /
@@ -150,8 +141,8 @@ struct Aeth {
 ///
 /// 28 bytes for CAS/FAA (the IBTA AtomicETH size); the masked variant
 /// appends the two masks for 44 bytes, mirroring the ConnectX extended-
-/// atomics layout. Whether the masks are present is implied by the BTH
-/// opcode, exactly as a real parser keys the header chain off the opcode.
+/// atomics layout. On the wire the BTH opcode says whether the masks are
+/// present; the struct carries that as `masked`.
 struct AtomicEth {
   u64 vaddr = 0;
   RKey rkey = 0;
@@ -164,10 +155,6 @@ struct AtomicEth {
   static constexpr u32 kWireSize = 28;        ///< CAS / FAA
   static constexpr u32 kMaskedWireSize = 44;  ///< masked CAS
   u32 wire_size() const noexcept { return masked ? kMaskedWireSize : kWireSize; }
-  void encode(ByteWriter& w) const;
-  /// `masked` comes from the BTH opcode the caller already decoded.
-  static AtomicEth decode(ByteReader& r, bool masked);
-  bool operator==(const AtomicEth&) const = default;
 };
 
 /// Atomic ACK extended transport header, carried by AtomicAcknowledge
@@ -177,9 +164,6 @@ struct AtomicAckEth {
   u64 original = 0;
 
   static constexpr u32 kWireSize = 8;
-  void encode(ByteWriter& w) const;
-  static AtomicAckEth decode(ByteReader& r);
-  bool operator==(const AtomicAckEth&) const = default;
 };
 
 /// Connection-manager message types (MADs on QP1 in real InfiniBand; we model
@@ -211,10 +195,10 @@ struct CmMessage {
 
   static constexpr std::size_t kMaxPrivateData = 196;  // IBTA CM REQ limit
 
+  /// type, reject reason (1 B each), service id (2 B), transaction id (4 B),
+  /// QPN and starting PSN (3 B each), private-data length (2 B), then the
+  /// private data.
   u32 wire_size() const noexcept { return 16 + static_cast<u32>(private_data.size()); }
-  void encode(ByteWriter& w) const;
-  static CmMessage decode(ByteReader& r);
-  bool operator==(const CmMessage&) const = default;
 };
 
 /// The ICRC trailer each RoCE v2 packet carries.

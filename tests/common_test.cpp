@@ -245,15 +245,13 @@ TEST(ByteCodec, BigEndianRoundTrip) {
   ByteWriter w(buf);
   w.u8be(0xab);
   w.u16be(0x1234);
-  w.u24be(0xabcdef);
   w.u32be(0xdeadbeef);
   w.u64be(0x0123456789abcdefull);
-  EXPECT_EQ(buf.size(), 1u + 2 + 3 + 4 + 8);
+  EXPECT_EQ(buf.size(), 1u + 2 + 4 + 8);
 
   ByteReader r(buf);
   EXPECT_EQ(r.u8be(), 0xab);
   EXPECT_EQ(r.u16be(), 0x1234);
-  EXPECT_EQ(r.u24be(), 0xabcdefu);
   EXPECT_EQ(r.u32be(), 0xdeadbeefu);
   EXPECT_EQ(r.u64be(), 0x0123456789abcdefull);
   EXPECT_TRUE(r.ok());

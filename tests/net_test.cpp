@@ -1,9 +1,8 @@
-// Wire-format and link-model tests: byte-exact header codecs, packet
-// round-trips (including randomized property sweeps), wire-size accounting,
-// and the bandwidth/propagation/queueing/cut behaviour of links.
+// Wire-size and link-model tests: every header's wire size as frame_size()
+// accounts it, packet classification, and the bandwidth/propagation/
+// queueing/cut behaviour of links.
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "net/headers.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
@@ -11,135 +10,10 @@
 namespace p4ce::net {
 namespace {
 
-TEST(EthernetHeader, RoundTrip) {
-  EthernetHeader h;
-  h.dst_mac = 0x0011'2233'4455ull;
-  h.src_mac = 0xaabb'ccdd'eeffull;
-  h.ethertype = kEtherTypeIpv4;
-  Bytes buf;
-  ByteWriter w(buf);
-  h.encode(w);
-  EXPECT_EQ(buf.size(), EthernetHeader::kWireSize);
-  ByteReader r(buf);
-  EXPECT_EQ(EthernetHeader::decode(r), h);
-}
-
-TEST(Ipv4Header, RoundTrip) {
-  Ipv4Header h;
-  h.src = make_ip(0, 10);
-  h.dst = make_ip(0, 11);
-  h.total_length = 1500;
-  h.ttl = 17;
-  Bytes buf;
-  ByteWriter w(buf);
-  h.encode(w);
-  EXPECT_EQ(buf.size(), Ipv4Header::kWireSize);
-  ByteReader r(buf);
-  EXPECT_EQ(Ipv4Header::decode(r), h);
-}
-
-TEST(Ipv4Header, ChecksumMatchesRfcExample) {
-  // Verify the one's-complement property: re-summing the encoded header
-  // including the checksum yields 0xffff.
-  Ipv4Header h;
-  h.src = 0xc0a80001;
-  h.dst = 0xc0a800c7;
-  h.total_length = 0x0073;
-  h.ttl = 64;
-  h.protocol = 17;
-  Bytes buf;
-  ByteWriter w(buf);
-  h.encode(w);
-  u32 sum = 0;
-  for (std::size_t i = 0; i + 1 < buf.size(); i += 2) {
-    sum += (static_cast<u32>(buf[i]) << 8) | buf[i + 1];
-  }
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  EXPECT_EQ(sum, 0xffffu);
-}
-
-TEST(UdpHeader, RoundTripAndRocePort) {
-  UdpHeader h;
-  h.src_port = 0xc123;
-  h.length = 512;
-  Bytes buf;
-  ByteWriter w(buf);
-  h.encode(w);
-  ByteReader r(buf);
-  const UdpHeader d = UdpHeader::decode(r);
-  EXPECT_EQ(d, h);
-  EXPECT_EQ(d.dst_port, kRoceUdpPort);
-}
-
 TEST(Ipv4Format, DottedQuad) {
   EXPECT_EQ(ipv4_to_string(make_ip(1, 2)), "10.0.1.2");
   EXPECT_EQ(ipv4_to_string(0xffffffff), "255.255.255.255");
 }
-
-net::Packet random_packet(Rng& rng) {
-  Packet p;
-  p.eth.dst_mac = rng.next_u64() & 0xffff'ffff'ffffull;
-  p.eth.src_mac = rng.next_u64() & 0xffff'ffff'ffffull;
-  p.ip.src = rng.next_u32();
-  p.ip.dst = rng.next_u32();
-  p.bth.opcode = static_cast<rdma::Opcode>(rng.next_below(18));
-  p.bth.dest_qp = rng.next_u32() & 0x00ffffff;
-  p.bth.psn = rng.next_u32() & kPsnMask;
-  p.bth.ack_request = rng.next_bool(0.5);
-  if (rng.next_bool(0.5)) {
-    p.reth = rdma::Reth{rng.next_u64(), rng.next_u32(), rng.next_u32()};
-  }
-  if (rng.next_bool(0.3)) {
-    // The syndrome byte encodes either a NAK code or a credit count, so only
-    // the selected interpretation's field is meaningful on the wire.
-    rdma::Aeth aeth;
-    aeth.is_nak = rng.next_bool(0.3);
-    if (aeth.is_nak) {
-      aeth.nak_code = static_cast<rdma::NakCode>(rng.next_below(4));
-    } else {
-      aeth.credits = static_cast<u8>(rng.next_below(32));
-    }
-    aeth.msn = rng.next_u32() & kPsnMask;
-    p.aeth = aeth;
-  }
-  if (rng.next_bool(0.2)) {
-    rdma::CmMessage cm;
-    cm.type = static_cast<rdma::CmType>(1 + rng.next_below(5));
-    cm.transaction_id = rng.next_u32();
-    cm.sender_qpn = rng.next_u32() & 0x00ffffff;
-    cm.starting_psn = rng.next_u32() & kPsnMask;
-    cm.service_id = static_cast<u16>(rng.next_u32());
-    cm.private_data.resize(rng.next_below(64));
-    for (auto& b : cm.private_data) b = static_cast<u8>(rng.next_u32());
-    p.cm = std::move(cm);
-  }
-  Bytes payload(rng.next_below(2048));
-  for (auto& b : payload) b = static_cast<u8>(rng.next_u32());
-  p.payload = std::move(payload);
-  return p;
-}
-
-class PacketRoundTripTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(PacketRoundTripTest, EncodeDecodeIdentity) {
-  Rng rng(GetParam());
-  for (int i = 0; i < 200; ++i) {
-    const Packet p = random_packet(rng);
-    bool ok = false;
-    const Packet d = Packet::decode(p.encode(), &ok);
-    ASSERT_TRUE(ok);
-    EXPECT_EQ(d.eth, p.eth);
-    EXPECT_EQ(d.ip.src, p.ip.src);
-    EXPECT_EQ(d.ip.dst, p.ip.dst);
-    EXPECT_EQ(d.bth, p.bth);
-    EXPECT_EQ(d.reth, p.reth);
-    EXPECT_EQ(d.aeth, p.aeth);
-    EXPECT_EQ(d.cm, p.cm);
-    EXPECT_EQ(d.payload, p.payload);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PacketRoundTripTest, ::testing::Values(1, 7, 99, 12345));
 
 TEST(Packet, WireSizeAccountsAllHeaders) {
   Packet p;
@@ -151,10 +25,31 @@ TEST(Packet, WireSizeAccountsAllHeaders) {
   EXPECT_EQ(p.frame_size(), 1086u + 16);
   p.aeth = rdma::Aeth{};
   EXPECT_EQ(p.frame_size(), 1086u + 16 + 4);
+
+  // 62 B is the empty packet: the four headers above, ICRC and FCS. Atomics
+  // add one request header, 28 B plain and 44 B with the two masks; the
+  // response adds the 8 B original value after the AETH.
+  Packet atomic;
+  atomic.atomic_eth = rdma::AtomicEth{};
+  EXPECT_EQ(atomic.frame_size(), 62u + 28);
+  atomic.atomic_eth->masked = true;
+  EXPECT_EQ(atomic.frame_size(), 62u + 44);
+  Packet atomic_ack;
+  atomic_ack.aeth = rdma::Aeth{};
+  atomic_ack.atomic_ack_eth = rdma::AtomicAckEth{};
+  EXPECT_EQ(atomic_ack.frame_size(), 62u + 4 + 8);
+
+  // A CM message: 16 B of fixed fields plus its private data.
+  Packet cm;
+  cm.cm = rdma::CmMessage{};
+  EXPECT_EQ(cm.frame_size(), 62u + 16);
+  cm.cm->private_data = Bytes(40, 0);
+  EXPECT_EQ(cm.frame_size(), 62u + 16 + 40);
 }
 
 TEST(Packet, ClassificationHelpers) {
   Packet p;
+  EXPECT_EQ(p.udp.dst_port, kRoceUdpPort);  // every packet is RoCE v2
   p.bth.opcode = rdma::Opcode::kWriteOnly;
   EXPECT_TRUE(p.is_write());
   EXPECT_FALSE(p.is_ack());
