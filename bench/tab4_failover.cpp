@@ -132,6 +132,6 @@ int main() {
   std::printf(
       "\nExpected shape: P4CE adds the ~40 ms switch reconfiguration to replica/leader\n"
       "fail-over; the one-sided backend tracks Mu plus the ballot-takeover round trips;\n"
-      "a dead switch costs every protocol the same timeout + reconnect.\n");
+      "a dead switch costs every protocol the same timeout + reconnect.\n\n");
   return 0;
 }

@@ -38,20 +38,6 @@ u32 DirectCommunicator::live_target_count() const noexcept {
   return n;
 }
 
-void DirectCommunicator::write_raw(u64 offset, Bytes bytes) {
-  // Every per-replica write shares the one buffer.
-  net::PayloadRef payload(std::move(bytes));
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (!postable(i)) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, payload]() mutable {
-      if (!postable(i)) return;
-      ReplicaTarget& target = targets_[i];
-      std::ignore = target.qp->post_write(0, std::move(payload), target.log_vaddr + offset,
-                                          target.log_rkey, /*signaled=*/false);
-    });
-  }
-}
-
 void DirectCommunicator::exclude_replica(NodeId id) {
   for (auto& target : targets_) {
     if (target.id == id) target.excluded = true;
@@ -313,21 +299,6 @@ void P4ceCommunicator::probe_reacceleration() {
   ++reaccelerations_;
   m_reaccelerations_.inc();
   activate(term_, nullptr);
-}
-
-void P4ceCommunicator::write_raw(u64 offset, Bytes bytes) {
-  if (state_ != State::kAccelerated) {
-    fallback_.write_raw(offset, std::move(bytes));
-    return;
-  }
-  cpu_.execute(cal_.cpu_post_wr, [this, offset, bytes = std::move(bytes)] {
-    if (state_ != State::kAccelerated || switch_qp_ == nullptr) {
-      fallback_.write_raw(offset, bytes);
-      return;
-    }
-    std::ignore = switch_qp_->post_write(0, std::move(bytes), virtual_base_ + offset,
-                                         virtual_rkey_, /*signaled=*/false);
-  });
 }
 
 void P4ceCommunicator::exclude_replica(NodeId id) {

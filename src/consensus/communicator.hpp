@@ -182,11 +182,6 @@ class Communicator {
   /// Every write of `entry` shares its one buffer.
   virtual void replicate(u64 offset, net::PayloadRef entry, u64 op) = 0;
 
-  /// Fire-and-forget unsignaled write to every live replica's log (the
-  /// ring-wrap record). No verdict: it is ordered before any later
-  /// replicate() on the same connections, whose acknowledgment covers it.
-  virtual void write_raw(u64 offset, Bytes bytes) = 0;
-
   virtual bool accelerated() const noexcept = 0;
 
   /// Stop replicating to a crashed replica.
@@ -215,7 +210,6 @@ class Communicator {
 /// share: one data QP per replica, its completions routed back by index.
 class DirectCommunicator : public Communicator {
  public:
-  void write_raw(u64 offset, Bytes bytes) override;
   bool accelerated() const noexcept override { return false; }
   void exclude_replica(NodeId id) override;
   void reset_targets(std::vector<ReplicaTarget> targets) override;
@@ -291,7 +285,6 @@ class P4ceCommunicator : public Communicator {
   void start_fallback(u64 term);
 
   void replicate(u64 offset, net::PayloadRef entry, u64 op) override;
-  void write_raw(u64 offset, Bytes bytes) override;
   bool accelerated() const noexcept override { return state_ == State::kAccelerated; }
   void exclude_replica(NodeId id) override;
   void abort_all() override;

@@ -23,12 +23,13 @@ void store_u64(u8* p, u64 v) noexcept { std::memcpy(p, &v, 8); }
 /// padding included.
 void write_entry(u8* out, u64 seq, u64 term, BytesView payload) noexcept {
   store_u32(out, static_cast<u32>(payload.size()));
-  store_u64(out + 4, seq);
-  store_u64(out + 12, term);
-  if (!payload.empty()) std::memcpy(out + kEntryHeaderBytes, payload.data(), payload.size());
-  const u64 marker = kEntryHeaderBytes + payload.size();
-  out[marker] = kEntryMarker;
-  std::memset(out + marker + 1, 0, entry_footprint(payload.size()) - marker - 1);
+  if (!payload.empty()) std::memcpy(out + 4, payload.data(), payload.size());
+  u8* const trailer = out + 4 + payload.size();
+  store_u64(trailer, term);
+  store_u64(trailer + 8, seq);
+  trailer[16] = kEntryMarker;
+  const u64 used = kEntryFramingBytes + payload.size() + 1;
+  std::memset(out + used, 0, entry_footprint(payload.size()) - used);
 }
 }  // namespace
 
@@ -36,24 +37,6 @@ Bytes encode_entry(u64 seq, u64 term, BytesView payload) {
   Bytes out(entry_footprint(payload.size()));
   write_entry(out.data(), seq, term, payload);
   return out;
-}
-
-StatusOr<std::optional<std::pair<u64, Bytes>>> LogWriter::make_room(u64 need, u64 next_seq) {
-  if (need + kWrapRecordBytes > region_.length()) {
-    return error(StatusCode::kResourceExhausted, "entry larger than log region");
-  }
-  std::optional<std::pair<u64, Bytes>> wrap;
-  if (cursor_ + need + kWrapRecordBytes > region_.length()) {
-    // Not enough contiguous space: plant the wrap record and restart. The
-    // headroom kept after every entry guarantees the record always fits.
-    Bytes record(kWrapRecordBytes, 0);
-    store_u32(record.data(), kWrapMarker);
-    store_u64(record.data() + 4, next_seq);
-    std::memcpy(region_.bytes() + cursor_, record.data(), record.size());
-    wrap.emplace(cursor_, std::move(record));
-    cursor_ = 0;
-  }
-  return wrap;
 }
 
 StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
@@ -65,8 +48,10 @@ StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
     }
     total += entry_footprint(p.size());
   }
-  auto wrap = make_room(total, first_seq);
-  if (!wrap.is_ok()) return wrap.status();
+  if (total > region_.length()) {
+    return error(StatusCode::kResourceExhausted, "entry larger than log region");
+  }
+  if (cursor_ + total > region_.length()) cursor_ = 0;
   // Encode straight into the local log, then copy the range out for the
   // replicas into one buffer (one allocation with its reference count).
   const u64 offset = cursor_;
@@ -79,41 +64,38 @@ StatusOr<LogWriter::Append> LogWriter::append(u64 first_seq, u64 term,
   }
   cursor_ += total;
   return Append{offset,
-                net::PayloadRef::filled(total, [&](u8* dst) { std::memcpy(dst, out, total); }),
-                std::move(wrap.value())};
+                net::PayloadRef::filled(total, [&](u8* dst) { std::memcpy(dst, out, total); })};
+}
+
+const u8* LogReader::next_entry_at(u64 offset, u32& len) const noexcept {
+  const u64 size = region_.length();
+  if (offset + 4 > size) return nullptr;
+  const u8* entry = region_.bytes() + offset;
+  len = load_u32(entry);
+  if (len > kMaxEntryPayload || offset + entry_footprint(len) > size) return nullptr;
+  const u8* trailer = entry + 4 + len;
+  if (trailer[16] != kEntryMarker || load_u64(trailer + 8) != last_seq_ + 1) return nullptr;
+  return entry;
 }
 
 u32 LogReader::poll() {
   assert(!polling_ && "LogReader::poll re-entered from its delivery callback");
   polling_ = true;
   u32 delivered = 0;
-  const u8* base = region_.bytes();
-  const u64 size = region_.length();
   for (;;) {
-    if (cursor_ + 4 > size) {
-      cursor_ = 0;
-      continue;
+    u32 len = 0;
+    const u8* entry = next_entry_at(cursor_, len);
+    if (entry == nullptr && cursor_ != 0) {
+      // Nothing continues the sequence here: the writer may have wrapped.
+      entry = next_entry_at(0, len);
+      if (entry != nullptr) cursor_ = 0;
     }
-    const u32 len = load_u32(base + cursor_);
-    if (len == kWrapMarker) {
-      // Follow the wrap only if it was written for the entry we are waiting
-      // for; a stale marker from a previous lap must be waited out.
-      if (cursor_ + kWrapRecordBytes > size) break;
-      if (load_u64(base + cursor_ + 4) != last_seq_ + 1) break;
-      cursor_ = 0;
-      continue;
-    }
-    if (len > kMaxEntryPayload) break;  // garbage / not yet written
-    const u64 footprint = entry_footprint(len);
-    if (cursor_ + footprint > size) break;
-    const u8* entry = base + cursor_;
-    if (entry[kEntryHeaderBytes + len] != kEntryMarker) break;  // incomplete
-    const u64 seq = load_u64(entry + 4);
-    if (seq != last_seq_ + 1) break;  // stale bytes from a previous lap
-    entry_.seq = seq;
-    entry_.term = load_u64(entry + 12);
-    entry_.payload.assign(entry + kEntryHeaderBytes, entry + kEntryHeaderBytes + len);
-    cursor_ += footprint;
+    if (entry == nullptr) break;
+    const u8* trailer = entry + 4 + len;
+    entry_.seq = load_u64(trailer + 8);
+    entry_.term = load_u64(trailer);
+    entry_.payload.assign(entry + 4, trailer);
+    cursor_ += entry_footprint(len);
     last_seq_ = entry_.seq;
     last_term_ = entry_.term;
     ++delivered;

@@ -3,20 +3,20 @@
 // replicas' logs. Both the leader and the replicas consume the content of
 // their own logs, asynchronously" (§III).
 //
-// Entry wire format, written with a single RDMA write so the trailing
-// commit marker only becomes visible after the payload:
+// Entry wire format, written with a single RDMA write:
 //
-//   [u32 length][u64 seq][u64 term][payload...][u8 marker=0x5A]
+//   [u32 length][payload...][u64 term][u64 seq][u8 marker=0x5A]
 //
-// Entries are 8-byte aligned. The writer treats the region as a ring; a
-// wrap record — [u32 0xffffffff][u64 next_seq] — sends readers back to
-// offset zero. The next_seq field lets a reader distinguish a fresh wrap
-// from a stale marker surviving from a previous lap of the ring (following
-// a stale one would silently skip entries).
+// Entries are 8-byte aligned. RC places a write's packets in PSN order, so
+// a trailer naming the seq a reader awaits only shows once everything
+// before it has landed: the trailer is the commit record (Mu's canary, made
+// safe across laps of the ring). The writer treats the region as a ring and
+// restarts at offset zero whenever an append does not fit; a reader that
+// finds no next entry at its cursor looks for it at offset zero. DESIGN.md
+// §5.2 gives the safety argument.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -28,10 +28,8 @@
 
 namespace p4ce::consensus {
 
-inline constexpr u32 kEntryHeaderBytes = 20;  // length + seq + term
+inline constexpr u32 kEntryFramingBytes = 20;  // length, then term + seq after the payload
 inline constexpr u8 kEntryMarker = 0x5a;
-inline constexpr u32 kWrapMarker = 0xffffffffu;
-inline constexpr u64 kWrapRecordBytes = 12;  // marker + next_seq
 inline constexpr u64 kMaxEntryPayload = 1u << 20;
 
 /// One decoded log entry.
@@ -43,7 +41,7 @@ struct LogEntry {
 
 /// Size an entry occupies in the log (8-byte aligned).
 constexpr u64 entry_footprint(u64 payload_size) noexcept {
-  return (kEntryHeaderBytes + payload_size + 1 + 7) & ~7ull;
+  return (kEntryFramingBytes + payload_size + 1 + 7) & ~7ull;
 }
 
 /// Serialize an entry into its on-log byte representation.
@@ -60,16 +58,13 @@ class LogWriter {
   struct Append {
     u64 offset = 0;
     net::PayloadRef entry;
-    /// Set when this append wrapped the ring: the wrap record (12 bytes at
-    /// `first`) must reach the replicas' logs before the entry itself so
-    /// their readers follow the wrap too.
-    std::optional<std::pair<u64, Bytes>> wrap;
   };
 
   /// Append one or more values as one contiguous byte range replicated with
   /// a single RDMA write (several values: the doorbell-batched path used by
   /// the goodput experiment). Entries get consecutive seqs starting at
-  /// `first_seq`.
+  /// `first_seq`. The range starts at offset 0 when it does not fit before
+  /// the end of the region.
   StatusOr<Append> append(u64 first_seq, u64 term, std::span<const Bytes> payloads);
 
   u64 cursor() const noexcept { return cursor_; }
@@ -77,11 +72,6 @@ class LogWriter {
   void set_cursor(u64 offset) noexcept { cursor_ = offset; }
 
  private:
-  /// Ensure `need` contiguous bytes are available, emitting a wrap record
-  /// (tagged with `next_seq`) and restarting at 0 when the tail is short.
-  /// Returns the wrap record (offset + bytes) if one was written.
-  StatusOr<std::optional<std::pair<u64, Bytes>>> make_room(u64 need, u64 next_seq);
-
   rdma::MemoryRegion& region_;
   u64 cursor_ = 0;
 };
@@ -101,8 +91,10 @@ class LogReader {
   LogReader(rdma::MemoryRegion& region, DeliverFn deliver)
       : region_(region), deliver_(std::move(deliver)) {}
 
-  /// Scan forward from the read cursor, delivering every complete entry.
-  /// Call whenever new bytes may have landed. Returns entries delivered.
+  /// Deliver every complete entry that continues the sequence, at the read
+  /// cursor or, when the cursor holds none, at offset zero (the writer
+  /// wrapped). Call whenever new bytes may have landed. Returns entries
+  /// delivered.
   u32 poll();
 
   u64 cursor() const noexcept { return cursor_; }
@@ -110,6 +102,10 @@ class LogReader {
   u64 last_term() const noexcept { return last_term_; }
 
  private:
+  /// The entry at `offset` if it is complete and carries seq last_seq_ + 1;
+  /// its payload length goes to `len`.
+  const u8* next_entry_at(u64 offset, u32& len) const noexcept;
+
   rdma::MemoryRegion& region_;
   DeliverFn deliver_;
   LogEntry entry_;  ///< the entry being delivered; its payload keeps its capacity

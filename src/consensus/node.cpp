@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "consensus/one_sided.hpp"
@@ -27,6 +29,16 @@ rdma::QpConfig node_qp_config(const Calibration& cal) noexcept {
 
 Duration memcpy_cost(u64 bytes, double gbps) noexcept {
   return static_cast<Duration>(static_cast<double>(bytes) / gbps);
+}
+
+/// The log bytes from ring offset `from` up to `to` as (offset, length)
+/// ranges: one, or two when the span wraps past the end of the region.
+std::vector<std::pair<u64, u64>> ring_span(u64 from, u64 to, u64 size) {
+  if (from < to) return {{from, to - from}};
+  std::vector<std::pair<u64, u64>> ranges;
+  if (from < size) ranges.emplace_back(from, size - from);
+  ranges.emplace_back(0, to);
+  return ranges;
 }
 
 }  // namespace
@@ -645,28 +657,35 @@ void Node::recover_and_activate() {
       }
       if (--state->awaiting != 0) return;
 
-      if (state->best_peer == nullptr || state->best_tail <= reader_->cursor()) {
-        finish_recovery(state->best_seq, std::max(state->best_tail, reader_->cursor()));
+      if (state->best_peer == nullptr) {
+        finish_recovery(state->best_seq, state->best_tail);  // our log is the longest
         return;
       }
-      // Fetch the missing log suffix from the most advanced replica.
-      const u64 from = reader_->cursor();
-      const u64 len = state->best_tail - from;
-      issue_read(*state->best_peer, state->best_peer->log, from, static_cast<u32>(len),
-                 [this, state, from, len](Bytes bytes) {
-                   if (bytes.size() == len) {
-                     std::memcpy(log_mr_->bytes() + from, bytes.data(), len);
+      // Fetch the missing log suffix from the most advanced replica: from
+      // our read cursor to its tail, in two reads when the suffix wraps past
+      // the end of the ring.
+      const auto ranges = ring_span(reader_->cursor(), state->best_tail, log_mr_->length());
+      auto reads_left = std::make_shared<std::size_t>(ranges.size());
+      for (const auto& [offset, len] : ranges) {
+        issue_read(*state->best_peer, state->best_peer->log, offset, static_cast<u32>(len),
+                   [this, state, reads_left, offset, len](Bytes bytes) {
+                     if (bytes.size() == len) {
+                       std::memcpy(log_mr_->bytes() + offset, bytes.data(), len);
+                     }
+                     if (--*reads_left != 0) return;
                      deliver_ready_entries();
-                   }
-                   finish_recovery(state->best_seq, state->best_tail);
-                 });
+                     finish_recovery(state->best_seq, state->best_tail);
+                   });
+      }
     });
   }
 }
 
 void Node::finish_recovery(u64 max_seq, u64 tail_offset) {
   m_.view_changes.inc();
-  writer_->set_cursor(std::max(tail_offset, reader_->cursor()));
+  // Append after the longest log: ours if it holds `max_seq`, else the
+  // adopted tail (offsets alone cannot tell across a wrap).
+  writer_->set_cursor(reader_->last_seq() >= max_seq ? reader_->cursor() : tail_offset);
   next_seq_ = std::max(next_seq_, max_seq + 1);
   next_seq_ = std::max(next_seq_, reader_->last_seq() + 1);
   leader_active_ = true;
@@ -773,9 +792,6 @@ void Node::append_and_replicate(std::span<const Bytes> values, bool batch, SimTi
   const u64 n = values.size();
   next_seq_ += n;
   deliver_ready_entries();  // the leader consumes its own log immediately
-  if (append.value().wrap) {
-    communicator_->write_raw(append.value().wrap->first, append.value().wrap->second);
-  }
   const u64 op = obs::trace_key(options_.domain, next_op_++);
   const u64 last_seq = next_seq_ - 1;
   if (sim_.obs().tracer.is_enabled()) {
@@ -823,20 +839,25 @@ void Node::repair_replicas() {
     }
     issue_read(peer, peer.progress, 0, Progress::kWireSize, [this, &peer](Bytes bytes) {
       const Progress progress = Progress::parse(bytes);
-      const u64 my_tail = writer_->cursor();
-      if (progress.last_seq >= reader_->last_seq()) return;   // up to date
-      if (progress.tail_offset >= my_tail) return;            // ring wrapped; next lap heals
-      const u64 total = my_tail - progress.tail_offset;
+      if (progress.last_seq >= reader_->last_seq()) return;  // up to date
+      if (progress.tail_offset > log_mr_->length()) return;
+      // The peer's log ends at its tail; ours at our writer's cursor, on the
+      // same lap or, when we wrapped since, on the next one.
+      const auto ranges = ring_span(progress.tail_offset, writer_->cursor(), log_mr_->length());
+      u64 total = 0;
+      for (const auto& [start, len] : ranges) total += len;
       if (total > (64ull << 20)) return;  // sanity bound
       // Refill in MTU-friendly chunks, unsignaled (ACKed by the transport,
       // invisible to the communicator's op tracking).
       constexpr u64 kChunk = 256 * 1024;
-      for (u64 offset = progress.tail_offset; offset < my_tail; offset += kChunk) {
-        const u64 len = std::min(kChunk, my_tail - offset);
-        Bytes chunk(log_mr_->bytes() + offset, log_mr_->bytes() + offset + len);
-        std::ignore = peer.data_qp->post_write(0, std::move(chunk),
-                                               peer.log.vaddr + offset, peer.log.rkey,
-                                               /*signaled=*/false);
+      for (const auto& [start, len] : ranges) {
+        for (u64 offset = start; offset < start + len; offset += kChunk) {
+          const u64 n = std::min(kChunk, start + len - offset);
+          Bytes chunk(log_mr_->bytes() + offset, log_mr_->bytes() + offset + n);
+          std::ignore = peer.data_qp->post_write(0, std::move(chunk),
+                                                 peer.log.vaddr + offset, peer.log.rkey,
+                                                 /*signaled=*/false);
+        }
       }
     });
   }

@@ -11,10 +11,9 @@ std::string_view backend_name(consensus::Mode mode) noexcept {
   return "unknown";
 }
 
-Host::Host(sim::Simulator& sim, std::string name, Ipv4Addr ip,
-           const rdma::NicConfig& nic_config, u64 seed)
+Host::Host(sim::Simulator& sim, std::string name, Ipv4Addr ip, u64 seed)
     : memory(seed),
-      nic(sim, std::move(name), ip, 0xEE'0000'0000ull | ip, memory, nic_config),
+      nic(sim, std::move(name), ip, 0xEE'0000'0000ull | ip, memory),
       cpu(sim) {}
 
 std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
@@ -27,20 +26,18 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
   // Switches. The backup runs the same program with no groups installed: a
   // plain forwarding device on an alternative route (§III-A).
   cluster->primary_ = std::make_unique<sw::SwitchDevice>(sim, "tofino0", kPrimarySwitchIp);
-  cluster->dataplane_ = std::make_unique<p4::P4ceDataplane>(kPrimarySwitchIp);
-  cluster->dataplane_->set_clock(&sim);
+  cluster->dataplane_ = std::make_unique<p4::P4ceDataplane>(sim, kPrimarySwitchIp);
   cluster->primary_->load_program(cluster->dataplane_.get());
   cluster->control_plane_ = std::make_unique<p4::ControlPlane>(
       sim, *cluster->primary_, *cluster->dataplane_);
 
   cluster->backup_ = std::make_unique<sw::SwitchDevice>(sim, "backup0", kBackupSwitchIp);
-  cluster->backup_dataplane_ = std::make_unique<p4::P4ceDataplane>(kBackupSwitchIp);
-  cluster->backup_dataplane_->set_clock(&sim);
+  cluster->backup_dataplane_ = std::make_unique<p4::P4ceDataplane>(sim, kBackupSwitchIp);
   cluster->backup_->load_program(cluster->backup_dataplane_.get());
 
   // Hosts and links.
   for (u32 i = 0; i < total_hosts; ++i) {
-    auto host = std::make_unique<Host>(sim, "host" + std::to_string(i), host_ip(i), options.nic,
+    auto host = std::make_unique<Host>(sim, "host" + std::to_string(i), host_ip(i),
                                        /*seed=*/0x1234 + i);
 
     const u32 port = cluster->primary_->add_port();

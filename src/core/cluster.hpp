@@ -33,7 +33,6 @@ struct ClusterOptions {
   consensus::Mode mode = consensus::Mode::kP4ce;
   u64 log_size = 64ull << 20;
   consensus::Calibration cal = consensus::Calibration::throughput();
-  rdma::NicConfig nic;
 
   static constexpr double link_gbps = 100.0;         ///< 100 GbE, §V-A
   static constexpr Duration link_propagation = 150;  ///< ns per hop (short datacenter cables)
@@ -43,8 +42,7 @@ struct ClusterOptions {
 /// consensus node.
 class Host {
  public:
-  Host(sim::Simulator& sim, std::string name, Ipv4Addr ip, const rdma::NicConfig& nic_config,
-       u64 seed);
+  Host(sim::Simulator& sim, std::string name, Ipv4Addr ip, u64 seed);
 
   rdma::MemoryManager memory;
   rdma::Nic nic;

@@ -26,13 +26,8 @@ P4ceDataplane::Metrics::Metrics(obs::MetricsRegistry& registry)
       bad_rkey_drops(registry.counter("switch.p4ce.bad_rkey_drops")),
       gather_occupancy(registry.gauge("switch.p4ce.gather_occupancy")) {}
 
-P4ceDataplane::P4ceDataplane(Ipv4Addr switch_ip, AckDropStage drop_stage)
-    : switch_ip_(switch_ip), drop_stage_(drop_stage) {}
-
-void P4ceDataplane::set_clock(const sim::Simulator* sim) {
-  clock_ = sim;
-  if (sim != nullptr) m_.emplace(sim->obs().metrics);
-}
+P4ceDataplane::P4ceDataplane(sim::Simulator& sim, Ipv4Addr switch_ip, AckDropStage drop_stage)
+    : sim_(sim), switch_ip_(switch_ip), drop_stage_(drop_stage), m_(sim.obs().metrics) {}
 
 Status P4ceDataplane::add_route(Ipv4Addr dst, u32 port) {
   l3_.set(dst, port);
@@ -128,7 +123,7 @@ void P4ceDataplane::ingress(sw::PacketContext& ctx) {
     // Validate the virtual authentication key on packets that carry it.
     if (p.reth && p.reth->rkey != group.spec.virtual_rkey) {
       ++group.stats.bad_rkey_drops;
-      if (m_) m_->bad_rkey_drops.inc();
+      m_.bad_rkey_drops.inc();
       ctx.drop = true;
       return;
     }
@@ -137,17 +132,15 @@ void P4ceDataplane::ingress(sw::PacketContext& ctx) {
     // PSN of the packet it is multicasting", §IV-B).
     group.num_recv.write(p.bth.psn % kNumRecvSlots, 0);
     ++group.stats.requests_scattered;
-    if (m_) {
-      m_->requests_scattered.inc();
-      // One gather-table slot is now awaiting ACKs for this PSN.
-      if (rdma::is_last_or_only(p.bth.opcode)) m_->gather_occupancy.add(1);
-    }
-    if (clock_ != nullptr && clock_->obs().tracer.is_enabled()) {
+    m_.requests_scattered.inc();
+    // One gather-table slot is now awaiting ACKs for this PSN.
+    if (rdma::is_last_or_only(p.bth.opcode)) m_.gather_occupancy.add(1);
+    if (sim_.obs().tracer.is_enabled()) {
       // Scope the PSN lookup to this group's BCast QP: concurrent domains
       // run overlapping PSN windows on the same switch.
-      auto& tracer = clock_->obs().tracer;
+      auto& tracer = sim_.obs().tracer;
       if (const u64 inst = tracer.instance_for_psn(p.bth.psn, p.bth.dest_qp)) {
-        tracer.on_scatter(inst, clock_->now());
+        tracer.on_scatter(inst, sim_.now());
       }
     }
     ctx.meta[kMetaGroup] = *group_idx;
@@ -195,7 +188,7 @@ void P4ceDataplane::ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 ri
   // learns that a replica is misbehaving and can fall back (§III).
   if (p.is_nak()) {
     ++group.stats.naks_forwarded;
-    if (m_) m_->naks_forwarded.inc();
+    m_.naks_forwarded.inc();
     send_to_leader(ctx, group);
     return;
   }
@@ -225,18 +218,16 @@ void P4ceDataplane::ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 ri
   // Count this answer; forward the f-th, drop the others.
   const u32 count = group.num_recv.increment_read(leader_psn % kNumRecvSlots);
   ++group.stats.acks_gathered;
-  if (m_) m_->acks_gathered.inc();
-  const bool tracing = clock_ != nullptr && clock_->obs().tracer.is_enabled();
+  m_.acks_gathered.inc();
+  auto& tracer = sim_.obs().tracer;
   const u64 inst =
-      tracing ? clock_->obs().tracer.instance_for_psn(leader_psn, group.spec.bcast_qpn) : 0;
-  if (inst != 0) clock_->obs().tracer.on_ack(inst, clock_->now(), rid);
+      tracer.is_enabled() ? tracer.instance_for_psn(leader_psn, group.spec.bcast_qpn) : 0;
+  if (inst != 0) tracer.on_ack(inst, sim_.now(), rid);
   if (count == group.spec.f_needed) {
     ++group.stats.acks_forwarded;
-    if (m_) {
-      m_->acks_forwarded.inc();
-      m_->gather_occupancy.add(-1);
-    }
-    if (inst != 0) clock_->obs().tracer.on_quorum(inst, clock_->now());
+    m_.acks_forwarded.inc();
+    m_.gather_occupancy.add(-1);
+    if (inst != 0) tracer.on_quorum(inst, sim_.now());
     send_to_leader(ctx, group);
     return;
   }
@@ -282,7 +273,7 @@ void P4ceDataplane::egress(sw::PacketContext& ctx) {
     // acknowledgment coming from the switch: destination queue pair, packet
     // sequence number, IP addresses, and the recomputed congestion fields
     // (§III "Gather").
-    if (m_) m_->header_rewrites.inc();
+    m_.header_rewrites.inc();
     p.eth.src_mac = 0xAA'0000'0000ull | switch_ip_;
     p.eth.dst_mac = group.spec.leader.mac;
     p.ip.src = switch_ip_;
@@ -305,14 +296,12 @@ void P4ceDataplane::egress(sw::PacketContext& ctx) {
     // queue pair, the authentication key, the virtual address of the buffer
     // accessed by the request, the packet sequence number and the IP address
     // of the destination" (§III "Broadcast").
-    if (m_) {
-      m_->scatter_copies.inc();
-      m_->header_rewrites.inc();
-    }
-    if (clock_ != nullptr && clock_->obs().tracer.is_enabled()) {
+    m_.scatter_copies.inc();
+    m_.header_rewrites.inc();
+    if (sim_.obs().tracer.is_enabled()) {
       // The PSN is still leader-numbered here (and dest_qp is still the
       // group's BCast QP); resolve before the rewrite.
-      auto& tracer = clock_->obs().tracer;
+      auto& tracer = sim_.obs().tracer;
       if (const u64 inst = tracer.instance_for_psn(p.bth.psn, p.bth.dest_qp)) {
         tracer.on_scatter_copy(inst, ctx.egress_time, ctx.replication_id);
       }

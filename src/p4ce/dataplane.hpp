@@ -7,7 +7,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
@@ -31,7 +30,10 @@ enum class AckDropStage { kIngress, kEgress };
 
 class P4ceDataplane : public sw::PipelineProgram {
  public:
-  explicit P4ceDataplane(Ipv4Addr switch_ip, AckDropStage drop_stage = AckDropStage::kIngress);
+  /// `sim` is the run's clock: its registry receives the switch.p4ce.*
+  /// series, and tracing hooks timestamp scatter/gather events with it.
+  P4ceDataplane(sim::Simulator& sim, Ipv4Addr switch_ip,
+                AckDropStage drop_stage = AckDropStage::kIngress);
 
   // --- Control-plane programming API (the BfRt surface) -----------------
 
@@ -52,12 +54,6 @@ class P4ceDataplane : public sw::PipelineProgram {
   /// — "the credit count of the slowest replicas would likely be ignored"
   /// (§IV-C).
   void set_credit_aggregation(bool enabled) noexcept { credit_aggregation_ = enabled; }
-
-  /// Give the data plane a read-only clock: its run's registry receives the
-  /// switch.p4ce.* series, and tracing hooks timestamp scatter/gather events
-  /// in simulated time. Optional: standalone/ablation uses without a clock
-  /// record no metrics and no trace events (GroupStats still count).
-  void set_clock(const sim::Simulator* sim);
 
   bool group_active(u16 group_idx) const noexcept {
     return group_idx < kMaxGroups && groups_[group_idx].active;
@@ -120,10 +116,10 @@ class P4ceDataplane : public sw::PipelineProgram {
     obs::Gauge& gather_occupancy;
   };
 
+  sim::Simulator& sim_;
   Ipv4Addr switch_ip_;
   AckDropStage drop_stage_;
-  const sim::Simulator* clock_ = nullptr;
-  std::optional<Metrics> m_;  ///< bound by set_clock()
+  Metrics m_;
   bool credit_aggregation_ = true;
   sw::ExactMatchTable<Ipv4Addr, u32> l3_{"l3_forward"};
   sw::ExactMatchTable<Qpn, u16> bcast_table_{"bcast_qp", 1024};

@@ -186,7 +186,6 @@ void QueuePair::pump_send_queue() {
     send_psn_ = psn_add(send_psn_, npkts);
     transmit_wqe(wqe);
     inflight_.push_back(std::move(wqe));
-    ++messages_sent_;
     m_.msgs_sent.inc();
     m_.inflight.add(1);
   }

@@ -137,7 +137,6 @@ class QueuePair {
   // --- Introspection ----------------------------------------------------
 
   u64 retransmissions() const noexcept { return retransmissions_; }
-  u64 messages_sent() const noexcept { return messages_sent_; }
   u64 messages_received() const noexcept { return messages_received_; }
   Psn next_send_psn() const noexcept { return send_psn_; }
   /// PSN the next *posted* message will start at: PSNs are assigned when a
@@ -225,7 +224,6 @@ class QueuePair {
   u8 credits_seen_ = 16;         // responder credits from the last AETH
   u32 retry_count_ = 0;
   u64 retransmissions_ = 0;
-  u64 messages_sent_ = 0;
   // The retransmit timer is re-armed on every ACK, so it is lazy: arming
   // records the deadline and reserves its tie key, disarming clears the
   // deadline, and at most one wake event chases the deadline. A wake fires

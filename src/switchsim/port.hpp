@@ -11,11 +11,7 @@
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "net/packet.hpp"
-
-namespace p4ce::obs {
-class Counter;
-class Gauge;
-}  // namespace p4ce::obs
+#include "obs/metrics.hpp"
 
 namespace p4ce::sw {
 
@@ -87,8 +83,8 @@ class Port : public net::PacketSink {
   ParserModel& ingress_parser() noexcept { return ingress_parser_; }
   ParserModel& egress_parser() noexcept { return egress_parser_; }
 
-  u64 rx_packets() const noexcept { return rx_; }
-  u64 tx_packets() const noexcept { return tx_; }
+  u64 rx_packets() const noexcept { return m_rx_pkts_.value(); }
+  u64 tx_packets() const noexcept { return m_tx_pkts_.value(); }
 
   /// Record the ingress parser's current backlog on this port's gauge.
   void note_ingress_backlog(SimTime now) noexcept;
@@ -102,16 +98,15 @@ class Port : public net::PacketSink {
   int end_ = 0;
   ParserModel ingress_parser_;
   ParserModel egress_parser_;
-  u64 rx_ = 0;
-  u64 tx_ = 0;
-  // Registry instruments, labelled {sw=<device>,port=<index>}; registered
-  // once at construction so the per-packet path is a cached pointer bump.
-  obs::Counter* m_rx_pkts_ = nullptr;
-  obs::Counter* m_rx_bytes_ = nullptr;
-  obs::Counter* m_tx_pkts_ = nullptr;
-  obs::Counter* m_tx_bytes_ = nullptr;
-  obs::Gauge* m_ingress_backlog_ = nullptr;
-  obs::Gauge* m_egress_backlog_ = nullptr;
+  // Registry instruments, labelled {sw=<device>,port=<index>}; bound once
+  // at construction so the per-packet path is a plain add. The packet
+  // getters above read them.
+  obs::Counter& m_rx_pkts_;
+  obs::Counter& m_rx_bytes_;
+  obs::Counter& m_tx_pkts_;
+  obs::Counter& m_tx_bytes_;
+  obs::Gauge& m_ingress_backlog_;
+  obs::Gauge& m_egress_backlog_;
 };
 
 }  // namespace p4ce::sw

@@ -1,19 +1,27 @@
 #include "switchsim/switch.hpp"
 
 #include <cassert>
+#include <string_view>
 
 #include "common/logging.hpp"
 #include "obs/context.hpp"
 
 namespace p4ce::sw {
 
-SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip)
-    : sim_(sim), name_(std::move(name)), ip_(ip) {
-  auto& reg = sim_.obs().metrics;
-  m_ingress_drops_ = &reg.counter(obs::MetricsRegistry::label("switch.ingress_drops", {{"sw", name_}}));
-  m_egress_drops_ = &reg.counter(obs::MetricsRegistry::label("switch.egress_drops", {{"sw", name_}}));
-  m_punts_ = &reg.counter(obs::MetricsRegistry::label("switch.punts", {{"sw", name_}}));
+namespace {
+obs::Counter& device_counter(sim::Simulator& sim, std::string_view series,
+                             const std::string& name) {
+  return sim.obs().metrics.counter(obs::MetricsRegistry::label(series, {{"sw", name}}));
 }
+}  // namespace
+
+SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip)
+    : sim_(sim),
+      name_(std::move(name)),
+      ip_(ip),
+      m_ingress_drops_(device_counter(sim, "switch.ingress_drops", name_)),
+      m_egress_drops_(device_counter(sim, "switch.egress_drops", name_)),
+      m_punts_(device_counter(sim, "switch.punts", name_)) {}
 
 void SwitchDevice::power_off() {
   if (!powered_) return;
@@ -73,13 +81,11 @@ void SwitchDevice::run_ingress(PacketContext&& ctx) {
 
 void SwitchDevice::route(PacketContext&& ctx) {
   if (ctx.drop) {
-    ++ingress_drops_;
-    m_ingress_drops_->inc();
+    m_ingress_drops_.inc();
     return;
   }
   if (ctx.punt_to_cpu) {
-    ++punted_;
-    m_punts_->inc();
+    m_punts_.inc();
     if (!cpu_handler_) return;
     sim_.schedule(kPuntLatency,
                   [this, p = std::move(ctx.packet), port = ctx.ingress_port]() mutable {
@@ -93,8 +99,7 @@ void SwitchDevice::route(PacketContext&& ctx) {
     // done in the egress" (§II-B).
     const auto& copies = mcast_.lookup(*ctx.mcast_group);
     if (copies.empty()) {
-      ++ingress_drops_;
-      m_ingress_drops_->inc();
+      m_ingress_drops_.inc();
       return;
     }
     // Carbon copies; the last one takes the context itself.
@@ -112,14 +117,12 @@ void SwitchDevice::route(PacketContext&& ctx) {
     run_egress(std::move(ctx));
     return;
   }
-  ++ingress_drops_;  // no routing decision: drop
-  m_ingress_drops_->inc();
+  m_ingress_drops_.inc();  // no routing decision: drop
 }
 
 void SwitchDevice::run_egress(PacketContext&& ctx) {
   if (ctx.egress_port >= ports_.size()) {
-    ++egress_drops_;
-    m_egress_drops_->inc();
+    m_egress_drops_.inc();
     return;
   }
   // The egress stage runs now, inside the ingress event, and the copy is
@@ -132,8 +135,7 @@ void SwitchDevice::run_egress(PacketContext&& ctx) {
   out.note_egress_backlog(sim_.now());
   program_->egress(ctx);
   if (ctx.drop) {
-    ++egress_drops_;
-    m_egress_drops_->inc();
+    m_egress_drops_.inc();
     return;
   }
   out.transmit(std::move(ctx.packet), ctx.egress_time);
@@ -143,20 +145,30 @@ void SwitchDevice::run_egress(PacketContext&& ctx) {
 // Port
 // ---------------------------------------------------------------------------
 
-Port::Port(SwitchDevice& device, u32 index)
-    : device_(device), index_(index), ingress_parser_(kParserPps), egress_parser_(kParserPps) {
-  auto& reg = device.simulator().obs().metrics;
-  const auto port_label = [&](std::string_view series) {
-    return obs::MetricsRegistry::label(series,
-                                       {{"sw", device.name()}, {"port", std::to_string(index)}});
-  };
-  m_rx_pkts_ = &reg.counter(port_label("switch.port.rx_pkts"));
-  m_rx_bytes_ = &reg.counter(port_label("switch.port.rx_bytes"));
-  m_tx_pkts_ = &reg.counter(port_label("switch.port.tx_pkts"));
-  m_tx_bytes_ = &reg.counter(port_label("switch.port.tx_bytes"));
-  m_ingress_backlog_ = &reg.gauge(port_label("switch.port.ingress_backlog_ns"));
-  m_egress_backlog_ = &reg.gauge(port_label("switch.port.egress_backlog_ns"));
+namespace {
+std::string port_label(const SwitchDevice& device, u32 index, std::string_view series) {
+  return obs::MetricsRegistry::label(series,
+                                     {{"sw", device.name()}, {"port", std::to_string(index)}});
 }
+obs::Counter& port_counter(SwitchDevice& device, u32 index, std::string_view series) {
+  return device.simulator().obs().metrics.counter(port_label(device, index, series));
+}
+obs::Gauge& port_gauge(SwitchDevice& device, u32 index, std::string_view series) {
+  return device.simulator().obs().metrics.gauge(port_label(device, index, series));
+}
+}  // namespace
+
+Port::Port(SwitchDevice& device, u32 index)
+    : device_(device),
+      index_(index),
+      ingress_parser_(kParserPps),
+      egress_parser_(kParserPps),
+      m_rx_pkts_(port_counter(device, index, "switch.port.rx_pkts")),
+      m_rx_bytes_(port_counter(device, index, "switch.port.rx_bytes")),
+      m_tx_pkts_(port_counter(device, index, "switch.port.tx_pkts")),
+      m_tx_bytes_(port_counter(device, index, "switch.port.tx_bytes")),
+      m_ingress_backlog_(port_gauge(device, index, "switch.port.ingress_backlog_ns")),
+      m_egress_backlog_(port_gauge(device, index, "switch.port.egress_backlog_ns")) {}
 
 void Port::deliver(net::Packet&& packet) {
   const SimTime now = device_.simulator().now();
@@ -166,18 +178,16 @@ void Port::deliver(net::Packet&& packet) {
 }
 
 bool Port::take_in_flight(net::Packet&& packet, const net::InFlight& flight) {
-  ++rx_;
-  m_rx_pkts_->inc();
-  m_rx_bytes_->inc(packet.wire_size());
+  m_rx_pkts_.inc();
+  m_rx_bytes_.inc(packet.wire_size());
   device_.on_port_rx(index_, std::move(packet), flight);
   return true;
 }
 
 void Port::transmit(net::Packet&& packet, SimTime start) {
   if (link_ == nullptr) return;
-  ++tx_;
-  m_tx_pkts_->inc();
-  m_tx_bytes_->inc(packet.wire_size());
+  m_tx_pkts_.inc();
+  m_tx_bytes_.inc(packet.wire_size());
   link_->send_at(end_, std::move(packet), start);
 }
 
@@ -191,11 +201,11 @@ void Port::set_silent(bool silent) {
 }
 
 void Port::note_ingress_backlog(SimTime now) noexcept {
-  m_ingress_backlog_->set(static_cast<double>(ingress_parser_.backlog(now)));
+  m_ingress_backlog_.set(static_cast<double>(ingress_parser_.backlog(now)));
 }
 
 void Port::note_egress_backlog(SimTime now) noexcept {
-  m_egress_backlog_->set(static_cast<double>(egress_parser_.backlog(now)));
+  m_egress_backlog_.set(static_cast<double>(egress_parser_.backlog(now)));
 }
 
 }  // namespace p4ce::sw

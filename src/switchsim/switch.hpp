@@ -12,6 +12,7 @@
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "switchsim/multicast.hpp"
 #include "switchsim/pipeline.hpp"
@@ -62,9 +63,9 @@ class SwitchDevice {
   void power_on();
   bool powered() const noexcept { return powered_; }
 
-  u64 ingress_drops() const noexcept { return ingress_drops_; }
-  u64 egress_drops() const noexcept { return egress_drops_; }
-  u64 punted() const noexcept { return punted_; }
+  u64 ingress_drops() const noexcept { return m_ingress_drops_.value(); }
+  u64 egress_drops() const noexcept { return m_egress_drops_.value(); }
+  u64 punted() const noexcept { return m_punts_.value(); }
 
  private:
   friend class Port;
@@ -86,13 +87,11 @@ class SwitchDevice {
   PipelineProgram* program_ = nullptr;
   std::function<void(net::Packet, u32)> cpu_handler_;
   bool powered_ = true;
-  u64 ingress_drops_ = 0;
-  u64 egress_drops_ = 0;
-  u64 punted_ = 0;
-  // Registry counters labelled {sw=<name>}, cached at construction.
-  obs::Counter* m_ingress_drops_ = nullptr;
-  obs::Counter* m_egress_drops_ = nullptr;
-  obs::Counter* m_punts_ = nullptr;
+  // Registry counters labelled {sw=<name>}, bound at construction; the
+  // getters above read them. Switch names are unique within a run.
+  obs::Counter& m_ingress_drops_;
+  obs::Counter& m_egress_drops_;
+  obs::Counter& m_punts_;
 };
 
 }  // namespace p4ce::sw

@@ -255,8 +255,8 @@ void BenchSession::finish() {
       if (!write_file(path_for("FLIGHT"), flight)) {
         std::fprintf(stderr, "warning: could not write %s\n", path_for("FLIGHT").c_str());
       } else {
-        std::printf("\nflight recorder: %s (%zu captures)\n", path_for("FLIGHT").c_str(),
-                    captures);
+        std::fprintf(stderr, "flight recorder: %s (%zu captures)\n", path_for("FLIGHT").c_str(),
+                     captures);
       }
     }
   }
@@ -273,8 +273,8 @@ void BenchSession::finish() {
     if (!write_file(trace_out, obs::Tracer::to_chrome_json(tracers))) {
       std::fprintf(stderr, "warning: could not write %s\n", trace_out.c_str());
     } else {
-      std::printf("\ntrace: %s (%zu events%s)\n", trace_out.c_str(), events,
-                  overflowed ? ", buffer overflowed" : "");
+      std::fprintf(stderr, "trace: %s (%zu events%s)\n", trace_out.c_str(), events,
+                   overflowed ? ", buffer overflowed" : "");
     }
   }
 }

@@ -223,9 +223,9 @@ TEST(P4ceFallback, CommitOrderPreservedAcrossModeSwitch) {
 }
 
 TEST(P4ceFallback, FallbackWithNothingInFlightStillCommits) {
-  // Fall back while no op is on the accelerated path: here the wrap-record
-  // write is the only traffic when the group disappears. The commits that
-  // follow run over the direct path and must still be released.
+  // Fall back while no op is on the accelerated path: a membership update
+  // whose CM handshake fails. The commits that follow run over the direct
+  // path and must still be released.
   core::ClusterOptions options;
   options.machines = 3;
   options.mode = Mode::kP4ce;
@@ -242,11 +242,11 @@ TEST(P4ceFallback, FallbackWithNothingInFlightStillCommits) {
   cluster->run_for(milliseconds(1));
   ASSERT_EQ(ok, 5);
 
-  // The unsignaled write on the accelerated QP is dropped with the group;
-  // its retry timeout is what sends the leader to the fallback path.
-  std::ignore = cluster->dataplane().remove_group(0);
-  cluster->node(0).communicator()->write_raw(1 << 20, Bytes(16, 0));
-  cluster->run_for(milliseconds(5));
+  // The switch CPU stops answering, so excluding replica 2 sends a group
+  // update that times out; the leader falls back with nothing outstanding.
+  cluster->primary_switch().set_cpu_handler(nullptr);
+  cluster->node(0).communicator()->exclude_replica(2);
+  cluster->run_for(milliseconds(150));
   ASSERT_FALSE(cluster->node(0).accelerated());
   ASSERT_EQ(ok, 5) << "nothing may be left outstanding before the fallback commits";
 

@@ -1,8 +1,11 @@
 // Replicated-log tests: entry encoding, writer/reader round trips, batch
-// appends, ring-wrap behaviour, torn-entry invisibility, and the progress
-// record used for leader recovery.
+// appends, ring-wrap behaviour (the offset-0 rule), torn-entry
+// invisibility on every lap, and the progress record used for leader
+// recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,7 +40,7 @@ struct LogFixture : ::testing::Test {
 
 TEST(EntryCodec, FootprintIsAlignedAndMinimal) {
   EXPECT_EQ(entry_footprint(0) % 8, 0u);
-  EXPECT_GE(entry_footprint(0), kEntryHeaderBytes + 1u);
+  EXPECT_GE(entry_footprint(0), kEntryFramingBytes + 1u);
   EXPECT_EQ(entry_footprint(3), 24u);   // 20 + 3 + 1 = 24
   EXPECT_EQ(entry_footprint(4), 32u);   // 20 + 4 + 1 = 25 -> 32
   EXPECT_EQ(entry_footprint(64), 88u);
@@ -46,7 +49,7 @@ TEST(EntryCodec, FootprintIsAlignedAndMinimal) {
 TEST(EntryCodec, EncodePlacesMarkerLast) {
   const Bytes e = encode_entry(7, 3, to_bytes("abc"));
   EXPECT_EQ(e.size(), entry_footprint(3));
-  EXPECT_EQ(e[kEntryHeaderBytes + 3], kEntryMarker);
+  EXPECT_EQ(e[kEntryFramingBytes + 3], kEntryMarker);
 }
 
 TEST_F(LogFixture, WriteThenReadDeliversInOrder) {
@@ -92,7 +95,7 @@ TEST_F(LogFixture, EachDeliverySeesItsOwnBytesAsPayloadsShrinkAndGrow) {
 TEST_F(LogFixture, TornEntryInvisibleUntilMarkerLands) {
   // Simulate a partially-arrived entry: copy all bytes except the marker.
   const Bytes entry = encode_entry(1, 1, to_bytes("partial"));
-  std::copy(entry.begin(), entry.end() - entry.size() + kEntryHeaderBytes + 7,
+  std::copy(entry.begin(), entry.end() - entry.size() + kEntryFramingBytes + 7,
             region->bytes());
   EXPECT_EQ(reader->poll(), 0u);
   // Marker arrives -> entry becomes visible.
@@ -113,7 +116,7 @@ TEST_F(LogFixture, BatchAppendIsContiguousAndSequential) {
   EXPECT_EQ(delivered[2].term, 4u);
 }
 
-TEST_F(LogFixture, WrapMarkerSendsReaderBackToZero) {
+TEST_F(LogFixture, ReaderFollowsEveryWrapToOffsetZero) {
   reset(1024);  // tiny log to force wrapping
   u64 seq = 0;
   for (int i = 0; i < 30; ++i) {
@@ -122,6 +125,110 @@ TEST_F(LogFixture, WrapMarkerSendsReaderBackToZero) {
   }
   EXPECT_EQ(delivered.size(), 30u);
   for (u64 i = 0; i < delivered.size(); ++i) EXPECT_EQ(delivered[i].seq, i + 1);
+  EXPECT_EQ(reader->cursor(), writer->cursor());
+}
+
+TEST_F(LogFixture, AppendThatDoesNotFitStartsAtOffsetZero) {
+  reset(1024);
+  // 136-byte entries: seven fill 952 bytes, and the eighth does not fit in
+  // the 72 that are left.
+  for (u64 seq = 1; seq <= 7; ++seq) {
+    ASSERT_EQ(append_one(*writer, seq, Bytes(108, 1)).value().offset, (seq - 1) * 136);
+  }
+  EXPECT_EQ(append_one(*writer, 8, Bytes(108, 1)).value().offset, 0u);
+  EXPECT_EQ(writer->cursor(), 136u);
+}
+
+TEST_F(LogFixture, ReaderPastTheLastEntryLooksAtOffsetZero) {
+  // The reader waits at 952, where the bytes of an unwritten tail read as
+  // an empty entry with seq 0. Seq 8 landed at 0 meanwhile, and seq 9
+  // after it: both are delivered in one poll.
+  reset(1024);
+  for (u64 seq = 1; seq <= 7; ++seq) std::ignore = append_one(*writer, seq, Bytes(108, 1));
+  EXPECT_EQ(reader->poll(), 7u);
+  EXPECT_EQ(reader->cursor(), 952u);
+  std::ignore = append_one(*writer, 8, Bytes(108, 8));
+  std::ignore = append_one(*writer, 9, Bytes(108, 9));
+  EXPECT_EQ(reader->poll(), 2u);
+  EXPECT_EQ(delivered.back().seq, 9u);
+  EXPECT_EQ(delivered.back().payload, Bytes(108, 9));
+  EXPECT_EQ(reader->cursor(), 272u);
+}
+
+TEST_F(LogFixture, ReaderWithNoRoomForAHeaderLooksAtOffsetZero) {
+  // Three 128-byte entries fill a 387-byte log up to 3 bytes before its
+  // end, too few for the next entry's length field.
+  reset(387);
+  for (u64 seq = 1; seq <= 3; ++seq) std::ignore = append_one(*writer, seq, Bytes(100, 1));
+  EXPECT_EQ(reader->poll(), 3u);
+  EXPECT_EQ(reader->cursor(), 384u);
+  EXPECT_EQ(reader->poll(), 0u) << "offset 0 holds seq 1, which is not awaited";
+  std::ignore = append_one(*writer, 4, Bytes(100, 4));
+  EXPECT_EQ(reader->poll(), 1u);
+  EXPECT_EQ(delivered.back().seq, 4u);
+  EXPECT_EQ(reader->cursor(), 128u);
+}
+
+TEST_F(LogFixture, ReaderWaitsAtOffsetZeroForAnEntryStillLanding) {
+  reset(387);
+  for (u64 seq = 1; seq <= 3; ++seq) std::ignore = append_one(*writer, seq, Bytes(100, 1));
+  EXPECT_EQ(reader->poll(), 3u);
+  // Seq 4 lands at offset 0 in two parts: the trailer comes last.
+  const Bytes entry = encode_entry(4, 1, Bytes(100, 4));
+  std::memcpy(region->bytes(), entry.data(), 64);
+  EXPECT_EQ(reader->poll(), 0u);
+  std::memcpy(region->bytes() + 64, entry.data() + 64, entry.size() - 64);
+  EXPECT_EQ(reader->poll(), 1u);
+  EXPECT_EQ(delivered.back().payload, Bytes(100, 4));
+}
+
+TEST(LogLap, MultiPacketEntryOnTheSecondLapIsInvisibleUntilItsLastPacket) {
+  // A replica's log receives each write as MTU-sized DMA slices in PSN
+  // order, and its reader polls after every slice. Entries have one size,
+  // so every lap lays them out alike: the second lap's entry at 4024 lands
+  // over the first lap's, whose marker sits where the new one will.
+  constexpr u64 kLog = 16384;
+  constexpr u64 kMtu = 1024;
+  constexpr u64 kValue = 4000;  // 4024-byte entries: 4 packets each
+  rdma::MemoryManager mm(1);
+  auto& leader = mm.register_region(kLog, rdma::kAccessRemoteWrite);
+  auto& replica = mm.register_region(kLog, rdma::kAccessRemoteWrite);
+  LogWriter writer(leader);
+  std::vector<u64> seqs;
+  std::vector<bool> whole;
+  LogReader reader(replica, [&](const LogEntry& e) {
+    seqs.push_back(e.seq);
+    whole.push_back(e.payload == Bytes(kValue, static_cast<u8>(e.seq)));
+  });
+  replica.set_write_hook([&](u64, u64) { reader.poll(); });
+
+  // Lap 1 (seqs 1-4), then the wrap (seq 5 at offset 0), each reach the
+  // replica as a copy of the whole leader log.
+  for (u64 seq = 1; seq <= 5; ++seq) {
+    ASSERT_TRUE(append_one(writer, seq, Bytes(kValue, static_cast<u8>(seq))).is_ok());
+    if (seq >= 4) {
+      ASSERT_TRUE(mm.remote_write(replica.rkey(), replica.vaddr(), leader.span()).is_ok());
+    }
+  }
+  ASSERT_EQ(seqs, (std::vector<u64>{1, 2, 3, 4, 5}));
+
+  auto append = append_one(writer, 6, Bytes(kValue, 6));
+  ASSERT_TRUE(append.is_ok());
+  const u64 offset = append.value().offset;
+  ASSERT_EQ(offset, 4024u);
+  const BytesView entry = append.value().entry.view();
+  for (u64 at = 0; at < entry.size(); at += kMtu) {
+    const u64 len = std::min(kMtu, entry.size() - at);
+    ASSERT_TRUE(
+        mm.remote_write(replica.rkey(), replica.vaddr() + offset + at, entry.subspan(at, len))
+            .is_ok());
+    if (at + len < entry.size()) {
+      EXPECT_EQ(seqs.size(), 5u) << "seq 6 delivered with " << at + len << " of "
+                                 << entry.size() << " bytes landed";
+    }
+  }
+  EXPECT_EQ(seqs, (std::vector<u64>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(whole, std::vector<bool>(seqs.size(), true));
 }
 
 TEST_F(LogFixture, EntryLargerThanLogRejected) {

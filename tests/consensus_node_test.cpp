@@ -162,6 +162,55 @@ TEST_P(ModeTest, NewLeaderRecoversCommittedEntries) {
   EXPECT_EQ(cluster->node(2).last_delivered_seq(), 33u);
 }
 
+TEST_P(ModeTest, NewLeaderBehindAcrossAWrapCatchesUp) {
+  // A 64 KiB log holds 64 entries of 1000-byte values. Replica 1 stops
+  // receiving writes at seq 40 (the leader excludes it) while the leader
+  // wraps the ring to seq 80; then the leader crashes. Replica 1, the lowest
+  // live id, leads with a log that ends at offset 40 KiB, while replica 2's
+  // ends at 16 KiB on the next lap, 40 seqs further on.
+  ClusterOptions options;
+  options.machines = 3;
+  options.mode = GetParam();
+  options.cal = Calibration::failover();
+  options.log_size = 64 << 10;
+  auto cluster = Cluster::create(options);
+  ASSERT_TRUE(cluster->start());
+  std::vector<std::vector<u64>> delivered(3);
+  for (u32 i = 0; i < 3; ++i) {
+    cluster->node(i).set_deliver(
+        [&delivered, i](const LogEntry& e) { delivered[i].push_back(e.seq); });
+  }
+  const auto propose = [&](Node& leader, int count) {
+    for (int k = 0; k < count; ++k) {
+      ASSERT_TRUE(leader.propose(Bytes(1000, static_cast<u8>(k)), nullptr).is_ok());
+      cluster->run_for(microseconds(20));
+    }
+    cluster->run_for(milliseconds(1));
+  };
+  propose(cluster->node(0), 40);
+  ASSERT_EQ(cluster->node(1).last_delivered_seq(), 40u);
+  cluster->node(0).communicator()->exclude_replica(1);
+  cluster->run_for(milliseconds(50));  // P4CE: the switch drops replica 1
+  propose(cluster->node(0), 40);
+  ASSERT_EQ(cluster->node(1).last_delivered_seq(), 40u);
+  ASSERT_EQ(cluster->node(2).last_delivered_seq(), 80u);
+
+  cluster->crash_node(0);
+  const SimTime deadline = cluster->now() + milliseconds(500);
+  while (cluster->leader() == nullptr && cluster->now() < deadline) {
+    cluster->run_for(milliseconds(1));
+  }
+  ASSERT_NE(cluster->leader(), nullptr);
+  ASSERT_EQ(cluster->leader()->id(), 1u);
+  propose(*cluster->leader(), 5);
+  cluster->run_for(milliseconds(5));
+
+  std::vector<u64> all(85);
+  for (u64 k = 0; k < all.size(); ++k) all[k] = k + 1;
+  EXPECT_EQ(delivered[1], all) << "the new leader adopts replica 2's suffix";
+  EXPECT_EQ(delivered[2], all) << "replica 2 delivers what the new leader appends";
+}
+
 TEST_P(ModeTest, ReplicaCrashDoesNotStallCommits) {
   auto cluster = make(GetParam(), 3);
   cluster->crash_node(2);
@@ -247,6 +296,41 @@ INSTANTIATE_TEST_SUITE_P(Modes, ModeTest, ::testing::Values(Mode::kMu, Mode::kP4
                          [](const ::testing::TestParamInfo<Mode>& info) {
                            return info.param == Mode::kMu ? "Mu" : "P4ce";
                          });
+
+TEST(LogRepair, ReplicaBehindAcrossAWrapIsRefilledAfterAFallback) {
+  // As above, replica 1 stops at seq 40 while the leader wraps a 64 KiB
+  // log to seq 80. A P4CE fallback then repairs the replicas from the
+  // leader's log: replica 1's suffix runs from 40 KiB to the end of the
+  // ring and on from 0.
+  ClusterOptions options;
+  options.machines = 3;
+  options.mode = Mode::kP4ce;
+  options.cal = Calibration::failover();
+  options.cal.reacceleration_period = 1'000'000'000;  // no probe in this test
+  options.log_size = 64 << 10;
+  auto cluster = Cluster::create(options);
+  ASSERT_TRUE(cluster->start());
+  const auto propose = [&](int count) {
+    for (int k = 0; k < count; ++k) {
+      ASSERT_TRUE(cluster->node(0).propose(Bytes(1000, static_cast<u8>(k)), nullptr).is_ok());
+      cluster->run_for(microseconds(20));
+    }
+    cluster->run_for(milliseconds(1));
+  };
+  propose(40);
+  cluster->node(0).communicator()->exclude_replica(1);
+  cluster->run_for(milliseconds(50));  // the switch drops replica 1
+  propose(40);
+  ASSERT_EQ(cluster->node(1).last_delivered_seq(), 40u);
+
+  // With the group gone the next writes time out, and the fallback repairs.
+  std::ignore = cluster->dataplane().remove_group(0);
+  propose(4);
+  cluster->run_for(milliseconds(20));
+  ASSERT_FALSE(cluster->node(0).accelerated());
+  EXPECT_EQ(cluster->node(2).last_delivered_seq(), 84u);
+  EXPECT_EQ(cluster->node(1).last_delivered_seq(), 84u) << "the repair must cross the wrap";
+}
 
 TEST(Heartbeat, DetectionLatencyIsAboutTheLivenessTimeout) {
   auto cluster = make(Mode::kMu, 3);

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "p4ce/dataplane.hpp"
+#include "sim/simulator.hpp"
 
 namespace p4ce::p4 {
 namespace {
@@ -68,7 +69,8 @@ net::Packet ack_packet(u32 replica, Psn replica_psn, u8 credits = 20, bool nak =
 }
 
 struct DataplaneFixture : ::testing::Test {
-  P4ceDataplane dataplane{kSwitchIp};
+  sim::Simulator sim;
+  P4ceDataplane dataplane{sim, kSwitchIp};
 
   void SetUp() override {
     for (u32 i = 0; i < 6; ++i) {
@@ -301,7 +303,8 @@ class MinCreditPropertyTest : public ::testing::TestWithParam<u64> {};
 
 TEST_P(MinCreditPropertyTest, ForwardedCreditIsMinOfLatestPerReplica) {
   Rng rng(GetParam());
-  P4ceDataplane dataplane(kSwitchIp);
+  sim::Simulator sim;
+  P4ceDataplane dataplane(sim, kSwitchIp);
   for (u32 i = 0; i < 6; ++i) {
     std::ignore = dataplane.add_route(net::make_ip(0, static_cast<u8>(10 + i)), i);
   }
@@ -332,7 +335,7 @@ TEST_P(MinCreditPropertyTest, ForwardedCreditIsMinOfLatestPerReplica) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MinCreditPropertyTest, ::testing::Values(11, 22, 33));
 
 TEST_F(DataplaneFixture, EgressDropModeRoutesSurplusThroughLeaderEgress) {
-  P4ceDataplane egress_drop(kSwitchIp, AckDropStage::kEgress);
+  P4ceDataplane egress_drop(sim, kSwitchIp, AckDropStage::kEgress);
   for (u32 i = 0; i < 6; ++i) {
     std::ignore = egress_drop.add_route(net::make_ip(0, static_cast<u8>(10 + i)), i);
   }

@@ -396,8 +396,7 @@ TEST(P4cePacketPath, ScatterGatherTimelineGolden) {
   constexpr Ipv4Addr kSwitchIp = net::make_ip(1, 1);
   sim::Simulator sim;
   SwitchDevice device(sim, "tofino", kSwitchIp);
-  p4::P4ceDataplane dataplane(kSwitchIp);
-  dataplane.set_clock(&sim);
+  p4::P4ceDataplane dataplane(sim, kSwitchIp);
   device.load_program(&dataplane);
 
   std::vector<u64> timeline;
