@@ -14,17 +14,18 @@
 //             egress links (the §III scatter path).
 //
 // Each shape is gated twice. Its counters (events executed, callables
-// stored on the heap, and for scatter the copies delivered and payload
-// bytes copied) depend on the code alone, so every run must match them
-// exactly or the bench exits 1. Its rate depends on the host and on what
-// else runs there, so every run is bracketed by perfbench's reference loop
-// and the gated value is the rate divided by the reference speed around it,
-// as the median of kReps interleaved runs; scripts/perf_smoke.py compares
-// it with bench/baselines/micro_event.json. A kernel shape's rate counts
-// events; scatter's counts copies delivered, so it does not move when the
-// switch spends fewer events on a copy.
+// stored on the heap, and for scatter the copies delivered and those whose
+// payload is not the injected buffer) depend on the code alone, so every
+// run must match them exactly or the bench exits 1. Its rate depends on the
+// host and on what else runs there, so every run is bracketed by
+// perfbench's reference loop and the gated value is the rate divided by the
+// reference speed around it, as the median of kReps interleaved runs;
+// scripts/perf_smoke.py compares it with bench/baselines/micro_event.json.
+// A kernel shape's rate counts events; scatter's counts copies delivered,
+// so it does not move when the switch spends fewer events on a copy.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <iterator>
@@ -62,7 +63,7 @@ struct Counters {
   u64 events = 0;        ///< sim events executed
   u64 heap_events = 0;   ///< `sim.events_alloc`: callables too big to store inline
   u64 delivered = 0;     ///< scatter: copies delivered to the egress links
-  u64 copied_bytes = 0;  ///< scatter: payload bytes copied instead of shared
+  u64 copies = 0;        ///< scatter: copies delivered with a payload copy
   bool operator==(const Counters&) const = default;
 };
 
@@ -152,10 +153,16 @@ Counters run_timers() {
   return kernel_counters(sim);
 }
 
-/// Terminal endpoint for scatter copies.
+/// Terminal endpoint for scatter copies. Each injected packet carries its
+/// payload buffer's address in reth.vaddr, which the program leaves alone:
+/// a copy whose payload lives elsewhere was copied on the way.
 struct CountingSink : net::PacketSink {
   u64 delivered = 0;
-  void deliver(net::Packet&&) override { ++delivered; }
+  u64 copies = 0;
+  void deliver(net::Packet&& p) override {
+    ++delivered;
+    if (reinterpret_cast<std::uintptr_t>(p.payload.data()) != p.reth->vaddr) ++copies;
+  }
 };
 
 /// Every inbound packet goes to multicast group 1, and egress rewrites a
@@ -168,7 +175,6 @@ struct ScatterProgram : sw::PipelineProgram {
 /// scatter: kPackets writes into one ingress port, each replicated to
 /// kReplicas egress ports at line rate.
 Counters run_scatter() {
-  const u64 copied_before = net::PayloadRef::copied_bytes();
   sim::Simulator sim;
   sw::SwitchDevice dev(sim, "bench-sw", net::make_ip(1, 1));
   ScatterProgram program;
@@ -195,15 +201,17 @@ Counters run_scatter() {
     p.bth.opcode = rdma::Opcode::kWriteOnly;
     p.bth.dest_qp = 0x8000;
     p.bth.psn = i & kPsnMask;
-    p.reth = rdma::Reth{0x100, 0x1234, kPayload};
     p.payload = Bytes(kPayload, 0xab);
+    p.reth = rdma::Reth{reinterpret_cast<std::uintptr_t>(p.payload.data()), 0x1234, kPayload};
     dev.port(ingress_port).deliver(std::move(p));
   }
   sim.run();
 
   Counters c = kernel_counters(sim);
-  for (const auto& sink : sinks) c.delivered += sink.delivered;
-  c.copied_bytes = net::PayloadRef::copied_bytes() - copied_before;
+  for (const auto& sink : sinks) {
+    c.delivered += sink.delivered;
+    c.copies += sink.copies;
+  }
   return c;
 }
 
@@ -218,7 +226,8 @@ struct Shape {
 // Churn executes chains * steps events, cancel 3/4 of the seeded events,
 // ping and timers rings * hops + rings seeds; scatter runs 6 events per
 // packet (one ingress, whose egress stages post the copies, then per copy
-// the link's delivery), and no shape stores a callable on the heap.
+// the link's delivery), no shape stores a callable on the heap, and no
+// scatter copy carries a copied payload.
 constexpr Shape kShapes[] = {
     {"churn", run_churn, {.events = u64{kChains} * kSteps}},
     {"cancel", run_cancel, {.events = kCancelTotal - (kCancelTotal + 3) / 4}},
@@ -260,13 +269,12 @@ int main() {
       if (got != shape.want) {
         std::fprintf(stderr,
                      "%s: counters differ (got/want): events %llu/%llu heap events %llu/%llu "
-                     "delivered %llu/%llu copied bytes %llu/%llu\n",
+                     "delivered %llu/%llu copies %llu/%llu\n",
                      shape.name, (unsigned long long)got.events,
                      (unsigned long long)shape.want.events, (unsigned long long)got.heap_events,
                      (unsigned long long)shape.want.heap_events,
                      (unsigned long long)got.delivered, (unsigned long long)shape.want.delivered,
-                     (unsigned long long)got.copied_bytes,
-                     (unsigned long long)shape.want.copied_bytes);
+                     (unsigned long long)got.copies, (unsigned long long)shape.want.copies);
         return 1;
       }
       const double before = windows.back();

@@ -8,8 +8,8 @@
 # the simulation substrate (bench/micro_event asserts the exact
 # counters of the event kernel's shapes and of the scatter path, and its
 # reference-normalized rates must stay within 35% of the checked-in
-# baseline — see scripts/perf_smoke.py), then every ctest test but
-# chaos_test again under AddressSanitizer + UBSan (separate build tree).
+# baseline — see scripts/perf_smoke.py), then every ctest test again under
+# AddressSanitizer + UBSan (separate build tree).
 #
 # Usage: scripts/check.sh [--no-sanitize] [--no-perf]
 set -euo pipefail
@@ -59,11 +59,11 @@ fi
 
 if [[ "$sanitize" == 1 ]]; then
   echo "== asan/ubsan: build + ctest =="
-  # p4ce_tests builds what ctest runs. The run leaves out chaos_test, which
-  # takes ~15 s optimised and about 210 s in this Debug sanitizer build.
+  # p4ce_tests builds what ctest runs; each chaos seed is its own ctest case,
+  # so the seeds run in parallel.
   cmake -B build-asan -S . -DP4CE_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
   cmake --build build-asan -j "$jobs" --target p4ce_tests
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -E '^chaos_test$'
+  ctest --test-dir build-asan --output-on-failure -j "$jobs"
 fi
 
 echo "== check.sh: all green =="

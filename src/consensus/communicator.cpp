@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "obs/context.hpp"
 
 namespace p4ce::consensus {

@@ -1,12 +1,10 @@
 #include "consensus/node.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <utility>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "consensus/one_sided.hpp"
 #include "obs/context.hpp"
 #include "p4ce/tables.hpp"
@@ -47,7 +45,9 @@ std::vector<std::pair<u64, u64>> ring_span(u64 from, u64 to, u64 size) {
 // CommitSequencer
 // ---------------------------------------------------------------------------
 
-void CommitSequencer::expect(u64 op) { ops_.insert(op, Op{}); }
+void CommitSequencer::expect(u64 op, CommitRecord record) {
+  ops_.insert(op, Op{false, Status::ok(), std::move(record)});
+}
 
 void CommitSequencer::mark_ready(u64 op, Status status) {
   Op* found = ops_.find(op);
@@ -60,17 +60,18 @@ void CommitSequencer::mark_ready(u64 op, Status status) {
 void CommitSequencer::drain() {
   for (Op* op = ops_.find(next_); op != nullptr && op->ready; op = ops_.find(next_)) {
     Status status = std::move(op->status);
+    CommitRecord record = std::move(op->record);
     ops_.erase(next_);
     const u64 released = next_++;
-    release_(released, std::move(status));
+    release_(released, std::move(status), std::move(record));
   }
 }
 
 void CommitSequencer::flush_all(Status status) {
   // Deliver failures in order; release_ may re-enter, so detach first.
-  for (const auto& entry : ops_.take_all()) {
-    next_ = std::max(next_, entry.first + 1);
-    release_(entry.first, status);
+  for (auto& [op, entry] : ops_.take_all()) {
+    next_ = std::max(next_, op + 1);
+    release_(op, status, std::move(entry.record));
   }
 }
 
@@ -105,7 +106,9 @@ Node::Node(sim::Simulator& sim, rdma::Nic& nic, rdma::MemoryManager& memory,
       options_(options),
       qp_config_(node_qp_config(options.cal)),
       sequencer_(obs::trace_key(options.domain, next_op_),
-                 [this](u64 op, Status st) { finish_commit(op, std::move(st)); }) {
+                 [this](u64 op, Status st, CommitRecord record) {
+                   finish_commit(op, std::move(st), std::move(record));
+                 }) {
   using rdma::Access;
   hb_mr_ = &memory_.register_region(8, rdma::kAccessRemoteRead);
   mail_mr_ = &memory_.register_region(kMaxNodes * kMailboxSlotBytes,
@@ -801,16 +804,11 @@ void Node::append_and_replicate(std::span<const Bytes> values, bool batch, SimTi
                 batch ? n : first_seq);
     tracer.mark_propose_done(op, sim_.now());
   }
-  commit_records_.insert(op, CommitRecord{last_seq, n, t_propose, std::move(done)});
-  sequencer_.expect(op);
+  sequencer_.expect(op, CommitRecord{last_seq, n, t_propose, std::move(done)});
   communicator_->replicate(append.value().offset, std::move(append.value().entry), op);
 }
 
-void Node::finish_commit(u64 op, Status st) {
-  CommitRecord* found = commit_records_.find(op);
-  assert(found != nullptr && "every op the sequencer releases has a record");
-  CommitRecord record = std::move(*found);
-  commit_records_.erase(op);
+void Node::finish_commit(u64 op, Status st, CommitRecord record) {
   if (st.is_ok()) {
     commits_ += record.n;
     m_.commits.inc(record.n);

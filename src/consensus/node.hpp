@@ -33,18 +33,30 @@ enum class Mode { kMu, kP4ce, kOneSided };
 
 inline constexpr u32 kMaxNodes = 16;
 
+/// (status, seq): fires when the proposed value is committed (f replica
+/// ACKs) or known lost. seq is 0 when the value never reached the log.
+using CommitFn = std::function<void(Status, u64 seq)>;
+
+/// What the node needs of an op when the op is released.
+struct CommitRecord {
+  u64 last_seq = 0;
+  u64 n = 0;  ///< values the op carries
+  SimTime t_propose = 0;
+  CommitFn done;
+};
+
 /// Releases ops strictly in op order, no matter which order the (possibly
-/// mode-switching) verdicts arrive in: `release(op, status)` runs once per
-/// op, in order. Ops are dense, starting at `first`, so they live in an
-/// OpRing.
+/// mode-switching) verdicts arrive in: `release(op, status, record)` runs
+/// once per op, in order, with the record the op was expected with. Ops are
+/// dense, starting at `first`, so they live in an OpRing.
 class CommitSequencer {
  public:
-  using ReleaseFn = std::function<void(u64 op, Status)>;
+  using ReleaseFn = std::function<void(u64 op, Status, CommitRecord)>;
 
   CommitSequencer(u64 first, ReleaseFn release) noexcept
       : next_(first), release_(std::move(release)) {}
 
-  void expect(u64 op);
+  void expect(u64 op, CommitRecord record = {});
   void mark_ready(u64 op, Status status);
   u64 next() const noexcept { return next_; }
   std::size_t outstanding() const noexcept { return ops_.size(); }
@@ -56,6 +68,7 @@ class CommitSequencer {
   struct Op {
     bool ready = false;
     Status status;
+    CommitRecord record;
   };
   OpRing<Op> ops_;
   u64 next_;
@@ -78,9 +91,7 @@ struct PeerInfo {
 
 class Node {
  public:
-  /// (status, seq): fires when the proposed value is committed (f replica
-  /// ACKs) or known lost. seq is 0 when the value never reached the log.
-  using CommitFn = std::function<void(Status, u64 seq)>;
+  using CommitFn = consensus::CommitFn;
   using DeliverFn = std::function<void(const LogEntry&)>;
 
   Node(sim::Simulator& sim, rdma::Nic& nic, rdma::MemoryManager& memory, sim::CpuExecutor& cpu,
@@ -205,7 +216,7 @@ class Node {
   void append_and_replicate(std::span<const Bytes> values, bool batch, SimTime t_propose,
                             CommitFn done);
   /// The sequencer released `op`: record the verdict and answer its proposer.
-  void finish_commit(u64 op, Status st);
+  void finish_commit(u64 op, Status st, CommitRecord record);
 
   // Log delivery.
   void reconcile_replicas();
@@ -285,18 +296,10 @@ class Node {
   // Proposer state.
   u64 next_seq_ = 1;    ///< next log entry sequence number
   u64 next_op_ = 1;     ///< next communicator operation id
-  /// Releases ops to finish_commit() in op order. Ops are dense per node
-  /// and every one is expected here, so the sequencer never needs re-basing.
+  /// Releases ops, with their CommitRecords, to finish_commit() in op
+  /// order. Ops are dense per node and every one is expected here, so the
+  /// sequencer never needs re-basing.
   CommitSequencer sequencer_;
-  /// What finish_commit() needs of each op the sequencer holds, in a ring
-  /// rather than a per-op callback: no allocation per commit.
-  struct CommitRecord {
-    u64 last_seq = 0;
-    u64 n = 0;
-    SimTime t_propose = 0;
-    CommitFn done;
-  };
-  OpRing<CommitRecord> commit_records_;
   u64 commits_ = 0;
   u64 delivered_ = 0;
   bool deliver_scheduled_ = false;

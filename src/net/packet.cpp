@@ -1,24 +1,8 @@
 #include "net/packet.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace p4ce::net {
-
-std::string Packet::describe() const {
-  char buf[160];
-  if (cm) {
-    std::snprintf(buf, sizeof(buf), "CM %s %s->%s qpn=%u psn=%u",
-                  std::string(rdma::to_string(cm->type)).c_str(), ipv4_to_string(ip.src).c_str(),
-                  ipv4_to_string(ip.dst).c_str(), cm->sender_qpn, cm->starting_psn);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s %s->%s dqp=%u psn=%u len=%zu%s",
-                  std::string(rdma::to_string(bth.opcode)).c_str(),
-                  ipv4_to_string(ip.src).c_str(), ipv4_to_string(ip.dst).c_str(), bth.dest_qp,
-                  bth.psn, payload.size(), is_nak() ? " NAK" : "");
-  }
-  return buf;
-}
 
 SimTime Link::send_at(int from, Packet&& packet, SimTime start) {
   if (is_cut() || ends_[1 - from] == nullptr) return start;

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -66,9 +65,6 @@ struct Packet {
   /// Bytes of wire time the packet occupies (frame + preamble + IFG); this is
   /// what bandwidth accounting uses, so goodput numbers are honest.
   u32 wire_size() const noexcept { return frame_size() + kPhyOverheadBytes; }
-
-  /// Short human-readable description for logs.
-  std::string describe() const;
 };
 
 class Link;

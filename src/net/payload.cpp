@@ -5,14 +5,6 @@
 
 namespace p4ce::net {
 
-namespace {
-thread_local u64 t_copied_bytes = 0;
-thread_local u64 t_shared_bytes = 0;
-}  // namespace
-
-u64 PayloadRef::copied_bytes() noexcept { return t_copied_bytes; }
-u64 PayloadRef::shared_bytes() noexcept { return t_shared_bytes; }
-
 PayloadRef::PayloadRef(Bytes&& bytes) {
   if (bytes.empty()) return;
   len_ = bytes.size();
@@ -22,41 +14,18 @@ PayloadRef::PayloadRef(Bytes&& bytes) {
   buf_ = std::shared_ptr<const u8>(std::move(owner), data);
 }
 
-PayloadRef::PayloadRef(const PayloadRef& other)
-    : buf_(other.buf_), off_(other.off_), len_(other.len_) {
-  if (len_ != 0) t_shared_bytes += len_;
-}
-
-PayloadRef& PayloadRef::operator=(const PayloadRef& other) {
-  if (this != &other) {
-    buf_ = other.buf_;
-    off_ = other.off_;
-    len_ = other.len_;
-    if (len_ != 0) t_shared_bytes += len_;
-  }
-  return *this;
-}
-
-PayloadRef& PayloadRef::operator=(Bytes&& bytes) {
-  *this = PayloadRef(std::move(bytes));
-  return *this;
-}
-
 PayloadRef PayloadRef::copy_of(BytesView bytes) {
   if (bytes.empty()) return {};
-  t_copied_bytes += bytes.size();
   return PayloadRef(Bytes(bytes.begin(), bytes.end()));
 }
 
 PayloadRef PayloadRef::slice(std::size_t offset, std::size_t length) const {
   if (offset >= len_ || length == 0) return {};
   const std::size_t n = std::min(length, len_ - offset);
-  t_shared_bytes += n;
   return PayloadRef(buf_, off_ + offset, n);
 }
 
 Bytes PayloadRef::to_bytes() const {
-  if (len_ != 0) t_copied_bytes += len_;
   const BytesView v = view();
   return Bytes(v.begin(), v.end());
 }
@@ -65,7 +34,6 @@ std::size_t PayloadRef::copy_to(std::span<u8> dst) const {
   const std::size_t n = std::min(dst.size(), len_);
   if (n == 0) return 0;
   std::memcpy(dst.data(), data(), n);
-  t_copied_bytes += n;
   return n;
 }
 

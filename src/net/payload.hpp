@@ -12,12 +12,9 @@
 // inside a PayloadRef the bytes are immutable for the buffer's lifetime, so
 // slices and carbon copies are safe to hold across arbitrary simulated time.
 //
-// Observability: every byte shared without copying bumps shared_bytes();
-// every byte materialized through copy_of/to_bytes/copy_to bumps
-// copied_bytes(). The ratio is the zero-copy win; bench/micro_event's
-// scatter shape asserts that it copies none. A PayloadRef is a value with
-// no owning run, so these are plain per-thread totals (read them as
-// before/after deltas), not series in a run's metrics registry.
+// A shared payload is recognizable by its address: every carbon copy and
+// slice points into the buffer it came from (data()), which is how
+// bench/micro_event's scatter shape checks that the switch copies none.
 #pragma once
 
 #include <cstddef>
@@ -35,19 +32,11 @@ class PayloadRef {
   /// `packet.payload = some_bytes` call sites keep working.
   PayloadRef(Bytes&& bytes);
 
-  PayloadRef(const PayloadRef& other);
-  PayloadRef(PayloadRef&& other) noexcept = default;
-  PayloadRef& operator=(const PayloadRef& other);
-  PayloadRef& operator=(PayloadRef&& other) noexcept = default;
-  PayloadRef& operator=(Bytes&& bytes);
-
-  /// Materialize an owned copy of `bytes` (counted as copied).
+  /// Materialize an owned copy of `bytes`.
   static PayloadRef copy_of(BytesView bytes);
 
   /// A fresh `length`-byte buffer, written once by `fill(u8* data)` before
   /// it becomes immutable: buffer and reference count in one allocation.
-  /// What `fill` writes is the payload's first materialization, not a copy
-  /// of another payload, so it is not counted.
   template <class Fill>
   static PayloadRef filled(std::size_t length, Fill&& fill) {
     if (length == 0) return {};
@@ -57,8 +46,8 @@ class PayloadRef {
     return PayloadRef(std::shared_ptr<const u8>(std::move(buf), data), 0, length);
   }
 
-  /// A view of [offset, offset+length) sharing this buffer (counted as
-  /// shared, no copy). Out-of-range requests are clamped to the view.
+  /// A view of [offset, offset+length) sharing this buffer (no copy).
+  /// Out-of-range requests are clamped to the view.
   PayloadRef slice(std::size_t offset, std::size_t length) const;
 
   BytesView view() const noexcept { return buf_ ? BytesView{data(), len_} : BytesView{}; }
@@ -68,16 +57,12 @@ class PayloadRef {
   const u8* begin() const noexcept { return data(); }
   const u8* end() const noexcept { return data() + len_; }
 
-  /// Materialize the viewed bytes as an owned vector (counted as copied).
+  /// Materialize the viewed bytes as an owned vector.
   Bytes to_bytes() const;
 
-  /// Copy up to dst.size() viewed bytes into `dst`; returns the count
-  /// (counted as copied). This is the receive-side DMA primitive.
+  /// Copy up to dst.size() viewed bytes into `dst`; returns the count.
+  /// This is the receive-side DMA primitive.
   std::size_t copy_to(std::span<u8> dst) const;
-
-  /// Payload bytes materialized / shared so far on this thread.
-  static u64 copied_bytes() noexcept;
-  static u64 shared_bytes() noexcept;
 
   /// How many PayloadRefs share this buffer (tests / introspection).
   long use_count() const noexcept { return buf_.use_count(); }

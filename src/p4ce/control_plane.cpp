@@ -1,9 +1,7 @@
 #include "p4ce/control_plane.hpp"
 
 #include <algorithm>
-
 #include <tuple>
-#include "common/logging.hpp"
 
 namespace p4ce::p4 {
 

@@ -10,8 +10,6 @@
 // transformations meaningful.
 #pragma once
 
-#include <string_view>
-
 #include "common/bytes.hpp"
 #include "common/types.hpp"
 
@@ -47,8 +45,6 @@ enum class Opcode : u8 {
   kFetchAdd = 0x14,
   kMaskedCompareSwap = 0x15,  ///< ConnectX extended atomic (modeling liberty)
 };
-
-std::string_view to_string(Opcode op) noexcept;
 
 constexpr bool is_write(Opcode op) noexcept {
   return op == Opcode::kWriteFirst || op == Opcode::kWriteMiddle || op == Opcode::kWriteLast ||
@@ -108,8 +104,6 @@ enum class NakCode : u8 {
   kRemoteAccessError = 2,
   kRemoteOperationalError = 3,
 };
-
-std::string_view to_string(NakCode c) noexcept;
 
 /// ACK extended transport header, carried by Acknowledge and ReadResponse
 /// packets. The syndrome byte encodes ACK-with-credits or NAK-with-code.
@@ -175,8 +169,6 @@ enum class CmType : u8 {
   kConnectReject = 4,
   kDisconnectRequest = 5,
 };
-
-std::string_view to_string(CmType t) noexcept;
 
 inline constexpr Qpn kCmQpn = 1;  ///< well-known queue pair for CM traffic
 

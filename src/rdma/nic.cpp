@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "rdma/cm.hpp"
 
 namespace p4ce::rdma {
@@ -174,7 +173,6 @@ void Nic::dispatch(const net::Packet& packet) {
   QueuePair* qp = find_qp(packet.bth.dest_qp);
   if (qp == nullptr) {
     ++drop_count_;
-    log(LogLevel::kDebug, sim_.now(), name_, "drop, no QP: " + packet.describe());
     return;
   }
   qp->handle_packet(packet);

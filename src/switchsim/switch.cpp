@@ -3,7 +3,6 @@
 #include <cassert>
 #include <string_view>
 
-#include "common/logging.hpp"
 #include "obs/context.hpp"
 
 namespace p4ce::sw {

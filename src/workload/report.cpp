@@ -8,7 +8,6 @@
 #include <fstream>
 #include <thread>
 
-#include "common/logging.hpp"
 #include "core/cluster.hpp"
 #include "obs/context.hpp"
 
@@ -96,8 +95,6 @@ bool write_file(const std::string& path, const std::string& content) {
 
 BenchSession::BenchSession(std::string name)
     : name_(std::move(name)), started_(std::chrono::steady_clock::now()) {
-  set_log_level_from_env();
-
   if (const char* dir = std::getenv("P4CE_BENCH_DIR"); dir != nullptr && dir[0] != '\0') {
     dir_ = dir;
   } else {

@@ -49,7 +49,6 @@ void print_header(const std::string& experiment, const std::string& paper_claim)
 
 /// One bench binary's observability scope. Construction reads the
 /// environment:
-///   P4CE_LOG=<level>        log threshold for the run
 ///   P4CE_TRACE=1|<path>     enable consensus-instance tracing (a value other
 ///                           than 0/1 is used as the trace output path)
 ///   P4CE_TRACE_SAMPLE=<n>   trace every n-th instance (default 1)

@@ -19,6 +19,8 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -34,13 +36,15 @@ using core::ClusterOptions;
 
 /// `warmup_commits` > 0: before any fault is scheduled, a closed loop of 16
 /// clients commits that many values, and the leader is one of the machines
-/// that crash.
-void run_chaos_seed(u64 seed, consensus::Mode mode, u64 warmup_commits = 0) {
+/// that crash. `log_size` is each node's log ring.
+void run_chaos_seed(u64 seed, consensus::Mode mode, u64 warmup_commits = 0,
+                    u64 log_size = ClusterOptions{}.log_size) {
   Rng rng(seed);
 
   ClusterOptions options;
   options.machines = 5;
   options.mode = mode;
+  options.log_size = log_size;
   options.cal = consensus::Calibration::failover();
   auto cluster = Cluster::create(options);
   // Arm this cluster's sampler and flight recorder. Generous capture budget,
@@ -186,8 +190,10 @@ void run_chaos_seed(u64 seed, consensus::Mode mode, u64 warmup_commits = 0) {
                     [](const auto& cap) { return cap.kind == "switch_failure"; });
     EXPECT_TRUE(saw_switch_capture) << "switch crash left no capture";
   }
-  // The artefact the issue asks a chaos run to produce.
-  std::ignore = recorder.write_json("FLIGHT_chaos_seed" + std::to_string(seed) + ".json");
+  // The run's flight-recorder artefact, one file per backend and seed, as
+  // ctest runs the seeds in parallel.
+  std::ignore = recorder.write_json("FLIGHT_chaos_" + std::string(core::backend_name(mode)) +
+                                    "_seed" + std::to_string(seed) + ".json");
 }
 
 class ChaosTest : public ::testing::TestWithParam<u64> {};
@@ -223,6 +229,40 @@ TEST_P(OneSidedWrapChaosTest, TakeoverMeetsTheOldRegimesSlotWords) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OneSidedWrapChaosTest, ::testing::Values(904, 913));
+
+// P4CE and Mu with a log ring that wraps under chaos. Every value is 64 B,
+// an 88 B entry (entry_footprint), so a 64 KiB lap holds 744 entries: the
+// 2,000 warm-up commits wrap the ring twice (2.7 laps) before the first
+// fault, the leader's crash, is scheduled, and the pump then adds one entry
+// every 20 us. A lap must outlast the furthest a replica can fall behind
+// during a fail-over. A leader that crashes, or that steps down to re-route
+// around a dead switch, appends nothing more, so the survivors differ by at
+// most the old leader's writes in flight: max_outstanding = 16 per QP, one
+// entry each, 16 entries against a 744-entry lap.
+constexpr u64 kWrapLogSize = 64 << 10;
+constexpr u64 kWrapWarmupCommits = 2'000;
+static_assert(kWrapWarmupCommits * consensus::entry_footprint(64) >= 2 * kWrapLogSize);
+static_assert(kWrapLogSize / consensus::entry_footprint(64) >
+              consensus::Calibration{}.max_outstanding);
+
+std::string backend_and_seed(
+    const ::testing::TestParamInfo<std::tuple<consensus::Mode, u64>>& info) {
+  const auto [mode, seed] = info.param;
+  return std::string(core::backend_name(mode)) + "_" + std::to_string(seed);
+}
+
+class LogWrapChaosTest : public ::testing::TestWithParam<std::tuple<consensus::Mode, u64>> {};
+
+TEST_P(LogWrapChaosTest, CommittedValuesSurviveCrashesAfterTheLogWraps) {
+  const auto [mode, seed] = GetParam();
+  run_chaos_seed(seed, mode, kWrapWarmupCommits, kWrapLogSize);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LogWrapChaosTest,
+                         ::testing::Combine(::testing::Values(consensus::Mode::kP4ce,
+                                                              consensus::Mode::kMu),
+                                            ::testing::Values(131, 262, 393)),
+                         backend_and_seed);
 
 // --- Repeatability under chaos ------------------------------------------------
 

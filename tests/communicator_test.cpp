@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 
 #include "consensus/communicator.hpp"
 #include "consensus/node.hpp"
@@ -16,7 +17,7 @@ namespace {
 
 TEST(CommitSequencer, ReleasesInOrderRegardlessOfReadiness) {
   std::vector<u64> order;
-  CommitSequencer sequencer(1, [&](u64 op, Status) { order.push_back(op); });
+  CommitSequencer sequencer(1, [&](u64 op, Status, CommitRecord) { order.push_back(op); });
   for (u64 seq = 1; seq <= 4; ++seq) sequencer.expect(seq);
   sequencer.mark_ready(3, Status::ok());
   sequencer.mark_ready(2, Status::ok());
@@ -30,7 +31,7 @@ TEST(CommitSequencer, ReleasesInOrderRegardlessOfReadiness) {
 
 TEST(CommitSequencer, CarriesPerOpStatus) {
   std::vector<bool> ok;
-  CommitSequencer sequencer(1, [&](u64, Status st) { ok.push_back(st.is_ok()); });
+  CommitSequencer sequencer(1, [&](u64, Status st, CommitRecord) { ok.push_back(st.is_ok()); });
   sequencer.expect(1);
   sequencer.expect(2);
   sequencer.mark_ready(1, error(StatusCode::kUnavailable, "lost"));
@@ -38,9 +39,26 @@ TEST(CommitSequencer, CarriesPerOpStatus) {
   EXPECT_EQ(ok, (std::vector<bool>{false, true}));
 }
 
+TEST(CommitSequencer, HandsEachOpBackItsRecord) {
+  std::vector<u64> last_seqs;
+  CommitSequencer sequencer(1, [&](u64, Status, CommitRecord record) {
+    last_seqs.push_back(record.last_seq);
+  });
+  for (const auto& [op, last_seq] : {std::pair<u64, u64>{1, 5}, {2, 9}, {3, 12}}) {
+    CommitRecord record;
+    record.last_seq = last_seq;
+    sequencer.expect(op, std::move(record));
+  }
+  sequencer.mark_ready(2, Status::ok());
+  sequencer.mark_ready(1, Status::ok());
+  EXPECT_EQ(last_seqs, (std::vector<u64>{5, 9}));
+  sequencer.flush_all(error(StatusCode::kAborted, "step down"));
+  EXPECT_EQ(last_seqs, (std::vector<u64>{5, 9, 12}));
+}
+
 TEST(CommitSequencer, FlushAllFailsOutstanding) {
   int failures = 0;
-  CommitSequencer sequencer(1, [&](u64, Status st) { failures += !st.is_ok(); });
+  CommitSequencer sequencer(1, [&](u64, Status st, CommitRecord) { failures += !st.is_ok(); });
   sequencer.expect(1);
   sequencer.expect(2);
   sequencer.flush_all(error(StatusCode::kAborted, "step down"));
@@ -50,7 +68,7 @@ TEST(CommitSequencer, FlushAllFailsOutstanding) {
 
 TEST(CommitSequencer, MarkReadyForUnknownSeqIsIgnored) {
   int released = 0;
-  CommitSequencer sequencer(1, [&](u64, Status) { ++released; });
+  CommitSequencer sequencer(1, [&](u64, Status, CommitRecord) { ++released; });
   sequencer.mark_ready(17, Status::ok());  // no crash, no effect
   EXPECT_EQ(sequencer.outstanding(), 0u);
   EXPECT_EQ(released, 0);
@@ -59,7 +77,7 @@ TEST(CommitSequencer, MarkReadyForUnknownSeqIsIgnored) {
 TEST(CommitSequencer, StartsAtTheOpGivenAtConstruction) {
   // A node in replication domain d numbers its ops from trace_key(d, 1).
   std::vector<u64> order;
-  CommitSequencer sequencer(100, [&](u64 op, Status) { order.push_back(op); });
+  CommitSequencer sequencer(100, [&](u64 op, Status, CommitRecord) { order.push_back(op); });
   sequencer.expect(101);
   sequencer.expect(100);
   sequencer.mark_ready(101, Status::ok());
@@ -73,7 +91,7 @@ TEST(CommitSequencer, ReleasesAWideOutOfOrderWindowInOrder) {
   // More ops outstanding than the op table starts with, expected and made
   // ready back to front.
   std::vector<u64> order;
-  CommitSequencer sequencer(1000, [&](u64 op, Status) { order.push_back(op); });
+  CommitSequencer sequencer(1000, [&](u64 op, Status, CommitRecord) { order.push_back(op); });
   for (u64 op = 1000 + 299; op >= 1000; --op) sequencer.expect(op);
   for (u64 op = 1000 + 299; op > 1000; --op) sequencer.mark_ready(op, Status::ok());
   EXPECT_TRUE(order.empty());

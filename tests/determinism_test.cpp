@@ -3,10 +3,12 @@
 // simulated time and execute the exact same number of kernel events. This
 // pins the (when, seq) FIFO tie-break and the allocation-free event core:
 // any hidden ordering dependence (pointer order, hash order, recycled-slot
-// order) shows up here as a diverging event count.
+// order) shows up here as a diverging event count. Clusters also share no
+// process-wide state, so runs on concurrent threads end as a serial run does.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "core/cluster.hpp"
 #include "obs/context.hpp"
@@ -58,18 +60,38 @@ Outcome run_fig5_style(consensus::Mode mode, bool observe = false) {
   return out;
 }
 
+/// Two runs decided the same protocol outcome with the same kernel events.
+void expect_identical(const Outcome& a, const Outcome& b) {
+  EXPECT_EQ(a.operations, b.operations);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.leader_tx_bytes, b.leader_tx_bytes);
+}
+
 class DeterminismTest : public ::testing::TestWithParam<consensus::Mode> {};
 
 TEST_P(DeterminismTest, IdenticalRunsAreBitForBitEqual) {
   const Outcome first = run_fig5_style(GetParam());
   const Outcome second = run_fig5_style(GetParam());
   EXPECT_GT(first.operations, 0u);
-  EXPECT_EQ(first.operations, second.operations);
-  EXPECT_EQ(first.failed, second.failed);
-  EXPECT_EQ(first.elapsed, second.elapsed);
-  EXPECT_EQ(first.events, second.events);
-  EXPECT_EQ(first.end_time, second.end_time);
-  EXPECT_EQ(first.leader_tx_bytes, second.leader_tx_bytes);
+  expect_identical(first, second);
+}
+
+// Two clusters built and run at the same time on two threads, as a sweep
+// that runs its points in parallel would: each must end exactly as a run on
+// its own does.
+TEST_P(DeterminismTest, ConcurrentRunsMatchASerialRun) {
+  const consensus::Mode mode = GetParam();
+  const Outcome serial = run_fig5_style(mode);
+  Outcome concurrent[2];
+  std::thread first([&] { concurrent[0] = run_fig5_style(mode); });
+  std::thread second([&] { concurrent[1] = run_fig5_style(mode); });
+  first.join();
+  second.join();
+  EXPECT_GT(serial.operations, 0u);
+  for (const Outcome& run : concurrent) expect_identical(run, serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, DeterminismTest,
@@ -98,12 +120,7 @@ TEST_P(DeterminismTest, ObservabilityHooksDoNotPerturbTheProtocol) {
   EXPECT_EQ(observed.leader_tx_bytes, baseline.leader_tx_bytes);
 
   // Disabled run: byte-identical, events and all.
-  EXPECT_EQ(disabled.operations, baseline.operations);
-  EXPECT_EQ(disabled.failed, baseline.failed);
-  EXPECT_EQ(disabled.elapsed, baseline.elapsed);
-  EXPECT_EQ(disabled.events, baseline.events);
-  EXPECT_EQ(disabled.end_time, baseline.end_time);
-  EXPECT_EQ(disabled.leader_tx_bytes, baseline.leader_tx_bytes);
+  expect_identical(disabled, baseline);
 }
 
 }  // namespace
