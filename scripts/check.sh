@@ -8,8 +8,10 @@
 # the simulation substrate (bench/micro_event asserts the exact
 # counters of the event kernel's shapes and of the scatter path, and its
 # reference-normalized rates must stay within 35% of the checked-in
-# baseline — see scripts/perf_smoke.py), then every ctest test again under
-# AddressSanitizer + UBSan (separate build tree).
+# baseline — see scripts/perf_smoke.py), a 1 s perfbench run of each
+# BENCHMARK.json workload (perfbench/run.py builds perfbench from src/ and
+# exits non-zero on a build break or a failed output check), then every
+# ctest test again under AddressSanitizer + UBSan (separate build tree).
 #
 # Usage: scripts/check.sh [--no-sanitize] [--no-perf]
 set -euo pipefail
@@ -55,6 +57,14 @@ if [[ "$perf" == 1 ]]; then
   ./build/bench/micro_event >/dev/null
   python3 scripts/check_bench_json.py BENCH_micro_event.json
   python3 scripts/perf_smoke.py micro_event
+
+  echo "== perfbench: each BENCHMARK.json workload, 1 s =="
+  # perfbench builds against src/'s API; this is where a change that breaks
+  # that build, or fails perfbench's output check, shows first.
+  for workload in $(python3 -c "import json
+print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do
+    python3 perfbench/run.py --workload "$workload" --seed 301 --seconds 1 --trace 0 >/dev/null
+  done
 fi
 
 if [[ "$sanitize" == 1 ]]; then

@@ -35,23 +35,36 @@ namespace p4ce::consensus {
 
 /// Per-op state keyed by op number. A node numbers its ops densely, so the
 /// live ones span a short window: each op sits in slot `op % capacity`, and
-/// the table doubles only when two live ops would share a slot. Ops may be
-/// inserted and erased in any order; take_all() and for_each_in_order()
-/// hand them back in op order. Lookup, insert and erase cost no allocation
-/// once the table has grown to the window.
+/// the table doubles only when two live ops would share a slot. erase()
+/// halves it again under Ring's rule (at most a quarter full, larger than
+/// kFloorSlots) while the live ops would each keep a slot of their own. The
+/// table counts the slot pairs `i`, `i + capacity / 2` that both hold an
+/// op, so that check is one comparison, not a scan: an op that stays live
+/// while the window moves on pins the table only while its partner slot is
+/// taken. Ops may be inserted and erased in any order; take_all() and
+/// for_each_in_order() hand them back in op order. Lookup, insert and erase
+/// cost no allocation while the window stays put.
+///
+/// Growing and shrinking move the ops: a reference or pointer into the
+/// table is valid only until the next insert or erase. A caller that may
+/// re-enter the table meanwhile looks its op up again by number.
 template <class T>
 class OpRing {
  public:
-  /// Store `value` for `op`, which must not be present. The reference is
-  /// valid until the next insert.
+  /// Below this many slots the table is never halved.
+  static constexpr std::size_t kFloorSlots = 1024;
+
+  /// Store `value` for `op`, which must not be present.
   T& insert(u64 op, T value) {
     if (slots_.empty()) slots_.resize(kInitialSlots);
-    while (slots_[index(op)].used) grow();
-    Slot& slot = slots_[index(op)];
+    while (slots_[index(op)].used) resize(slots_.size() * 2);
+    const std::size_t i = index(op);
+    Slot& slot = slots_[i];
     slot.op = op;
     slot.used = true;
     slot.value = std::move(value);
     ++size_;
+    if (halvable() && slots_[partner(i)].used) ++paired_;
     return slot.value;
   }
 
@@ -64,7 +77,10 @@ class OpRing {
   /// Remove `op`; false if it was not present.
   bool erase(u64 op) {
     if (find(op) == nullptr) return false;
-    release(slots_[index(op)]);
+    release(index(op));
+    while (halvable() && size_ <= slots_.size() / 4 && paired_ == 0) {
+      resize(slots_.size() / 2);
+    }
     return true;
   }
 
@@ -74,10 +90,9 @@ class OpRing {
     std::vector<std::pair<u64, T>> out;
     out.reserve(size_);
     for (Slot& slot : slots_) {
-      if (!slot.used) continue;
-      out.emplace_back(slot.op, std::move(slot.value));
-      release(slot);
+      if (slot.used) out.emplace_back(slot.op, std::move(slot.value));
     }
+    clear();
     std::sort(out.begin(), out.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     return out;
@@ -100,13 +115,16 @@ class OpRing {
     }
   }
 
+  /// Remove every op; a table grown past kFloorSlots drops back to it.
   void clear() {
-    for (Slot& slot : slots_) {
-      if (slot.used) release(slot);
-    }
+    slots_ = std::vector<Slot>(std::min(slots_.size(), kFloorSlots));
+    size_ = 0;
+    paired_ = 0;
   }
 
   std::size_t size() const noexcept { return size_; }
+  /// Slots allocated now.
+  std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:
   static constexpr std::size_t kInitialSlots = 64;
@@ -118,36 +136,37 @@ class OpRing {
   };
 
   std::size_t index(u64 op) const noexcept { return op & (slots_.size() - 1); }
+  /// Pairs are counted only above the floor, so a table that stays small
+  /// never touches a second slot per insert or erase.
+  bool halvable() const noexcept { return slots_.size() > kFloorSlots; }
+  /// The slot that slot `i` merges with when the table halves.
+  std::size_t partner(std::size_t i) const noexcept { return i ^ (slots_.size() / 2); }
 
-  void release(Slot& slot) {
+  void release(std::size_t i) {
+    Slot& slot = slots_[i];
     slot.used = false;
     slot.value = T{};  // drop captures and payload references now
     --size_;
+    if (halvable() && slots_[partner(i)].used) --paired_;
   }
 
-  /// Double until every live op has a slot of its own, then move them over.
-  void grow() {
-    std::size_t capacity = slots_.size() * 2;
-    while (!fits(capacity)) capacity *= 2;
+  /// Move every live op into a fresh table of `capacity` slots, where each
+  /// has a slot of its own.
+  void resize(std::size_t capacity) {
     std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+    paired_ = 0;
     for (Slot& slot : old) {
-      if (slot.used) slots_[index(slot.op)] = std::move(slot);
-    }
-  }
-
-  bool fits(std::size_t capacity) const {
-    std::vector<bool> taken(capacity);
-    for (const Slot& slot : slots_) {
       if (!slot.used) continue;
-      const std::size_t i = slot.op & (capacity - 1);
-      if (taken[i]) return false;
-      taken[i] = true;
+      const std::size_t i = index(slot.op);
+      slots_[i] = std::move(slot);
+      if (halvable() && slots_[partner(i)].used) ++paired_;
     }
-    return true;
   }
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
+  /// Slot pairs (i, partner(i)) that both hold an op; kept while halvable().
+  std::size_t paired_ = 0;
 };
 
 /// A replica endpoint from the leader's point of view.
@@ -183,6 +202,10 @@ class Communicator {
   virtual void replicate(u64 offset, net::PayloadRef entry, u64 op) = 0;
 
   virtual bool accelerated() const noexcept = 0;
+
+  /// Slots held now by the largest of the op tables (capacity
+  /// introspection).
+  virtual std::size_t op_table_capacity() const noexcept = 0;
 
   /// Stop replicating to a crashed replica.
   virtual void exclude_replica(NodeId id) = 0;
@@ -246,6 +269,7 @@ class MuCommunicator : public DirectCommunicator {
 
   void replicate(u64 offset, net::PayloadRef entry, u64 op) override;
   void abort_all() override;
+  std::size_t op_table_capacity() const noexcept override { return pending_.capacity(); }
 
  private:
   void on_completion(std::size_t target_index, const rdma::Completion& c) override;
@@ -289,6 +313,9 @@ class P4ceCommunicator : public Communicator {
   void exclude_replica(NodeId id) override;
   void abort_all() override;
   void reset_targets(std::vector<ReplicaTarget> targets) override;
+  std::size_t op_table_capacity() const noexcept override {
+    return std::max(accel_pending_.capacity(), fallback_.op_table_capacity());
+  }
 
   u64 fallback_count() const noexcept { return fallbacks_; }
   u64 reaccelerations() const noexcept { return reaccelerations_; }

@@ -60,6 +60,8 @@ class CommitSequencer {
   void mark_ready(u64 op, Status status);
   u64 next() const noexcept { return next_; }
   std::size_t outstanding() const noexcept { return ops_.size(); }
+  /// Slots the op table holds now (capacity introspection).
+  std::size_t capacity() const noexcept { return ops_.capacity(); }
   /// Fail everything still outstanding (leader stepping down).
   void flush_all(Status status);
 
@@ -151,6 +153,7 @@ class Node {
 
   HeartbeatMonitor* heartbeat() noexcept { return heartbeat_.get(); }
   Communicator* communicator() noexcept { return communicator_.get(); }
+  const CommitSequencer& sequencer() const noexcept { return sequencer_; }
   /// The one-sided backend's register region (frontier/ballot/slots); tests
   /// inspect and perturb it to drive the slow path.
   rdma::MemoryRegion* atomics_region() noexcept { return atomics_mr_; }

@@ -375,13 +375,15 @@ void OneSidedCommunicator::handle_fast(OpState& op, const WrCtx& ctx, u64 origin
 
 void OneSidedCommunicator::enter_slow_path(OpState& op, u64 seq) {
   op.slow = true;
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (postable(i)) post_prepare(op, seq, i);
-  }
+  // By seq from here on: a failed post fails ops through verdict_, which may
+  // re-enter and move the table.
+  for (std::size_t i = 0; i < targets_.size(); ++i) post_prepare(seq, i);
 }
 
-void OneSidedCommunicator::post_prepare(OpState& op, u64 seq, std::size_t target_index) {
-  if (!postable(target_index)) return;
+void OneSidedCommunicator::post_prepare(u64 seq, std::size_t target_index) {
+  OpState* found = ops_.find(seq);
+  if (found == nullptr || !postable(target_index)) return;
+  OpState& op = *found;
   ReplicaTarget& target = targets_[target_index];
   ++op.inflight;
   const u64 wr = next_wr_++;
@@ -434,7 +436,7 @@ void OneSidedCommunicator::handle_accept(OpState& op, u64 seq, std::size_t targe
   // The slot changed between prepare and accept (a competing writer): retry
   // the two-phase exchange a bounded number of times.
   if (++op.retries <= kMaxSlowRetries) {
-    post_prepare(op, seq, target_index);
+    post_prepare(seq, target_index);
   } else {
     ++op.aborts;
   }

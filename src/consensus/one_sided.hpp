@@ -100,6 +100,9 @@ class OneSidedCommunicator : public DirectCommunicator {
 
   void replicate(u64 offset, net::PayloadRef entry, u64 op) override;
   void abort_all() override;
+  std::size_t op_table_capacity() const noexcept override {
+    return std::max(ops_.capacity(), wr_ctx_.capacity());
+  }
 
   u64 ballot() const noexcept { return ballot_; }
   u64 fast_path_commits() const noexcept { return fast_commits_; }
@@ -159,7 +162,7 @@ class OneSidedCommunicator : public DirectCommunicator {
   void takeover_check(Takeover& tk);
   void takeover_frontier_check(Takeover& tk);
   void enter_slow_path(OpState& op, u64 seq);
-  void post_prepare(OpState& op, u64 seq, std::size_t target_index);
+  void post_prepare(u64 seq, std::size_t target_index);
   void commit(OpState& op, u64 seq, bool fast);
   void check_op_verdict(u64 seq);
   void maybe_erase(u64 seq);

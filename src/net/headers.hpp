@@ -6,7 +6,6 @@
 // net_test pins every one of them.
 #pragma once
 
-#include <string>
 
 #include "common/types.hpp"
 
@@ -52,9 +51,6 @@ struct UdpHeader {
 
   static constexpr u32 kWireSize = 8;
 };
-
-/// "10.0.0.x"-style dotted-quad formatting for logs and error messages.
-std::string ipv4_to_string(Ipv4Addr a);
 
 /// Build an address 10.0.`hi`.`lo` (host order).
 constexpr Ipv4Addr make_ip(u8 hi, u8 lo) noexcept {

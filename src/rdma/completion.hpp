@@ -21,8 +21,6 @@ enum class WcStatus : u8 {
   kFlushed,               ///< QP moved to error state; outstanding work flushed
 };
 
-std::string_view to_string(WcStatus s) noexcept;
-
 /// A work completion (ibv_wc equivalent).
 struct Completion {
   u64 wr_id = 0;
@@ -65,16 +63,5 @@ class CompletionQueue {
   std::deque<Completion> entries_;
   std::function<void(const Completion&)> callback_;
 };
-
-inline std::string_view to_string(WcStatus s) noexcept {
-  switch (s) {
-    case WcStatus::kSuccess: return "SUCCESS";
-    case WcStatus::kRemoteAccessError: return "REMOTE_ACCESS_ERROR";
-    case WcStatus::kRemoteInvalidRequest: return "REMOTE_INVALID_REQUEST";
-    case WcStatus::kRetryExceeded: return "RETRY_EXCEEDED";
-    case WcStatus::kFlushed: return "FLUSHED";
-  }
-  return "UNKNOWN";
-}
 
 }  // namespace p4ce::rdma

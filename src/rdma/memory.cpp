@@ -48,16 +48,15 @@ Status MemoryRegion::remote_write(u64 vaddr, BytesView data) {
   return Status::ok();
 }
 
-StatusOr<Bytes> MemoryRegion::remote_read(u64 vaddr, u64 len) const {
+StatusOr<net::PayloadRef> MemoryRegion::remote_read(u64 vaddr, u64 len) const {
   if (!(access_ & kAccessRemoteRead)) {
     return error(StatusCode::kPermissionDenied, "region not readable by remote peer");
   }
   if (!contains(vaddr, len)) {
     return error(StatusCode::kPermissionDenied, "read outside registered region");
   }
-  const u64 offset = vaddr - vaddr_;
-  return Bytes(data_.begin() + static_cast<std::ptrdiff_t>(offset),
-               data_.begin() + static_cast<std::ptrdiff_t>(offset + len));
+  const u8* src = data_.data() + (vaddr - vaddr_);
+  return net::PayloadRef::filled(len, [&](u8* dst) { std::memcpy(dst, src, len); });
 }
 
 StatusOr<u64> MemoryRegion::remote_atomic(AtomicOp op, u64 vaddr, const AtomicArgs& args) {
@@ -135,7 +134,7 @@ Status MemoryManager::remote_write(RKey rkey, u64 vaddr, BytesView data) {
   return region->remote_write(vaddr, data);
 }
 
-StatusOr<Bytes> MemoryManager::remote_read(RKey rkey, u64 vaddr, u64 len) const {
+StatusOr<net::PayloadRef> MemoryManager::remote_read(RKey rkey, u64 vaddr, u64 len) const {
   const MemoryRegion* region = find(rkey);
   if (region == nullptr) return error(StatusCode::kPermissionDenied, "invalid R_key");
   return region->remote_read(vaddr, len);

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "net/payload.hpp"
 
 namespace p4ce::rdma {
 
@@ -71,8 +72,9 @@ class MemoryRegion {
   /// and kAccessRemoteWrite. Fires the write hook on success.
   Status remote_write(u64 vaddr, BytesView data);
 
-  /// Read via DMA as the NIC would on an inbound RDMA read request.
-  StatusOr<Bytes> remote_read(u64 vaddr, u64 len) const;
+  /// Read via DMA as the NIC would on an inbound RDMA read request, into
+  /// one fresh buffer (PayloadRef::filled) that the response packets slice.
+  StatusOr<net::PayloadRef> remote_read(u64 vaddr, u64 len) const;
 
   /// Execute a verbs atomic on the 8-byte word at `vaddr` and return the
   /// original value. Checks kAccessRemoteAtomic, bounds, and the IBTA
@@ -121,7 +123,7 @@ class MemoryManager {
   /// Full inbound-write path: R_key validation, then bounds/permissions.
   Status remote_write(RKey rkey, u64 vaddr, BytesView data);
   /// Full inbound-read path.
-  StatusOr<Bytes> remote_read(RKey rkey, u64 vaddr, u64 len) const;
+  StatusOr<net::PayloadRef> remote_read(RKey rkey, u64 vaddr, u64 len) const;
   /// Full inbound-atomic path: R_key validation, then the region's checks.
   StatusOr<u64> remote_atomic(AtomicOp op, RKey rkey, u64 vaddr, const AtomicArgs& args);
 

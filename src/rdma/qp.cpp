@@ -9,17 +9,6 @@
 
 namespace p4ce::rdma {
 
-std::string_view to_string(QpState s) noexcept {
-  switch (s) {
-    case QpState::kReset: return "RESET";
-    case QpState::kInit: return "INIT";
-    case QpState::kRtr: return "RTR";
-    case QpState::kRts: return "RTS";
-    case QpState::kError: return "ERROR";
-  }
-  return "UNKNOWN";
-}
-
 QueuePair::Metrics::Metrics(obs::MetricsRegistry& registry)
     : msgs_sent(registry.counter("rdma.qp.msgs_sent")),
       msgs_received(registry.counter("rdma.qp.msgs_received")),
@@ -307,9 +296,9 @@ void QueuePair::handle_ack(const net::Packet& packet) {
         status = WcStatus::kRemoteInvalidRequest;
       }
       if (!inflight_.empty()) {
+        const Psn first = inflight_.front().first_psn;
         complete(inflight_.front(), status);
-        inflight_.pop_front();
-        m_.inflight.add(-1);
+        retire(first);
       }
       set_error(WcStatus::kFlushed);
     }
@@ -327,9 +316,9 @@ void QueuePair::handle_ack(const net::Packet& packet) {
     // plain cumulative ACK.
     if (head.kind == Opcode::kReadRequest || is_atomic(head.kind)) break;
     if (psn_distance(head.last_psn, packet.bth.psn) < 0) break;  // not yet covered
+    const Psn first = head.first_psn;
     complete(head, WcStatus::kSuccess);
-    inflight_.pop_front();
-    m_.inflight.add(-1);
+    if (!retire(first)) break;
     progressed = true;
   }
   if (progressed) retry_count_ = 0;
@@ -365,9 +354,9 @@ void QueuePair::handle_read_response(const net::Packet& packet) {
     // Read fully assembled. Reads ahead of it in the queue are still
     // outstanding only if the responder reordered, which our in-order
     // fabric never does; complete in queue order.
+    const Psn first = wqe.first_psn;
     complete(wqe, WcStatus::kSuccess, std::move(wqe.assembly));
-    inflight_.erase(index);
-    m_.inflight.add(-1);
+    retire(first);
     retry_count_ = 0;
     disarm_timer();
     if (!inflight_.empty()) arm_timer();
@@ -392,9 +381,9 @@ void QueuePair::handle_atomic_response(const net::Packet& packet) {
     Wqe& head = inflight_.front();
     if (head.kind == Opcode::kReadRequest || is_atomic(head.kind)) break;
     if (psn_distance(head.last_psn, packet.bth.psn) <= 0) break;  // not strictly before
+    const Psn first = head.first_psn;
     complete(head, WcStatus::kSuccess);
-    inflight_.pop_front();
-    m_.inflight.add(-1);
+    if (!retire(first)) break;
     progressed = true;
   }
 
@@ -403,8 +392,7 @@ void QueuePair::handle_atomic_response(const net::Packet& packet) {
     Wqe& wqe = inflight_.front();
     wqe.atomic_original = packet.atomic_ack_eth->original;
     complete(wqe, WcStatus::kSuccess);
-    inflight_.pop_front();
-    m_.inflight.add(-1);
+    retire(packet.bth.psn);
     progressed = true;
   }
   // Else: a duplicate/stale response (the original already completed); the
@@ -414,6 +402,20 @@ void QueuePair::handle_atomic_response(const net::Packet& packet) {
   disarm_timer();
   if (!inflight_.empty()) arm_timer();
   pump_send_queue();
+}
+
+bool QueuePair::retire(Psn first_psn) {
+  for (std::size_t i = 0; i < inflight_.size(); ++i) {
+    if (inflight_[i].first_psn != first_psn) continue;
+    if (i == 0) {
+      inflight_.pop_front();
+    } else {
+      inflight_.erase(i);
+    }
+    m_.inflight.add(-1);
+    return true;
+  }
+  return false;
 }
 
 void QueuePair::complete(const Wqe& wqe, WcStatus status, Bytes read_data) {
@@ -604,8 +606,8 @@ void QueuePair::handle_request(const net::Packet& packet) {
         send_nak(packet.bth.psn, NakCode::kRemoteAccessError);
         return;
       }
-      // One owned buffer for the whole response; each packet slices a view.
-      const net::PayloadRef whole(std::move(data.value()));
+      // One buffer for the whole response; each packet slices a view.
+      const net::PayloadRef whole = std::move(data).value();
       const u32 npkts = std::max<u32>(1, (static_cast<u32>(whole.size()) + config_.mtu - 1) /
                                              config_.mtu);
       ++msn_;

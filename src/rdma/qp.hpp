@@ -25,8 +25,6 @@ class Nic;
 
 enum class QpState : u8 { kReset, kInit, kRtr, kRts, kError };
 
-std::string_view to_string(QpState s) noexcept;
-
 struct QpConfig {
   u32 mtu = 1024;          ///< max payload bytes per packet (RoCE MTU)
   u32 max_send_wr = 16;    ///< max in-flight messages ("up to 16 pending write
@@ -174,8 +172,12 @@ class QueuePair {
   void handle_ack(const net::Packet& packet);
   void handle_read_response(const net::Packet& packet);
   void handle_atomic_response(const net::Packet& packet);
+  /// Post the completion of an in-flight WQE. Its CQ callback runs now and
+  /// may reset the QP, so the caller then retires the WQE by PSN.
   void complete(const Wqe& wqe, WcStatus status, Bytes read_data = {});
-  void fatal(WcStatus status);
+  /// Drop the in-flight WQE whose first packet is `first_psn`; false if it
+  /// is gone (a completion callback reset or errored the QP).
+  bool retire(Psn first_psn);
   /// (Re)start the retransmit timer: the deadline moves to one timeout
   /// from now, in the tie place a timeout event scheduled now would take.
   void arm_timer();

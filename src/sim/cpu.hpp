@@ -62,6 +62,8 @@ class CpuExecutor {
   /// Total CPU time consumed so far (utilization numerator).
   Duration busy_time() const noexcept { return busy_ns_; }
   u64 tasks_executed() const noexcept { return tasks_; }
+  /// Slots the waiting-task ring holds now (capacity introspection).
+  std::size_t queue_capacity() const noexcept { return ring_.capacity(); }
 
   /// Crash-stop: pending and future tasks never run. The waiting tasks are
   /// dropped now; the head's event finds the core halted and returns.
@@ -80,7 +82,8 @@ class CpuExecutor {
 
   void run_head() {
     if (halted_) return;
-    // Move the task out first: it may submit more, and the ring may grow.
+    // Move the task out first: popping may halve the ring, and the task may
+    // submit more, which may double it.
     Task::Fn fn = std::move(ring_.front().fn);
     ring_.pop_front();
     if (!ring_.empty()) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
@@ -280,6 +281,66 @@ TEST(ByteCodec, RawSliceAndSkip) {
   r.skip(6);
   EXPECT_EQ(r.raw(5), to_bytes("world"));
   EXPECT_TRUE(r.ok());
+}
+
+TEST(Ring, ABurstGivesItsMemoryBackAsItDrains) {
+  Ring<u64> ring;
+  for (u64 i = 0; i < 40'000; ++i) ring.push_back(i * 7);
+  EXPECT_EQ(ring.capacity(), 65'536u);
+  // Pop from the front and take one element out of the middle now and
+  // then (erase), checking order and values at every halving.
+  std::vector<u64> expected;
+  for (u64 i = 0; i < 40'000; ++i) expected.push_back(i * 7);
+  std::size_t front = 0;
+  std::size_t halvings = 0;
+  while (!ring.empty()) {
+    const std::size_t before = ring.capacity();
+    if (ring.size() % 97 == 0) {
+      const std::size_t middle = ring.size() / 2;
+      ring.erase(middle);
+      expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(front + middle));
+    } else {
+      ASSERT_EQ(ring.front(), expected[front]);
+      ring.pop_front();
+      ++front;
+    }
+    ASSERT_LE(ring.capacity(), before);
+    if (ring.capacity() == before) continue;
+    ++halvings;
+    EXPECT_EQ(ring.capacity(), before / 2);
+    EXPECT_LE(ring.size(), before / 4);
+    for (std::size_t i = 0; i < ring.size(); ++i) ASSERT_EQ(ring[i], expected[front + i]);
+  }
+  EXPECT_EQ(front, expected.size());
+  EXPECT_EQ(halvings, 6u);  // 65,536 down to the floor
+  EXPECT_EQ(ring.capacity(), Ring<u64>::kFloorSlots);
+}
+
+TEST(Ring, HoveringAtTheQuarterMarkDoesNotResize) {
+  Ring<u64> ring;
+  for (u64 i = 0; i < 2'049; ++i) ring.push_back(i);
+  ASSERT_EQ(ring.capacity(), 4'096u);
+  for (u64 i = 0; i < 1'025; ++i) ring.pop_front();  // 1,024 left: a quarter
+  ASSERT_EQ(ring.capacity(), 2'048u);
+  u64 next = 2'049;
+  for (int k = 0; k < 1'000; ++k) {
+    ring.push_back(next++);
+    EXPECT_EQ(ring.capacity(), 2'048u);
+    ring.pop_front();
+    EXPECT_EQ(ring.capacity(), 2'048u);
+  }
+  ASSERT_EQ(ring.size(), 1'024u);
+  for (std::size_t i = 0; i < ring.size(); ++i) EXPECT_EQ(ring[i], next - 1'024 + i);
+}
+
+TEST(Ring, ClearDropsToTheFloor) {
+  Ring<u64> ring;
+  for (u64 i = 0; i < 5'000; ++i) ring.push_back(i);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), Ring<u64>::kFloorSlots);
+  ring.push_back(42);
+  EXPECT_EQ(ring.front(), 42u);
 }
 
 }  // namespace

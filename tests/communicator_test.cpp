@@ -4,9 +4,13 @@
 // real cluster where interaction with the transport matters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <set>
 #include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "consensus/communicator.hpp"
 #include "consensus/node.hpp"
 #include "core/cluster.hpp"
@@ -149,6 +153,128 @@ TEST(OpRing, WalksOpsInOpOrderWhileTheCallbackEditsTheTable) {
   EXPECT_EQ(ring.size(), 7u);
   ASSERT_NE(ring.find(5 + 64), nullptr);
   EXPECT_EQ(*ring.find(5 + 64), 5 + 64);
+}
+
+/// Checks `ring` holds exactly `live` (op -> op * 3) through find,
+/// for_each_in_order and size.
+void expect_holds(OpRing<u64>& ring, const std::set<u64>& live) {
+  ASSERT_EQ(ring.size(), live.size());
+  for (const u64 op : live) {
+    const u64* value = ring.find(op);
+    ASSERT_NE(value, nullptr) << "op " << op;
+    ASSERT_EQ(*value, op * 3);
+  }
+  std::vector<u64> visited;
+  ring.for_each_in_order([&](u64 op, u64& value) {
+    EXPECT_EQ(value, op * 3);
+    visited.push_back(op);
+  });
+  EXPECT_EQ(visited, std::vector<u64>(live.begin(), live.end()));
+}
+
+TEST(OpRing, ShuffledErasesOfABurstReturnTheTableToTheFloor) {
+  OpRing<u64> ring;
+  std::vector<u64> ops;
+  std::set<u64> live;
+  for (u64 op = 0; op < 40'000; ++op) {
+    ring.insert(op, op * 3);
+    ops.push_back(op);
+    live.insert(op);
+  }
+  EXPECT_EQ(ring.capacity(), 65'536u);
+  Rng rng(17);
+  for (std::size_t i = ops.size(); i > 1; --i) std::swap(ops[i - 1], ops[rng.next_below(i)]);
+
+  std::size_t last_capacity = ring.capacity();
+  std::size_t erased = 0;
+  for (const u64 op : ops) {
+    ASSERT_TRUE(ring.erase(op));
+    live.erase(op);
+    ++erased;
+    EXPECT_EQ(ring.find(op), nullptr);
+    if (ring.capacity() != last_capacity || erased % 5'000 == 0) {
+      EXPECT_LE(ring.capacity(), last_capacity);
+      last_capacity = ring.capacity();
+      expect_holds(ring, live);
+    }
+    if (live.size() == 50) {
+      // take_all hands the survivors back in op order and empties the table.
+      OpRing<u64> copy;
+      for (const u64 kept : live) copy.insert(kept, kept * 3);
+      const auto all = copy.take_all();
+      ASSERT_EQ(all.size(), live.size());
+      auto it = live.begin();
+      for (const auto& [kept, value] : all) {
+        EXPECT_EQ(kept, *it++);
+        EXPECT_EQ(value, kept * 3);
+      }
+      EXPECT_EQ(copy.size(), 0u);
+    }
+  }
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
+}
+
+TEST(OpRing, TakeAllOfABurstDropsToTheFloor) {
+  OpRing<u64> ring;
+  for (u64 op = 100; op < 5'100; ++op) ring.insert(op, op * 3);
+  ASSERT_EQ(ring.capacity(), 8'192u);
+  const auto all = ring.take_all();
+  ASSERT_EQ(all.size(), 5'000u);
+  for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i].first, 100 + i);
+  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
+  ring.insert(7, 21);
+  EXPECT_EQ(*ring.find(7), 21u);
+}
+
+TEST(OpRing, AStaleOpPinsTheTableOnlyWhileItsPartnerSlotIsTaken) {
+  OpRing<u64> ring;
+  std::set<u64> live;
+  for (u64 op = 0; op < 40'000; ++op) {
+    ring.insert(op, op * 3);
+    live.insert(op);
+  }
+  ASSERT_EQ(ring.capacity(), 65'536u);
+  // Op 0 goes stale. Op 32,768 shares its slot at half the size, so while
+  // both stay, erasing every other op leaves the table where it is; each
+  // of those erases tests one counter, whatever the table's size.
+  for (u64 op = 1; op < 40'000; ++op) {
+    if (op == 32'768) continue;
+    ASSERT_TRUE(ring.erase(op));
+    live.erase(op);
+    ASSERT_EQ(ring.capacity(), 65'536u) << "after erasing op " << op;
+  }
+  expect_holds(ring, live);
+  // Once the partner goes, the stale op alone fits the floor.
+  ASSERT_TRUE(ring.erase(32'768));
+  live.erase(32'768);
+  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
+  expect_holds(ring, live);
+}
+
+TEST(OpRing, AStaleOpHoldsTheTableLargeOnlyWhileAnOpSharesItsSlot) {
+  // A window of 16 ops streams past op 0, which never resolves. Every 1,024
+  // ops one lands on the stale op's slot and the table doubles until the
+  // two part (op 131,072 needs 262,144 slots); once that op leaves, the
+  // table halves back to the floor. Without the halving it would keep its
+  // largest size for good.
+  OpRing<u64> ring;
+  std::set<u64> live{0};
+  ring.insert(0, 0);
+  std::size_t steps_above_floor = 0;
+  for (u64 op = 1; op < 200'000; ++op) {
+    ring.insert(op, op * 3);
+    live.insert(op);
+    if (op > 16) {
+      ASSERT_TRUE(ring.erase(op - 16));
+      live.erase(op - 16);
+    }
+    if (ring.capacity() > OpRing<u64>::kFloorSlots) ++steps_above_floor;
+  }
+  // 16 of every 1,024 steps, while an op on the stale op's slot is live.
+  EXPECT_LE(steps_above_floor, 16u * (200'000 / 1'024));
+  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
+  expect_holds(ring, live);
 }
 
 // ---------------------------------------------------------------------------
@@ -351,6 +477,81 @@ TEST(MuQuorum, CommitNeedsExactlyFAcks) {
   EXPECT_EQ(ok, 1);
   EXPECT_EQ(failed, 1);
 }
+
+// ---------------------------------------------------------------------------
+// A burst through each backend: the tables grow past the floor and come back
+// ---------------------------------------------------------------------------
+
+class BurstTest : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(BurstTest, ABurstCommitsInOrderAndGivesItsTablesBack) {
+  constexpr u64 kBurst = 5'000;
+  core::ClusterOptions options;
+  options.machines = 3;
+  options.mode = GetParam();
+  auto cluster = core::Cluster::create(options);
+  ASSERT_TRUE(cluster->start());
+  Node& leader = cluster->node(0);
+  ASSERT_TRUE(leader.leader_active());
+  const sim::CpuExecutor& cpu = cluster->host(0).cpu;
+
+  std::vector<u64> delivered;
+  cluster->node(1).set_deliver([&](const LogEntry& entry) {
+    ByteReader reader(entry.payload);
+    delivered.push_back(reader.u64be());
+  });
+  std::vector<u64> committed;  // proposal index, in callback order
+  std::vector<u64> seqs;
+  u64 failed = 0;
+  for (u64 i = 0; i < kBurst; ++i) {
+    Bytes value;
+    ByteWriter(value).u64be(i);
+    value.resize(64);
+    ASSERT_TRUE(leader
+                    .propose(std::move(value),
+                             [&, i](Status st, u64 seq) {
+                               failed += st.is_ok() ? 0 : 1;
+                               committed.push_back(i);
+                               seqs.push_back(seq);
+                             })
+                    .is_ok());
+  }
+
+  std::size_t cpu_peak = 0;
+  std::size_t sequencer_peak = 0;
+  std::size_t ops_peak = 0;
+  const SimTime deadline = cluster->now() + milliseconds(200);
+  while ((committed.size() < kBurst || delivered.size() < kBurst) && cluster->now() < deadline) {
+    cluster->run_for(microseconds(20));
+    cpu_peak = std::max(cpu_peak, cpu.queue_capacity());
+    sequencer_peak = std::max(sequencer_peak, leader.sequencer().capacity());
+    ops_peak = std::max(ops_peak, leader.communicator()->op_table_capacity());
+  }
+
+  EXPECT_EQ(failed, 0u);
+  ASSERT_EQ(committed.size(), kBurst);
+  for (u64 i = 0; i < kBurst; ++i) {
+    ASSERT_EQ(committed[i], i);
+    if (i > 0) {
+      ASSERT_GT(seqs[i], seqs[i - 1]);
+    }
+  }
+  ASSERT_EQ(delivered.size(), kBurst);
+  for (u64 i = 0; i < kBurst; ++i) ASSERT_EQ(delivered[i], i);
+
+  // The burst took the executor, the sequencer and the communicator's op
+  // tables past the floor (to 8,192 slots each); all are back.
+  EXPECT_GT(cpu_peak, Ring<int>::kFloorSlots);
+  EXPECT_GT(sequencer_peak, OpRing<int>::kFloorSlots);
+  EXPECT_GT(ops_peak, OpRing<int>::kFloorSlots);
+  EXPECT_LE(cpu.queue_capacity(), Ring<int>::kFloorSlots);
+  EXPECT_LE(leader.sequencer().capacity(), OpRing<int>::kFloorSlots);
+  EXPECT_LE(leader.communicator()->op_table_capacity(), OpRing<int>::kFloorSlots);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, BurstTest,
+                         ::testing::Values(Mode::kP4ce, Mode::kMu, Mode::kOneSided),
+                         [](const auto& info) { return std::string(core::backend_name(info.param)); });
 
 }  // namespace
 }  // namespace p4ce::consensus

@@ -10,11 +10,6 @@
 namespace p4ce::net {
 namespace {
 
-TEST(Ipv4Format, DottedQuad) {
-  EXPECT_EQ(ipv4_to_string(make_ip(1, 2)), "10.0.1.2");
-  EXPECT_EQ(ipv4_to_string(0xffffffff), "255.255.255.255");
-}
-
 TEST(Packet, WireSizeAccountsAllHeaders) {
   Packet p;
   p.payload = Bytes(1024, 0);

@@ -84,7 +84,7 @@ TEST(MemoryRegion, DataRoundTrips) {
   ASSERT_TRUE(mm.remote_write(region.rkey(), region.vaddr() + 10, data).is_ok());
   auto back = mm.remote_read(region.rkey(), region.vaddr() + 10, data.size());
   ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value(), data);
+  EXPECT_EQ(back.value().to_bytes(), data);
 }
 
 TEST(MemoryRegion, WriteHookReportsOffsetAndLength) {
@@ -146,7 +146,7 @@ TEST(MemoryRegion, LargeRegionCostsOnlyTouchedPages) {
   ASSERT_TRUE(mm.remote_write(rkey, last, word).is_ok());
   auto back = mm.remote_read(rkey, last, word.size());
   ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value(), word);
+  EXPECT_EQ(back.value().to_bytes(), word);
   EXPECT_LT(resident_bytes(), before + 16 * kMiB);
 
   // Pages that are written do become resident, and deregistering the
