@@ -33,7 +33,7 @@ double aggregate_mpps(p4::AckDropStage stage, u32 replicas) {
   sim::Simulator sim;
   const Ipv4Addr switch_ip = net::make_ip(1, 1);
   sw::SwitchDevice device(sim, "tofino0", switch_ip);
-  p4::P4ceDataplane dataplane(sim, switch_ip, stage);
+  p4::P4ceDataplane dataplane(sim, device.name(), switch_ip, stage);
   device.load_program(&dataplane);
 
   // Port 0: leader. Ports 1..n: replicas. Fat links so the wire is never

@@ -4,7 +4,7 @@
 # tab4_failover, fig7_burst_latency, fig6_latency_vs_throughput,
 # fig5_goodput and the ack-path, flow-control and window/MTU ablations)
 # whose stdout must match bench/golden byte for byte, the schema check of
-# the JSON output of five of them, a perf smoke of
+# the JSON output of all eight, a perf smoke of
 # the simulation substrate (bench/micro_event asserts the exact
 # counters of the event kernel's shapes and of the scatter path, and its
 # reference-normalized rates must stay within 35% of the checked-in
@@ -49,7 +49,9 @@ if [[ "$perf" == 1 ]]; then
   # FLIGHT_*.json into build/tests).
   python3 scripts/check_bench_json.py BENCH_tab_consensus_rate.json \
     BENCH_tab4_failover.json SERIES_tab4_failover.json FLIGHT_tab4_failover.json \
-    BENCH_fig7_burst_latency.json BENCH_fig5_goodput.json BENCH_ablation_window_mtu.json \
+    BENCH_fig7_burst_latency.json BENCH_fig6_latency_vs_throughput.json \
+    BENCH_fig5_goodput.json BENCH_ablation_ack_path.json BENCH_ablation_flow_control.json \
+    BENCH_ablation_window_mtu.json \
     $(ls build/tests/FLIGHT_*.json build/tests/SERIES_*.json 2>/dev/null || true)
 
   echo "== perf smoke: micro_event vs bench/baselines =="

@@ -20,6 +20,11 @@ are passed:
   * a "runs" array with one entry per simulated cluster, each labelled with
     its backend, machines and domains and carrying a "metrics" object of
     counter/gauge/histogram series;
+  * in each run, a bare counter "name" equals the sum of its labelled
+    "name{...}" children when it has any: a family counts each event once,
+    in one owner's child, and the bare series is the run's total;
+  * sim.events_alloc is exactly 0 in every run: no event callable the
+    simulator schedules falls back to the heap;
   * a run's "attribution" report, when present, has exactly the eight stages
     the code emits (STAGES below), each a non-negative histogram with
     monotone p50 <= p99 <= p999;
@@ -28,6 +33,7 @@ are passed:
 
 Exits non-zero on the first malformed file, failing tier-1.
 """
+import collections
 import glob
 import json
 import math
@@ -153,6 +159,10 @@ def check_run(path, run, where):
                 ok = fail(path, f"{where}.metrics.{name} has no counter/gauge/histogram type")
             elif not all(isinstance(series.get(f), (int, float)) for f in fields):
                 ok = fail(path, f"{where}.metrics.{name} lacks numeric {'/'.join(fields)}")
+        ok &= check_rollup(path, metrics, where)
+        events_alloc = metrics.get("sim.events_alloc", {}).get("value")
+        if events_alloc != 0:
+            ok = fail(path, f"{where}.metrics.sim.events_alloc = {events_alloc!r}, want 0")
     attribution = run.get("attribution")
     if attribution is not None:
         at = f"{where}.attribution"
@@ -166,6 +176,23 @@ def check_run(path, run, where):
             ok = fail(path, f"{at}.stages are {list(stages)}, want {list(STAGES)}")
         for stage, hist in stages.items():
             ok &= check_histogram(path, hist, f"{at}.stages.{stage}")
+    return ok
+
+
+def check_rollup(path, metrics, where):
+    """Each bare counter with labelled children must read their sum."""
+    children = collections.defaultdict(int)
+    for name, series in metrics.items():
+        if "{" in name and isinstance(series, dict) and series.get("type") == "counter":
+            children[name[:name.index("{")]] += series.get("value", 0)
+    ok = True
+    for family, total in children.items():
+        bare = metrics.get(family)
+        if not isinstance(bare, dict) or bare.get("type") != "counter":
+            ok = fail(path, f"{where}.metrics has {family}{{...}} counters but no bare {family}")
+        elif bare.get("value") != total:
+            ok = fail(path, f"{where}.metrics.{family} = {bare.get('value')!r}, "
+                            f"want {total}, the sum of its labelled children")
     return ok
 
 

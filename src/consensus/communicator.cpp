@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "obs/context.hpp"
 
@@ -138,8 +139,10 @@ P4ceCommunicator::P4ceCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
       switch_ip_(switch_ip),
       self_(self),
       hooks_(std::move(hooks)),
-      m_fallbacks_(sim.obs().metrics.counter("consensus.fallbacks")),
-      m_reaccelerations_(sim.obs().metrics.counter("consensus.reaccelerations")),
+      m_fallbacks_(sim.obs().metrics.counter("consensus.fallbacks",
+                                              {{"node", std::to_string(self)}})),
+      m_reaccelerations_(sim.obs().metrics.counter("consensus.reaccelerations",
+                                                    {{"node", std::to_string(self)}})),
       fallback_(sim, cpu, cal, f_needed, targets, std::move(verdict)),
       targets_snapshot_(std::move(targets)),
       reaccel_timer_(sim, cal.reacceleration_period, [this] { probe_reacceleration(); }) {
@@ -273,7 +276,6 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
 void P4ceCommunicator::enter_fallback() {
   if (state_ == State::kFallback) return;
   state_ = State::kFallback;
-  ++fallbacks_;
   m_fallbacks_.inc();
   sim_.obs().recorder.trigger("fallback", sim_.now(), "node", self_);
   // Silence the accelerated QP: everything outstanding is replayed over the
@@ -295,7 +297,6 @@ void P4ceCommunicator::enter_fallback() {
 
 void P4ceCommunicator::probe_reacceleration() {
   if (state_ != State::kFallback) return;
-  ++reaccelerations_;
   m_reaccelerations_.inc();
   activate(term_, nullptr);
 }

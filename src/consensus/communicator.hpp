@@ -317,8 +317,10 @@ class P4ceCommunicator : public Communicator {
     return std::max(accel_pending_.capacity(), fallback_.op_table_capacity());
   }
 
-  u64 fallback_count() const noexcept { return fallbacks_; }
-  u64 reaccelerations() const noexcept { return reaccelerations_; }
+  /// This node's fallbacks and re-acceleration probes, over every term it
+  /// led: consensus.fallbacks{node=<id>} and consensus.reaccelerations{node=<id>}.
+  u64 fallback_count() const noexcept { return m_fallbacks_.value(); }
+  u64 reaccelerations() const noexcept { return m_reaccelerations_.value(); }
 
  private:
   enum class State { kInactive, kConnecting, kAccelerated, kFallback };
@@ -367,8 +369,6 @@ class P4ceCommunicator : public Communicator {
   };
   OpRing<AccelOp> accel_pending_;
   sim::PeriodicTimer reaccel_timer_;
-  u64 fallbacks_ = 0;
-  u64 reaccelerations_ = 0;
   bool update_in_flight_ = false;
 };
 

@@ -810,7 +810,6 @@ void Node::append_and_replicate(std::span<const Bytes> values, bool batch, SimTi
 
 void Node::finish_commit(u64 op, Status st, CommitRecord record) {
   if (st.is_ok()) {
-    commits_ += record.n;
     m_.commits.inc(record.n);
     m_.commit_index.set(static_cast<double>(record.last_seq));
   } else {

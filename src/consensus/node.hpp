@@ -130,7 +130,6 @@ class Node {
   bool accelerated() const noexcept {
     return communicator_ != nullptr && communicator_->accelerated();
   }
-  u64 commits() const noexcept { return commits_; }
   u64 delivered() const noexcept { return delivered_; }
   u64 last_delivered_seq() const noexcept { return reader_ ? reader_->last_seq() : 0; }
   bool crashed() const noexcept { return crashed_; }
@@ -237,8 +236,9 @@ class Node {
   /// Drop the communicator's in-flight ops and fail their commit callbacks.
   void abort_replication();
 
-  /// This run's consensus series: counters summed over its nodes, gauges
-  /// per replication domain (the sampler turns those into time series,
+  /// This run's consensus series: counters nothing reads per node, so one
+  /// bare counter each that every node of the run bumps; gauges per
+  /// replication domain (the sampler turns those into time series,
   /// e.g. the commit index over a failover).
   struct Metrics {
     Metrics(obs::MetricsRegistry& registry, u32 domain);
@@ -303,7 +303,6 @@ class Node {
   /// order. Ops are dense per node and every one is expected here, so the
   /// sequencer never needs re-basing.
   CommitSequencer sequencer_;
-  u64 commits_ = 0;
   u64 delivered_ = 0;
   bool deliver_scheduled_ = false;
 

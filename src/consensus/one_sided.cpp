@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 #include "obs/context.hpp"
@@ -20,8 +21,10 @@ OneSidedCommunicator::OneSidedCommunicator(sim::Simulator& sim, sim::CpuExecutor
       fast_needed_remote_(one_sided_fast_quorum(cluster_size) - 1),
       classic_needed_remote_(one_sided_classic_quorum(cluster_size) - 1),
       self_(self),
-      m_fast_commits_(sim.obs().metrics.counter("consensus.one_sided.fast_commits")),
-      m_slow_commits_(sim.obs().metrics.counter("consensus.one_sided.slow_commits")),
+      m_fast_commits_(sim.obs().metrics.counter("consensus.one_sided.fast_commits",
+                                                 {{"node", std::to_string(self)}})),
+      m_slow_commits_(sim.obs().metrics.counter("consensus.one_sided.slow_commits",
+                                                 {{"node", std::to_string(self)}})),
       m_slot_conflicts_(sim.obs().metrics.counter("consensus.one_sided.slot_conflicts")) {}
 
 // ---------------------------------------------------------------------------
@@ -444,13 +447,7 @@ void OneSidedCommunicator::handle_accept(OpState& op, u64 seq, std::size_t targe
 
 void OneSidedCommunicator::commit(OpState& op, u64 seq, bool fast) {
   op.resolved = true;
-  if (fast) {
-    ++fast_commits_;
-    m_fast_commits_.inc();
-  } else {
-    ++slow_commits_;
-    m_slow_commits_.inc();
-  }
+  (fast ? m_fast_commits_ : m_slow_commits_).inc();
   if (sim_.obs().tracer.is_enabled()) {
     auto& tracer = sim_.obs().tracer;
     tracer.on_quorum(seq, last_ack_);

@@ -105,8 +105,10 @@ class OneSidedCommunicator : public DirectCommunicator {
   }
 
   u64 ballot() const noexcept { return ballot_; }
-  u64 fast_path_commits() const noexcept { return fast_commits_; }
-  u64 slow_path_commits() const noexcept { return slow_commits_; }
+  /// This node's commits by path, over every term it led:
+  /// consensus.one_sided.{fast,slow}_commits{node=<id>}.
+  u64 fast_path_commits() const noexcept { return m_fast_commits_.value(); }
+  u64 slow_path_commits() const noexcept { return m_slow_commits_.value(); }
 
  private:
   enum class Phase : u8 {
@@ -189,8 +191,6 @@ class OneSidedCommunicator : public DirectCommunicator {
   u64 next_wr_ = 1;
   std::optional<Takeover> takeover_;  ///< the current ballot's takeover
   SimTime last_ack_ = 0;  ///< arrival time of the completion being processed
-  u64 fast_commits_ = 0;
-  u64 slow_commits_ = 0;
 };
 
 }  // namespace p4ce::consensus

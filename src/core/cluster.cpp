@@ -26,13 +26,15 @@ std::unique_ptr<Cluster> Cluster::create(const ClusterOptions& options) {
   // Switches. The backup runs the same program with no groups installed: a
   // plain forwarding device on an alternative route (§III-A).
   cluster->primary_ = std::make_unique<sw::SwitchDevice>(sim, "tofino0", kPrimarySwitchIp);
-  cluster->dataplane_ = std::make_unique<p4::P4ceDataplane>(sim, kPrimarySwitchIp);
+  cluster->dataplane_ = std::make_unique<p4::P4ceDataplane>(
+      sim, cluster->primary_->name(), kPrimarySwitchIp);
   cluster->primary_->load_program(cluster->dataplane_.get());
   cluster->control_plane_ = std::make_unique<p4::ControlPlane>(
       sim, *cluster->primary_, *cluster->dataplane_);
 
   cluster->backup_ = std::make_unique<sw::SwitchDevice>(sim, "backup0", kBackupSwitchIp);
-  cluster->backup_dataplane_ = std::make_unique<p4::P4ceDataplane>(sim, kBackupSwitchIp);
+  cluster->backup_dataplane_ = std::make_unique<p4::P4ceDataplane>(
+      sim, cluster->backup_->name(), kBackupSwitchIp);
   cluster->backup_->load_program(cluster->backup_dataplane_.get());
 
   // Hosts and links.

@@ -23,9 +23,7 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
-std::string MetricsRegistry::label(
-    std::string_view name,
-    std::initializer_list<std::pair<std::string_view, std::string>> kv) {
+std::string MetricsRegistry::label(std::string_view name, Labels kv) {
   std::string out(name);
   if (kv.size() == 0) return out;
   out += '{';
@@ -42,11 +40,9 @@ std::string MetricsRegistry::label(
 }
 
 const MetricsRegistry::Series* MetricsRegistry::Snapshot::find(
-    std::string_view prefix) const noexcept {
+    std::string_view name) const noexcept {
   for (const auto& s : series) {
-    if (s.name.size() >= prefix.size() && std::string_view(s.name).substr(0, prefix.size()) == prefix) {
-      return &s;
-    }
+    if (s.name == name) return &s;
   }
   return nullptr;
 }
@@ -54,13 +50,21 @@ const MetricsRegistry::Series* MetricsRegistry::Snapshot::find(
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   snap.series.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, c] : counters_) {
+  const auto add_counter = [&snap](std::string name, u64 count) {
     Series s;
-    s.name = name;
+    s.name = std::move(name);
     s.kind = Series::Kind::kCounter;
-    s.count = c->value();
+    s.count = count;
     snap.series.push_back(std::move(s));
+  };
+  // Each counter adds to its family's total: the name up to its labels.
+  std::map<std::string_view, u64> totals;
+  for (const auto& [name, c] : counters_) {
+    const std::size_t labels = name.find('{');
+    totals[std::string_view(name).substr(0, labels)] += c->value();
+    if (labels != std::string::npos) add_counter(name, c->value());
   }
+  for (const auto& [family, total] : totals) add_counter(std::string(family), total);
   for (const auto& [name, g] : gauges_) {
     Series s;
     s.name = name;

@@ -5,6 +5,11 @@
 // registry never removes an entry, so those references stay valid for the
 // registry's lifetime.
 //
+// One counted event has one counter. A component whose owners are read one
+// by one (a NIC, a node, a switch, a P4CE group) labels its counter with the
+// owner, and the snapshot reports the bare family name as the sum of its
+// labelled children, so run totals need no second count.
+//
 // Nothing here is atomic or locked: a run's simulator executes its events
 // on one thread, and every instrument belongs to exactly one run.
 #pragma once
@@ -62,11 +67,13 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   LatencyHistogram& histogram(const std::string& name);
 
-  /// Compose a labelled series name: label("rdma.qp.retransmits",
-  /// {{"qp", "3"}}) -> "rdma.qp.retransmits{qp=3}". Labels are sorted into
-  /// the name in the order given; keep call sites consistent.
-  static std::string label(std::string_view name,
-                           std::initializer_list<std::pair<std::string_view, std::string>> kv);
+  using Labels = std::initializer_list<std::pair<std::string_view, std::string>>;
+  /// Compose a labelled series name: label("rdma.nic.rx_overflows",
+  /// {{"nic", "host3"}}) -> "rdma.nic.rx_overflows{nic=host3}". Labels are
+  /// written into the name in the order given; keep call sites consistent.
+  static std::string label(std::string_view name, Labels kv);
+  /// The counter of one owner: counter(label(name, kv)).
+  Counter& counter(std::string_view name, Labels kv) { return counter(label(name, kv)); }
 
   // --- Snapshot ---------------------------------------------------------
 
@@ -81,10 +88,13 @@ class MetricsRegistry {
   };
   struct Snapshot {
     std::vector<Series> series;  ///< sorted by name
-    /// First series whose name starts with `prefix`, or nullptr.
-    const Series* find(std::string_view prefix) const noexcept;
+    /// The series named exactly `name`, or nullptr.
+    const Series* find(std::string_view name) const noexcept;
   };
 
+  /// Every instrument, sorted by name. A counter family `name` reports its
+  /// bare counter's own count plus every `name{...}` child's, and appears
+  /// once any of them is registered.
   Snapshot snapshot() const;
 
   std::size_t size() const noexcept {

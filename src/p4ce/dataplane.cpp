@@ -1,8 +1,9 @@
 #include "p4ce/dataplane.hpp"
 
 #include <algorithm>
-
+#include <string>
 #include <tuple>
+
 #include "obs/context.hpp"
 #include "rdma/headers.hpp"
 #include "sim/simulator.hpp"
@@ -14,20 +15,53 @@ constexpr u64 src_key(u16 group_idx, Ipv4Addr ip) noexcept {
   return (static_cast<u64>(group_idx) << 32) | ip;
 }
 
+/// The families GroupStats reads, in its field order.
+constexpr const char* kGroupFamilies[] = {
+    "switch.p4ce.requests_scattered", "switch.p4ce.acks_gathered",
+    "switch.p4ce.acks_forwarded",     "switch.p4ce.naks_forwarded",
+    "switch.p4ce.bad_rkey_drops",
+};
+
+obs::Counter& group_counter(obs::MetricsRegistry& registry, std::size_t family,
+                           const std::string& switch_name, u16 group_idx) {
+  return registry.counter(kGroupFamilies[family],
+                          {{"sw", switch_name}, {"group", std::to_string(group_idx)}});
+}
+
 }  // namespace
 
-P4ceDataplane::Metrics::Metrics(obs::MetricsRegistry& registry)
-    : requests_scattered(registry.counter("switch.p4ce.requests_scattered")),
-      scatter_copies(registry.counter("switch.p4ce.scatter_copies")),
+P4ceDataplane::GroupCounters::GroupCounters(obs::MetricsRegistry& registry,
+                                            const std::string& switch_name, u16 group_idx)
+    : requests_scattered(group_counter(registry, 0, switch_name, group_idx)),
+      acks_gathered(group_counter(registry, 1, switch_name, group_idx)),
+      acks_forwarded(group_counter(registry, 2, switch_name, group_idx)),
+      naks_forwarded(group_counter(registry, 3, switch_name, group_idx)),
+      bad_rkey_drops(group_counter(registry, 4, switch_name, group_idx)) {}
+
+P4ceDataplane::Metrics::Metrics(obs::MetricsRegistry& registry, const std::string& switch_name)
+    : scatter_copies(registry.counter("switch.p4ce.scatter_copies")),
       header_rewrites(registry.counter("switch.p4ce.header_rewrites")),
-      acks_gathered(registry.counter("switch.p4ce.acks_gathered")),
-      acks_forwarded(registry.counter("switch.p4ce.acks_forwarded")),
-      naks_forwarded(registry.counter("switch.p4ce.naks_forwarded")),
-      bad_rkey_drops(registry.counter("switch.p4ce.bad_rkey_drops")),
+      l3_forwarded(registry.counter("switch.p4ce.l3_forwarded", {{"sw", switch_name}})),
       gather_occupancy(registry.gauge("switch.p4ce.gather_occupancy")) {}
 
-P4ceDataplane::P4ceDataplane(sim::Simulator& sim, Ipv4Addr switch_ip, AckDropStage drop_stage)
-    : sim_(sim), switch_ip_(switch_ip), drop_stage_(drop_stage), m_(sim.obs().metrics) {}
+P4ceDataplane::P4ceDataplane(sim::Simulator& sim, std::string switch_name, Ipv4Addr switch_ip,
+                             AckDropStage drop_stage)
+    : sim_(sim),
+      switch_name_(std::move(switch_name)),
+      switch_ip_(switch_ip),
+      drop_stage_(drop_stage),
+      m_(sim.obs().metrics, switch_name_) {
+  // The per-group families are declared bare as well, so a run that
+  // installs no group still reports each of them, as 0.
+  for (const char* family : kGroupFamilies) sim.obs().metrics.counter(family);
+}
+
+P4ceDataplane::GroupStats P4ceDataplane::group_stats(u16 group_idx) const {
+  const auto& c = groups_.at(group_idx).counters;
+  if (!c) return {};
+  return {c->requests_scattered.value(), c->acks_gathered.value(), c->acks_forwarded.value(),
+          c->naks_forwarded.value(), c->bad_rkey_drops.value()};
+}
 
 Status P4ceDataplane::add_route(Ipv4Addr dst, u32 port) {
   l3_.set(dst, port);
@@ -47,7 +81,6 @@ Status P4ceDataplane::install_group(const GroupSpec& spec) {
   group.spec = spec;
   group.num_recv.cp_clear(0);
   group.credits.cp_clear(31);
-  group.stats = {};
   if (Status st = bcast_table_.add(spec.bcast_qpn, spec.group_idx); !st) return st;
   if (Status st = aggr_table_.add(spec.aggr_qpn, spec.group_idx); !st) {
     std::ignore = bcast_table_.remove(spec.bcast_qpn);
@@ -57,6 +90,7 @@ Status P4ceDataplane::install_group(const GroupSpec& spec) {
     replica_src_table_.set(src_key(spec.group_idx, spec.replicas[rid].ip),
                            static_cast<u16>(rid));
   }
+  if (!group.counters) group.counters.emplace(sim_.obs().metrics, switch_name_, spec.group_idx);
   group.active = true;
   return Status::ok();
 }
@@ -122,8 +156,7 @@ void P4ceDataplane::ingress(sw::PacketContext& ctx) {
     GroupState& group = groups_[*group_idx];
     // Validate the virtual authentication key on packets that carry it.
     if (p.reth && p.reth->rkey != group.spec.virtual_rkey) {
-      ++group.stats.bad_rkey_drops;
-      m_.bad_rkey_drops.inc();
+      group.counters->bad_rkey_drops.inc();
       ctx.drop = true;
       return;
     }
@@ -131,8 +164,7 @@ void P4ceDataplane::ingress(sw::PacketContext& ctx) {
     // ("the dataplane also resets NumRecv at the index corresponding to the
     // PSN of the packet it is multicasting", §IV-B).
     group.num_recv.write(p.bth.psn % kNumRecvSlots, 0);
-    ++group.stats.requests_scattered;
-    m_.requests_scattered.inc();
+    group.counters->requests_scattered.inc();
     // One gather-table slot is now awaiting ACKs for this PSN.
     if (rdma::is_last_or_only(p.bth.opcode)) m_.gather_occupancy.add(1);
     if (sim_.obs().tracer.is_enabled()) {
@@ -170,7 +202,7 @@ void P4ceDataplane::ingress(sw::PacketContext& ctx) {
     ctx.drop = true;
     return;
   }
-  ++l3_forwarded_;
+  m_.l3_forwarded.inc();
   ctx.unicast_port = *port;
 }
 
@@ -187,8 +219,7 @@ void P4ceDataplane::ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 ri
   // Negative acknowledgments are forwarded unconditionally so the leader
   // learns that a replica is misbehaving and can fall back (§III).
   if (p.is_nak()) {
-    ++group.stats.naks_forwarded;
-    m_.naks_forwarded.inc();
+    group.counters->naks_forwarded.inc();
     send_to_leader(ctx, group);
     return;
   }
@@ -217,15 +248,13 @@ void P4ceDataplane::ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 ri
 
   // Count this answer; forward the f-th, drop the others.
   const u32 count = group.num_recv.increment_read(leader_psn % kNumRecvSlots);
-  ++group.stats.acks_gathered;
-  m_.acks_gathered.inc();
+  group.counters->acks_gathered.inc();
   auto& tracer = sim_.obs().tracer;
   const u64 inst =
       tracer.is_enabled() ? tracer.instance_for_psn(leader_psn, group.spec.bcast_qpn) : 0;
   if (inst != 0) tracer.on_ack(inst, sim_.now(), rid);
   if (count == group.spec.f_needed) {
-    ++group.stats.acks_forwarded;
-    m_.acks_forwarded.inc();
+    group.counters->acks_forwarded.inc();
     m_.gather_occupancy.add(-1);
     if (inst != 0) tracer.on_quorum(inst, sim_.now());
     send_to_leader(ctx, group);

@@ -7,6 +7,8 @@
 
 #include <array>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
@@ -32,7 +34,9 @@ class P4ceDataplane : public sw::PipelineProgram {
  public:
   /// `sim` is the run's clock: its registry receives the switch.p4ce.*
   /// series, and tracing hooks timestamp scatter/gather events with it.
-  P4ceDataplane(sim::Simulator& sim, Ipv4Addr switch_ip,
+  /// `switch_name` labels this program's series ({sw=<name>}); it is the
+  /// name of the device that loads it, unique within a run.
+  P4ceDataplane(sim::Simulator& sim, std::string switch_name, Ipv4Addr switch_ip,
                 AckDropStage drop_stage = AckDropStage::kIngress);
 
   // --- Control-plane programming API (the BfRt surface) -----------------
@@ -69,6 +73,9 @@ class P4ceDataplane : public sw::PipelineProgram {
 
   // --- Statistics -----------------------------------------------------------
 
+  /// A group slot's counts, read from its switch.p4ce.*{sw=..,group=..}
+  /// series. They start when the slot is first installed and never
+  /// restart: a group reinstalled in a slot counts on from the last one.
   struct GroupStats {
     u64 requests_scattered = 0;  ///< request packets entering the multicast engine
     u64 acks_gathered = 0;       ///< positive replica ACKs counted
@@ -76,8 +83,9 @@ class P4ceDataplane : public sw::PipelineProgram {
     u64 naks_forwarded = 0;      ///< NAKs forwarded immediately
     u64 bad_rkey_drops = 0;      ///< requests whose virtual R_key did not match
   };
-  const GroupStats& group_stats(u16 group_idx) const { return groups_.at(group_idx).stats; }
-  u64 l3_forwarded() const noexcept { return l3_forwarded_; }
+  GroupStats group_stats(u16 group_idx) const;
+  /// Packets this switch forwarded as plain L3 (switch.p4ce.l3_forwarded{sw=..}).
+  u64 l3_forwarded() const noexcept { return m_.l3_forwarded.value(); }
 
  private:
   // Packet metadata slots (ctx.meta indices).
@@ -89,6 +97,16 @@ class P4ceDataplane : public sw::PipelineProgram {
   static constexpr u32 kFlagEgressDrop = 1u << 1;  // ablation: drop surplus late
   static constexpr u32 kFlagScatter = 1u << 2;
 
+  /// The series behind GroupStats, labelled {sw=<name>,group=<idx>}.
+  struct GroupCounters {
+    GroupCounters(obs::MetricsRegistry& registry, const std::string& switch_name, u16 group_idx);
+    obs::Counter& requests_scattered;
+    obs::Counter& acks_gathered;
+    obs::Counter& acks_forwarded;
+    obs::Counter& naks_forwarded;
+    obs::Counter& bad_rkey_drops;
+  };
+
   struct GroupState {
     bool active = false;
     GroupSpec spec;
@@ -96,27 +114,25 @@ class P4ceDataplane : public sw::PipelineProgram {
     sw::TofinoRegister<u32> num_recv{kNumRecvSlots};
     /// Last credit count announced by each replica (§IV-D), indexed by rid.
     sw::TofinoRegister<u32> credits{kMaxReplicasPerGroup, 31u};
-    GroupStats stats;
+    /// Bound when the slot is first installed, kept across reinstalls.
+    std::optional<GroupCounters> counters;
   };
 
   void ingress_gather(sw::PacketContext& ctx, u16 group_idx, u16 rid);
   void send_to_leader(sw::PacketContext& ctx, const GroupState& group);
 
-  /// Summed over all groups on this switch; per-group numbers are in
-  /// GroupStats.
+  /// The series no reader needs per group. Copies and rewrites are bare,
+  /// shared by every P4CE switch of the run; l3_forwarded is this switch's.
   struct Metrics {
-    explicit Metrics(obs::MetricsRegistry& registry);
-    obs::Counter& requests_scattered;
+    Metrics(obs::MetricsRegistry& registry, const std::string& switch_name);
     obs::Counter& scatter_copies;
     obs::Counter& header_rewrites;
-    obs::Counter& acks_gathered;
-    obs::Counter& acks_forwarded;
-    obs::Counter& naks_forwarded;
-    obs::Counter& bad_rkey_drops;
+    obs::Counter& l3_forwarded;
     obs::Gauge& gather_occupancy;
   };
 
   sim::Simulator& sim_;
+  std::string switch_name_;
   Ipv4Addr switch_ip_;
   AckDropStage drop_stage_;
   Metrics m_;
@@ -127,7 +143,6 @@ class P4ceDataplane : public sw::PipelineProgram {
   /// (group_idx << 32 | replica ip) -> endpoint id.
   sw::ExactMatchTable<u64, u16> replica_src_table_{"replica_src", 4096};
   std::array<GroupState, kMaxGroups> groups_;
-  u64 l3_forwarded_ = 0;
 };
 
 }  // namespace p4ce::p4

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/context.hpp"
 #include "rdma/cm.hpp"
 
 namespace p4ce::rdma {
@@ -15,7 +16,9 @@ Nic::Nic(sim::Simulator& sim, std::string name, Ipv4Addr ip, net::MacAddr mac,
       mac_(mac),
       memory_(memory),
       config_(config),
-      cm_(std::make_unique<CmAgent>(*this)) {}
+      cm_(std::make_unique<CmAgent>(*this)),
+      m_rx_overflows_(sim.obs().metrics.counter("rdma.nic.rx_overflows", {{"nic", name_}})),
+      m_dropped_(sim.obs().metrics.counter("rdma.nic.dropped", {{"nic", name_}})) {}
 
 Nic::~Nic() = default;
 
@@ -151,7 +154,7 @@ void Nic::land() const noexcept {
     if (lost || !powered_) continue;
     ++rx_count_;
     if (slot.done == kTimeNever) {
-      ++rx_overflow_count_;
+      m_rx_overflows_.inc();
     } else {
       slot.buffered = true;
       ++rx_pending_;
@@ -172,7 +175,7 @@ void Nic::dispatch(const net::Packet& packet) {
   }
   QueuePair* qp = find_qp(packet.bth.dest_qp);
   if (qp == nullptr) {
-    ++drop_count_;
+    m_dropped_.inc();
     return;
   }
   qp->handle_packet(packet);

@@ -22,6 +22,7 @@
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "rdma/completion.hpp"
 #include "rdma/memory.hpp"
 #include "rdma/qp.hpp"
@@ -121,12 +122,14 @@ class Nic : public net::PacketSink, public PacketIo {
     land();
     return rx_count_;
   }
-  u64 packets_dropped() const noexcept { return drop_count_; }
+  /// Inbound packets no QP or CM agent took (rdma.nic.dropped{nic=<name>}).
+  u64 packets_dropped() const noexcept { return m_dropped_.value(); }
   /// Inbound packets tail-dropped because the receive buffer was full —
-  /// what the credit mechanism exists to prevent (§II-A "Congestion").
+  /// what the credit mechanism exists to prevent (§II-A "Congestion");
+  /// rdma.nic.rx_overflows{nic=<name>}.
   u64 rx_overflows() const noexcept {
     land();
-    return rx_overflow_count_;
+    return m_rx_overflows_.value();
   }
 
  private:
@@ -187,11 +190,16 @@ class Nic : public net::PacketSink, public PacketIo {
   mutable std::size_t landed_ = 0;  ///< rx_slots_[0, landed_) have landed
   mutable u32 rx_pending_ = 0;      ///< packets landed but not yet processed
   mutable u64 rx_count_ = 0;
-  mutable u64 rx_overflow_count_ = 0;
   Ring<Stall> stalls_;
   u64 tx_count_ = 0;
-  u64 drop_count_ = 0;
   bool powered_ = true;
+  // Registry counters labelled {nic=<name>}, bound at construction; the
+  // getters above read them. NIC names are unique within a run. A packet is
+  // tail-dropped only while buffered packets still have their rx to run,
+  // and the first of those rx events lands it: the overflow series is
+  // current once a burst has drained, whether or not a getter was called.
+  obs::Counter& m_rx_overflows_;
+  obs::Counter& m_dropped_;
 };
 
 }  // namespace p4ce::rdma

@@ -281,7 +281,6 @@ void QueuePair::handle_ack(const net::Packet& packet) {
     if (aeth.nak_code == NakCode::kPsnSequenceError) {
       // Go-back-N: the responder expected packet.bth.psn; resend everything
       // outstanding from the oldest unacknowledged message.
-      ++retransmissions_;
       m_.retransmits.inc();
       for (std::size_t i = 0; i < inflight_.size(); ++i) transmit_wqe(inflight_[i]);
       arm_timer();
@@ -461,7 +460,6 @@ void QueuePair::on_timeout() {
     set_error(WcStatus::kRetryExceeded);
     return;
   }
-  ++retransmissions_;
   m_.timeouts.inc();
   m_.retransmits.inc();
   // A whole-window resend means the path went quiet; per-kind rate
@@ -611,7 +609,6 @@ void QueuePair::handle_request(const net::Packet& packet) {
       const u32 npkts = std::max<u32>(1, (static_cast<u32>(whole.size()) + config_.mtu - 1) /
                                              config_.mtu);
       ++msn_;
-      ++messages_received_;
       m_.msgs_received.inc();
       for (u32 i = 0; i < npkts; ++i) {
         Opcode op;
@@ -672,7 +669,6 @@ void QueuePair::handle_request(const net::Packet& packet) {
       }
       expected_psn_ = psn_add(expected_psn_, 1);
       ++msn_;
-      ++messages_received_;
       m_.msgs_received.inc();
       atomic_replay_.push_back({packet.bth.psn, original.value()});
       if (atomic_replay_.size() > kAtomicReplayDepth) atomic_replay_.pop_front();
@@ -687,7 +683,6 @@ void QueuePair::handle_request(const net::Packet& packet) {
   expected_psn_ = psn_add(expected_psn_, 1);
   if (is_last_or_only(packet.bth.opcode)) {
     ++msn_;
-    ++messages_received_;
     m_.msgs_received.inc();
     if (packet.bth.ack_request) send_ack(packet.bth.psn);
   }

@@ -134,8 +134,6 @@ class QueuePair {
 
   // --- Introspection ----------------------------------------------------
 
-  u64 retransmissions() const noexcept { return retransmissions_; }
-  u64 messages_received() const noexcept { return messages_received_; }
   Psn next_send_psn() const noexcept { return send_psn_; }
   /// PSN the next *posted* message will start at: PSNs are assigned when a
   /// WQE leaves the send queue, so account for everything still queued.
@@ -194,7 +192,8 @@ class QueuePair {
   void send_atomic_ack(Psn psn, u64 original);
   net::Packet make_response_shell(Opcode op, Psn psn) const;
 
-  /// Transport-health series in this run's registry, summed over its QPs.
+  /// Transport-health series in this run's registry. Nothing reads them per
+  /// QP, so each is one bare counter that every QP of the run bumps.
   struct Metrics {
     explicit Metrics(obs::MetricsRegistry& registry);
     obs::Counter& msgs_sent;
@@ -225,7 +224,6 @@ class QueuePair {
   Psn send_psn_ = 0;             // next PSN to assign
   u8 credits_seen_ = 16;         // responder credits from the last AETH
   u32 retry_count_ = 0;
-  u64 retransmissions_ = 0;
   // The retransmit timer is re-armed on every ACK, so it is lazy: arming
   // records the deadline and reserves its tie key, disarming clears the
   // deadline, and at most one wake event chases the deadline. A wake fires
@@ -239,7 +237,6 @@ class QueuePair {
   Psn expected_psn_ = 0;
   u32 msn_ = 0;                  // messages completed as responder
   bool allow_remote_write_ = true;
-  u64 messages_received_ = 0;
   // In-progress multi-packet inbound write (context stashed from WriteFirst).
   struct InboundWrite {
     u64 vaddr = 0;

@@ -7,20 +7,13 @@
 
 namespace p4ce::sw {
 
-namespace {
-obs::Counter& device_counter(sim::Simulator& sim, std::string_view series,
-                             const std::string& name) {
-  return sim.obs().metrics.counter(obs::MetricsRegistry::label(series, {{"sw", name}}));
-}
-}  // namespace
-
 SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip)
     : sim_(sim),
       name_(std::move(name)),
       ip_(ip),
-      m_ingress_drops_(device_counter(sim, "switch.ingress_drops", name_)),
-      m_egress_drops_(device_counter(sim, "switch.egress_drops", name_)),
-      m_punts_(device_counter(sim, "switch.punts", name_)) {}
+      m_ingress_drops_(sim.obs().metrics.counter("switch.ingress_drops", {{"sw", name_}})),
+      m_egress_drops_(sim.obs().metrics.counter("switch.egress_drops", {{"sw", name_}})),
+      m_punts_(sim.obs().metrics.counter("switch.punts", {{"sw", name_}})) {}
 
 void SwitchDevice::power_off() {
   if (!powered_) return;

@@ -7,6 +7,7 @@
 
 #include "consensus/log.hpp"
 #include "core/cluster.hpp"
+#include "obs/context.hpp"
 
 namespace p4ce::consensus {
 namespace {
@@ -57,7 +58,7 @@ TEST_P(ModeTest, ProposalCommitsAndDeliversEverywhere) {
     ASSERT_EQ(delivered[i].size(), 50u) << "node " << i;
     for (u64 k = 0; k < 50; ++k) EXPECT_EQ(delivered[i][k], k + 1);
   }
-  EXPECT_EQ(cluster->node(0).commits(), 50u);
+  EXPECT_EQ(cluster->sim().obs().metrics.counter("consensus.commits").value(), 50u);
 }
 
 TEST_P(ModeTest, RejectedAppendConsumesNoSeq) {

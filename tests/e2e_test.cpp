@@ -32,7 +32,7 @@ TEST(EndToEnd, AcceleratedPathCarriesAllTraffic) {
   }
   cluster->run_for(milliseconds(5));
   EXPECT_EQ(commits, 500);
-  const auto& stats = cluster->dataplane().group_stats(0);
+  const auto stats = cluster->dataplane().group_stats(0);
   EXPECT_EQ(stats.requests_scattered, 500u);
   EXPECT_EQ(stats.acks_gathered, 4u * 500u);
   EXPECT_EQ(stats.acks_forwarded, 500u);

@@ -1,14 +1,17 @@
 // Unit tests for the observability layer: the metrics registry (counters,
-// gauges, histograms, labels, snapshot) and the consensus-instance
-// tracer (round lifecycle, sampling, PSN wire map, Chrome JSON export).
+// gauges, histograms, labels, snapshot, family totals) and the
+// consensus-instance tracer (round lifecycle, sampling, PSN wire map,
+// Chrome JSON export).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace p4ce::obs {
@@ -50,7 +53,7 @@ TEST(MetricsRegistry, LabelComposesSeriesName) {
   EXPECT_EQ(MetricsRegistry::label("plain", {}), "plain");
 }
 
-TEST(MetricsRegistry, SnapshotIsSortedAndFindsByPrefix) {
+TEST(MetricsRegistry, SnapshotIsSortedAndFindsExactNames) {
   MetricsRegistry reg;
   reg.counter("zzz.last").inc(1);
   reg.counter("aaa.first").inc(2);
@@ -63,12 +66,83 @@ TEST(MetricsRegistry, SnapshotIsSortedAndFindsByPrefix) {
     EXPECT_LT(snap.series[i - 1].name, snap.series[i].name);
   }
 
-  const auto* hit = snap.find("consensus.");
+  const auto* hit = snap.find("consensus.commit_latency_ns");
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->name, "consensus.commit_latency_ns");
   EXPECT_EQ(hit->kind, MetricsRegistry::Series::Kind::kHistogram);
   EXPECT_EQ(hit->count, 1u);
+  // A prefix names no series.
+  EXPECT_EQ(snap.find("consensus."), nullptr);
   EXPECT_EQ(snap.find("nope."), nullptr);
+}
+
+TEST(MetricsRegistry, BareCounterIsItsOwnCountPlusItsLabelledChildren) {
+  MetricsRegistry reg;
+  reg.counter("rdma.nic.dropped").inc(1);
+  reg.counter("rdma.nic.dropped", {{"nic", "host0"}}).inc(2);
+  reg.counter("rdma.nic.dropped", {{"nic", "host1"}}).inc(4);
+  // A longer family name with the same prefix is not a child.
+  reg.counter("rdma.nic.dropped_late").inc(8);
+
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.find("rdma.nic.dropped")->count, 7u);
+  EXPECT_EQ(snap.find("rdma.nic.dropped{nic=host0}")->count, 2u);
+  EXPECT_EQ(snap.find("rdma.nic.dropped{nic=host1}")->count, 4u);
+  EXPECT_EQ(snap.find("rdma.nic.dropped_late")->count, 8u);
+  // The registry's own counter keeps its own count.
+  EXPECT_EQ(reg.counter("rdma.nic.dropped").value(), 1u);
+}
+
+TEST(MetricsRegistry, DeclaredFamilyWithNoChildrenShowsZero) {
+  MetricsRegistry reg;
+  reg.counter("switch.p4ce.requests_scattered");
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.series.size(), 1u);
+  EXPECT_EQ(snap.series[0].name, "switch.p4ce.requests_scattered");
+  EXPECT_EQ(snap.series[0].count, 0u);
+}
+
+TEST(MetricsRegistry, SnapshotWithFamiliesStaysSorted) {
+  MetricsRegistry reg;
+  reg.counter("b.count", {{"x", "2"}}).inc();
+  reg.counter("b.count", {{"x", "1"}}).inc();
+  reg.counter("b.count_other").inc();
+  reg.counter("a.count", {{"x", "1"}}).inc();
+  reg.gauge(MetricsRegistry::label("b.level", {{"x", "1"}})).set(1.0);
+  reg.histogram("b.lat").record(5);
+
+  const auto snap = reg.snapshot();
+  std::vector<std::string> names;
+  for (const auto& s : snap.series) names.push_back(s.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a.count", "a.count{x=1}", "b.count",
+                                             "b.count_other", "b.count{x=1}", "b.count{x=2}",
+                                             "b.lat", "b.level{x=1}"}));
+  // A family with children only gets a bare total; gauges have no rollup.
+  EXPECT_EQ(snap.find("a.count")->count, 1u);
+  EXPECT_EQ(snap.find("b.count")->count, 2u);
+  EXPECT_EQ(snap.find("b.level"), nullptr);
+}
+
+TEST(MetricsRegistry, SamplerTakesAColumnForEachLabelledChild) {
+  MetricsRegistry reg;
+  Sampler sampler(reg);
+  sampler.enable(/*period=*/1'000);
+  reg.counter("rdma.nic.rx_overflows", {{"nic", "host1"}}).inc(5);
+  reg.counter("rdma.nic.rx_overflows", {{"nic", "host2"}}).inc(2);
+  sampler.tick(1'000);
+
+  const auto& names = sampler.series_names();
+  const auto frame = sampler.frames().at(0);
+  const auto column = [&](const std::string& name) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (names[i] == name) return frame.values.at(i);
+    }
+    ADD_FAILURE() << "no column " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(names.size(), 3u);
+  EXPECT_DOUBLE_EQ(column("rdma.nic.rx_overflows{nic=host1}"), 5.0);
+  EXPECT_DOUBLE_EQ(column("rdma.nic.rx_overflows{nic=host2}"), 2.0);
+  EXPECT_DOUBLE_EQ(column("rdma.nic.rx_overflows"), 7.0);
 }
 
 TEST(MetricsRegistry, JsonContainsEverySeries) {

@@ -70,7 +70,7 @@ net::Packet ack_packet(u32 replica, Psn replica_psn, u8 credits = 20, bool nak =
 
 struct DataplaneFixture : ::testing::Test {
   sim::Simulator sim;
-  P4ceDataplane dataplane{sim, kSwitchIp};
+  P4ceDataplane dataplane{sim, "tofino", kSwitchIp};
 
   void SetUp() override {
     for (u32 i = 0; i < 6; ++i) {
@@ -222,7 +222,7 @@ TEST_F(DataplaneFixture, GatherForwardsExactlyTheFthAck) {
   auto c3 = run_ingress(ack_packet(3, psn_add(10, spec.replicas[3].psn_delta)));
   EXPECT_TRUE(c3.drop);
 
-  const auto& stats = dataplane.group_stats(0);
+  const auto stats = dataplane.group_stats(0);
   EXPECT_EQ(stats.acks_gathered, 4u);
   EXPECT_EQ(stats.acks_forwarded, 1u);
 
@@ -304,7 +304,7 @@ class MinCreditPropertyTest : public ::testing::TestWithParam<u64> {};
 TEST_P(MinCreditPropertyTest, ForwardedCreditIsMinOfLatestPerReplica) {
   Rng rng(GetParam());
   sim::Simulator sim;
-  P4ceDataplane dataplane(sim, kSwitchIp);
+  P4ceDataplane dataplane(sim, "tofino", kSwitchIp);
   for (u32 i = 0; i < 6; ++i) {
     std::ignore = dataplane.add_route(net::make_ip(0, static_cast<u8>(10 + i)), i);
   }
@@ -335,7 +335,7 @@ TEST_P(MinCreditPropertyTest, ForwardedCreditIsMinOfLatestPerReplica) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MinCreditPropertyTest, ::testing::Values(11, 22, 33));
 
 TEST_F(DataplaneFixture, EgressDropModeRoutesSurplusThroughLeaderEgress) {
-  P4ceDataplane egress_drop(sim, kSwitchIp, AckDropStage::kEgress);
+  P4ceDataplane egress_drop(sim, "egress_drop", kSwitchIp, AckDropStage::kEgress);
   for (u32 i = 0; i < 6; ++i) {
     std::ignore = egress_drop.add_route(net::make_ip(0, static_cast<u8>(10 + i)), i);
   }

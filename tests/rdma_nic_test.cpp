@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "obs/context.hpp"
 #include "rdma/cm.hpp"
 #include "rdma/nic.hpp"
 #include "sim/simulator.hpp"
@@ -28,6 +30,14 @@ struct NicFixture : ::testing::Test {
     link->attach(nic_a.get(), nic_b.get());
     nic_a->attach_link(link.get(), 0);
     nic_b->attach_link(link.get(), 1);
+  }
+
+  /// The run's series `name`, read from a snapshot: the value a BENCH file
+  /// would show, with no NIC getter called.
+  u64 series(const std::string& name) {
+    const auto snap = sim.obs().metrics.snapshot();
+    const auto* s = snap.find(name);
+    return s == nullptr ? 0 : s->count;
   }
 
   net::Packet to_b(Qpn dqpn = 0x999) {
@@ -55,6 +65,8 @@ TEST_F(NicFixture, TransmitRateBoundedByPerPacketCost) {
 TEST_F(NicFixture, UnknownQpnCountsAsDrop) {
   nic_a->send_packet(to_b(0x777));
   sim.run();
+  EXPECT_EQ(series("rdma.nic.dropped{nic=b}"), 1u);
+  EXPECT_EQ(series("rdma.nic.dropped"), 1u);
   EXPECT_EQ(nic_b->packets_received(), 1u);
   EXPECT_EQ(nic_b->packets_dropped(), 1u);
 }
@@ -74,7 +86,14 @@ TEST_F(NicFixture, ReceiveBufferTailDropsWhenFull) {
   tiny.rx_per_packet = 10'000;  // very slow processing
   build(tiny);
   for (int i = 0; i < 10; ++i) nic_b->deliver(to_b());
+  sim.run();
+  // The first rx event lands the burst, so the series is current once the
+  // burst has drained, before any getter brings it up to date.
+  EXPECT_EQ(series("rdma.nic.rx_overflows{nic=b}"), 6u);
   EXPECT_EQ(nic_b->rx_overflows(), 6u);
+  // A second burst, read as it lands.
+  for (int i = 0; i < 10; ++i) nic_b->deliver(to_b());
+  EXPECT_EQ(nic_b->rx_overflows(), 12u);
   EXPECT_EQ(nic_b->current_credits(), 0u);
 }
 
@@ -146,7 +165,6 @@ TEST_F(NicFixture, RxProcessingAddsLatencyNotLoss) {
   QueuePair& qp_b = nic_b->create_qp(cq, {});
   qp_b.connect(nic_a->ip(), 0x123, 0, 0);
   auto& region = mem_b.register_region(4096, kAccessRemoteWrite);
-  int received_before = static_cast<int>(qp_b.messages_received());
   for (int i = 0; i < 31; ++i) {
     net::Packet p = to_b(qp_b.qpn());
     p.bth.psn = static_cast<Psn>(i);
@@ -155,7 +173,7 @@ TEST_F(NicFixture, RxProcessingAddsLatencyNotLoss) {
     nic_a->send_packet(std::move(p));
   }
   sim.run();
-  EXPECT_EQ(qp_b.messages_received() - received_before, 31u);
+  EXPECT_EQ(sim.obs().metrics.counter("rdma.qp.msgs_received").value(), 31u);
   EXPECT_EQ(nic_b->rx_overflows(), 0u);
 }
 
@@ -248,6 +266,7 @@ TEST_F(NicFixture, PacketsInFlightHoldNoCreditsUntilTheyLand) {
   sim.run_until(40 + wire + 1'000);
   EXPECT_EQ(nic_b->current_credits(), 29u);
   sim.run();
+  EXPECT_EQ(series("rdma.nic.dropped{nic=b}"), 3u);
   EXPECT_EQ(nic_b->current_credits(), 31u);
   EXPECT_EQ(nic_b->packets_dropped(), 3u);  // no such QP, counted at rx end
 }
@@ -278,6 +297,7 @@ TEST_F(NicFixture, LandingInTheNanosecondAnRxEndsSentBeforeThatRxWasDue) {
   nic_a->send_packet(to_b());  // Y: slot 40
   nic_a->send_packet(to_b());  // X: slot 80, sent before Y lands
   sim.run();
+  EXPECT_EQ(series("rdma.nic.rx_overflows{nic=b}"), 1u);
   EXPECT_EQ(nic_b->packets_received(), 2u);
   EXPECT_EQ(nic_b->rx_overflows(), 1u);
 }

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "obs/context.hpp"
 #include "rdma/cm.hpp"
 #include "rdma/nic.hpp"
 #include "sim/simulator.hpp"
@@ -45,6 +46,10 @@ struct QpFixture : ::testing::Test {
     qp_b->connect(nic_a->ip(), qp_a->qpn(), /*our_psn=*/500, /*expect=*/100);
   }
 
+  /// A run-wide rdma.qp.* count. qp_a only requests and qp_b only
+  /// responds, so each count here is one QP's.
+  u64 series(const char* name) { return sim.obs().metrics.counter(name).value(); }
+
   Bytes pattern(u32 n, u8 seed = 0) {
     Bytes out(n);
     for (u32 i = 0; i < n; ++i) out[i] = static_cast<u8>(seed + i);
@@ -60,7 +65,7 @@ TEST_F(QpFixture, SinglePacketWriteCompletesAndLands) {
   EXPECT_EQ(completions_a[0].wr_id, 7u);
   EXPECT_EQ(completions_a[0].status, WcStatus::kSuccess);
   EXPECT_EQ(Bytes(region_b->bytes(), region_b->bytes() + 64), data);
-  EXPECT_EQ(qp_b->messages_received(), 1u);
+  EXPECT_EQ(series("rdma.qp.msgs_received"), 1u);
 }
 
 TEST_F(QpFixture, MultiPacketWriteSegmentsByMtu) {
@@ -201,7 +206,7 @@ TEST_F(QpFixture, RetransmitsAfterLossAndRecovers) {
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
   EXPECT_EQ(completions_a[0].status, WcStatus::kSuccess);
-  EXPECT_GE(qp_a->retransmissions(), 1u);
+  EXPECT_GE(series("rdma.qp.retransmits"), 1u);
 }
 
 TEST_F(QpFixture, RetryExhaustionErrorsTheQp) {
@@ -233,7 +238,7 @@ TEST_F(QpFixture, TimeoutKeepsItsTiePlaceAfterManyReArms) {
   u64 posted = 0;
   std::vector<std::pair<char, u64>> probes;  // (probe, retransmissions seen)
   const auto probe = [&](char name) {
-    return [&, name] { probes.emplace_back(name, qp_a->retransmissions()); };
+    return [&, name] { probes.emplace_back(name, series("rdma.qp.retransmits")); };
   };
   const auto post = [&] {
     ASSERT_TRUE(
@@ -286,7 +291,7 @@ TEST_F(QpFixture, DuplicateDeliveryIsIdempotent) {
   const Bytes data = pattern(64);
   ASSERT_TRUE(qp_a->post_write(1, data, region_b->vaddr(), region_b->rkey()).is_ok());
   sim.run();
-  const u64 received_once = qp_b->messages_received();
+  const u64 received_once = series("rdma.qp.msgs_received");
   // Hand-craft a duplicate of the delivered packet (stale PSN).
   net::Packet dup;
   dup.ip.src = nic_a->ip();
@@ -299,7 +304,7 @@ TEST_F(QpFixture, DuplicateDeliveryIsIdempotent) {
   dup.payload = Bytes(data);
   qp_b->handle_packet(dup);
   sim.run();
-  EXPECT_EQ(qp_b->messages_received(), received_once);  // not re-executed
+  EXPECT_EQ(series("rdma.qp.msgs_received"), received_once);  // not re-executed
   EXPECT_EQ(completions_a.size(), 1u);                  // no spurious completion
 }
 
@@ -318,7 +323,7 @@ TEST_F(QpFixture, PsnGapTriggersNakAndGoBackN) {
   sim.run();
   // Responder did not execute it and did not advance.
   EXPECT_EQ(qp_b->expected_recv_psn(), 100u);
-  EXPECT_EQ(qp_b->messages_received(), 0u);
+  EXPECT_EQ(series("rdma.qp.msgs_received"), 0u);
 }
 
 TEST_F(QpFixture, CreditsAdvertisedInAcks) {

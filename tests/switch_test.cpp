@@ -396,7 +396,7 @@ TEST(P4cePacketPath, ScatterGatherTimelineGolden) {
   constexpr Ipv4Addr kSwitchIp = net::make_ip(1, 1);
   sim::Simulator sim;
   SwitchDevice device(sim, "tofino", kSwitchIp);
-  p4::P4ceDataplane dataplane(sim, kSwitchIp);
+  p4::P4ceDataplane dataplane(sim, device.name(), kSwitchIp);
   device.load_program(&dataplane);
 
   std::vector<u64> timeline;
