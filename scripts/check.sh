@@ -62,10 +62,17 @@ if [[ "$perf" == 1 ]]; then
 
   echo "== perfbench: each BENCHMARK.json workload, 1 s =="
   # perfbench builds against src/'s API; this is where a change that breaks
-  # that build, or fails perfbench's output check, shows first.
+  # that build, or fails perfbench's output check, shows first. One line per
+  # workload from its JSON result, so a memory or rate jump shows in the log.
   for workload in $(python3 -c "import json
 print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do
-    python3 perfbench/run.py --workload "$workload" --seed 301 --seconds 1 --trace 0 >/dev/null
+    python3 perfbench/run.py --workload "$workload" --seed 301 --seconds 1 --trace 0 |
+      python3 -c "import json, sys
+r = json.loads(sys.stdin.read().splitlines()[-1])
+m = r['metrics']
+print('%s: correct=%s failed=%d peak_rss_mb=%.1f host_commits_per_s=%.0f' % (sys.argv[1],
+      r['correct'], r['failed'], m['peak_rss_mb']['value'], m['host_commits_per_s']['value']))" \
+        "$workload"
   done
 fi
 

@@ -15,11 +15,15 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "consensus/calibration.hpp"
@@ -33,53 +37,54 @@
 
 namespace p4ce::consensus {
 
-/// Per-op state keyed by op number. A node numbers its ops densely, so the
-/// live ones span a short window: each op sits in slot `op % capacity`, and
-/// the table doubles only when two live ops would share a slot. erase()
-/// halves it again under Ring's rule (at most a quarter full, larger than
-/// kFloorSlots) while the live ops would each keep a slot of their own. The
-/// table counts the slot pairs `i`, `i + capacity / 2` that both hold an
-/// op, so that check is one comparison, not a scan: an op that stays live
-/// while the window moves on pins the table only while its partner slot is
-/// taken. Ops may be inserted and erased in any order; take_all() and
-/// for_each_in_order() hand them back in op order. Lookup, insert and erase
-/// cost no allocation while the window stays put.
+/// Per-op state keyed by op number: a window over a Ring. A node numbers its
+/// ops densely and keeps few in flight, so the live ops span a short run of
+/// numbers. Slot `i` holds op `front + i`, or nothing once that op has left.
+/// insert() appends, giving any op numbers it skips an empty slot; the op
+/// must be newer than every op present, and every build aborts if it is not.
+/// erase() empties the op's slot and then pops empty slots off the front.
+/// Memory therefore follows the live span, from the oldest op present to the
+/// newest: an op that never leaves pins every slot after it. The Ring grows
+/// and halves the array (see common/ring.hpp). take_all() and
+/// for_each_in_order() walk from front to back, which is op order. Lookup,
+/// insert and erase cost no allocation while the window stays put.
 ///
 /// Growing and shrinking move the ops: a reference or pointer into the
 /// table is valid only until the next insert or erase. A caller that may
 /// re-enter the table meanwhile looks its op up again by number.
 template <class T>
-class OpRing {
+class OpWindow {
  public:
-  /// Below this many slots the table is never halved.
-  static constexpr std::size_t kFloorSlots = 1024;
-
-  /// Store `value` for `op`, which must not be present.
+  /// Store `value` for `op`, which must be newer than every op present.
   T& insert(u64 op, T value) {
-    if (slots_.empty()) slots_.resize(kInitialSlots);
-    while (slots_[index(op)].used) resize(slots_.size() * 2);
-    const std::size_t i = index(op);
-    Slot& slot = slots_[i];
-    slot.op = op;
-    slot.used = true;
-    slot.value = std::move(value);
+    if (slots_.empty()) front_ = op;
+    if (op < end()) {
+      std::fprintf(stderr, "OpWindow: op %llu is not newer than op %llu\n",
+                   static_cast<unsigned long long>(op),
+                   static_cast<unsigned long long>(end() - 1));
+      std::abort();
+    }
+    while (end() < op) slots_.emplace_back();
+    std::optional<T>& slot = slots_.emplace_back();
+    slot = std::move(value);
     ++size_;
-    if (halvable() && slots_[partner(i)].used) ++paired_;
-    return slot.value;
+    return *slot;
   }
 
   T* find(u64 op) noexcept {
-    if (slots_.empty()) return nullptr;
-    Slot& slot = slots_[index(op)];
-    return slot.used && slot.op == op ? &slot.value : nullptr;
+    if (op < front_ || op >= end()) return nullptr;
+    std::optional<T>& slot = slots_[op - front_];
+    return slot ? &*slot : nullptr;
   }
 
   /// Remove `op`; false if it was not present.
   bool erase(u64 op) {
     if (find(op) == nullptr) return false;
-    release(index(op));
-    while (halvable() && size_ <= slots_.size() / 4 && paired_ == 0) {
-      resize(slots_.size() / 2);
+    slots_[op - front_].reset();  // drop captures and payload references now
+    --size_;
+    while (!slots_.empty() && !slots_.front()) {
+      slots_.pop_front();
+      ++front_;
     }
     return true;
   }
@@ -89,84 +94,42 @@ class OpRing {
   std::vector<std::pair<u64, T>> take_all() {
     std::vector<std::pair<u64, T>> out;
     out.reserve(size_);
-    for (Slot& slot : slots_) {
-      if (slot.used) out.emplace_back(slot.op, std::move(slot.value));
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i]) out.emplace_back(front_ + i, std::move(*slots_[i]));
     }
     clear();
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
     return out;
   }
 
   /// Call `fn(op, value)` for every op present now, in op order. Each op is
   /// looked up again just before its call, so `fn` may insert and erase
-  /// ops: one erased before its turn is skipped, one inserted is not
-  /// visited.
+  /// ops: one erased before its turn is skipped, and one inserted after the
+  /// walk's newest op is not visited.
   template <class Fn>
   void for_each_in_order(Fn&& fn) {
-    std::vector<u64> ops;
-    ops.reserve(size_);
-    for (const Slot& slot : slots_) {
-      if (slot.used) ops.push_back(slot.op);
-    }
-    std::sort(ops.begin(), ops.end());
-    for (const u64 op : ops) {
+    const u64 last = end();
+    for (u64 op = front_; op < last; ++op) {
       if (T* value = find(op)) fn(op, *value);
     }
   }
 
-  /// Remove every op; a table grown past kFloorSlots drops back to it.
+  /// Remove every op; a table grown past Ring's floor drops back to it.
   void clear() {
-    slots_ = std::vector<Slot>(std::min(slots_.size(), kFloorSlots));
+    slots_.clear();
     size_ = 0;
-    paired_ = 0;
   }
 
   std::size_t size() const noexcept { return size_; }
   /// Slots allocated now.
-  std::size_t capacity() const noexcept { return slots_.size(); }
+  std::size_t capacity() const noexcept { return slots_.capacity(); }
 
  private:
-  static constexpr std::size_t kInitialSlots = 64;
+  /// One past the newest op the window holds.
+  u64 end() const noexcept { return front_ + slots_.size(); }
 
-  struct Slot {
-    u64 op = 0;
-    bool used = false;
-    T value{};
-  };
-
-  std::size_t index(u64 op) const noexcept { return op & (slots_.size() - 1); }
-  /// Pairs are counted only above the floor, so a table that stays small
-  /// never touches a second slot per insert or erase.
-  bool halvable() const noexcept { return slots_.size() > kFloorSlots; }
-  /// The slot that slot `i` merges with when the table halves.
-  std::size_t partner(std::size_t i) const noexcept { return i ^ (slots_.size() / 2); }
-
-  void release(std::size_t i) {
-    Slot& slot = slots_[i];
-    slot.used = false;
-    slot.value = T{};  // drop captures and payload references now
-    --size_;
-    if (halvable() && slots_[partner(i)].used) --paired_;
-  }
-
-  /// Move every live op into a fresh table of `capacity` slots, where each
-  /// has a slot of its own.
-  void resize(std::size_t capacity) {
-    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
-    paired_ = 0;
-    for (Slot& slot : old) {
-      if (!slot.used) continue;
-      const std::size_t i = index(slot.op);
-      slots_[i] = std::move(slot);
-      if (halvable() && slots_[partner(i)].used) ++paired_;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-  /// Slot pairs (i, partner(i)) that both hold an op; kept while halvable().
-  std::size_t paired_ = 0;
+  Ring<std::optional<T>> slots_;
+  u64 front_ = 0;         ///< the op number of slot 0
+  std::size_t size_ = 0;  ///< ops present
 };
 
 /// A replica endpoint from the leader's point of view.
@@ -278,7 +241,7 @@ class MuCommunicator : public DirectCommunicator {
   u32 f_needed_;
   /// ACK count of each op awaiting its verdict, by op (wr_id). An op leaves
   /// when its verdict is given, so a later ACK finds nothing.
-  OpRing<u32> pending_;
+  OpWindow<u32> pending_;
 };
 
 // ---------------------------------------------------------------------------
@@ -367,7 +330,7 @@ class P4ceCommunicator : public Communicator {
     u64 offset = 0;
     net::PayloadRef entry;
   };
-  OpRing<AccelOp> accel_pending_;
+  OpWindow<AccelOp> accel_pending_;
   sim::PeriodicTimer reaccel_timer_;
   bool update_in_flight_ = false;
 };

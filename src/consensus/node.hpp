@@ -48,7 +48,7 @@ struct CommitRecord {
 /// Releases ops strictly in op order, no matter which order the (possibly
 /// mode-switching) verdicts arrive in: `release(op, status, record)` runs
 /// once per op, in order, with the record the op was expected with. Ops are
-/// dense, starting at `first`, so they live in an OpRing.
+/// dense, starting at `first`, so they live in an OpWindow.
 class CommitSequencer {
  public:
   using ReleaseFn = std::function<void(u64 op, Status, CommitRecord)>;
@@ -72,7 +72,7 @@ class CommitSequencer {
     Status status;
     CommitRecord record;
   };
-  OpRing<Op> ops_;
+  OpWindow<Op> ops_;
   u64 next_;
   ReleaseFn release_;
 };

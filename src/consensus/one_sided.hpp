@@ -183,8 +183,8 @@ class OneSidedCommunicator : public DirectCommunicator {
   u64 ops_issued_ = 0;     ///< slots consumed since takeover
   u64 reserved_ = 0;       ///< slots reserved since takeover
 
-  OpRing<OpState> ops_;  ///< by seq
-  OpRing<WrCtx> wr_ctx_;  ///< by wr id
+  OpWindow<OpState> ops_;  ///< by seq
+  OpWindow<WrCtx> wr_ctx_;  ///< by wr id
   /// The word this leader last installed in each slot: the fast CAS's
   /// compare operand when the ring comes round again.
   std::vector<u64> slot_words_ = std::vector<u64>(kOneSidedSlotCount);

@@ -46,20 +46,17 @@ class TofinoRegister {
   void write(std::size_t index, T value) noexcept {
     assert(index < slots_.size());
     slots_[index] = value;
-    ++dataplane_ops_;
   }
 
   /// RegisterAction: slot += 1; return the incremented value.
   T increment_read(std::size_t index) noexcept {
     assert(index < slots_.size());
-    ++dataplane_ops_;
     return ++slots_[index];
   }
 
   /// RegisterAction: return slot (read-only traversal).
   T read(std::size_t index) const noexcept {
     assert(index < slots_.size());
-    ++dataplane_ops_;
     return slots_[index];
   }
 
@@ -73,7 +70,6 @@ class TofinoRegister {
   {
     assert(index < slots_.size());
     slots_[index] = store;
-    ++dataplane_ops_;
     return tofino_min(static_cast<u32>(slots_[index]), static_cast<u32>(running_min));
   }
 
@@ -83,7 +79,6 @@ class TofinoRegister {
     requires std::unsigned_integral<T>
   {
     assert(index < slots_.size());
-    ++dataplane_ops_;
     return tofino_min(static_cast<u32>(slots_[index]), static_cast<u32>(running_min));
   }
 
@@ -99,11 +94,8 @@ class TofinoRegister {
   }
   void cp_clear(T value = T{}) { slots_.assign(slots_.size(), value); }
 
-  u64 dataplane_operations() const noexcept { return dataplane_ops_; }
-
  private:
   std::vector<T> slots_;
-  mutable u64 dataplane_ops_ = 0;
 };
 
 }  // namespace p4ce::sw

@@ -1,7 +1,6 @@
 // Exact-match match-action tables: the P4 construct the control plane
 // programs (via BfRt in the real system) and the data plane matches against
-// at line rate. Entries are bounded like hardware tables; hit/miss counters
-// are kept per table for diagnostics.
+// at line rate. Entries are bounded like hardware tables.
 #pragma once
 
 #include <optional>
@@ -51,23 +50,13 @@ class ExactMatchTable {
   /// Match: returns the action on hit, nullptr on miss.
   const Action* lookup(const Key& key) const noexcept {
     auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
-    return &it->second;
+    return it == entries_.end() ? nullptr : &it->second;
   }
-
-  u64 hits() const noexcept { return hits_; }
-  u64 misses() const noexcept { return misses_; }
 
  private:
   std::string name_;
   std::size_t capacity_;
   std::unordered_map<Key, Action> entries_;
-  mutable u64 hits_ = 0;
-  mutable u64 misses_ = 0;
 };
 
 }  // namespace p4ce::sw

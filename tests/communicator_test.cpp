@@ -82,8 +82,8 @@ TEST(CommitSequencer, StartsAtTheOpGivenAtConstruction) {
   // A node in replication domain d numbers its ops from trace_key(d, 1).
   std::vector<u64> order;
   CommitSequencer sequencer(100, [&](u64 op, Status, CommitRecord) { order.push_back(op); });
-  sequencer.expect(101);
   sequencer.expect(100);
+  sequencer.expect(101);
   sequencer.mark_ready(101, Status::ok());
   EXPECT_TRUE(order.empty());  // 100 comes first
   sequencer.mark_ready(100, Status::ok());
@@ -92,114 +92,119 @@ TEST(CommitSequencer, StartsAtTheOpGivenAtConstruction) {
 }
 
 TEST(CommitSequencer, ReleasesAWideOutOfOrderWindowInOrder) {
-  // More ops outstanding than the op table starts with, expected and made
-  // ready back to front.
+  // More ops outstanding than the op table starts with, made ready back to
+  // front.
   std::vector<u64> order;
   CommitSequencer sequencer(1000, [&](u64 op, Status, CommitRecord) { order.push_back(op); });
-  for (u64 op = 1000 + 299; op >= 1000; --op) sequencer.expect(op);
+  for (u64 op = 1000; op < 1000 + 300; ++op) sequencer.expect(op);
   for (u64 op = 1000 + 299; op > 1000; --op) sequencer.mark_ready(op, Status::ok());
   EXPECT_TRUE(order.empty());
+  EXPECT_EQ(sequencer.outstanding(), 300u);
   sequencer.mark_ready(1000, Status::ok());
   ASSERT_EQ(order.size(), 300u);
   for (u64 i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], 1000 + i);
   EXPECT_EQ(sequencer.outstanding(), 0u);
 }
 
-TEST(OpRing, KeepsOpsThatShareASlotApart) {
-  OpRing<int> ring;
-  // 7, 7 + 64 and 7 + 128 share a slot at the initial size.
-  ring.insert(7 + 128, 3);
-  ring.insert(7, 1);
-  ring.insert(7 + 64, 2);
-  ASSERT_NE(ring.find(7), nullptr);
-  EXPECT_EQ(*ring.find(7), 1);
-  EXPECT_EQ(*ring.find(7 + 64), 2);
-  EXPECT_EQ(*ring.find(7 + 128), 3);
-  EXPECT_EQ(ring.find(8), nullptr);
-  EXPECT_TRUE(ring.erase(7 + 64));
-  EXPECT_FALSE(ring.erase(7 + 64));
-  EXPECT_EQ(ring.size(), 2u);
-  ring.insert(9, 4);
-  const auto all = ring.take_all();
+TEST(OpWindow, FindsEachOpAndErasesOutOfOrder) {
+  OpWindow<int> window;
+  window.insert(7, 1);
+  window.insert(7 + 64, 2);
+  window.insert(7 + 128, 3);
+  ASSERT_NE(window.find(7), nullptr);
+  EXPECT_EQ(*window.find(7), 1);
+  EXPECT_EQ(*window.find(7 + 64), 2);
+  EXPECT_EQ(*window.find(7 + 128), 3);
+  EXPECT_EQ(window.find(6), nullptr);
+  EXPECT_EQ(window.find(8), nullptr);
+  EXPECT_EQ(window.find(7 + 129), nullptr);
+  EXPECT_TRUE(window.erase(7 + 64));
+  EXPECT_FALSE(window.erase(7 + 64));
+  EXPECT_EQ(window.size(), 2u);
+  window.insert(7 + 200, 4);
+  const auto all = window.take_all();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], (std::pair<u64, int>{7, 1}));
-  EXPECT_EQ(all[1], (std::pair<u64, int>{9, 4}));
-  EXPECT_EQ(all[2], (std::pair<u64, int>{7 + 128, 3}));
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.find(7), nullptr);
+  EXPECT_EQ(all[1], (std::pair<u64, int>{7 + 128, 3}));
+  EXPECT_EQ(all[2], (std::pair<u64, int>{7 + 200, 4}));
+  EXPECT_EQ(window.size(), 0u);
+  EXPECT_EQ(window.find(7), nullptr);
 }
 
-TEST(OpRing, WalksOpsInOpOrderWhileTheCallbackEditsTheTable) {
-  OpRing<int> ring;
-  // 5, 5 + 64 and 5 + 192 share a slot at the initial size, so the table
-  // has grown to 256 slots before the walk starts; 10 + 256 then sits in
-  // slot 10, ahead of ops it follows.
-  for (const u64 op : {5 + 192, 70, 5, 3, 5 + 64, 10 + 256}) {
-    ring.insert(op, static_cast<int>(op));
+TEST(OpWindow, WalksOpsInOpOrderWhileTheCallbackEditsTheTable) {
+  OpWindow<int> window;
+  for (const u64 op : {3, 5, 5 + 64, 70, 5 + 192, 10 + 256}) {
+    window.insert(op, static_cast<int>(op));
   }
   std::vector<u64> visited;
-  ring.for_each_in_order([&](u64 op, int& value) {
+  window.for_each_in_order([&](u64 op, int& value) {
     EXPECT_EQ(value, static_cast<int>(op));
     visited.push_back(op);
     if (op == 5) {
-      // Erase an op not yet visited, and insert ops that move the table's
-      // slots: the walk skips the first and does not visit the others.
-      EXPECT_TRUE(ring.erase(70));
-      ring.insert(5 + 256, 0);
-      ring.insert(5 + 512, 0);
+      // Erase an op not yet visited, and insert ops far enough ahead to grow
+      // the table: the walk skips the first and does not visit the others.
+      EXPECT_TRUE(window.erase(70));
+      window.insert(5 + 256 + 1'000, 0);
+      window.insert(5 + 512 + 1'000, 0);
+    }
+    if (op == 5 + 64) {
+      // Erase ops already visited, the front among them, which moves the
+      // window's front while the walk is inside it.
+      EXPECT_TRUE(window.erase(3));
+      EXPECT_TRUE(window.erase(5));
     }
   });
   EXPECT_EQ(visited, (std::vector<u64>{3, 5, 5 + 64, 5 + 192, 10 + 256}));
-  EXPECT_EQ(ring.size(), 7u);
-  ASSERT_NE(ring.find(5 + 64), nullptr);
-  EXPECT_EQ(*ring.find(5 + 64), 5 + 64);
+  EXPECT_EQ(window.size(), 5u);
+  ASSERT_NE(window.find(5 + 64), nullptr);
+  EXPECT_EQ(*window.find(5 + 64), 5 + 64);
 }
 
-/// Checks `ring` holds exactly `live` (op -> op * 3) through find,
+/// Checks `window` holds exactly `live` (op -> op * 3) through find,
 /// for_each_in_order and size.
-void expect_holds(OpRing<u64>& ring, const std::set<u64>& live) {
-  ASSERT_EQ(ring.size(), live.size());
+void expect_holds(OpWindow<u64>& window, const std::set<u64>& live) {
+  ASSERT_EQ(window.size(), live.size());
   for (const u64 op : live) {
-    const u64* value = ring.find(op);
+    const u64* value = window.find(op);
     ASSERT_NE(value, nullptr) << "op " << op;
     ASSERT_EQ(*value, op * 3);
   }
   std::vector<u64> visited;
-  ring.for_each_in_order([&](u64 op, u64& value) {
+  window.for_each_in_order([&](u64 op, u64& value) {
     EXPECT_EQ(value, op * 3);
     visited.push_back(op);
   });
   EXPECT_EQ(visited, std::vector<u64>(live.begin(), live.end()));
 }
 
-TEST(OpRing, ShuffledErasesOfABurstReturnTheTableToTheFloor) {
-  OpRing<u64> ring;
+TEST(OpWindow, ShuffledErasesOfABurstReturnTheTableToTheFloor) {
+  OpWindow<u64> window;
   std::vector<u64> ops;
   std::set<u64> live;
   for (u64 op = 0; op < 40'000; ++op) {
-    ring.insert(op, op * 3);
+    window.insert(op, op * 3);
     ops.push_back(op);
     live.insert(op);
   }
-  EXPECT_EQ(ring.capacity(), 65'536u);
+  EXPECT_EQ(window.capacity(), 65'536u);
   Rng rng(17);
   for (std::size_t i = ops.size(); i > 1; --i) std::swap(ops[i - 1], ops[rng.next_below(i)]);
 
-  std::size_t last_capacity = ring.capacity();
+  std::size_t last_capacity = window.capacity();
   std::size_t erased = 0;
   for (const u64 op : ops) {
-    ASSERT_TRUE(ring.erase(op));
+    ASSERT_TRUE(window.erase(op));
     live.erase(op);
     ++erased;
-    EXPECT_EQ(ring.find(op), nullptr);
-    if (ring.capacity() != last_capacity || erased % 5'000 == 0) {
-      EXPECT_LE(ring.capacity(), last_capacity);
-      last_capacity = ring.capacity();
-      expect_holds(ring, live);
+    EXPECT_EQ(window.find(op), nullptr);
+    if (window.capacity() != last_capacity || erased % 5'000 == 0) {
+      EXPECT_LE(window.capacity(), last_capacity);
+      last_capacity = window.capacity();
+      expect_holds(window, live);
     }
     if (live.size() == 50) {
       // take_all hands the survivors back in op order and empties the table.
-      OpRing<u64> copy;
+      OpWindow<u64> copy;
       for (const u64 kept : live) copy.insert(kept, kept * 3);
       const auto all = copy.take_all();
       ASSERT_EQ(all.size(), live.size());
@@ -211,70 +216,79 @@ TEST(OpRing, ShuffledErasesOfABurstReturnTheTableToTheFloor) {
       EXPECT_EQ(copy.size(), 0u);
     }
   }
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
+  EXPECT_EQ(window.size(), 0u);
+  EXPECT_EQ(window.capacity(), Ring<u64>::kFloorSlots);
 }
 
-TEST(OpRing, TakeAllOfABurstDropsToTheFloor) {
-  OpRing<u64> ring;
-  for (u64 op = 100; op < 5'100; ++op) ring.insert(op, op * 3);
-  ASSERT_EQ(ring.capacity(), 8'192u);
-  const auto all = ring.take_all();
+TEST(OpWindow, TakeAllOfABurstDropsToTheFloor) {
+  OpWindow<u64> window;
+  for (u64 op = 100; op < 5'100; ++op) window.insert(op, op * 3);
+  ASSERT_EQ(window.capacity(), 8'192u);
+  const auto all = window.take_all();
   ASSERT_EQ(all.size(), 5'000u);
   for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i].first, 100 + i);
-  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
-  ring.insert(7, 21);
-  EXPECT_EQ(*ring.find(7), 21u);
+  EXPECT_EQ(window.capacity(), Ring<u64>::kFloorSlots);
+  // An empty table starts its window at whatever op comes next.
+  window.insert(7, 21);
+  EXPECT_EQ(*window.find(7), 21u);
 }
 
-TEST(OpRing, AStaleOpPinsTheTableOnlyWhileItsPartnerSlotIsTaken) {
-  OpRing<u64> ring;
-  std::set<u64> live;
-  for (u64 op = 0; op < 40'000; ++op) {
-    ring.insert(op, op * 3);
-    live.insert(op);
-  }
-  ASSERT_EQ(ring.capacity(), 65'536u);
-  // Op 0 goes stale. Op 32,768 shares its slot at half the size, so while
-  // both stay, erasing every other op leaves the table where it is; each
-  // of those erases tests one counter, whatever the table's size.
-  for (u64 op = 1; op < 40'000; ++op) {
-    if (op == 32'768) continue;
-    ASSERT_TRUE(ring.erase(op));
-    live.erase(op);
-    ASSERT_EQ(ring.capacity(), 65'536u) << "after erasing op " << op;
-  }
-  expect_holds(ring, live);
-  // Once the partner goes, the stale op alone fits the floor.
-  ASSERT_TRUE(ring.erase(32'768));
-  live.erase(32'768);
-  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
-  expect_holds(ring, live);
+TEST(OpWindow, AGapOfSkippedOpsIsWalkedAndErased) {
+  // Ops 10, 11 and 5,000: the 4,988 numbers in between get empty slots,
+  // which the walk passes over and the erases pop off the front.
+  OpWindow<u64> window;
+  std::set<u64> live{10, 11, 5'000};
+  for (const u64 op : live) window.insert(op, op * 3);
+  EXPECT_EQ(window.capacity(), 8'192u);
+  EXPECT_EQ(window.find(12), nullptr);
+  EXPECT_EQ(window.find(4'999), nullptr);
+  EXPECT_FALSE(window.erase(2'000));
+  expect_holds(window, live);
+  ASSERT_TRUE(window.erase(11));
+  live.erase(11);
+  expect_holds(window, live);
+  // Erasing the front pops every empty slot up to op 5,000.
+  ASSERT_TRUE(window.erase(10));
+  live.erase(10);
+  EXPECT_EQ(window.capacity(), Ring<u64>::kFloorSlots);
+  expect_holds(window, live);
+  window.insert(5'001, 5'001 * 3);
+  live.insert(5'001);
+  expect_holds(window, live);
 }
 
-TEST(OpRing, AStaleOpHoldsTheTableLargeOnlyWhileAnOpSharesItsSlot) {
-  // A window of 16 ops streams past op 0, which never resolves. Every 1,024
-  // ops one lands on the stale op's slot and the table doubles until the
-  // two part (op 131,072 needs 262,144 slots); once that op leaves, the
-  // table halves back to the floor. Without the halving it would keep its
-  // largest size for good.
-  OpRing<u64> ring;
+TEST(OpWindow, AStaleOpPinsTheSlotsUpToTheNewestOpUntilItLeaves) {
+  // A window of 16 ops streams past op 0, which does not resolve: the table
+  // holds every slot from op 0 to the newest op, so it grows with the
+  // stream. Once op 0 leaves, the front moves up to the live window and the
+  // table halves back to the floor.
+  OpWindow<u64> window;
   std::set<u64> live{0};
-  ring.insert(0, 0);
-  std::size_t steps_above_floor = 0;
-  for (u64 op = 1; op < 200'000; ++op) {
-    ring.insert(op, op * 3);
+  window.insert(0, 0);
+  for (u64 op = 1; op < 20'000; ++op) {
+    window.insert(op, op * 3);
     live.insert(op);
     if (op > 16) {
-      ASSERT_TRUE(ring.erase(op - 16));
+      ASSERT_TRUE(window.erase(op - 16));
       live.erase(op - 16);
     }
-    if (ring.capacity() > OpRing<u64>::kFloorSlots) ++steps_above_floor;
+    ASSERT_GE(window.capacity(), op + 1) << "op 0 pins every slot up to op " << op;
   }
-  // 16 of every 1,024 steps, while an op on the stale op's slot is live.
-  EXPECT_LE(steps_above_floor, 16u * (200'000 / 1'024));
-  EXPECT_EQ(ring.capacity(), OpRing<u64>::kFloorSlots);
-  expect_holds(ring, live);
+  EXPECT_EQ(window.capacity(), 32'768u);
+  expect_holds(window, live);
+  ASSERT_TRUE(window.erase(0));
+  live.erase(0);
+  EXPECT_EQ(window.capacity(), Ring<u64>::kFloorSlots);
+  expect_holds(window, live);
+}
+
+TEST(OpWindowDeathTest, AnOpNoNewerThanTheNewestAborts) {
+  // Checked in every build, not by assert alone.
+  OpWindow<int> window;
+  window.insert(5, 0);
+  window.insert(9, 0);
+  EXPECT_DEATH(window.insert(7, 0), "op 7 is not newer than op 9");
+  EXPECT_DEATH(window.insert(9, 0), "op 9 is not newer than op 9");
 }
 
 // ---------------------------------------------------------------------------
@@ -542,11 +556,11 @@ TEST_P(BurstTest, ABurstCommitsInOrderAndGivesItsTablesBack) {
   // The burst took the executor, the sequencer and the communicator's op
   // tables past the floor (to 8,192 slots each); all are back.
   EXPECT_GT(cpu_peak, Ring<int>::kFloorSlots);
-  EXPECT_GT(sequencer_peak, OpRing<int>::kFloorSlots);
-  EXPECT_GT(ops_peak, OpRing<int>::kFloorSlots);
+  EXPECT_GT(sequencer_peak, Ring<int>::kFloorSlots);
+  EXPECT_GT(ops_peak, Ring<int>::kFloorSlots);
   EXPECT_LE(cpu.queue_capacity(), Ring<int>::kFloorSlots);
-  EXPECT_LE(leader.sequencer().capacity(), OpRing<int>::kFloorSlots);
-  EXPECT_LE(leader.communicator()->op_table_capacity(), OpRing<int>::kFloorSlots);
+  EXPECT_LE(leader.sequencer().capacity(), Ring<int>::kFloorSlots);
+  EXPECT_LE(leader.communicator()->op_table_capacity(), Ring<int>::kFloorSlots);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BurstTest,

@@ -333,6 +333,40 @@ TEST(LogRepair, ReplicaBehindAcrossAWrapIsRefilledAfterAFallback) {
   EXPECT_EQ(cluster->node(1).last_delivered_seq(), 84u) << "the repair must cross the wrap";
 }
 
+TEST(LogRepair, ReplicaBehindByMoreThan64MiBIsRefilledAfterAFallback) {
+  // As above on a 128 MiB log, but replica 1 stops at seq 1 while the
+  // leader appends 65 entries of 1 MiB: the refill spans just over 64 MiB.
+  ClusterOptions options;
+  options.machines = 3;
+  options.mode = Mode::kP4ce;
+  options.cal = Calibration::failover();
+  options.cal.reacceleration_period = 1'000'000'000;  // no probe in this test
+  options.log_size = 128ull << 20;
+  auto cluster = Cluster::create(options);
+  ASSERT_TRUE(cluster->start());
+  const auto propose = [&](int count, std::size_t size) {
+    for (int k = 0; k < count; ++k) {
+      ASSERT_TRUE(cluster->node(0).propose(Bytes(size, static_cast<u8>(k)), nullptr).is_ok());
+      cluster->run_for(microseconds(200));
+    }
+    cluster->run_for(milliseconds(1));
+  };
+  propose(1, 1000);
+  cluster->node(0).communicator()->exclude_replica(1);
+  cluster->run_for(milliseconds(50));  // the switch drops replica 1
+  propose(65, kMaxEntryPayload);
+  ASSERT_EQ(cluster->node(2).last_delivered_seq(), 66u);
+  ASSERT_EQ(cluster->node(1).last_delivered_seq(), 1u);
+
+  // With the group gone the next writes time out, and the fallback repairs.
+  std::ignore = cluster->dataplane().remove_group(0);
+  propose(4, 1000);
+  cluster->run_for(milliseconds(20));
+  ASSERT_FALSE(cluster->node(0).accelerated());
+  EXPECT_EQ(cluster->node(2).last_delivered_seq(), 70u);
+  EXPECT_EQ(cluster->node(1).last_delivered_seq(), 70u) << "a 64 MiB lag must not stop the refill";
+}
+
 TEST(Heartbeat, DetectionLatencyIsAboutTheLivenessTimeout) {
   auto cluster = make(Mode::kMu, 3);
   const SimTime killed = cluster->now();

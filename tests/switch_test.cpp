@@ -28,8 +28,6 @@ TEST(ExactMatchTable, AddLookupRemove) {
   EXPECT_EQ(table.lookup(6), nullptr);
   EXPECT_TRUE(table.remove(5).is_ok());
   EXPECT_EQ(table.remove(5).code(), StatusCode::kNotFound);
-  EXPECT_EQ(table.hits(), 2u);  // two successful lookups above
-  EXPECT_EQ(table.misses(), 1u);
 }
 
 TEST(ExactMatchTable, CapacityEnforcedLikeHardware) {
@@ -77,7 +75,6 @@ TEST(TofinoRegister, DataplaneActions) {
   EXPECT_EQ(reg.increment_read(3), 1u);
   EXPECT_EQ(reg.increment_read(3), 2u);
   EXPECT_EQ(reg.cp_read(3), 2u);
-  EXPECT_EQ(reg.dataplane_operations(), 4u);
 }
 
 TEST(TofinoRegister, MinFoldPipeline) {
